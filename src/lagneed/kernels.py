@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .cutoffs import CutoffSpec, CutoffPair
-from .special import as_alpha, kernel_F_table, laguerre_fn_batch, laguerre_fn_F_deriv_batch
+from .special import (as_alpha, kernel_F_table, laguerre_fn_batch, laguerre_fn_F_deriv_batch,
+                      _convolve_degrees)
 from .quadrature import weight_W
 
 __all__ = [
@@ -102,11 +103,10 @@ def lambda_direct(n: int, alpha, a_hat: CutoffSpec, x, y, family: str) -> float:
     xs, ys = _point(x, av.d), _point(y, av.d)
     w = cutoff_weights(a_hat, n)
     M = len(w) - 1
-    acc = None
-    for a, xi, yi in zip(av, xs, ys):
-        g = laguerre_fn_batch(M, a, float(xi), family) * laguerre_fn_batch(M, a, float(yi), family)
-        acc = g if acc is None else np.convolve(acc, g)[: M + 1]
-    return float(math.fsum(w * acc))
+    table = _convolve_degrees([
+        laguerre_fn_batch(M, a, float(xi), family) * laguerre_fn_batch(M, a, float(yi), family)
+        for a, xi, yi in zip(av, xs, ys)])
+    return float(math.fsum(w * table))
 
 
 def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
@@ -117,15 +117,11 @@ def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
         raise ValueError(f"axis {r} out of range for dimension {av.d}")
     w = cutoff_weights(a_hat, n)
     M = len(w) - 1
-    acc = None
-    for ax, (a, xi, yi) in enumerate(zip(av, xs, ys)):
-        if ax == r - 1:
-            gx = laguerre_fn_F_deriv_batch(M, a, float(xi))
-        else:
-            gx = laguerre_fn_batch(M, a, float(xi), "F")
-        g = gx * laguerre_fn_batch(M, a, float(yi), "F")
-        acc = g if acc is None else np.convolve(acc, g)[: M + 1]
-    return float(math.fsum(w * acc))
+    table = _convolve_degrees([
+        (laguerre_fn_F_deriv_batch(M, a, float(xi)) if ax == r - 1
+         else laguerre_fn_batch(M, a, float(xi), "F")) * laguerre_fn_batch(M, a, float(yi), "F")
+        for ax, (a, xi, yi) in enumerate(zip(av, xs, ys))])
+    return float(math.fsum(w * table))
 
 
 def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:

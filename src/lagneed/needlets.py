@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
-from .special import AlphaVector, as_alpha, laguerre_fn_batch
+from .special import AlphaVector, as_alpha, laguerre_fn_batch, _fold, _outer
 from .quadrature import CubatureGrid, cubature_grid
 from .kernels import band_kernels
 
@@ -200,14 +200,7 @@ class NeedletSystem:
             self.tables.append(tuple(
                 laguerre_fn_batch(deg, a, g.axis_xi[ax], "F")
                 for ax, a in enumerate(self.alpha)))
-        self._sqrt_c = [self._outer([np.sqrt(c) for c in g.axis_c]) for g in self.grids]
-
-    @staticmethod
-    def _outer(vecs):
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = np.multiply.outer(acc, v)
-        return acc
+        self._sqrt_c = [_outer([np.sqrt(c) for c in g.axis_c]) for g in self.grids]
 
     def band_degree(self, j: int) -> int:
         """Largest total degree the level-j filters can touch."""
@@ -291,21 +284,6 @@ def evaluate_needlet(system: NeedletSystem, j: int, gamma, x,
     return math.sqrt(c) * (phi if which == "phi" else psi)
 
 
-def _contract_to_nodes(coeff_slice: np.ndarray, tables, cap: int) -> np.ndarray:
-    """Fold a coefficient tensor against per-axis node tables."""
-    vals = coeff_slice
-    for tab in tables:
-        vals = np.tensordot(vals, tab[: cap + 1], axes=([0], [0]))
-    return vals
-
-
-def _contract_to_degrees(node_tensor: np.ndarray, tables, cap: int) -> np.ndarray:
-    vals = node_tensor
-    for tab in tables:
-        vals = np.tensordot(vals, tab[: cap + 1], axes=([0], [1]))
-    return vals
-
-
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     """Needlet coefficients <f, phi_xi> for every level and node.
 
@@ -323,7 +301,7 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
         sl = (slice(0, cap + 1),) * system.d
         w = system.filter_weights(j, "phi", system.d * cap)
         weighted = f.coeffs[sl] * np.conj(w)[total_degree_grid((cap + 1,) * system.d)]
-        nodes = _contract_to_nodes(weighted, system.tables[j], cap)
+        nodes = _fold(weighted, [tab[: cap + 1] for tab in system.tables[j]], 0)
         levels.append(system._sqrt_c[j] * nodes)
     return NeedletCoeffs(tuple(levels), system.hash)
 
@@ -339,7 +317,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     for j in range(system.J + 1):
         cap = min(system.band_degree(j), n_out)
         weighted_nodes = system._sqrt_c[j] * coeffs.levels[j]
-        block = _contract_to_degrees(weighted_nodes, system.tables[j], cap)
+        block = _fold(weighted_nodes, [tab[: cap + 1] for tab in system.tables[j]], 1)
         w = system.filter_weights(j, "psi", system.d * cap)
         block = block * w[total_degree_grid(block.shape)]
         out[(slice(0, cap + 1),) * system.d] += block
@@ -376,11 +354,8 @@ def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> Coeff
     if av.d != grid.d:
         raise ValueError("alpha and grid dimensions differ")
     vals = np.asarray([fn(p) for p in grid.points()], dtype=complex)
-    vals = vals.reshape((grid.n_j,) * grid.d) * grid.coeffs().reshape((grid.n_j,) * grid.d)
-    tables = [laguerre_fn_batch(max_degree, a, grid.axis_xi[ax], "F")
-              for ax, a in enumerate(av)]
-    block = vals
-    for tab in tables:
-        block = np.tensordot(block, tab, axes=([0], [1]))
+    vals = vals.reshape((grid.n_j,) * grid.d) * _outer(grid.axis_c)
+    tables = [laguerre_fn_batch(max_degree, a, xi, "F") for a, xi in zip(av, grid.axis_xi)]
+    block = _fold(vals, tables, 1)
     block[total_degree_grid(block.shape) > max_degree] = 0.0
     return CoeffFn(av, max_degree, block)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .special import AlphaVector, as_alpha, _orthonormal_damped_batch
+from .special import AlphaVector, as_alpha, _orthonormal_damped_batch, _outer
 
 __all__ = [
     "QuadratureRule",
@@ -205,9 +205,10 @@ class CubatureGrid:
 
     @staticmethod
     def _axis_measures(breaks: np.ndarray, a: float) -> np.ndarray:
+        """Closed-form w_alpha measures (hi^p - lo^p)/p, p = 2a+2, of the
+        intervals between consecutive breakpoints on one axis."""
         p = 2.0 * a + 2.0
-        powers = breaks ** p
-        return np.diff(powers) / p
+        return np.diff(breaks ** p) / p
 
     @property
     def point_count(self) -> int:
@@ -220,17 +221,11 @@ class CubatureGrid:
 
     def coeffs(self) -> np.ndarray:
         """Cubature coefficients c_gamma in the same order as points()."""
-        c = self.axis_c[0]
-        for cc in self.axis_c[1:]:
-            c = np.multiply.outer(c, cc)
-        return c.reshape(-1)
+        return _outer(self.axis_c).reshape(-1)
 
     def tile_measures(self) -> np.ndarray:
         """w_alpha measures of all tiles, same ordering as points()."""
-        m = self.axis_tile_measure[0]
-        for mm in self.axis_tile_measure[1:]:
-            m = np.multiply.outer(m, mm)
-        return m.reshape(-1)
+        return _outer(self.axis_tile_measure).reshape(-1)
 
     def tile(self, gamma) -> Tile:
         gamma = tuple(int(g) for g in gamma)

@@ -7,8 +7,10 @@ per-axis intervals, so the union of all level breakpoints induces a cell
 arrangement on which every level contribution is constant, and the cell
 measures have closed forms.  The continuous norms are controlled
 approximations: band parts of the function are evaluated on a finer
-cubature grid and the outer integral uses that grid's coefficients (the
-absolute value breaks polynomial exactness, which is documented behavior).
+cubature grid, axis by axis (per-axis Laguerre tables contracted with the
+band's coefficient block), and the outer integral uses that grid's
+coefficients (the absolute value breaks polynomial exactness, which is
+documented behavior).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import as_alpha
-from .quadrature import cubature_grid, weight_W
+from .special import as_alpha, laguerre_fn_batch, _fold, _outer
+from .quadrature import CubatureGrid, cubature_grid, weight_W
 from .needlets import CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid
 
 __all__ = [
@@ -68,30 +70,18 @@ def _fsum(arr) -> float:
     return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
 
 
-def _axis_weight_factors(system: NeedletSystem, j: int):
-    """Per-axis factors of W(4^j; xi) over the level-j node grid."""
-    g = system.grids[j]
+def _axis_weight_factors(grid: CubatureGrid, j: int):
+    """Per-axis factors of W(4^j; xi) over the points of a cubature grid."""
     shift = 2.0 ** (-j)
-    return [(g.axis_xi[ax] + shift) ** (2.0 * a + 1.0)
-            for ax, a in enumerate(system.alpha)]
-
-
-def _outer(vecs):
-    acc = vecs[0]
-    for v in vecs[1:]:
-        acc = np.multiply.outer(acc, v)
-    return acc
+    return [(xi + shift) ** (2.0 * a + 1.0) for xi, a in zip(grid.axis_xi, grid.alpha)]
 
 
 def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray,
                       rho: float, mu_power: float) -> np.ndarray:
     """|h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^mu_power on the level grid."""
-    d = system.d
-    w_axes = _axis_weight_factors(system, j)
-    mu_axes = system.grids[j].axis_tile_measure
-    scale = _outer([w ** (-rho / d) for w in w_axes])
-    if mu_power != 0.0:
-        scale = scale * _outer([m ** mu_power for m in mu_axes])
+    g = system.grids[j]
+    scale = _outer([w ** (-rho / system.d) * m ** mu_power
+                    for w, m in zip(_axis_weight_factors(g, j), g.axis_tile_measure)])
     return np.abs(h) * scale
 
 
@@ -102,9 +92,7 @@ def _arrangement(system: NeedletSystem):
     for ax in range(d):
         b = np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
         breaks.append(b)
-        a = system.alpha[ax]
-        p = 2.0 * a + 2.0
-        cell_meas.append(np.diff(b ** p) / p)
+        cell_meas.append(CubatureGrid._axis_measures(b, system.alpha[ax]))
     for j, g in enumerate(system.grids):
         maps = []
         for ax in range(d):
@@ -165,19 +153,6 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     return _fsum([t ** params.q for t in terms]) ** (1.0 / params.q)
 
 
-def _band_projection(f: CoeffFn, system: NeedletSystem, j: int) -> CoeffFn | None:
-    """Coefficient function of the level-j band part of f (None if empty)."""
-    cap = min(system.band_degree(j), f.max_degree)
-    w = system.filter_weights(j, "phi", system.d * cap)
-    sl = (slice(0, cap + 1),) * f.d
-    block = f.coeffs[sl] * w[total_degree_grid((cap + 1,) * f.d)]
-    if not np.any(block):
-        return None
-    arr = np.zeros_like(f.coeffs)
-    arr[sl] = block
-    return CoeffFn(f.alpha, f.max_degree, arr)
-
-
 def _cont_levels(f: CoeffFn, system: NeedletSystem):
     """Levels whose filter band can touch the spectrum of f."""
     lo = system.pair.a_hat.support[0]
@@ -186,6 +161,31 @@ def _cont_levels(f: CoeffFn, system: NeedletSystem):
         top = j
         j += 1
     return range(0, top + 1)
+
+
+def _integration_grid(system: NeedletSystem, integration_level: int) -> CubatureGrid:
+    if integration_level <= system.J:
+        raise ValueError("integration level must exceed the system level J")
+    return cubature_grid(integration_level, system.d, system.alpha,
+                         system.delta, system.c_star)
+
+
+def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGrid):
+    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the grid, flattened as points().
+
+    The band part f_j is formed exactly in coefficient space; its values
+    come from folding the band's coefficient block into per-axis Laguerre
+    tables on the grid abscissae, so no table is built at the n^d points.
+    """
+    tables = [laguerre_fn_batch(f.max_degree, a, xi, "F")
+              for a, xi in zip(system.alpha, grid.axis_xi)]
+    for j in _cont_levels(f, system):
+        cap = min(system.band_degree(j), f.max_degree)
+        w = system.filter_weights(j, "phi", system.d * cap)
+        block = f.coeffs[(slice(0, cap + 1),) * f.d] * w[total_degree_grid((cap + 1,) * f.d)]
+        vals = np.abs(_fold(block, [t[: cap + 1] for t in tables], 0))
+        wj = _outer(_axis_weight_factors(grid, j)) ** (-rho / system.d)
+        yield j, (wj * vals).reshape(-1)
 
 
 def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
@@ -197,46 +197,22 @@ def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     ``integration_level`` cubature, which must exceed the system level J.
     """
     params.require_F()
-    if integration_level <= system.J:
-        raise ValueError("integration level must exceed the system level J")
-    grid = cubature_grid(integration_level, system.d, system.alpha,
-                         system.delta, system.c_star)
-    pts = grid.points()
-    c = grid.coeffs()
-    acc = np.zeros(len(pts))
-    for j in _cont_levels(f, system):
-        part = _band_projection(f, system, j)
-        if part is None:
-            continue
-        vals = np.abs(part.evaluate(pts))
-        wj = weight_W(4.0 ** j, system.alpha, pts) ** (-params.rho / system.d)
-        term = (2.0 ** (params.s * j)) * wj * vals
-        if params.q_inf:
-            acc = np.maximum(acc, term)
-        else:
-            acc += term ** params.q
+    grid = _integration_grid(system, integration_level)
+    acc = 0.0
+    for j, weighted in _band_values(f, params.rho, system, grid):
+        term = 2.0 ** (params.s * j) * weighted
+        acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
     integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
-    return _fsum(c * integrand) ** (1.0 / params.p)
+    return _fsum(grid.coeffs() * integrand) ** (1.0 / params.p)
 
 
 def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
                 integration_level: int) -> float:
     """Continuous Besov norm; as F_norm_cont with the l_q outside the L^p."""
-    if integration_level <= system.J:
-        raise ValueError("integration level must exceed the system level J")
-    grid = cubature_grid(integration_level, system.d, system.alpha,
-                         system.delta, system.c_star)
-    pts = grid.points()
+    grid = _integration_grid(system, integration_level)
     c = grid.coeffs()
     terms = []
-    for j in _cont_levels(f, system):
-        part = _band_projection(f, system, j)
-        if part is None:
-            terms.append(0.0)
-            continue
-        vals = np.abs(part.evaluate(pts))
-        wj = weight_W(4.0 ** j, system.alpha, pts) ** (-params.rho / system.d)
-        weighted = wj * vals
+    for j, weighted in _band_values(f, params.rho, system, grid):
         if params.p_inf:
             lp = float(np.max(weighted))
         else:
@@ -289,11 +265,8 @@ class PiecewiseCellFn:
         return self.alpha.d
 
     def cell_measures(self) -> np.ndarray:
-        per_axis = []
-        for b, a in zip(self.breaks, self.alpha):
-            p = 2.0 * a + 2.0
-            per_axis.append(np.diff(b ** p) / p)
-        return _outer(per_axis)
+        return _outer([CubatureGrid._axis_measures(b, a)
+                       for b, a in zip(self.breaks, self.alpha)])
 
     def total_measure(self) -> float:
         return _fsum(self.cell_measures())
@@ -303,6 +276,22 @@ class PiecewiseCellFn:
 
     def with_values(self, values) -> "PiecewiseCellFn":
         return PiecewiseCellFn(self.breaks, values, self.alpha)
+
+
+def _interval_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
+    """out[i] = max over a <= i < b of ((P_num[b]-P_num[a]) / (P_mu[b]-P_mu[a]))^(1/t).
+
+    All interval ratios R[a, b] come from the padded prefix sums at once; a
+    running max over a (forward) then over b (backward) leaves at (i, i+1)
+    the largest ratio of an interval containing cell i.
+    """
+    n = len(P_num)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    ratio = np.divide(P_num[None, :] - P_num[:, None], P_mu[None, :] - P_mu[:, None],
+                      out=np.zeros((n, n)), where=upper) ** (1.0 / t)
+    ratio = np.maximum.accumulate(ratio, axis=0)
+    ratio = np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
+    return np.diagonal(ratio, offset=1)
 
 
 def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
@@ -325,29 +314,17 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
         return np.pad(p, [(1, 0)] * a.ndim)
 
     P_num, P_mu = padded_prefix(num), padded_prefix(mu)
-    out = np.zeros_like(samples.values)
 
     if samples.d == 1:
-        m = len(samples.values)
-        for a in range(m):
-            for b in range(a + 1, m + 1):
-                ratio = ((P_num[b] - P_num[a]) / (P_mu[b] - P_mu[a])) ** (1.0 / t)
-                np.maximum(out[a:b], ratio, out=out[a:b])
-        return samples.with_values(out)
+        return samples.with_values(_interval_max(P_num, P_mu, t))
 
     if samples.d == 2:
-        m1, m2 = samples.values.shape
+        out = np.zeros_like(samples.values)
+        m1 = samples.values.shape[0]
         for a1 in range(m1):
             for b1 in range(a1 + 1, m1 + 1):
-                n_strip = P_num[b1] - P_num[a1]
-                m_strip = P_mu[b1] - P_mu[a1]
-                for a2 in range(m2):
-                    for b2 in range(a2 + 1, m2 + 1):
-                        nn = n_strip[b2] - n_strip[a2]
-                        mm = m_strip[b2] - m_strip[a2]
-                        ratio = (nn / mm) ** (1.0 / t)
-                        region = out[a1:b1, a2:b2]
-                        np.maximum(region, ratio, out=region)
+                strip = _interval_max(P_num[b1] - P_num[a1], P_mu[b1] - P_mu[a1], t)
+                np.maximum(out[a1:b1], strip, out=out[a1:b1])
         return samples.with_values(out)
 
     raise NotImplementedError("maximal operator implemented for d <= 2")

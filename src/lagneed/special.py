@@ -224,6 +224,34 @@ def multivariate_F(nu, alpha, x) -> float:
     return val
 
 
+def _outer(vecs):
+    """Tensor product of per-axis arrays, axis 0 outermost."""
+    acc = vecs[0]
+    for v in vecs[1:]:
+        acc = np.multiply.outer(acc, v)
+    return acc
+
+
+def _fold(tensor, mats, axis: int):
+    """Contract each axis of ``tensor`` in turn with axis ``axis`` of its matrix.
+
+    Each step contracts the leading axis and appends the matrix's other
+    axis last, so after one matrix per axis the axes are back in order.
+    """
+    for m in mats:
+        tensor = np.tensordot(tensor, m, axes=([0], [axis]))
+    return tensor
+
+
+def _convolve_degrees(seqs):
+    """Total-degree sequence of a product of per-axis degree sequences,
+    truncated to the length of the first."""
+    acc = seqs[0]
+    for g in seqs[1:]:
+        acc = np.convolve(acc, g)[: len(seqs[0])]
+    return acc
+
+
 def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
     """All degree-m projector kernel values for m = 0..M at one point pair.
 
@@ -235,11 +263,9 @@ def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     if not (av.d == xs.size == ys.size):
         raise ValueError("dimension mismatch between alpha and points")
-    acc = None
-    for a, xi, yi in zip(av, xs, ys):
-        g = laguerre_fn_batch(M, a, float(xi), "F") * laguerre_fn_batch(M, a, float(yi), "F")
-        acc = g if acc is None else np.convolve(acc, g)[: M + 1]
-    return acc
+    return _convolve_degrees([
+        laguerre_fn_batch(M, a, float(xi), "F") * laguerre_fn_batch(M, a, float(yi), "F")
+        for a, xi, yi in zip(av, xs, ys)])
 
 
 def kernel_F_m(m: int, alpha, x, y) -> float:

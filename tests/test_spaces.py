@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagneed.cutoffs import frame_alt, frame_default, make_dual_pair
-from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system
-from lagneed.quadrature import weight_W
+from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
+from lagneed.quadrature import cubature_grid, weight_W
 from lagneed.spaces import (
     B_norm_cont,
     F_norm_cont,
@@ -34,6 +34,15 @@ def system():
 @pytest.fixture(scope="module")
 def tight_system():
     return build_system(3, 1, [0.5], TIGHT)
+
+
+@pytest.fixture(scope="module")
+def system_2d():
+    return build_system(2, 2, [0.0, 0.5], DUAL)
+
+
+CRITERION_8_PARAMS = [NormParams(0.0, 0.0, 2.0, 2.0), NormParams(1.0, 1.0, 2.0, 2.0),
+                      NormParams(0.5, 0.5, 1.5, 1.0), NormParams(0.0, 0.0, 3.0, math.inf)]
 
 
 def single_spike(system, j, gamma):
@@ -181,7 +190,42 @@ class TestSequenceNorms:
             assert abs(est - exact ** params.p) < 3.0 * sem
 
 
+def flattened_cont_norms(f, params, system, level):
+    """Reference (F, B) continuous norms: each band part evaluated at every
+    point of the flattened integration grid."""
+    grid = cubature_grid(level, system.d, system.alpha, system.delta, system.c_star)
+    pts, c = grid.points(), grid.coeffs()
+    degrees = total_degree_grid(f.coeffs.shape)
+    acc, terms = np.zeros(len(pts)), []
+    # band j passes only degrees >= a_hat.support[0] * 4^(j-1): later bands add nothing
+    for j in range(system.J + 9):
+        w = system.filter_weights(j, "phi", f.d * f.max_degree)
+        part = CoeffFn(f.alpha, f.max_degree, f.coeffs * w[degrees])
+        weighted = (weight_W(4.0 ** j, system.alpha, pts) ** (-params.rho / system.d)
+                    * np.abs(part.evaluate(pts)))
+        term = 2.0 ** (params.s * j) * weighted
+        acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
+        lp = math.fsum((c * weighted ** params.p).tolist()) ** (1.0 / params.p)
+        terms.append(2.0 ** (params.s * j) * lp)
+    integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
+    F = math.fsum((c * integrand).tolist()) ** (1.0 / params.p)
+    if params.q_inf:
+        return F, max(terms)
+    return F, math.fsum(t ** params.q for t in terms) ** (1.0 / params.q)
+
+
 class TestContinuousNorms:
+    @pytest.mark.parametrize("params", CRITERION_8_PARAMS)
+    @pytest.mark.parametrize("which", ["1d", "2d"])
+    def test_matches_flattened_evaluation(self, system, system_2d, which, params):
+        sys_ = system if which == "1d" else system_2d
+        deg = 4 ** (sys_.J - 1)
+        for seed in range(3):
+            f = CoeffFn.random(sys_.alpha, deg, seed=seed, complex_valued=seed == 2)
+            want_F, want_B = flattened_cont_norms(f, params, sys_, sys_.J + 1)
+            assert F_norm_cont(f, params, sys_, sys_.J + 1) == pytest.approx(want_F, rel=1e-12)
+            assert B_norm_cont(f, params, sys_, sys_.J + 1) == pytest.approx(want_B, rel=1e-12)
+
     def test_zero_function(self, system):
         z = CoeffFn([0.5], 2, np.zeros(3, dtype=complex))
         params = NormParams(0.0, 0.0, 2.0, 2.0)
@@ -302,10 +346,36 @@ class TestSeminormAndMultiplier:
         assert g.norm2() <= 1.0 * f.norm2() + 1e-12
 
 
+def brute_maximal(samples, t):
+    """Largest box average ((sum |f|^t mu) / (sum mu))^(1/t) over every lattice
+    box containing each cell, by direct sums over the box."""
+    mu = samples.cell_measures()
+    num = np.abs(samples.values) ** t * mu
+    out = np.zeros_like(mu)
+    for lo in np.ndindex(*mu.shape):
+        for hi in np.ndindex(*mu.shape):
+            if any(h < l for l, h in zip(lo, hi)):
+                continue
+            box = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+            avg = (np.sum(num[box]) / np.sum(mu[box])) ** (1.0 / t)
+            out[box] = np.maximum(out[box], avg)
+    return out
+
+
 class TestMaximal:
     def make_cells(self, values, alpha=(0.0,)):
         breaks = (np.linspace(0.0, 4.0, len(values) + 1),)
         return PiecewiseCellFn(breaks, np.asarray(values, dtype=float), list(alpha))
+
+    @pytest.mark.parametrize("t", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d,m_max", [(1, 12), (2, 6)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force(self, seed, d, m_max, t):
+        rng = np.random.default_rng([seed, d])
+        shape = tuple(int(m) for m in rng.integers(1, m_max + 1, size=d))
+        breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, m)))) for m in shape]
+        f = PiecewiseCellFn(breaks, rng.uniform(-1.0, 1.0, shape), rng.uniform(0.0, 1.5, d))
+        assert maximal_fn(f, t).values == pytest.approx(brute_maximal(f, t), rel=1e-12)
 
     def test_constant_function_fixed_point(self):
         f = self.make_cells(np.ones(8))
