@@ -3,15 +3,19 @@ rescaled tensor cubature on the positive orthant with its level grids and
 tiles.
 
 Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix, polished
-by a few Newton steps using the exact derivative of the Laguerre
-polynomial.  Cubature coefficients come from the Christoffel sum of damped
-orthonormal values, which neither overflows nor underflows; classical
-Gauss weights are kept in log form.
+by a few Newton steps whose derivative comes from the same-alpha identity
+t L_n' = n L_n - (n+a) L_{n-1}, so one streaming pass of the damped
+recurrence gives both factors.  Cubature coefficients come from the
+Christoffel sum of damped orthonormal values, accumulated row by row, which
+neither overflows nor underflows; classical Gauss weights are kept in log
+form.  Rules and grids are kept in bounded caches; their arrays are
+read-only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .special import AlphaVector, as_alpha, _orthonormal_damped_batch, _outer
+from .special import AlphaVector, as_alpha, _damped_rows, _outer
 
 __all__ = [
     "QuadratureRule",
@@ -57,16 +61,16 @@ class QuadratureRule:
 
 
 def _newton_polish(n: int, alpha: float, t: np.ndarray, sweeps: int = 3) -> np.ndarray:
-    """Refine Laguerre zeros: t <- t + q_n(t) / (sqrt(n) q_{n-1}^{(a+1)}(t)).
+    """Refine Laguerre zeros: t <- t + t q_n / (sqrt(n(n+a)) q_{n-1} - n q_n).
 
-    Both factors are damped orthonormal values, so the ratio is the exact
-    Newton step L_n / L_n' in a stable scale.
+    This is the exact Newton step -L_n / L_n' with t L_n' = n L_n - (n+a) L_{n-1},
+    written in the damped orthonormal values q_{n-1}, q_n: the last two rows
+    of one same-alpha pass, so only O(n) values are held at a time.
     """
-    inv_root = 1.0 / math.sqrt(n)
+    root = math.sqrt(n * (n + alpha))
     for _ in range(sweeps):
-        qn = _orthonormal_damped_batch(n, alpha, t)[n]
-        qd = _orthonormal_damped_batch(n - 1, alpha + 1.0, t)[n - 1]
-        step = inv_root * qn / qd
+        qd, qn = deque(_damped_rows(n, alpha, t), maxlen=2)
+        step = t * qn / (root * qd - n * qn)
         t_new = t + step
         if np.max(np.abs(step) / np.maximum(t, 1e-300)) < 1e-15:
             t = t_new
@@ -89,13 +93,11 @@ def _gauss_laguerre_cached(n: int, alpha: float) -> QuadratureRule:
     if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
         raise ArithmeticError(f"eigensolver produced invalid nodes for n={n}, alpha={alpha}")
 
-    q = _orthonormal_damped_batch(n - 1, alpha, nodes) if n > 1 else \
-        _orthonormal_damped_batch(0, alpha, nodes)
-    kernel_diag = np.sum(np.square(q[:n]), axis=0)
-    cub = 0.5 / kernel_diag
-    log_w = np.log(2.0 * cub) - nodes
-    return QuadratureRule(n=n, alpha=float(alpha), nodes=nodes, log_weights=log_w,
-                          cub_coeffs=cub, sqrt_nodes=np.sqrt(nodes))
+    log_lam, lam_exp = christoffel(n, alpha, nodes)
+    arrays = (nodes, log_lam, 0.5 * lam_exp, np.sqrt(nodes))
+    for a in arrays:
+        a.flags.writeable = False
+    return QuadratureRule(n, float(alpha), *arrays)
 
 
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
@@ -120,8 +122,8 @@ def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("points must be nonnegative")
-    q = _orthonormal_damped_batch(max(n - 1, 0), alpha, x_arr)
-    lam_exp = 1.0 / np.sum(np.square(q[:n]), axis=0)
+    kernel_diag = sum(np.square(row) for row in _damped_rows(n - 1, alpha, x_arr.reshape(-1)))
+    lam_exp = 1.0 / kernel_diag.reshape(x_arr.shape)
     log_lam = np.log(lam_exp) - x_arr
     if np.ndim(x) == 0:
         return float(log_lam), float(lam_exp)
@@ -197,6 +199,8 @@ class CubatureGrid:
         self.axis_breaks = tuple(self._breaks(xi, ext) for xi in self.axis_xi)
         self.axis_tile_measure = tuple(
             self._axis_measures(br, a) for br, a in zip(self.axis_breaks, self.alpha))
+        for arr in self.axis_breaks + self.axis_tile_measure:
+            arr.flags.writeable = False
 
     @staticmethod
     def _breaks(xi: np.ndarray, ext: float) -> np.ndarray:
@@ -249,7 +253,11 @@ class CubatureGrid:
                 self.right_extension)
 
 
-_GRID_CACHE: dict[tuple, CubatureGrid] = {}
+@lru_cache(maxsize=64)
+def _cubature_grid_cached(j: int, alpha: AlphaVector, delta: float, c_star: float,
+                          ext: float) -> CubatureGrid:
+    rules = tuple(gauss_laguerre(level_node_count(j, delta, c_star), a) for a in alpha)
+    return CubatureGrid(j, alpha, delta, c_star, rules, ext)
 
 
 def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.0,
@@ -259,18 +267,13 @@ def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha has dimension {av.d}, expected {d}")
+    j = int(j)
     n_j = level_node_count(j, delta, c_star)
     if n_j ** d > point_cap:
         raise ResourceWarning(
             f"grid would hold {n_j ** d} points, above the cap {point_cap}")
-    key = (j, d, av.alpha, float(delta), float(c_star), right_extension)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rules = tuple(gauss_laguerre(n_j, a) for a in av)
-    grid = CubatureGrid(j, av, delta, c_star, rules, right_extension)
-    _GRID_CACHE[key] = grid
-    return grid
+    ext = 2.0 ** (j / 3.0) if right_extension is None else float(right_extension)
+    return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
 
 
 def _fsum_maybe_complex(values: np.ndarray):

@@ -113,34 +113,28 @@ def laguerre_poly(n: int, alpha: float, x: float) -> float:
     return cur
 
 
-def _orthonormal_damped_batch(N: int, alpha: float, u: np.ndarray) -> np.ndarray:
-    """q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u) for n = 0..N.
+def _damped_rows(N: int, alpha: float, u: np.ndarray):
+    """Yield q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u) for n = 0..N.
 
-    Returns shape (N+1,) + u.shape.  Internally the recurrence runs on
-    rescaled values v with the represented quantity v * 2^(e0 + shift);
-    emission uses exact ldexp scaling, so no step can overflow and genuine
-    underflow flushes cleanly to zero.
+    ``u`` is flat; each row is a fresh array of its shape.  Internally the
+    recurrence runs on rescaled values v with the represented quantity
+    v * 2^(e0 + shift); emission uses exact ldexp scaling, so no step can
+    overflow and genuine underflow flushes cleanly to zero.
     """
-    u = np.asarray(u, dtype=float)
-    shape = u.shape
-    flat = u.reshape(-1)
-    npts = flat.size
-    out = np.empty((N + 1, npts))
-
-    e0 = -flat / (2.0 * _LN2)
+    e0 = -u / (2.0 * _LN2)
     m0 = np.floor(e0)
     frac = np.exp2(e0 - m0)          # in [1, 2)
     m0 = m0.astype(np.int64)
 
-    shift = np.zeros(npts, dtype=np.int64)
-    v_prev = np.zeros(npts)
-    v_cur = np.full(npts, math.exp(-0.5 * gammaln(alpha + 1.0)))
-    out[0] = np.ldexp(v_cur * frac, m0)
+    shift = np.zeros(u.size, dtype=np.int64)
+    v_prev = np.zeros(u.size)
+    v_cur = np.full(u.size, math.exp(-0.5 * gammaln(alpha + 1.0)))
+    yield np.ldexp(v_cur * frac, m0)
 
     b_cur = 0.0
     for n in range(N):
         b_next = math.sqrt((n + 1.0) * (n + 1.0 + alpha))
-        v_next = ((2.0 * n + alpha + 1.0 - flat) * v_cur - b_cur * v_prev) / b_next
+        v_next = ((2.0 * n + alpha + 1.0 - u) * v_cur - b_cur * v_prev) / b_next
         v_prev, v_cur, b_cur = v_cur, v_next, b_next
 
         big = np.abs(v_cur) > _RESCALE_LIMIT
@@ -148,9 +142,7 @@ def _orthonormal_damped_batch(N: int, alpha: float, u: np.ndarray) -> np.ndarray
             v_cur[big] = np.ldexp(v_cur[big], -_RESCALE_SHIFT)
             v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_SHIFT)
             shift[big] += _RESCALE_SHIFT
-        out[n + 1] = np.ldexp(v_cur * frac, m0 + shift)
-
-    return out.reshape((N + 1,) + shape)
+        yield np.ldexp(v_cur * frac, m0 + shift)
 
 
 def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
@@ -175,16 +167,18 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
     if np.any(x_arr < 0.0):
         raise ValueError("points must be nonnegative")
     if family == "F":
-        q = _orthonormal_damped_batch(N, alpha, np.square(x_arr))
-        vals = math.sqrt(2.0) * q
+        u, pre = np.square(x_arr), math.sqrt(2.0)
     elif family == "L":
-        q = _orthonormal_damped_batch(N, alpha, x_arr)
-        vals = np.power(x_arr, 0.5 * alpha) * q
+        u, pre = x_arr, np.power(x_arr, 0.5 * alpha)
     elif family == "M":
-        q = _orthonormal_damped_batch(N, alpha, np.square(x_arr))
-        vals = math.sqrt(2.0) * np.power(x_arr, alpha + 0.5) * q
+        u, pre = np.square(x_arr), math.sqrt(2.0) * np.power(x_arr, alpha + 0.5)
     else:
         raise ValueError(f"unknown family {family!r}")
+    q = np.empty((N + 1, u.size))
+    for n, row in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
+        q[n] = row
+    vals = q.reshape((N + 1,) + u.shape)
+    vals *= pre
     if np.ndim(x) == 0:
         return vals.reshape(N + 1)
     return vals

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import gammaln
 from lagneed.special import laguerre_fn_batch, multivariate_F
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
+    _gauss_laguerre_cached,
     calibrate_c_star,
     christoffel,
     cubature_grid,
@@ -34,7 +36,7 @@ class TestGaussLaguerre:
         w = np.exp(rule.log_weights)
         assert w == pytest.approx([(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4], rel=1e-13)
 
-    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("n", [8, 32, 128, 835])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_moment_exactness(self, n, alpha):
         rule = gauss_laguerre(n, alpha)
@@ -82,6 +84,30 @@ class TestGaussLaguerre:
                 assert ratio.min() > 1.0
                 assert ratio.max() < 4.0 + 3.0 * alpha / nu[np.argmax(ratio)] + 3.0
 
+    def test_memory_is_linear_in_n(self):
+        # a cold degree-1024 rule streams the recurrence: no n x n table
+        misses = _gauss_laguerre_cached.cache_info().misses
+        tracemalloc.start()
+        try:
+            gauss_laguerre(1024, 0.3125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _gauss_laguerre_cached.cache_info().misses == misses + 1
+        assert peak < 2_000_000
+
+    def test_cached_rule_is_read_only(self):
+        rule = gauss_laguerre(8, 0.5)
+        before = [np.array(getattr(rule, f))
+                  for f in ("nodes", "log_weights", "cub_coeffs", "sqrt_nodes")]
+        for arr in (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        again = gauss_laguerre(8, 0.5)
+        assert again is rule
+        for f, want in zip(("nodes", "log_weights", "cub_coeffs", "sqrt_nodes"), before):
+            assert np.array_equal(getattr(again, f), want)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             gauss_laguerre(0, 0.0)
@@ -103,6 +129,14 @@ class TestChristoffel:
         rule = gauss_laguerre(48, alpha)
         _, lam_exp = christoffel(48, alpha, rule.nodes)
         assert np.max(np.abs(lam_exp / (2.0 * rule.cub_coeffs) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.0), (5, 0.5), (48, 2.0), (128, 0.5), (300, 1.0)])
+    def test_matches_full_table_sum(self, n, alpha):
+        # lambda_n e^x = 1 / sum_{k<n} q_k(x)^2 with q_k(x) = F_k(sqrt(x)) / sqrt(2)
+        x = np.linspace(0.0, 4.0 * n, 401)
+        table = laguerre_fn_batch(n - 1, alpha, np.sqrt(x), "F")
+        want = 1.0 / (0.5 * np.sum(np.square(table), axis=0))
+        assert christoffel(n, alpha, x)[1] == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("alpha,n", [(0.0, 32), (0.5, 128), (2.0, 128)])
     def test_two_sided_profile_bound(self, alpha, n):
@@ -296,3 +330,18 @@ def test_grid_caching_returns_same_object():
     a = cubature_grid(1, 1, [0.25])
     b = cubature_grid(1, 1, [0.25])
     assert a is b
+
+
+def test_grid_cache_keys_the_resolved_extension():
+    a = cubature_grid(2, 1, [0.5])
+    b = cubature_grid(2, 1, [0.5], right_extension=2 ** (2 / 3))
+    assert a is b
+
+
+def test_grid_arrays_are_read_only():
+    grid = cubature_grid(1, 2, [0.0, 0.5])
+    breaks = grid.axis_breaks[0].copy()
+    for arr in grid.axis_xi + grid.axis_c + grid.axis_breaks + grid.axis_tile_measure:
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+    assert np.array_equal(cubature_grid(1, 2, [0.0, 0.5]).axis_breaks[0], breaks)
