@@ -49,14 +49,6 @@ CONFIG_DEFAULTS = {
     "out_format": "json",
 }
 
-_CONFIG_TYPES = {
-    "alpha": "float_list", "d": "int", "J": "int", "delta": "float",
-    "c_star": "float", "cutoff": "str", "cutoff_alt": "str", "tight": "bool",
-    "seed": "int", "trials": "int", "point_cap": "int", "sigma": "float",
-    "out_format": "str",
-}
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys and %.17g float formatting."""
 
@@ -92,7 +84,7 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat key=value configuration text with typed values."""
+    """Parse flat key=value configuration text, each value typed like its default."""
     cfg = dict(CONFIG_DEFAULTS)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,21 +93,17 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None:
+        if key not in CONFIG_DEFAULTS:
             raise ValueError(f"line {ln}: unknown configuration key {key!r}")
-        if kind == "int":
-            cfg[key] = int(val)
-        elif kind == "float":
-            cfg[key] = float(val)
-        elif kind == "bool":
+        default = CONFIG_DEFAULTS[key]
+        if isinstance(default, bool):  # before int: bool is a subclass of int
             if val.lower() not in ("true", "false", "0", "1"):
                 raise ValueError(f"line {ln}: boolean key {key!r} got {val!r}")
             cfg[key] = val.lower() in ("true", "1")
-        elif kind == "float_list":
+        elif isinstance(default, list):
             cfg[key] = [float(v) for v in val.split(",") if v.strip() != ""]
         else:
-            cfg[key] = val
+            cfg[key] = type(default)(val)
     return cfg
 
 
@@ -213,10 +201,7 @@ def cmd_quadrature(args) -> int:
 
 def cmd_grid(args) -> int:
     alpha = [float(v) for v in args.alpha.split(",")]
-    try:
-        grid = cubature_grid(args.j, args.d, alpha, args.delta, args.c_star)
-    except (ResourceWarning, ValueError) as exc:
-        return _fail(str(exc), 2)
+    grid = cubature_grid(args.j, args.d, alpha, args.delta, args.c_star)
     boxes = [[list(map(float, (grid.axis_breaks[ax][g], grid.axis_breaks[ax][g + 1])))
               for ax, g in enumerate(np.unravel_index(i, (grid.n_j,) * grid.d))]
              for i in range(grid.point_count)]
@@ -258,6 +243,22 @@ def _decay_rows(cfg: dict, n_list) -> tuple[list, dict]:
     return rows, fitted
 
 
+def _decay_ok(fitted: dict) -> bool:
+    cs = list(fitted.values())
+    return max(cs) / min(cs) < 2.0
+
+
+def _lower_bound_ok(minima: dict) -> bool:
+    vals = list(minima.values())
+    return min(vals) > 0.0 and max(vals) / min(vals) < 2.0
+
+
+def _equivalence_csv(rep: dict) -> str:
+    rows = [(r["function_id"], f"{r['cont_norm']:.17g}", f"{r['seq_norm']:.17g}",
+             f"{r['ratio']:.17g}") for r in rep["rows"]]
+    return _csv_text(["function_id", "cont_norm", "seq_norm", "ratio"], rows)
+
+
 def cmd_kernel_decay(args) -> int:
     cfg = dict(CONFIG_DEFAULTS)
     cfg["alpha"] = [args.alpha]
@@ -268,8 +269,7 @@ def cmd_kernel_decay(args) -> int:
     text = _csv_text(["n", "sigma", "separation", "normalized_value",
                       "bound_value", "fitted_c"], rows)
     _write(args.out, text)
-    cs = list(fitted.values())
-    return 0 if max(cs) / min(cs) < 2.0 else 1
+    return 0 if _decay_ok(fitted) else 1
 
 
 def cmd_lower_bound(args) -> int:
@@ -282,8 +282,7 @@ def cmd_lower_bound(args) -> int:
     payload = {"alpha": args.alpha, "delta": args.delta, "cutoff": a_hat.describe(),
                "minima": {str(k): v for k, v in minima.items()}}
     _write(args.out, canonical_json(payload))
-    vals = list(minima.values())
-    return 0 if min(vals) > 0.0 and max(vals) / min(vals) < 2.0 else 1
+    return 0 if _lower_bound_ok(minima) else 1
 
 
 def _frame_report(cfg: dict, corrupt: bool = False) -> dict:
@@ -296,7 +295,7 @@ def _frame_report(cfg: dict, corrupt: bool = False) -> dict:
     system = build_system(int(cfg["J"]), int(cfg["d"]), cfg["alpha"], pair,
                           float(cfg["delta"]), float(cfg["c_star"]),
                           point_cap=int(cfg["point_cap"]))
-    deg = 4 ** (system.J - 1) if system.J >= 1 else 0
+    deg = system.exact_degree()
     recon_max, parseval_max = 0.0, 0.0
     for t in range(int(cfg["trials"])):
         f = CoeffFn.random(system.alpha, deg, seed=int(cfg["seed"]) + t)
@@ -372,13 +371,7 @@ def _needlet_coeffs_csv(system, coeffs: NeedletCoeffs) -> str:
 
 
 def cmd_transform(args) -> int:
-    try:
-        cfg = load_config(args.system)
-    except FileNotFoundError:
-        return _fail(f"missing system config {args.system}", 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    system = system_from_config(cfg)
+    system = system_from_config(load_config(args.system))
     if args.direction == "analyze":
         f = _coeff_fn_from_file(args.input)
         coeffs = analyze(system, f)
@@ -399,11 +392,7 @@ def _parse_q(text: str) -> float:
 
 
 def cmd_norms(args) -> int:
-    try:
-        cfg = load_config(args.system)
-    except FileNotFoundError:
-        return _fail(f"missing system config {args.system}", 2)
-    system = system_from_config(cfg)
+    system = system_from_config(load_config(args.system))
     params = NormParams(args.s, args.rho, _parse_q(args.p), _parse_q(args.q))
     f = _coeff_fn_from_file(args.input)
 
@@ -433,18 +422,13 @@ def cmd_norms(args) -> int:
 
 
 def cmd_equivalence_report(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        return _fail(f"missing config {args.config}", 2)
+    cfg = load_config(args.config)
     system = system_from_config(cfg)
     corpus = make_test_corpus(system, count=20, seed=int(cfg["seed"]))
     params = NormParams(args.s, args.rho, _parse_q(args.p), _parse_q(args.q))
     space = "B" if math.isinf(params.q) or math.isinf(params.p) else args.space
     rep = equivalence_report(system, params, corpus, space=space)
-    rows = [(r["function_id"], f"{r['cont_norm']:.17g}", f"{r['seq_norm']:.17g}",
-             f"{r['ratio']:.17g}") for r in rep["rows"]]
-    _write(args.out, _csv_text(["function_id", "cont_norm", "seq_norm", "ratio"], rows))
+    _write(args.out, _equivalence_csv(rep))
     return 0 if rep["width"] <= args.max_width else 1
 
 
@@ -452,12 +436,7 @@ SUITES = ("kernel-decay", "lower-bound", "nikolskii", "equivalence", "frame-veri
 
 
 def cmd_report(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        return _fail(f"missing config file {args.config}", 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    cfg = load_config(args.config)
     only = args.only.split(",") if args.only else list(SUITES)
     for name in only:
         if name not in SUITES:
@@ -476,8 +455,7 @@ def cmd_report(args) -> int:
         with open(os.path.join(out_dir, "kernel_decay.csv"), "w", encoding="utf-8") as fh:
             fh.write(_csv_text(["n", "sigma", "separation", "normalized_value",
                                 "bound_value", "fitted_c"], rows))
-        cs = list(fitted.values())
-        ok = max(cs) / min(cs) < 2.0
+        ok = _decay_ok(fitted)
         summary["kernel-decay"] = {"pass": ok, "fitted_c": {str(k): v for k, v in fitted.items()},
                                    "tolerance": "fitted constant ratio < 2 across n"}
         status |= 0 if ok else 1
@@ -487,8 +465,7 @@ def cmd_report(args) -> int:
         a_hat = parse_cutoff(cfg["cutoff"])
         for n in (64, 256):
             minima[str(n)] = lower_bound_check(n, [alpha0], a_hat, delta=0.5)["minimum"]
-        vals = list(minima.values())
-        ok = min(vals) > 0.0 and max(vals) / min(vals) < 2.0
+        ok = _lower_bound_ok(minima)
         summary["lower-bound"] = {"pass": ok, "minima": minima,
                                   "tolerance": "positive minima, ratio < 2"}
         status |= 0 if ok else 1
@@ -509,10 +486,8 @@ def cmd_report(args) -> int:
         system = system_from_config(cfg)
         corpus = make_test_corpus(system, count=10, seed=int(cfg["seed"]))
         rep = equivalence_report(system, NormParams(0.0, 0.0, 2.0, 2.0), corpus)
-        rows = [(r["function_id"], f"{r['cont_norm']:.17g}", f"{r['seq_norm']:.17g}",
-                 f"{r['ratio']:.17g}") for r in rep["rows"]]
         with open(os.path.join(out_dir, "equivalence.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(["function_id", "cont_norm", "seq_norm", "ratio"], rows))
+            fh.write(_equivalence_csv(rep))
         ok = rep["width"] <= 50.0
         summary["equivalence"] = {"pass": ok, "width": rep["width"],
                                   "tolerance": "ratio bracket width <= 50"}
@@ -544,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagneed",
         description="Laguerre needlet frames: quadrature, kernels, transforms, norms")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS-level parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quadrature", help="emit a Gauss-Laguerre rule")
@@ -643,25 +616,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:  # env vars still cap pools created later
-        pass
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        _cap_threads(max(1, args.threads))
     try:
         return args.func(args)
-    except (ValueError, ResourceWarning) as exc:
+    except (FileNotFoundError, ValueError, ResourceWarning) as exc:
         return _fail(str(exc), 2)
     except ArithmeticError as exc:
         return _fail(str(exc), 1)

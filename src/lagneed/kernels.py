@@ -17,7 +17,7 @@ import numpy as np
 
 from .cutoffs import CutoffSpec, CutoffPair
 from .special import (as_alpha, kernel_F_table, laguerre_fn_batch, laguerre_fn_F_deriv_batch,
-                      _convolve_degrees)
+                      total_degree_grid, _convolve_degrees, _fold, _outer)
 from .quadrature import weight_W
 
 __all__ = [
@@ -32,14 +32,38 @@ __all__ = [
 ]
 
 
-def cutoff_weights(a_hat: CutoffSpec, scale: float, max_degree: int | None = None) -> np.ndarray:
-    """Filter weights a(m/scale) for m = 0..M, M = floor(scale * sup supp)."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    M = int(math.floor(a_hat.support[1] * scale))
-    if max_degree is not None:
-        M = min(M, int(max_degree))
-    return np.asarray(a_hat(np.arange(M + 1) / scale), dtype=float)
+def _level_scale(j: int) -> int:
+    """Dilation 4^(j-1) of the level-j filters; 0 at level 0, whose filter is
+    the degree-0 projector (see ``cutoff_weights``)."""
+    if j < 0:
+        raise ValueError("level must be nonnegative")
+    return 4 ** (j - 1) if j >= 1 else 0
+
+
+def _top_degree(a_hat: CutoffSpec, scale: float) -> int:
+    """Largest degree the filter a(./scale) can touch: floor(scale * sup supp)."""
+    return int(math.floor(a_hat.support[1] * scale))
+
+
+def cutoff_weights(a_hat: CutoffSpec, scale: float, top: int | None = None) -> np.ndarray:
+    """Filter weights a(m/scale) for m = 0..top, zero above the filter's top
+    degree floor(scale * sup supp), which is also the default top.
+
+    Scale 0 stands for level 0: the degree-0 projector (1, 0, ..., 0).
+    """
+    if scale < 0.0:
+        raise ValueError("scale must be nonnegative")
+    deg = _top_degree(a_hat, scale)
+    w = np.zeros((deg if top is None else top) + 1)
+    m = np.arange(min(deg + 1, len(w)))
+    w[: len(m)] = a_hat(m / scale) if scale else 1.0
+    return w
+
+
+def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float) -> np.ndarray:
+    """block * a(|nu|/scale) for a coefficient block indexed from nu = 0."""
+    w = cutoff_weights(a_hat, scale, sum(block.shape) - block.ndim)
+    return block * w[total_degree_grid(block.shape)]
 
 
 def _point(x, d):
@@ -127,16 +151,11 @@ def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
 def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:
     """Level-j analysis and synthesis kernels at one point pair.
 
-    Level 0 is the plain degree-0 projector for both; higher levels filter
-    with the pair's cut-offs at scale 4^(j-1).
+    The pair's cut-offs filter at scale 4^(j-1); at level 0 both kernels are
+    the plain degree-0 projector.
     """
-    if j < 0:
-        raise ValueError("level must be nonnegative")
+    scale = _level_scale(j)
     av = as_alpha(alpha)
-    if j == 0:
-        k0 = float(kernel_F_table(0, av, x, y)[0])
-        return k0, k0
-    scale = 4.0 ** (j - 1)
     xs, ys = _point(x, av.d), _point(y, av.d)
     wa = cutoff_weights(pair.a_hat, scale)
     wb = cutoff_weights(pair.b_hat, scale)
@@ -191,40 +210,24 @@ def lower_bound_check(n: int, alpha, a_hat: CutoffSpec, delta: float = 0.5,
     """Minimum of the normalized on-diagonal energy over [0, sqrt((4-d)n)]^d.
 
     The quantity is sum_m |a(m/n)|^2 F_m(x,x) * W(n;x) / n^(d/2); the frame
-    lower bound predicts a positive, n-stable minimum.
+    lower bound predicts a positive, n-stable minimum.  The degree-filtered
+    block of |a|^2 is folded into per-axis tables of F_k(x_i)^2.
     """
     av = as_alpha(alpha)
     if delta <= 0.0 or delta >= 4.0:
         raise ValueError("delta must lie in (0, 4)")
-    w2 = np.square(cutoff_weights(a_hat, n))
-    M = len(w2) - 1
+    if av.d > 2:
+        # the filtered block holds (M+1)^d entries with M about 4n
+        raise NotImplementedError("lower-bound sweep implemented for d <= 2")
+    M = _top_degree(a_hat, n)
     upper = math.sqrt((4.0 - delta) * n)
     if points_per_axis is None:
         points_per_axis = max(200, int(12 * n ** 0.5)) if av.d == 1 else 48
     xs = np.linspace(0.0, upper, points_per_axis)
-
-    if av.d == 1:
-        f = laguerre_fn_batch(M, av[0], xs, "F")
-        diag = w2 @ np.square(f)
-        wts = weight_W(n, av, xs.reshape(-1, 1))
-        vals = diag * wts / math.sqrt(n)
-        idx = int(np.argmin(vals))
-        return {"n": n, "delta": float(delta), "minimum": float(vals[idx]),
-                "argmin": (float(xs[idx]),), "values": vals, "grid": xs}
-
-    if av.d == 2:
-        g1 = np.square(laguerre_fn_batch(M, av[0], xs, "F"))
-        g2 = np.square(laguerre_fn_batch(M, av[1], xs, "F"))
-        idx_k = np.arange(M + 1)
-        hankel = np.where(idx_k[:, None] + idx_k[None, :] <= M,
-                          np.pad(w2, (0, M + 1))[idx_k[:, None] + idx_k[None, :]], 0.0)
-        diag = g1.T @ (hankel @ g2)
-        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        wts = weight_W(n, av, pts).reshape(diag.shape)
-        vals = diag * wts / n
-        flat = int(np.argmin(vals))
-        i1, i2 = np.unravel_index(flat, vals.shape)
-        return {"n": n, "delta": float(delta), "minimum": float(vals[i1, i2]),
-                "argmin": (float(xs[i1]), float(xs[i2])), "values": vals, "grid": xs}
-
-    raise NotImplementedError("lower-bound sweep implemented for d <= 2")
+    w2 = np.square(_filter_degrees(np.ones((M + 1,) * av.d), a_hat, n))
+    diag = _fold(w2, [np.square(laguerre_fn_batch(M, a, xs, "F")) for a in av], 0)
+    wts = _outer([weight_W(n, [a], xs.reshape(-1, 1)) for a in av])
+    vals = diag * wts / math.sqrt(n) ** av.d
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return {"n": n, "delta": float(delta), "minimum": float(vals[idx]),
+            "argmin": tuple(float(xs[i]) for i in idx), "values": vals, "grid": xs}

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
-from .special import AlphaVector, as_alpha, laguerre_fn_batch, _fold, _outer
+from .special import AlphaVector, as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _outer
 from .quadrature import CubatureGrid, cubature_grid
-from .kernels import band_kernels
+from .kernels import band_kernels, _filter_degrees, _level_scale, _top_degree
 
 __all__ = [
     "CoeffFn",
@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 TABLE_BYTES_CAP = 2 << 30
-
-
-def total_degree_grid(shape) -> np.ndarray:
-    """Tensor of total degrees |nu| over a coefficient array shape."""
-    return sum(np.indices(shape, dtype=np.int64))
 
 
 @dataclass
@@ -201,22 +196,17 @@ class NeedletSystem:
                 laguerre_fn_batch(deg, a, g.axis_xi[ax], "F")
                 for ax, a in enumerate(self.alpha)))
         self._sqrt_c = [_outer([np.sqrt(c) for c in g.axis_c]) for g in self.grids]
+        # shared by every analyze/synthesize call on this system
+        for arr in [t for tabs in self.tables for t in tabs] + self._sqrt_c:
+            arr.flags.writeable = False
 
     def band_degree(self, j: int) -> int:
         """Largest total degree the level-j filters can touch."""
-        if j == 0:
-            return 0
-        return int(math.floor(self.pair.a_hat.support[1] * 4 ** (j - 1)))
+        return _top_degree(self.pair.a_hat, _level_scale(j))
 
-    def filter_weights(self, j: int, which: str, max_total: int) -> np.ndarray:
-        """Filter values on total degrees 0..max_total for one level."""
-        w = np.zeros(max_total + 1)
-        if j == 0:
-            w[0] = 1.0
-            return w
-        spec = self.pair.a_hat if which == "phi" else self.pair.b_hat
-        scale = 4.0 ** (j - 1)
-        return np.asarray(spec(np.arange(max_total + 1) / scale), dtype=float)
+    def exact_degree(self) -> int:
+        """Degree 4^(J-1) up to which the system reconstructs exactly (0 at J = 0)."""
+        return _level_scale(self.J)
 
     def max_degree(self) -> int:
         return 4 ** self.J
@@ -284,6 +274,13 @@ def evaluate_needlet(system: NeedletSystem, j: int, gamma, x,
     return math.sqrt(c) * (phi if which == "phi" else psi)
 
 
+def _band_block(system: NeedletSystem, f: CoeffFn, j: int) -> np.ndarray:
+    """Coefficients of f up to the level-j band degree, filtered by a(|nu|/4^(j-1))."""
+    cap = min(system.band_degree(j), f.max_degree)
+    return _filter_degrees(f.coeffs[(slice(0, cap + 1),) * f.d], system.pair.a_hat,
+                           _level_scale(j))
+
+
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     """Needlet coefficients <f, phi_xi> for every level and node.
 
@@ -297,11 +294,8 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
     levels = []
     for j in range(system.J + 1):
-        cap = min(system.band_degree(j), f.max_degree)
-        sl = (slice(0, cap + 1),) * system.d
-        w = system.filter_weights(j, "phi", system.d * cap)
-        weighted = f.coeffs[sl] * np.conj(w)[total_degree_grid((cap + 1,) * system.d)]
-        nodes = _fold(weighted, [tab[: cap + 1] for tab in system.tables[j]], 0)
+        block = _band_block(system, f, j)
+        nodes = _fold(block, [tab[: len(block)] for tab in system.tables[j]], 0)
         levels.append(system._sqrt_c[j] * nodes)
     return NeedletCoeffs(tuple(levels), system.hash)
 
@@ -318,9 +312,8 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
         cap = min(system.band_degree(j), n_out)
         weighted_nodes = system._sqrt_c[j] * coeffs.levels[j]
         block = _fold(weighted_nodes, [tab[: cap + 1] for tab in system.tables[j]], 1)
-        w = system.filter_weights(j, "psi", system.d * cap)
-        block = block * w[total_degree_grid(block.shape)]
-        out[(slice(0, cap + 1),) * system.d] += block
+        out[(slice(0, cap + 1),) * system.d] += _filter_degrees(block, system.pair.b_hat,
+                                                                _level_scale(j))
     out[total_degree_grid(out.shape) > n_out] = 0.0
     return CoeffFn(system.alpha, n_out, out)
 
@@ -334,7 +327,7 @@ def frame_bounds(system: NeedletSystem, trials: int = 20, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    deg = 4 ** (system.J - 1) if system.J >= 1 else 0
+    deg = system.exact_degree()
     lo, hi = math.inf, -math.inf
     for t in range(trials):
         f = CoeffFn.random(system.alpha, deg, seed=seed + t,

@@ -22,7 +22,9 @@ import numpy as np
 
 from .special import as_alpha, laguerre_fn_batch, _fold, _outer
 from .quadrature import CubatureGrid, cubature_grid, weight_W
-from .needlets import CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid
+from .kernels import _level_scale
+from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
+                       _band_block)
 
 __all__ = [
     "NormParams",
@@ -157,7 +159,7 @@ def _cont_levels(f: CoeffFn, system: NeedletSystem):
     """Levels whose filter band can touch the spectrum of f."""
     lo = system.pair.a_hat.support[0]
     top, j = 0, 1
-    while lo * 4.0 ** (j - 1) <= f.max_degree and j <= system.J + 8:
+    while lo * _level_scale(j) <= f.max_degree and j <= system.J + 8:
         top = j
         j += 1
     return range(0, top + 1)
@@ -180,10 +182,8 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGr
     tables = [laguerre_fn_batch(f.max_degree, a, xi, "F")
               for a, xi in zip(system.alpha, grid.axis_xi)]
     for j in _cont_levels(f, system):
-        cap = min(system.band_degree(j), f.max_degree)
-        w = system.filter_weights(j, "phi", system.d * cap)
-        block = f.coeffs[(slice(0, cap + 1),) * f.d] * w[total_degree_grid((cap + 1,) * f.d)]
-        vals = np.abs(_fold(block, [t[: cap + 1] for t in tables], 0))
+        block = _band_block(system, f, j)
+        vals = np.abs(_fold(block, [t[: len(block)] for t in tables], 0))
         wj = _outer(_axis_weight_factors(grid, j)) ** (-rho / system.d)
         yield j, (wj * vals).reshape(-1)
 
@@ -423,7 +423,7 @@ def equivalence_report(system: NeedletSystem, params: NormParams, test_set,
 
 def make_test_corpus(system: NeedletSystem, count: int = 20, seed: int = 0) -> list[CoeffFn]:
     """Fixed corpus: band-limited units, random mixtures, decaying spectra."""
-    deg = 4 ** (system.J - 1) if system.J >= 1 else 0
+    deg = system.exact_degree()
     av = system.alpha
     rng = np.random.default_rng(seed)
     corpus: list[CoeffFn] = []

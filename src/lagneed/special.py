@@ -218,6 +218,11 @@ def multivariate_F(nu, alpha, x) -> float:
     return val
 
 
+def total_degree_grid(shape) -> np.ndarray:
+    """Tensor of total degrees |nu| over a coefficient array shape."""
+    return sum(np.indices(shape, dtype=np.int64))
+
+
 def _outer(vecs):
     """Tensor product of per-axis arrays, axis 0 outermost."""
     acc = vecs[0]

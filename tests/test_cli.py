@@ -185,6 +185,14 @@ class TestTransform:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [["transform", "analyze"], ["norms", "--space", "f-seq"]])
+def test_missing_input_file_exits_2(capsys, tmp_path, system_config, command):
+    code, _, err = run_main(command + ["--system", system_config, "--input",
+                                       str(tmp_path / "nope.json")], capsys)
+    assert code == 2
+    assert '"code":2' in err.splitlines()[-1]
+
+
 class TestNorms:
     def test_f_seq_norm_with_per_level(self, capsys, tmp_path, system_config):
         f = CoeffFn.random([0.5], 4, seed=6)

@@ -226,7 +226,7 @@ class TestDiagnostics:
         assert b["minimum"] == pytest.approx(4.0 * a["minimum"], rel=1e-12)
 
     def test_lower_bound_2d_consistent_with_tensor_sum(self):
-        # the 2-d diagonal sum evaluated via the Hankel contraction equals
+        # the 2-d diagonal sum folded from the degree-filtered block equals
         # the per-axis convolution oracle at sampled points
         rep = lower_bound_check(16, [0.0, 0.5], frame_default(), delta=0.5,
                                 points_per_axis=6)

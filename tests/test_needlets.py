@@ -101,6 +101,13 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(1, 2, [0.5], DUAL)
 
+    def test_tables_are_read_only(self):
+        system = build_system(2, 1, [0.5], DUAL)
+        with pytest.raises(ValueError):
+            system.tables[1][0][0] = 99.0
+        with pytest.raises(ValueError):
+            system._sqrt_c[1][0] = 99.0
+
 
 class TestEvaluateNeedlet:
     def test_norm_bounded_and_positive(self):

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from lagneed.special import laguerre_fn_batch, multivariate_F
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
     _gauss_laguerre_cached,
+    _newton_polish,
     calibrate_c_star,
     christoffel,
     cubature_grid,
@@ -107,6 +108,15 @@ class TestGaussLaguerre:
         assert again is rule
         for f, want in zip(("nodes", "log_weights", "cub_coeffs", "sqrt_nodes"), before):
             assert np.array_equal(getattr(again, f), want)
+
+    @pytest.mark.parametrize("n, alpha", [(12, 0.0), (12, 0.5), (20, 2.0)])
+    def test_newton_sweep_is_exact_step(self, n, alpha):
+        # from nodes perturbed by 1%, one sweep is t - L_n(t) / L_n'(t) with
+        # L_n' = -L_(n-1)^(alpha+1)
+        t0 = gauss_laguerre(n, alpha).nodes
+        t = t0 * (1.0 + 1e-2 * np.sin(np.arange(n) + 1.0))
+        want = t + eval_genlaguerre(n, alpha, t) / eval_genlaguerre(n - 1, alpha + 1.0, t)
+        assert _newton_polish(n, alpha, t, sweeps=1) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,12 @@ class TestSequenceNorms:
             assert abs(est - exact ** params.p) < 3.0 * sem
 
 
+def level_filter(system, j, top):
+    """Analysis filter a(m / 4^(j-1)) on degrees 0..top; degree-0 projector at level 0."""
+    m = np.arange(top + 1)
+    return (m == 0).astype(float) if j == 0 else system.pair.a_hat(m / 4.0 ** (j - 1))
+
+
 def flattened_cont_norms(f, params, system, level):
     """Reference (F, B) continuous norms: each band part evaluated at every
     point of the flattened integration grid."""
@@ -199,7 +205,7 @@ def flattened_cont_norms(f, params, system, level):
     acc, terms = np.zeros(len(pts)), []
     # band j passes only degrees >= a_hat.support[0] * 4^(j-1): later bands add nothing
     for j in range(system.J + 9):
-        w = system.filter_weights(j, "phi", f.d * f.max_degree)
+        w = level_filter(system, j, f.d * f.max_degree)
         part = CoeffFn(f.alpha, f.max_degree, f.coeffs * w[degrees])
         weighted = (weight_W(4.0 ** j, system.alpha, pts) ** (-params.rho / system.d)
                     * np.abs(part.evaluate(pts)))
@@ -253,7 +259,7 @@ class TestContinuousNorms:
         got = F_norm_cont(f, params, sys_, 4)
         acc = 0.0
         for j in range(0, 8):
-            w = sys_.filter_weights(j, "phi", 16)
+            w = level_filter(sys_, j, 16)
             acc += 4.0 ** (s * j) * float(np.sum((w * np.abs(f.coeffs)) ** 2))
         assert got == pytest.approx(math.sqrt(acc), rel=1e-6)
 
