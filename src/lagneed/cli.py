@@ -349,12 +349,15 @@ def _needlet_coeffs_to_payload(coeffs: NeedletCoeffs) -> dict:
 
 def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
     levels = []
-    for item in data["levels"]:
-        shape = tuple(int(v) for v in item["shape"])
-        arr = (np.asarray(item["re"], dtype=float)
-               + 1j * np.asarray(item["im"], dtype=float)).reshape(shape)
-        levels.append(arr)
-    return NeedletCoeffs(tuple(levels), data["system_hash"])
+    try:
+        for item in data["levels"]:
+            shape = tuple(int(v) for v in item["shape"])
+            arr = (np.asarray(item["re"], dtype=float)
+                   + 1j * np.asarray(item["im"], dtype=float)).reshape(shape)
+            levels.append(arr)
+        return NeedletCoeffs(tuple(levels), data["system_hash"])
+    except KeyError as exc:
+        raise ValueError(f"needlet coefficient data lacks the key {exc}") from None
 
 
 def _needlet_coeffs_csv(system, coeffs: NeedletCoeffs) -> str:
@@ -426,8 +429,7 @@ def cmd_equivalence_report(args) -> int:
     system = system_from_config(cfg)
     corpus = make_test_corpus(system, count=20, seed=int(cfg["seed"]))
     params = NormParams(args.s, args.rho, _parse_q(args.p), _parse_q(args.q))
-    space = "B" if math.isinf(params.q) or math.isinf(params.p) else args.space
-    rep = equivalence_report(system, params, corpus, space=space)
+    rep = equivalence_report(system, params, corpus, space=args.space)
     _write(args.out, _equivalence_csv(rep))
     return 0 if rep["width"] <= args.max_width else 1
 
@@ -452,9 +454,9 @@ def cmd_report(args) -> int:
         decay_cfg = dict(cfg)
         decay_cfg["alpha"] = [alpha0]  # univariate diagnostic
         rows, fitted = _decay_rows(decay_cfg, [64, 256])
-        with open(os.path.join(out_dir, "kernel_decay.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(["n", "sigma", "separation", "normalized_value",
-                                "bound_value", "fitted_c"], rows))
+        _write(os.path.join(out_dir, "kernel_decay.csv"),
+               _csv_text(["n", "sigma", "separation", "normalized_value",
+                          "bound_value", "fitted_c"], rows))
         ok = _decay_ok(fitted)
         summary["kernel-decay"] = {"pass": ok, "fitted_c": {str(k): v for k, v in fitted.items()},
                                    "tolerance": "fitted constant ratio < 2 across n"}
@@ -476,8 +478,7 @@ def cmd_report(args) -> int:
                                n_set=(16, 64))
         ok = (rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
               and rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1)
-        with open(os.path.join(out_dir, "nikolskii.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(rep))
+        _write(os.path.join(out_dir, "nikolskii.json"), canonical_json(rep))
         summary["nikolskii"] = {"pass": ok,
                                 "tolerance": "measured exponent <= theory + 0.1"}
         status |= 0 if ok else 1
@@ -486,8 +487,7 @@ def cmd_report(args) -> int:
         system = system_from_config(cfg)
         corpus = make_test_corpus(system, count=10, seed=int(cfg["seed"]))
         rep = equivalence_report(system, NormParams(0.0, 0.0, 2.0, 2.0), corpus)
-        with open(os.path.join(out_dir, "equivalence.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_equivalence_csv(rep))
+        _write(os.path.join(out_dir, "equivalence.csv"), _equivalence_csv(rep))
         ok = rep["width"] <= 50.0
         summary["equivalence"] = {"pass": ok, "width": rep["width"],
                                   "tolerance": "ratio bracket width <= 50"}
@@ -495,19 +495,17 @@ def cmd_report(args) -> int:
 
     if "frame-verify" in only:
         rep = _frame_report(cfg)
-        with open(os.path.join(out_dir, "frame_verify.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(rep))
+        _write(os.path.join(out_dir, "frame_verify.json"), canonical_json(rep))
         summary["frame-verify"] = {"pass": rep["pass"],
                                    "reconstruction_max_err": rep["reconstruction_max_err"],
                                    "tolerance": f"reconstruction < {RECON_TOL:g}"}
         status |= 0 if rep["pass"] else 1
 
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(render_config_text(cfg))
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"suites": summary, "exit_status": status}))
-    with open(os.path.join(out_dir, "meta.sidecar.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"timestamp": time.time(), "version": __version__}))
+    _write(os.path.join(out_dir, "config.resolved"), render_config_text(cfg))
+    _write(os.path.join(out_dir, "summary.json"),
+           canonical_json({"suites": summary, "exit_status": status}))
+    _write(os.path.join(out_dir, "meta.sidecar.json"),
+           json.dumps({"timestamp": time.time(), "version": __version__}))
     sys.stdout.write(canonical_json({"out_dir": out_dir, "suites": summary}) + "\n")
     return status
 
@@ -598,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence-report", help="continuous vs sequence norm ratios")
     p.add_argument("--config", required=True)
-    p.add_argument("--space", choices=("F", "B"), default="F")
+    p.add_argument("--space", choices=("F", "B"), default="F",
+                   help="F: Triebel-Lizorkin norms (p < inf), B: Besov norms")
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--p", default="2")
@@ -621,7 +620,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, ResourceWarning) as exc:
+    except (OSError, ValueError, ResourceWarning) as exc:
         return _fail(str(exc), 2)
     except ArithmeticError as exc:
         return _fail(str(exc), 1)

@@ -52,12 +52,11 @@ class CutoffSpec:
     """A smooth cut-off with closed-form values and Taylor-jet derivatives."""
 
     def __init__(self, kind, params, support, value_fn, jet_fn, *,
-                 nonneg=True, plateau_end=None, max_order=DEFAULT_ORDER):
+                 nonneg=True, max_order=DEFAULT_ORDER):
         self.kind = kind
         self.params = dict(params)
         self.support = (float(support[0]), float(support[1]))
         self.nonneg = bool(nonneg)
-        self.plateau_end = plateau_end
         self.max_order = int(max_order)
         self._value_fn = value_fn
         self._jet_fn = jet_fn
@@ -111,8 +110,7 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
             out[0] += 1.0
             return out
 
-        return CutoffSpec("type_a", {"v": v}, (0.0, 1.0 + v), value, jet,
-                          plateau_end=1.0)
+        return CutoffSpec("type_a", {"v": v}, (0.0, 1.0 + v), value, jet)
 
     if kind == "type_b":
         u = float(params.get("u", 0.25))

@@ -132,16 +132,19 @@ class CoeffFn:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffFn":
-        av = as_alpha(data["alpha"])
-        n = int(data["N"])
-        arr = np.zeros((n + 1,) * av.d, dtype=complex)
-        for item in data["coeffs"]:
-            nu = tuple(int(k) for k in item["nu"])
-            if len(nu) != av.d:
-                raise ValueError(f"multi-index {nu} has wrong dimension")
-            if sum(nu) > n:
-                raise ValueError(f"multi-index {nu} exceeds stated degree {n}")
-            arr[nu] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+        try:
+            av = as_alpha(data["alpha"])
+            n = int(data["N"])
+            arr = np.zeros((n + 1,) * av.d, dtype=complex)
+            for item in data["coeffs"]:
+                nu = tuple(int(k) for k in item["nu"])
+                if len(nu) != av.d:
+                    raise ValueError(f"multi-index {nu} has wrong dimension")
+                if sum(nu) > n:
+                    raise ValueError(f"multi-index {nu} exceeds stated degree {n}")
+                arr[nu] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+        except KeyError as exc:
+            raise ValueError(f"coefficient data lacks the key {exc}") from None
         return cls(av, n, arr)
 
 
@@ -170,11 +173,10 @@ class NeedletCoeffs:
 
 
 class NeedletSystem:
-    """All levels 0..J of grids, node tables, and filter weights."""
+    """All levels 0..J of grids and node tables, for one cut-off pair."""
 
     def __init__(self, J: int, d: int, alpha: AlphaVector, pair: CutoffPair,
-                 delta: float, c_star: float, grids: list[CubatureGrid],
-                 table_bytes_cap: int = TABLE_BYTES_CAP):
+                 delta: float, c_star: float, grids: list[CubatureGrid]):
         self.J = int(J)
         self.d = int(d)
         self.alpha = alpha
@@ -186,7 +188,7 @@ class NeedletSystem:
 
         need = sum(d * g.n_j * (self.band_degree(j) + 1) * 8
                    for j, g in enumerate(self.grids))
-        if need > table_bytes_cap:
+        if need > TABLE_BYTES_CAP:
             raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
         # per level, per axis: values of the weighted family at the grid nodes
         self.tables: list[tuple[np.ndarray, ...]] = []
@@ -234,9 +236,7 @@ class NeedletSystem:
 
 
 def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
-                 c_star: float = 1.0, point_cap: int = 10_000_000,
-                 table_bytes_cap: int = TABLE_BYTES_CAP,
-                 validate: bool = True) -> NeedletSystem:
+                 c_star: float = 1.0, point_cap: int = 10_000_000) -> NeedletSystem:
     """Construct a needlet system with grids for levels 0..J."""
     if J < 0:
         raise ValueError("J must be nonnegative")
@@ -245,9 +245,8 @@ def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
     grids = [cubature_grid(j, d, av, delta, c_star, point_cap=point_cap)
              for j in range(J + 1)]
-    system = NeedletSystem(J, d, av, pair, delta, c_star, grids, table_bytes_cap)
-    if validate:
-        _spot_check_exactness(system)
+    system = NeedletSystem(J, d, av, pair, delta, c_star, grids)
+    _spot_check_exactness(system)
     return system
 
 

@@ -182,8 +182,7 @@ class CubatureGrid:
     sum to at most 2 n_j - 1.
     """
 
-    def __init__(self, j, alpha: AlphaVector, delta, c_star, rules,
-                 right_extension=None):
+    def __init__(self, j, alpha: AlphaVector, delta, c_star, rules, right_extension):
         self.j = int(j)
         self.alpha = alpha
         self.d = alpha.d
@@ -191,8 +190,7 @@ class CubatureGrid:
         self.c_star = float(c_star)
         self.n_j = rules[0].n
         self._rules = tuple(rules)
-        ext = 2.0 ** (self.j / 3.0) if right_extension is None else float(right_extension)
-        self.right_extension = ext
+        self.right_extension = ext = float(right_extension)
 
         self.axis_xi = tuple(r.sqrt_nodes for r in self._rules)
         self.axis_c = tuple(r.cub_coeffs for r in self._rules)

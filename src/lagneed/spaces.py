@@ -2,15 +2,22 @@
 cube-averaged maximal operator, Laguerre multipliers, and the measurement
 reports backing the norm-equivalence and Nikolskii-type diagnostics.
 
+Every norm here is one of two mixed norms of a family of level functions
+g_j: the Triebel-Lizorkin L^p(l^q) norm (``_F_reduce``) or the Besov
+l^q(L^p) norm (``_B_reduce``).  The sequence norms apply them to the needlet
+level functions sum_xi W(4^j; xi)^(-rho/d) |h_xi| |R_xi|^(-1/2) 1_(R_xi);
+the continuous norms apply them to the weighted band parts
+W(4^j; x)^(-rho/d) |f_j(x)|.
+
 The sequence F-norm is integrated exactly: tiles are tensor products of
 per-axis intervals, so the union of all level breakpoints induces a cell
-arrangement on which every level contribution is constant, and the cell
-measures have closed forms.  The continuous norms are controlled
-approximations: band parts of the function are evaluated on a finer
-cubature grid, axis by axis (per-axis Laguerre tables contracted with the
-band's coefficient block), and the outer integral uses that grid's
-coefficients (the absolute value breaks polynomial exactness, which is
-documented behavior).
+arrangement on which every level function is constant, and the cell
+measures have closed forms.  The sequence B-norm sums over the tiles of
+each level directly.  The continuous norms are controlled approximations:
+band parts of the function are evaluated on a finer cubature grid, axis by
+axis (per-axis Laguerre tables contracted with the band's coefficient
+block), and the outer integral uses that grid's coefficients (the absolute
+value breaks polynomial exactness, which is documented behavior).
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class NormParams:
             raise ValueError("p and q must be positive")
 
     def require_F(self):
-        if math.isinf(self.p):
+        if self.p_inf:
             raise ValueError("F-norms require p < infinity")
 
     @property
@@ -72,10 +79,38 @@ def _fsum(arr) -> float:
     return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
 
 
+def _lp(vals, weights, p: float) -> float:
+    """(sum weights * vals^p)^(1/p) of nonnegative vals; their max at p = inf, 0 when empty."""
+    if math.isinf(p):
+        return float(np.max(vals, initial=0.0))
+    return _fsum(weights * vals ** p) ** (1.0 / p)
+
+
+def _F_reduce(levels, weights, params: NormParams) -> float:
+    """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j.
+
+    ``weights`` is called after the level loop, so the weight array is not
+    held alongside the band values while they are formed.
+    """
+    acc = 0.0
+    for j, g in levels:
+        term = 2.0 ** (params.s * j) * g
+        acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
+    integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
+    return _fsum(weights() * integrand) ** (1.0 / params.p)
+
+
+def _B_reduce(levels, params: NormParams) -> float:
+    """l_q(L^p) norm: the l_q over (j, g_j, w_j) of 2^(sj) ||g_j||_(l^p(w_j))."""
+    terms = [2.0 ** (params.s * j) * _lp(g, w, params.p) for j, g, w in levels]
+    # an object array raises the few level terms with the scalar pow, not
+    # numpy's vectorized one, which rounds some values differently
+    return _lp(np.array(terms, dtype=object), 1.0, params.q)
+
+
 def _axis_weight_factors(grid: CubatureGrid, j: int):
     """Per-axis factors of W(4^j; xi) over the points of a cubature grid."""
-    shift = 2.0 ** (-j)
-    return [(xi + shift) ** (2.0 * a + 1.0) for xi, a in zip(grid.axis_xi, grid.alpha)]
+    return [weight_W(4.0 ** j, [a], xi[:, None]) for xi, a in zip(grid.axis_xi, grid.alpha)]
 
 
 def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray,
@@ -88,22 +123,18 @@ def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray,
 
 
 def _arrangement(system: NeedletSystem):
-    """Per-axis refined breakpoints, cell measures, and per-level cell->tile maps."""
-    d = system.d
-    breaks, cell_meas, level_maps = [], [], []
-    for ax in range(d):
-        b = np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
-        breaks.append(b)
-        cell_meas.append(CubatureGrid._axis_measures(b, system.alpha[ax]))
-    for j, g in enumerate(system.grids):
-        maps = []
-        for ax in range(d):
-            mid = 0.5 * (breaks[ax][:-1] + breaks[ax][1:])
-            idx = np.searchsorted(g.axis_breaks[ax], mid) - 1
-            valid = (idx >= 0) & (idx < g.n_j)
-            maps.append((np.clip(idx, 0, g.n_j - 1), valid))
-        level_maps.append(maps)
-    return breaks, cell_meas, level_maps
+    """Per-axis measures of the cells cut out by all level breakpoints, and per
+    level and axis the tile index of every cell and a 0/1 factor for cells it covers."""
+    breaks = [np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
+              for ax in range(system.d)]
+    cell_meas = [CubatureGrid._axis_measures(b, a) for b, a in zip(breaks, system.alpha)]
+    level_maps = []
+    for g in system.grids:
+        idx = [np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
+               for gb, b in zip(g.axis_breaks, breaks)]
+        level_maps.append((np.ix_(*[np.clip(i, 0, g.n_j - 1) for i in idx]),
+                           [((i >= 0) & (i < g.n_j)).astype(float) for i in idx]))
+    return cell_meas, level_maps
 
 
 def _coeffs_levels(coeffs: NeedletCoeffs, system: NeedletSystem):
@@ -118,41 +149,22 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement."""
     params.require_F()
     levels = _coeffs_levels(coeffs, system)
-    _, cell_meas, level_maps = _arrangement(system)
-    cells_shape = tuple(len(m) for m in cell_meas)
-    acc = np.zeros(cells_shape)
-    use_sup = params.q_inf
-    for j in range(system.J + 1):
-        amp = _level_amplitudes(system, j, levels[j], params.rho, -0.5)
-        idxs = [m[0] for m in level_maps[j]]
-        valids = [m[1] for m in level_maps[j]]
-        vals = amp[np.ix_(*idxs)] * _outer([v.astype(float) for v in valids])
-        term = (2.0 ** (params.s * j)) * vals
-        if use_sup:
-            acc = np.maximum(acc, term)
-        else:
-            acc += term ** params.q
-    integrand = acc ** params.p if use_sup else acc ** (params.p / params.q)
-    total = _fsum(integrand * _outer(cell_meas))
-    return total ** (1.0 / params.p)
+    cell_meas, level_maps = _arrangement(system)
+
+    def on_cells(j):
+        take, covered = level_maps[j]
+        return _level_amplitudes(system, j, levels[j], params.rho, -0.5)[take] * _outer(covered)
+
+    return _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)),
+                     lambda: _outer(cell_meas), params)
 
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
     """Sequence Besov norm: inner l_p over nodes, outer l_q over levels."""
     levels = _coeffs_levels(coeffs, system)
-    terms = []
-    for j in range(system.J + 1):
-        if params.p_inf:
-            amp = _level_amplitudes(system, j, levels[j], params.rho, -0.5)
-            inner = float(np.max(amp)) if amp.size else 0.0
-        else:
-            amp = _level_amplitudes(system, j, levels[j], params.rho,
-                                    1.0 / params.p - 0.5)
-            inner = _fsum(amp ** params.p) ** (1.0 / params.p)
-        terms.append(2.0 ** (params.s * j) * inner)
-    if params.q_inf:
-        return max(terms) if terms else 0.0
-    return _fsum([t ** params.q for t in terms]) ** (1.0 / params.q)
+    return _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho,
+                                            1.0 / params.p - 0.5), 1.0)
+                      for j in range(system.J + 1)), params)
 
 
 def _cont_levels(f: CoeffFn, system: NeedletSystem):
@@ -198,12 +210,7 @@ def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     """
     params.require_F()
     grid = _integration_grid(system, integration_level)
-    acc = 0.0
-    for j, weighted in _band_values(f, params.rho, system, grid):
-        term = 2.0 ** (params.s * j) * weighted
-        acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
-    integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
-    return _fsum(grid.coeffs() * integrand) ** (1.0 / params.p)
+    return _F_reduce(_band_values(f, params.rho, system, grid), grid.coeffs, params)
 
 
 def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
@@ -211,16 +218,8 @@ def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     """Continuous Besov norm; as F_norm_cont with the l_q outside the L^p."""
     grid = _integration_grid(system, integration_level)
     c = grid.coeffs()
-    terms = []
-    for j, weighted in _band_values(f, params.rho, system, grid):
-        if params.p_inf:
-            lp = float(np.max(weighted))
-        else:
-            lp = _fsum(c * weighted ** params.p) ** (1.0 / params.p)
-        terms.append(2.0 ** (params.s * j) * lp)
-    if params.q_inf:
-        return max(terms) if terms else 0.0
-    return _fsum([t ** params.q for t in terms]) ** (1.0 / params.q)
+    return _B_reduce(((j, g, c) for j, g in _band_values(f, params.rho, system, grid)),
+                     params)
 
 
 def seminorm_P_star(f: CoeffFn, r: int) -> float:
@@ -330,12 +329,6 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
     raise NotImplementedError("maximal operator implemented for d <= 2")
 
 
-def _lp_grid_norm(vals: np.ndarray, c: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return _fsum(c * np.abs(vals) ** p) ** (1.0 / p)
-
-
 def nikolskii_report(n: int, alpha, p: float, q: float, s: float = 0.0,
                      trials: int = 20, seed: int = 0,
                      n_set=(16, 64, 256)) -> dict:
@@ -360,13 +353,11 @@ def nikolskii_report(n: int, alpha, p: float, q: float, s: float = 0.0,
         r1_max, r2_max = 0.0, 0.0
         for tr in range(trials):
             g = CoeffFn.random(av, nn, seed=seed + tr)
-            vals = g.evaluate(pts)
+            vals = np.abs(g.evaluate(pts))
             ww = weight_W(nn, av, pts)
-            lhs1 = _lp_grid_norm(vals, c, p)
-            rhs1 = _lp_grid_norm(vals, c, q)
-            r1_max = max(r1_max, lhs1 / rhs1)
-            lhs2 = _lp_grid_norm(ww ** s * vals, c, p)
-            rhs2 = _lp_grid_norm(ww ** (s + 1.0 / p - 1.0 / q) * vals, c, q)
+            r1_max = max(r1_max, _lp(vals, c, p) / _lp(vals, c, q))
+            lhs2 = _lp(ww ** s * vals, c, p)
+            rhs2 = _lp(ww ** (s + 1.0 / p - 1.0 / q) * vals, c, q)
             r2_max = max(r2_max, lhs2 / rhs2)
         return r1_max, r2_max
 
@@ -392,18 +383,16 @@ def nikolskii_report(n: int, alpha, p: float, q: float, s: float = 0.0,
 def equivalence_report(system: NeedletSystem, params: NormParams, test_set,
                        space: str = "F", integration_level: int | None = None) -> dict:
     """Continuous-vs-sequence norm ratios over a set of coefficient functions."""
-    if space not in ("F", "B"):
+    norms = {"F": (F_norm_cont, f_norm_seq), "B": (B_norm_cont, b_norm_seq)}
+    if space not in norms:
         raise ValueError("space must be 'F' or 'B'")
+    cont_norm, seq_norm = norms[space]
     j_int = system.J + 1 if integration_level is None else int(integration_level)
     rows, skipped = [], []
     for k, f in enumerate(test_set):
         coeffs = analyze(system, f)
-        if space == "F":
-            cont = F_norm_cont(f, params, system, j_int)
-            seq = f_norm_seq(coeffs, params, system)
-        else:
-            cont = B_norm_cont(f, params, system, j_int)
-            seq = b_norm_seq(coeffs, params, system)
+        cont = cont_norm(f, params, system, j_int)
+        seq = seq_norm(coeffs, params, system)
         if cont == 0.0 or seq == 0.0:
             skipped.append(k)
             continue

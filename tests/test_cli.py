@@ -8,12 +8,15 @@ import pytest
 
 from lagneed.cli import (
     canonical_json,
+    load_config,
     main,
     parse_config_text,
     parse_cutoff,
     render_config_text,
+    system_from_config,
 )
-from lagneed.needlets import CoeffFn
+from lagneed.needlets import CoeffFn, analyze
+from lagneed.spaces import F_norm_cont, NormParams, f_norm_seq, make_test_corpus
 
 
 def run_main(argv, capsys):
@@ -193,6 +196,36 @@ def test_missing_input_file_exits_2(capsys, tmp_path, system_config, command):
     assert '"code":2' in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("command", [["transform", "analyze"], ["norms", "--space", "f-seq"]])
+def test_directory_as_input_exits_2(capsys, tmp_path, system_config, command):
+    code, _, err = run_main(command + ["--system", system_config, "--input",
+                                       str(tmp_path)], capsys)
+    assert code == 2
+    assert '"code":2' in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", [["report"], ["equivalence-report"]])
+def test_directory_as_config_exits_2(capsys, tmp_path, command):
+    code, _, err = run_main(command + ["--config", str(tmp_path)], capsys)
+    assert code == 2
+    assert '"code":2' in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    (["transform", "analyze"], {"N": 2}, "alpha"),
+    (["norms", "--space", "b-seq"], {"alpha": [0.5], "N": 2}, "coeffs"),
+    (["transform", "synthesize"], {"system_hash": "x"}, "levels"),
+])
+def test_input_missing_key_exits_2(capsys, tmp_path, system_config, command, payload, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_main(command + ["--system", system_config, "--input", str(bad)],
+                            capsys)
+    assert code == 2
+    last = err.splitlines()[-1]
+    assert '"code":2' in last and repr(key) in last
+
+
 class TestNorms:
     def test_f_seq_norm_with_per_level(self, capsys, tmp_path, system_config):
         f = CoeffFn.random([0.5], 4, seed=6)
@@ -215,6 +248,45 @@ class TestNorms:
                                  str(coeff_file)], capsys)
         assert code == 0
         assert json.loads(out)["norm"] > 0
+
+
+def _equivalence_rows(text):
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
+class TestEquivalenceReport:
+    def test_space_F_with_infinite_q_runs_F_norms(self, capsys, system_config):
+        args = ["equivalence-report", "--config", system_config, "--s", "0.3", "--q", "inf"]
+        code_f, out_f, _ = run_main(args + ["--space", "F"], capsys)
+        code_b, out_b, _ = run_main(args + ["--space", "B"], capsys)
+        assert code_f == code_b == 0
+        assert out_f != out_b
+        cfg = load_config(system_config)
+        system = system_from_config(cfg)
+        corpus = make_test_corpus(system, count=20, seed=int(cfg["seed"]))
+        params = NormParams(0.3, 0.0, 2.0, math.inf)
+        rows = _equivalence_rows(out_f)
+        assert rows
+        for fid, cont, seq, _ in rows:
+            f = corpus[int(fid)]
+            assert float(seq) == f_norm_seq(analyze(system, f), params, system)
+            assert float(cont) == F_norm_cont(f, params, system, system.J + 1)
+
+    def test_space_F_with_infinite_p_is_usage_error(self, capsys, system_config):
+        code, out, err = run_main(["equivalence-report", "--config", system_config,
+                                   "--space", "F", "--p", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert '"code":2' in err.splitlines()[-1]
+
+    def test_width_gate(self, capsys, system_config):
+        args = ["equivalence-report", "--config", system_config]
+        code, out, _ = run_main(args, capsys)
+        assert code == 0
+        ratios = [float(r[3]) for r in _equivalence_rows(out)]
+        assert max(ratios) / min(ratios) >= 1.0
+        code, _, _ = run_main(args + ["--max-width", "0.5"], capsys)
+        assert code == 1
 
 
 class TestReport:

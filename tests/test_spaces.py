@@ -190,6 +190,36 @@ class TestSequenceNorms:
             assert abs(est - exact ** params.p) < 3.0 * sem
 
 
+def b_norm_seq_oracle(coeffs, params, system):
+    """(sum_j (2^(sj) (sum_xi (|h_xi| W(4^j; xi)^(-rho/d) mu_xi^(1/p-1/2))^p)^(1/p))^q)^(1/q),
+    node by node over the flattened level grids; max for an infinite exponent."""
+    terms = []
+    for j, (g, h) in enumerate(zip(system.grids, coeffs.levels)):
+        amp = (np.abs(h).reshape(-1)
+               * weight_W(4.0 ** j, system.alpha, g.points()) ** (-params.rho / system.d)
+               * g.tile_measures() ** (1.0 / params.p - 0.5))
+        inner = (float(np.max(amp)) if math.isinf(params.p)
+                 else math.fsum((amp ** params.p).tolist()) ** (1.0 / params.p))
+        terms.append(2.0 ** (params.s * j) * inner)
+    if math.isinf(params.q):
+        return max(terms)
+    return math.fsum(t ** params.q for t in terms) ** (1.0 / params.q)
+
+
+@pytest.mark.parametrize("params", CRITERION_8_PARAMS + [NormParams(0.3, -0.4, math.inf, 2.0),
+                                                         NormParams(0.2, 0.1, 1.2, math.inf)])
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_b_norm_seq_matches_node_oracle(system, system_2d, which, params):
+    sys_ = system if which == "1d" else system_2d
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        levels = tuple(rng.standard_normal((g.n_j,) * sys_.d)
+                       + 1j * rng.standard_normal((g.n_j,) * sys_.d) for g in sys_.grids)
+        coeffs = NeedletCoeffs(levels, sys_.hash)
+        assert b_norm_seq(coeffs, params, sys_) == pytest.approx(
+            b_norm_seq_oracle(coeffs, params, sys_), rel=1e-12)
+
+
 def level_filter(system, j, top):
     """Analysis filter a(m / 4^(j-1)) on degrees 0..top; degree-0 projector at level 0."""
     m = np.arange(top + 1)
