@@ -348,6 +348,8 @@ def _needlet_coeffs_to_payload(coeffs: NeedletCoeffs) -> dict:
 
 
 def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
+    if not isinstance(data, dict):
+        raise ValueError("needlet coefficient data must be a JSON object")
     levels = []
     try:
         for item in data["levels"]:

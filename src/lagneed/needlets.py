@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffPair
-from .special import AlphaVector, as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _outer
+from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
+                      _fold, _outer)
 from .quadrature import CubatureGrid, cubature_grid
 from .kernels import band_kernels, _filter_degrees, _level_scale, _top_degree
 
@@ -132,17 +133,19 @@ class CoeffFn:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffFn":
+        if not isinstance(data, dict):
+            raise ValueError("coefficient data must be a JSON object")
         try:
             av = as_alpha(data["alpha"])
             n = int(data["N"])
             arr = np.zeros((n + 1,) * av.d, dtype=complex)
             for item in data["coeffs"]:
-                nu = tuple(int(k) for k in item["nu"])
-                if len(nu) != av.d:
-                    raise ValueError(f"multi-index {nu} has wrong dimension")
-                if sum(nu) > n:
-                    raise ValueError(f"multi-index {nu} exceeds stated degree {n}")
-                arr[nu] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+                nu = MultiIndex(item["nu"])
+                if nu.d != av.d:
+                    raise ValueError(f"multi-index {nu.nu} has wrong dimension")
+                if nu.degree > n:
+                    raise ValueError(f"multi-index {nu.nu} exceeds stated degree {n}")
+                arr[nu.nu] = float(item["re"]) + 1j * float(item.get("im", 0.0))
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks the key {exc}") from None
         return cls(av, n, arr)

@@ -3,13 +3,13 @@ rescaled tensor cubature on the positive orthant with its level grids and
 tiles.
 
 Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix, polished
-by a few Newton steps whose derivative comes from the same-alpha identity
-t L_n' = n L_n - (n+a) L_{n-1}, so one streaming pass of the damped
-recurrence gives both factors.  Cubature coefficients come from the
-Christoffel sum of damped orthonormal values, accumulated row by row, which
-neither overflows nor underflows; classical Gauss weights are kept in log
-form.  Rules and grids are kept in bounded caches; their arrays are
-read-only.
+by one Newton step whose derivative comes from the same-alpha identity
+t L_n' = n L_n - (n+a) L_{n-1}.  Cubature coefficients come from the
+Christoffel sum of damped orthonormal values, which Christoffel-Darboux
+writes in the last three rows of the same streaming pass of the damped
+recurrence, so nothing overflows or underflows; classical Gauss weights are
+kept in log form.  Rules and grids are kept in bounded caches; their arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -60,23 +60,23 @@ class QuadratureRule:
     sqrt_nodes: np.ndarray
 
 
-def _newton_polish(n: int, alpha: float, t: np.ndarray, sweeps: int = 3) -> np.ndarray:
-    """Refine Laguerre zeros: t <- t + t q_n / (sqrt(n(n+a)) q_{n-1} - n q_n).
+def _newton_polish(n: int, alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step on Laguerre zeros, with the Christoffel function at t.
 
-    This is the exact Newton step -L_n / L_n' with t L_n' = n L_n - (n+a) L_{n-1},
-    written in the damped orthonormal values q_{n-1}, q_n: the last two rows
-    of one same-alpha pass, so only O(n) values are held at a time.
+    The step t q_n / (b_n q_{n-1} - n q_n), b_k = sqrt(k(k+a)), is the exact
+    Newton step -L_n / L_n' with t L_n' = n L_n - (n+a) L_{n-1}.  The same
+    identity turns Christoffel-Darboux into
+    sum_{k<n} q_k(t)^2 = b_n (b_n q_{n-1}^2 - q_n q_{n-1} - b_{n-1} q_{n-2} q_n) / t,
+    exact at every t > 0.  Both read the last three rows of one same-alpha
+    pass of damped orthonormal values, so only O(n) values are held at a time.
+    Returns (stepped t, lambda_n(t) e^t).
     """
-    root = math.sqrt(n * (n + alpha))
-    for _ in range(sweeps):
-        qd, qn = deque(_damped_rows(n, alpha, t), maxlen=2)
-        step = t * qn / (root * qd - n * qn)
-        t_new = t + step
-        if np.max(np.abs(step) / np.maximum(t, 1e-300)) < 1e-15:
-            t = t_new
-            break
-        t = t_new
-    return t
+    rows = deque([0.0], maxlen=3)  # q_{-1} = 0 stands in for q_{n-2} at n = 1
+    rows.extend(_damped_rows(n, alpha, t))
+    qm, qd, qn = rows
+    root, root_m = math.sqrt(n * (n + alpha)), math.sqrt((n - 1) * (n - 1 + alpha))
+    kernel_diag = root * (root * qd * qd - qn * qd - root_m * qm * qn) / t
+    return t + t * qn / (root * qd - n * qn), 1.0 / kernel_diag
 
 
 @lru_cache(maxsize=256)
@@ -89,12 +89,11 @@ def _gauss_laguerre_cached(n: int, alpha: float) -> QuadratureRule:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defect path
         raise ArithmeticError(f"tridiagonal eigensolver failed for n={n}: {exc}")
     nodes = np.sort(nodes)
-    nodes = _newton_polish(n, alpha, nodes)
+    nodes, lam_exp = _newton_polish(n, alpha, nodes)
     if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
         raise ArithmeticError(f"eigensolver produced invalid nodes for n={n}, alpha={alpha}")
 
-    log_lam, lam_exp = christoffel(n, alpha, nodes)
-    arrays = (nodes, log_lam, 0.5 * lam_exp, np.sqrt(nodes))
+    arrays = (nodes, np.log(lam_exp) - nodes, 0.5 * lam_exp, np.sqrt(nodes))
     for a in arrays:
         a.flags.writeable = False
     return QuadratureRule(n, float(alpha), *arrays)
@@ -274,13 +273,6 @@ def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.
     return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
 
 
-def _fsum_maybe_complex(values: np.ndarray):
-    vals = np.asarray(values)
-    if np.iscomplexobj(vals):
-        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-    return math.fsum(vals.ravel().tolist())
-
-
 def cubature_integrate(grid: CubatureGrid, f, g=None):
     """Sum of c_xi f(xi) g(xi) over the grid, in deterministic order.
 
@@ -288,11 +280,10 @@ def cubature_integrate(grid: CubatureGrid, f, g=None):
     exact (fsum), meeting the 1e-10 exactness contracts at any grid size.
     """
     pts = grid.points()
-    c = grid.coeffs()
     fv = np.asarray([f(p) for p in pts])
     if g is not None:
         fv = fv * np.asarray([g(p) for p in pts])
-    return _fsum_maybe_complex(c * fv)
+    return cubature_integrate_values(grid, fv)
 
 
 def cubature_integrate_values(grid: CubatureGrid, values: np.ndarray):
@@ -301,7 +292,10 @@ def cubature_integrate_values(grid: CubatureGrid, values: np.ndarray):
     vals = np.asarray(values).reshape(-1)
     if vals.shape != c.shape:
         raise ValueError("values do not match the grid layout")
-    return _fsum_maybe_complex(c * vals)
+    terms = c * vals
+    if np.iscomplexobj(terms):
+        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return math.fsum(terms.tolist())
 
 
 def weight_W(n: float, alpha, x) -> np.ndarray:

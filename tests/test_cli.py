@@ -226,6 +226,24 @@ def test_input_missing_key_exits_2(capsys, tmp_path, system_config, command, pay
     assert '"code":2' in last and repr(key) in last
 
 
+@pytest.mark.parametrize("command,payload,message", [
+    (["transform", "analyze"], {"alpha": [0.5], "N": 2, "coeffs": [{"nu": [-1], "re": 1}]},
+     "negative entry"),
+    (["norms", "--space", "b-seq"], {"alpha": [0.5], "N": 2, "coeffs": [{"nu": [-1], "re": 1}]},
+     "negative entry"),
+    (["transform", "analyze"], [1, 2], "JSON object"),
+    (["transform", "synthesize"], [1, 2], "JSON object"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, system_config, command, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_main(command + ["--system", system_config, "--input", str(bad)],
+                            capsys)
+    assert code == 2
+    last = err.splitlines()[-1]
+    assert '"code":2' in last and message in last
+
+
 class TestNorms:
     def test_f_seq_norm_with_per_level(self, capsys, tmp_path, system_config):
         f = CoeffFn.random([0.5], 4, seed=6)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from lagneed.special import laguerre_fn_batch, multivariate_F
+from lagneed import quadrature
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
     _gauss_laguerre_cached,
@@ -116,7 +117,22 @@ class TestGaussLaguerre:
         t0 = gauss_laguerre(n, alpha).nodes
         t = t0 * (1.0 + 1e-2 * np.sin(np.arange(n) + 1.0))
         want = t + eval_genlaguerre(n, alpha, t) / eval_genlaguerre(n - 1, alpha + 1.0, t)
-        assert _newton_polish(n, alpha, t, sweeps=1) == pytest.approx(want, rel=1e-12)
+        assert _newton_polish(n, alpha, t)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_cold_rule_makes_one_recurrence_pass(self, monkeypatch):
+        # the Newton step and the weights read the same streaming pass
+        passes = []
+        rows = quadrature._damped_rows
+
+        def counted(N, alpha, u):
+            passes.append(N)
+            return rows(N, alpha, u)
+
+        monkeypatch.setattr(quadrature, "_damped_rows", counted)
+        misses = _gauss_laguerre_cached.cache_info().misses
+        gauss_laguerre(77, 0.8125)
+        assert _gauss_laguerre_cached.cache_info().misses == misses + 1
+        assert passes == [77]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -136,9 +152,18 @@ class TestChristoffel:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_consistent_with_rule_coefficients(self, alpha):
-        rule = gauss_laguerre(48, alpha)
-        _, lam_exp = christoffel(48, alpha, rule.nodes)
-        assert np.max(np.abs(lam_exp / (2.0 * rule.cub_coeffs) - 1.0)) < 1e-12
+        for n, tol in ((48, 1e-12), (835, 1e-10)):
+            rule = gauss_laguerre(n, alpha)
+            _, lam_exp = christoffel(n, alpha, rule.nodes)
+            assert np.max(np.abs(lam_exp / (2.0 * rule.cub_coeffs) - 1.0)) < tol
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.0), (2, 0.5), (48, 2.0), (300, 1.0)])
+    def test_christoffel_darboux_holds_off_the_zeros(self, n, alpha):
+        # the three-row form used by the rules equals the sum at any t > 0,
+        # which also pins its q_(n-2) q_n term (negligible at the zeros)
+        x = np.linspace(0.01 * n, 4.0 * n, 401)
+        assert _newton_polish(n, alpha, x)[1] == pytest.approx(
+            christoffel(n, alpha, x)[1], rel=1e-12)
 
     @pytest.mark.parametrize("n,alpha", [(1, 0.0), (5, 0.5), (48, 2.0), (128, 0.5), (300, 1.0)])
     def test_matches_full_table_sum(self, n, alpha):
