@@ -12,6 +12,7 @@ bound.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,9 +61,17 @@ def cutoff_weights(a_hat: CutoffSpec, scale: float, top: int | None = None) -> n
     return w
 
 
+@lru_cache(maxsize=256)
+def _cached_weights(a_hat: CutoffSpec, scale: float, top: int) -> np.ndarray:
+    """Read-only ``cutoff_weights``, so repeated transforms never re-evaluate a."""
+    w = cutoff_weights(a_hat, scale, top)
+    w.flags.writeable = False
+    return w
+
+
 def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float) -> np.ndarray:
     """block * a(|nu|/scale) for a coefficient block indexed from nu = 0."""
-    w = cutoff_weights(a_hat, scale, sum(block.shape) - block.ndim)
+    w = _cached_weights(a_hat, scale, sum(block.shape) - block.ndim)
     return block * w[total_degree_grid(block.shape)]
 
 

@@ -7,6 +7,11 @@ space; numerical integration enters only through the optional sampling
 helper.  Reconstruction is exact (up to rounding) on functions of total
 degree at most 4^(J-1): above that the dilated partition of unity is not
 yet complete at the top level.
+
+A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
+product over axes except for its filter, so each level keeps per-axis node
+tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
+synthesis are one filter and one real matrix product per axis.
 """
 
 from __future__ import annotations
@@ -193,17 +198,16 @@ class NeedletSystem:
                    for j, g in enumerate(self.grids))
         if need > TABLE_BYTES_CAP:
             raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
-        # per level, per axis: values of the weighted family at the grid nodes
+        # per level, per axis: the atoms' factors c_k^(1/2) F_m(xi_k), degree m
+        # by node k; read-only, shared by every analyze/synthesize call
         self.tables: list[tuple[np.ndarray, ...]] = []
         for j, g in enumerate(self.grids):
-            deg = self.band_degree(j)
-            self.tables.append(tuple(
-                laguerre_fn_batch(deg, a, g.axis_xi[ax], "F")
-                for ax, a in enumerate(self.alpha)))
-        self._sqrt_c = [_outer([np.sqrt(c) for c in g.axis_c]) for g in self.grids]
-        # shared by every analyze/synthesize call on this system
-        for arr in [t for tabs in self.tables for t in tabs] + self._sqrt_c:
-            arr.flags.writeable = False
+            tabs = tuple(laguerre_fn_batch(self.band_degree(j), a, xi, "F")
+                         for a, xi in zip(self.alpha, g.axis_xi))
+            for tab, c in zip(tabs, g.axis_c):
+                tab *= np.sqrt(c)
+                tab.flags.writeable = False
+            self.tables.append(tabs)
 
     def band_degree(self, j: int) -> int:
         """Largest total degree the level-j filters can touch."""
@@ -255,10 +259,10 @@ def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
 
 def _spot_check_exactness(system: NeedletSystem, tol: float = 1e-8):
     """Cheap per-level check that the cubature reproduces orthonormality."""
-    for j, g in enumerate(system.grids):
-        for ax in range(system.d):
-            t = system.tables[j][ax][: min(3, system.band_degree(j) + 1)]
-            gram = (t * g.axis_c[ax]) @ t.T
+    for j, tabs in enumerate(system.tables):
+        for ax, tab in enumerate(tabs):
+            t = tab[: min(3, system.band_degree(j) + 1)]
+            gram = t @ t.T
             err = float(np.max(np.abs(gram - np.eye(len(t)))))
             if err > tol:
                 raise ArithmeticError(
@@ -297,8 +301,7 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     levels = []
     for j in range(system.J + 1):
         block = _band_block(system, f, j)
-        nodes = _fold(block, [tab[: len(block)] for tab in system.tables[j]], 0)
-        levels.append(system._sqrt_c[j] * nodes)
+        levels.append(_fold(block, [tab[: len(block)] for tab in system.tables[j]], 0))
     return NeedletCoeffs(tuple(levels), system.hash)
 
 
@@ -312,8 +315,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     out = np.zeros((n_out + 1,) * system.d, dtype=complex)
     for j in range(system.J + 1):
         cap = min(system.band_degree(j), n_out)
-        weighted_nodes = system._sqrt_c[j] * coeffs.levels[j]
-        block = _fold(weighted_nodes, [tab[: cap + 1] for tab in system.tables[j]], 1)
+        block = _fold(coeffs.levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
         out[(slice(0, cap + 1),) * system.d] += _filter_degrees(block, system.pair.b_hat,
                                                                 _level_scale(j))
     out[total_degree_grid(out.shape) > n_out] = 0.0

@@ -15,7 +15,6 @@ are read-only.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,9 +70,9 @@ def _newton_polish(n: int, alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.
     pass of damped orthonormal values, so only O(n) values are held at a time.
     Returns (stepped t, lambda_n(t) e^t).
     """
-    rows = deque([0.0], maxlen=3)  # q_{-1} = 0 stands in for q_{n-2} at n = 1
-    rows.extend(_damped_rows(n, alpha, t))
-    qm, qd, qn = rows
+    # q_{-1} = 0 stands in for q_{n-2} at n = 1; earlier rows are never converted
+    qm, qd, qn = ([0.0] + [row() for k, row in enumerate(_damped_rows(n, alpha, t))
+                           if k >= n - 2])[-3:]
     root, root_m = math.sqrt(n * (n + alpha)), math.sqrt((n - 1) * (n - 1 + alpha))
     kernel_diag = root * (root * qd * qd - qn * qd - root_m * qm * qn) / t
     return t + t * qn / (root * qd - n * qn), 1.0 / kernel_diag
@@ -121,7 +120,7 @@ def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("points must be nonnegative")
-    kernel_diag = sum(np.square(row) for row in _damped_rows(n - 1, alpha, x_arr.reshape(-1)))
+    kernel_diag = sum(np.square(row()) for row in _damped_rows(n - 1, alpha, x_arr.reshape(-1)))
     lam_exp = 1.0 / kernel_diag.reshape(x_arr.shape)
     log_lam = np.log(lam_exp) - x_arr
     if np.ndim(x) == 0:

@@ -114,12 +114,14 @@ def laguerre_poly(n: int, alpha: float, x: float) -> float:
 
 
 def _damped_rows(N: int, alpha: float, u: np.ndarray):
-    """Yield q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u) for n = 0..N.
+    """Step through q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u), n = 0..N.
 
-    ``u`` is flat; each row is a fresh array of its shape.  Internally the
-    recurrence runs on rescaled values v with the represented quantity
-    v * 2^(e0 + shift); emission uses exact ldexp scaling, so no step can
-    overflow and genuine underflow flushes cleanly to zero.
+    ``u`` is flat.  The recurrence runs on rescaled values v with the
+    represented quantity v * 2^(e0 + shift), so no step can overflow.  Each
+    step yields a function that converts the current state into a fresh
+    array of q_n by exact ldexp scaling (genuine underflow flushes cleanly to
+    zero).  The state moves on with the generator, so call it before asking
+    for the next row; a consumer that reads only some rows converts only those.
     """
     e0 = -u / (2.0 * _LN2)
     m0 = np.floor(e0)
@@ -129,8 +131,11 @@ def _damped_rows(N: int, alpha: float, u: np.ndarray):
     shift = np.zeros(u.size, dtype=np.int64)
     v_prev = np.zeros(u.size)
     v_cur = np.full(u.size, math.exp(-0.5 * gammaln(alpha + 1.0)))
-    yield np.ldexp(v_cur * frac, m0)
 
+    def row():
+        return np.ldexp(v_cur * frac, m0 + shift)
+
+    yield row
     b_cur = 0.0
     for n in range(N):
         b_next = math.sqrt((n + 1.0) * (n + 1.0 + alpha))
@@ -142,7 +147,7 @@ def _damped_rows(N: int, alpha: float, u: np.ndarray):
             v_cur[big] = np.ldexp(v_cur[big], -_RESCALE_SHIFT)
             v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_SHIFT)
             shift[big] += _RESCALE_SHIFT
-        yield np.ldexp(v_cur * frac, m0 + shift)
+        yield row
 
 
 def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
@@ -176,7 +181,7 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
         raise ValueError(f"unknown family {family!r}")
     q = np.empty((N + 1, u.size))
     for n, row in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
-        q[n] = row
+        q[n] = row()
     vals = q.reshape((N + 1,) + u.shape)
     vals *= pre
     if np.ndim(x) == 0:
@@ -234,12 +239,29 @@ def _outer(vecs):
 def _fold(tensor, mats, axis: int):
     """Contract each axis of ``tensor`` in turn with axis ``axis`` of its matrix.
 
-    Each step contracts the leading axis and appends the matrix's other
-    axis last, so after one matrix per axis the axes are back in order.
+    Each step is one GEMM on a transposed 2-D view, t.reshape(n0, -1).T @ m:
+    it contracts the leading axis and appends the matrix's other axis last,
+    so after one matrix per axis the axes are back in order.  A complex
+    tensor that meets only real matrices, with an output no larger than the
+    tensor and matrices together, is folded as its float view with a
+    trailing (re, im) axis: the steps rotate that axis to the front, it is
+    recombined once at the end, and no matrix is cast to complex.  A larger
+    output stays complex, where the recombination would be one more pass
+    over the largest array.
     """
+    mats = [m.T if axis else m for m in mats]
+    shape = tuple(m.shape[1] for m in mats)
+    split = (np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats)
+             and math.prod(shape) <= tensor.size + sum(m.size for m in mats))
+    if split:
+        tensor = np.ascontiguousarray(tensor, dtype=complex)
+        tensor = tensor.view(float).reshape(tensor.shape + (2,))
     for m in mats:
-        tensor = np.tensordot(tensor, m, axes=([0], [axis]))
-    return tensor
+        tensor = tensor.reshape(len(m), -1).T @ m
+    if split:
+        pairs = np.moveaxis(tensor.reshape((2,) + shape), 0, -1)
+        return np.ascontiguousarray(pairs).view(complex).reshape(shape)
+    return tensor.reshape(shape)
 
 
 def _convolve_degrees(seqs):

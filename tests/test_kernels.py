@@ -15,8 +15,9 @@ from lagneed.kernels import (
     lambda_star,
     lambda_tilde,
     lower_bound_check,
+    _cached_weights,
 )
-from lagneed.needlets import CoeffFn
+from lagneed.needlets import CoeffFn, analyze, build_system, synthesize
 from lagneed.quadrature import cubature_grid, cubature_integrate_values
 from lagneed.special import kernel_F_table, laguerre_fn_batch, multivariate_F
 
@@ -199,6 +200,35 @@ class TestBandKernels:
         pair = make_dual_pair(frame_default(), tight=True)
         phi, psi = band_kernels(2, [0.0], pair, [0.8], [1.9])
         assert phi == psi
+
+
+class TestFilterCache:
+    @pytest.mark.parametrize("tight", [False, True], ids=["dual", "tight"])
+    def test_repeated_transform_evaluates_no_filter(self, tight):
+        base = frame_default()
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return base(t)
+
+        raw = make_cutoff("raw", fn=counted, support=base.support, nonneg=True)
+        system = build_system(2, 1, [0.5], make_dual_pair(raw, tight=tight))
+        f = CoeffFn.random([0.5], 4, seed=0)
+        calls.clear()
+        synthesize(system, analyze(system, f))
+        assert calls
+        calls.clear()
+        synthesize(system, analyze(system, f))
+        assert calls == []
+
+    def test_cached_weights_are_read_only(self):
+        a_hat = frame_default()
+        w = _cached_weights(a_hat, 16, 40)
+        assert _cached_weights(a_hat, 16, 40) is w
+        assert np.array_equal(w, cutoff_weights(a_hat, 16, 40))
+        with pytest.raises(ValueError):
+            w[20] = 0.0
 
 
 class TestDiagnostics:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lagneed.needlets import (
     total_degree_grid,
 )
 from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
+from lagneed.special import laguerre_fn_batch
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -105,8 +107,16 @@ class TestBuildSystem:
         system = build_system(2, 1, [0.5], DUAL)
         with pytest.raises(ValueError):
             system.tables[1][0][0] = 99.0
-        with pytest.raises(ValueError):
-            system._sqrt_c[1][0] = 99.0
+
+    def test_tables_hold_weighted_atoms(self):
+        # rows c_k^(1/2) F_m(xi_k): the cubature's orthonormality is t @ t.T = I
+        system = build_system(2, 2, [0.0, 1.5], DUAL)
+        for j, g in enumerate(system.grids):
+            for ax, (a, xi, c) in enumerate(zip(system.alpha, g.axis_xi, g.axis_c)):
+                t = system.tables[j][ax]
+                want = laguerre_fn_batch(system.band_degree(j), a, xi, "F") * np.sqrt(c)
+                assert np.allclose(t, want, rtol=1e-15, atol=0.0)
+                assert np.allclose(t @ t.T, np.eye(len(t)), rtol=0.0, atol=1e-10)
 
 
 class TestEvaluateNeedlet:
@@ -250,6 +260,31 @@ class TestSynthesize:
         coeffs = analyze(sys_a, CoeffFn.random([0.5], 2, seed=0))
         with pytest.raises(ValueError):
             synthesize(sys_b, coeffs)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransformMemory:
+    def test_synthesize_casts_no_table_to_complex(self):
+        system = build_system(4, 1, [0.5], DUAL)
+        coeffs = analyze(system, CoeffFn.random([0.5], 64, seed=1, complex_valued=True))
+        top = system.tables[4][0]
+        assert top.shape == (257, 835)
+        assert traced_peak(synthesize, system, coeffs) < top.size * 16 / 10
+
+    def test_analyze_allocates_no_weight_tensor(self):
+        alpha = [0.0, 0.5, 1.0]
+        system = build_system(2, 3, alpha, DUAL)
+        f = CoeffFn.random(alpha, 4, seed=2, complex_valued=True)
+        top_bytes = system.grids[2].point_count * 16
+        assert traced_peak(analyze, system, f) < 1.3 * top_bytes
 
 
 class TestReconstruction:

@@ -16,6 +16,7 @@ from lagneed.special import (
     laguerre_fn_F_deriv_batch,
     laguerre_poly,
     multivariate_F,
+    _fold,
 )
 from lagneed.quadrature import gauss_laguerre
 
@@ -249,6 +250,49 @@ class TestMultivariate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             multivariate_F((1, 2), [0.5], [1.0, 2.0])
+
+
+def tensordot_fold(tensor, mats, axis):
+    out = np.asarray(tensor, dtype=complex)
+    for m in mats:
+        out = np.tensordot(out, np.asarray(m, dtype=complex), axes=([0], [axis]))
+    return out
+
+
+class TestFold:
+    # for d >= 2, "growing" folds a complex tensor into an output larger than
+    # the tensor and matrices together, which keeps the complex path; the
+    # other complex-against-real cases take the float view
+    @pytest.mark.parametrize("case", ["complex", "sliced", "transposed", "growing", "real",
+                                      "complex-matrix"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_complex_tensordot(self, d, axis, case):
+        rng = np.random.default_rng([d, axis, len(case)])
+        n_in = [5, 3, 4][:d]
+        n_out = ([40, 30, 20] if case == "growing" else [6, 2, 7])[:d]
+        mats = [rng.standard_normal((a, b) if axis == 0 else (b, a))
+                for a, b in zip(n_in, n_out)]
+        if case == "complex-matrix":
+            mats[-1] = mats[-1] + 1j * rng.standard_normal(mats[-1].shape)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        if case == "sliced":
+            tensor = draw([2 * n for n in n_in])[(slice(None, None, 2),) * d]
+        elif case == "transposed":
+            tensor = draw(n_in[::-1]).T
+        elif case in ("real", "complex-matrix"):
+            tensor = rng.standard_normal(n_in)
+        else:
+            tensor = draw(n_in)
+        got = _fold(tensor, mats, axis)
+        want = tensordot_fold(tensor, mats, axis)
+        assert got.shape == tuple(n_out)
+        assert got.dtype == (float if case == "real" else complex)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestTypes:
