@@ -40,13 +40,10 @@ CONFIG_DEFAULTS = {
     "delta": 0.03,
     "c_star": 1.0,
     "cutoff": "frame_default",
-    "cutoff_alt": "frame_alt",
     "tight": False,
     "seed": 0,
     "trials": 20,
-    "point_cap": 10_000_000,
     "sigma": 6.0,
-    "out_format": "json",
 }
 
 def canonical_json(obj) -> str:
@@ -153,7 +150,7 @@ def pair_from_config(cfg: dict) -> CutoffPair:
 def system_from_config(cfg: dict):
     return build_system(int(cfg["J"]), int(cfg["d"]), cfg["alpha"],
                         pair_from_config(cfg), float(cfg["delta"]),
-                        float(cfg["c_star"]), point_cap=int(cfg["point_cap"]))
+                        float(cfg["c_star"]))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -293,8 +290,7 @@ def _frame_report(cfg: dict, corrupt: bool = False) -> dict:
                               support=bad.support, name="corrupted")
         pair = CutoffPair(pair.a_hat, wrecked, tight=False)
     system = build_system(int(cfg["J"]), int(cfg["d"]), cfg["alpha"], pair,
-                          float(cfg["delta"]), float(cfg["c_star"]),
-                          point_cap=int(cfg["point_cap"]))
+                          float(cfg["delta"]), float(cfg["c_star"]))
     deg = system.exact_degree()
     recon_max, parseval_max = 0.0, 0.0
     for t in range(int(cfg["trials"])):

@@ -196,11 +196,11 @@ class CutoffPair:
         tag = "tight" if self.tight else "dual"
         return f"{tag}[{self.a_hat.describe()}|{self.b_hat.describe()}]"
 
-    def partition_residual(self, t, m_max: int = 40):
-        """max |sum_m conj(a(4^-m t)) b(4^-m t) - 1| over the given t >= 1."""
+    def partition_residual(self, t):
+        """max |sum_m conj(a(4^-m t)) b(4^-m t) - 1|, m = 0..39, over the given t >= 1."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         acc = np.zeros_like(t)
-        for m in range(m_max):
+        for m in range(40):
             tm = t / 4.0 ** m
             acc += np.conj(self.a_hat(tm)) * self.b_hat(tm)
         return float(np.max(np.abs(acc - 1.0)))

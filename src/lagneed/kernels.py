@@ -1,12 +1,14 @@
 """Localized kernels built from cut-off filtered Laguerre expansions.
 
-``lambda_kernel`` evaluates the filtered projector sum for the weighted
-family; ``lambda_tilde`` and ``lambda_star`` are its companions for the two
-unweighted families, computed through exact pointwise relations (their
-direct summation agreement is part of the test contract).  ``band_kernels``
-gives the level kernels used by the needlet construction, and the two
-diagnostic routines measure off-diagonal decay and the on-diagonal lower
-bound.
+Each kernel at one point pair is one filtered sum, sum_m w_m * (degree-m
+kernel at (x, y)), written once in ``_filtered_sum``: ``lambda_kernel``
+(w_m = a(m/n)), its x-derivative ``lambda_deriv``, ``lambda_direct`` over any
+family, and the level kernels ``band_kernels``.  ``lambda_tilde`` and
+``lambda_star`` follow from ``lambda_kernel`` by exact pointwise relations
+(their agreement with ``lambda_direct`` is part of the test contract).
+``lambda_kernel_profile`` is the vectorized univariate path of the
+off-diagonal decay diagnostic; the other diagnostic measures the
+on-diagonal lower bound.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import CutoffSpec, CutoffPair
-from .special import (as_alpha, kernel_F_table, laguerre_fn_batch, laguerre_fn_F_deriv_batch,
-                      total_degree_grid, _convolve_degrees, _fold, _outer)
+from .special import (as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _kernel_table,
+                      _outer)
 from .quadrature import weight_W
 
 __all__ = [
@@ -82,13 +84,16 @@ def _point(x, d):
     return pt
 
 
+def _filtered_sum(w: np.ndarray, alpha, x, y, family: str = "F",
+                  deriv_axis: int | None = None) -> float:
+    """sum_m w[m] * (degree-m kernel at (x, y)), degrees 0..len(w)-1; see
+    ``special._kernel_table`` for the family and the derivative axis."""
+    return float(math.fsum(w * _kernel_table(len(w) - 1, alpha, x, y, family, deriv_axis)))
+
+
 def lambda_kernel(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
     """Filtered kernel sum_m a(m/n) * (degree-m projector at (x, y))."""
-    av = as_alpha(alpha)
-    xs, ys = _point(x, av.d), _point(y, av.d)
-    w = cutoff_weights(a_hat, n)
-    table = kernel_F_table(len(w) - 1, av, xs, ys)
-    return float(math.fsum(w * table))
+    return _filtered_sum(cutoff_weights(a_hat, n), alpha, x, y)
 
 
 def lambda_kernel_profile(n: int, alpha, a_hat: CutoffSpec, x0: float, ys) -> np.ndarray:
@@ -132,29 +137,15 @@ def lambda_star(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
 
 def lambda_direct(n: int, alpha, a_hat: CutoffSpec, x, y, family: str) -> float:
     """Direct summation over one family; test oracle for the relations."""
-    av = as_alpha(alpha)
-    xs, ys = _point(x, av.d), _point(y, av.d)
-    w = cutoff_weights(a_hat, n)
-    M = len(w) - 1
-    table = _convolve_degrees([
-        laguerre_fn_batch(M, a, float(xi), family) * laguerre_fn_batch(M, a, float(yi), family)
-        for a, xi, yi in zip(av, xs, ys)])
-    return float(math.fsum(w * table))
+    return _filtered_sum(cutoff_weights(a_hat, n), alpha, x, y, family)
 
 
 def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
     """Partial derivative of lambda_kernel in the r-th coordinate of x (1-based)."""
     av = as_alpha(alpha)
-    xs, ys = _point(x, av.d), _point(y, av.d)
     if not 1 <= r <= av.d:
         raise ValueError(f"axis {r} out of range for dimension {av.d}")
-    w = cutoff_weights(a_hat, n)
-    M = len(w) - 1
-    table = _convolve_degrees([
-        (laguerre_fn_F_deriv_batch(M, a, float(xi)) if ax == r - 1
-         else laguerre_fn_batch(M, a, float(xi), "F")) * laguerre_fn_batch(M, a, float(yi), "F")
-        for ax, (a, xi, yi) in enumerate(zip(av, xs, ys))])
-    return float(math.fsum(w * table))
+    return _filtered_sum(cutoff_weights(a_hat, n), av, x, y, deriv_axis=r - 1)
 
 
 def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:
@@ -164,38 +155,31 @@ def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:
     the plain degree-0 projector.
     """
     scale = _level_scale(j)
-    av = as_alpha(alpha)
-    xs, ys = _point(x, av.d), _point(y, av.d)
-    wa = cutoff_weights(pair.a_hat, scale)
-    wb = cutoff_weights(pair.b_hat, scale)
-    M = max(len(wa), len(wb)) - 1
-    table = kernel_F_table(M, av, xs, ys)
-    phi = float(math.fsum(wa * table[: len(wa)]))
+    phi = _filtered_sum(cutoff_weights(pair.a_hat, scale), alpha, x, y)
     if pair.tight:
         return phi, phi
-    psi = float(math.fsum(wb * table[: len(wb)]))
-    return phi, psi
+    return phi, _filtered_sum(cutoff_weights(pair.b_hat, scale), alpha, x, y)
 
 
-def kernel_decay_profile(n: int, alpha, a_hat: CutoffSpec, sigma: float = 6.0,
-                         x0: float = 1.0, separations=None) -> dict:
-    """Measure normalized off-diagonal decay of the univariate kernel.
+def kernel_decay_profile(n: int, alpha, a_hat: CutoffSpec, sigma: float = 6.0) -> dict:
+    """Measure normalized off-diagonal decay of the univariate kernel at x0 = 1.
 
     For separations h the normalized value is
     |Lambda_n(x0, x0+h)| sqrt(W(n;x0) W(n;x0+h)) / n^(1/2); the fitted
     constant is the max of normalized * (1 + sqrt(n) h)^sigma over the
     profile, so the fitted envelope dominates every measured point.
 
-    Default separations are log-spaced in the scale-invariant variable
+    The separations are log-spaced in the scale-invariant variable
     u = sqrt(n) h over [1/4, 12]; in that window the dimensionless profile
     has converged in n and the fitted constant is n-stable.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     av = as_alpha(alpha)
     if av.d != 1:
         raise ValueError("decay profile is a univariate diagnostic")
-    if separations is None:
-        separations = np.geomspace(0.25, 12.0, 60) / math.sqrt(n)
-    seps = np.asarray(separations, dtype=float)
+    x0 = 1.0
+    seps = np.geomspace(0.25, 12.0, 60) / math.sqrt(n)
     ys = x0 + seps
     vals = lambda_kernel_profile(n, av, a_hat, x0, ys)
     w_x0 = weight_W(n, av, np.array([x0]))

@@ -26,7 +26,7 @@ from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
                       _fold, _outer)
 from .quadrature import CubatureGrid, cubature_grid
-from .kernels import band_kernels, _filter_degrees, _level_scale, _top_degree
+from .kernels import lambda_kernel, _filter_degrees, _level_scale, _top_degree
 
 __all__ = [
     "CoeffFn",
@@ -243,28 +243,27 @@ class NeedletSystem:
 
 
 def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
-                 c_star: float = 1.0, point_cap: int = 10_000_000) -> NeedletSystem:
+                 c_star: float = 1.0) -> NeedletSystem:
     """Construct a needlet system with grids for levels 0..J."""
     if J < 0:
         raise ValueError("J must be nonnegative")
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
-    grids = [cubature_grid(j, d, av, delta, c_star, point_cap=point_cap)
-             for j in range(J + 1)]
+    grids = [cubature_grid(j, d, av, delta, c_star) for j in range(J + 1)]
     system = NeedletSystem(J, d, av, pair, delta, c_star, grids)
     _spot_check_exactness(system)
     return system
 
 
-def _spot_check_exactness(system: NeedletSystem, tol: float = 1e-8):
+def _spot_check_exactness(system: NeedletSystem):
     """Cheap per-level check that the cubature reproduces orthonormality."""
     for j, tabs in enumerate(system.tables):
         for ax, tab in enumerate(tabs):
             t = tab[: min(3, system.band_degree(j) + 1)]
             gram = t @ t.T
             err = float(np.max(np.abs(gram - np.eye(len(t)))))
-            if err > tol:
+            if err > 1e-8:
                 raise ArithmeticError(
                     f"cubature exactness violated at level {j}, axis {ax}: {err:.3e}")
 
@@ -276,8 +275,9 @@ def evaluate_needlet(system: NeedletSystem, j: int, gamma, x,
         raise ValueError("which must be 'phi' or 'psi'")
     xi = system.node_point(j, gamma)
     c = system.node_coeff(j, gamma)
-    phi, psi = band_kernels(j, system.alpha, system.pair, x, xi)
-    return math.sqrt(c) * (phi if which == "phi" else psi)
+    pair = system.pair
+    cut = pair.b_hat if which == "psi" and not pair.tight else pair.a_hat
+    return math.sqrt(c) * lambda_kernel(_level_scale(j), system.alpha, cut, x, xi)
 
 
 def _band_block(system: NeedletSystem, f: CoeffFn, j: int) -> np.ndarray:
@@ -322,8 +322,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     return CoeffFn(system.alpha, n_out, out)
 
 
-def frame_bounds(system: NeedletSystem, trials: int = 20, seed: int = 0,
-                 complex_valued: bool = False) -> tuple[float, float]:
+def frame_bounds(system: NeedletSystem, trials: int = 20, seed: int = 0) -> tuple[float, float]:
     """Empirical frame bounds of the analysis family on V_(4^(J-1)).
 
     Over random unit-norm functions, returns the min and max of the total
@@ -334,8 +333,7 @@ def frame_bounds(system: NeedletSystem, trials: int = 20, seed: int = 0,
     deg = system.exact_degree()
     lo, hi = math.inf, -math.inf
     for t in range(trials):
-        f = CoeffFn.random(system.alpha, deg, seed=seed + t,
-                           complex_valued=complex_valued)
+        f = CoeffFn.random(system.alpha, deg, seed=seed + t)
         e = analyze(system, f).total_energy()
         lo, hi = min(lo, e), max(hi, e)
     return lo, hi

@@ -244,10 +244,6 @@ class CubatureGrid:
             val *= br[-1] ** p / p
         return val
 
-    def cache_key(self):
-        return (self.j, self.d, self.alpha.alpha, self.delta, self.c_star,
-                self.right_extension)
-
 
 @lru_cache(maxsize=64)
 def _cubature_grid_cached(j: int, alpha: AlphaVector, delta: float, c_star: float,

@@ -267,9 +267,6 @@ class PiecewiseCellFn:
         return _outer([CubatureGrid._axis_measures(b, a)
                        for b, a in zip(self.breaks, self.alpha)])
 
-    def total_measure(self) -> float:
-        return _fsum(self.cell_measures())
-
     def integral(self) -> float:
         return _fsum(self.values * self.cell_measures())
 

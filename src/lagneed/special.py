@@ -273,10 +273,13 @@ def _convolve_degrees(seqs):
     return acc
 
 
-def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
-    """All degree-m projector kernel values for m = 0..M at one point pair.
+def _kernel_table(M: int, alpha, x, y, family: str = "F",
+                  deriv_axis: int | None = None) -> np.ndarray:
+    """Degree-m kernels sum_{|nu|=m} G_nu(x) G_nu(y), m = 0..M, at one point pair.
 
-    Computed by convolving per-axis product sequences across the axes
+    G is the given family; on axis ``deriv_axis`` (0-based) the x factor is
+    the family-F derivative, giving the partial derivative in that coordinate
+    of x.  The per-axis product sequences are convolved across the axes
     (dynamic programming over dimensions), cost O(d M^2).
     """
     av = as_alpha(alpha)
@@ -285,8 +288,15 @@ def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
     if not (av.d == xs.size == ys.size):
         raise ValueError("dimension mismatch between alpha and points")
     return _convolve_degrees([
-        laguerre_fn_batch(M, a, float(xi), "F") * laguerre_fn_batch(M, a, float(yi), "F")
-        for a, xi, yi in zip(av, xs, ys)])
+        (laguerre_fn_F_deriv_batch(M, a, float(xi)) if ax == deriv_axis
+         else laguerre_fn_batch(M, a, float(xi), family))
+        * laguerre_fn_batch(M, a, float(yi), family)
+        for ax, (a, xi, yi) in enumerate(zip(av, xs, ys))])
+
+
+def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
+    """All degree-m projector kernel values for m = 0..M at one point pair."""
+    return _kernel_table(M, alpha, x, y)
 
 
 def kernel_F_m(m: int, alpha, x, y) -> float:

@@ -46,8 +46,9 @@ class TestConfig:
         assert again == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("bogus=1\n")
+        for line in ("bogus=1", "cutoff_alt=frame_alt", "point_cap=1000", "out_format=json"):
+            with pytest.raises(ValueError, match="unknown configuration key"):
+                parse_config_text(line + "\n")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# a comment\n\nJ=1\n")
@@ -110,6 +111,10 @@ class TestKernelCommands:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "n,sigma,separation,normalized_value,bound_value,fitted_c"
         assert len(lines) == 1 + 2 * 60
+
+    def test_kernel_decay_rejects_zero_n(self, capsys):
+        code, _, _ = run_main(["kernel-decay", "--n-list", "0"], capsys)
+        assert code == 2
 
     def test_lower_bound(self, capsys):
         code, out, _ = run_main(["lower-bound", "--alpha", "0",

@@ -81,11 +81,12 @@ class TestRelatedKernels:
         assert rel == pytest.approx(direct, rel=1e-10)
 
     def test_tilde_matches_direct_summation_2d(self):
-        alpha = [0.5, 1.5]
-        x, y = [1.2, 0.8], [0.5, 2.0]
-        rel = lambda_tilde(16, alpha, TYPE_A, x, y)
-        direct = lambda_direct(16, alpha, TYPE_A, x, y, "L")
-        assert rel == pytest.approx(direct, rel=1e-10)
+        cases = [([0.5, 1.5], [1.2, 0.8], [0.5, 2.0]),
+                 ([0.0, 0.5, 1.0], [1.2, 0.8, 0.3], [0.5, 2.0, 1.1])]
+        for alpha, x, y in cases:
+            rel = lambda_tilde(16, alpha, TYPE_A, x, y)
+            direct = lambda_direct(16, alpha, TYPE_A, x, y, "L")
+            assert rel == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [[0.0], [0.5], [2.0]])
     def test_star_matches_direct_summation(self, alpha):
@@ -117,18 +118,19 @@ class TestLambdaDeriv:
     def test_matches_central_difference(self):
         rng = np.random.default_rng(42)
         n = 64
-        for _ in range(10):
-            x = rng.uniform(0.3, 3.0, size=2)
-            y = rng.uniform(0.3, 3.0, size=2)
-            for r in (1, 2):
-                h = 1e-5
-                xp, xm = x.copy(), x.copy()
-                xp[r - 1] += h
-                xm[r - 1] -= h
-                fd = (lambda_kernel(n, [0.5, 1.0], TYPE_A, xp, y)
-                      - lambda_kernel(n, [0.5, 1.0], TYPE_A, xm, y)) / (2 * h)
-                got = lambda_deriv(n, [0.5, 1.0], TYPE_A, x, y, r)
-                assert got == pytest.approx(fd, rel=1e-5, abs=1e-10)
+        for alpha in ([0.5, 1.0], [0.0, 0.5, 1.0]):
+            for _ in range(10):
+                x = rng.uniform(0.3, 3.0, size=len(alpha))
+                y = rng.uniform(0.3, 3.0, size=len(alpha))
+                for r in range(1, len(alpha) + 1):
+                    h = 1e-5
+                    xp, xm = x.copy(), x.copy()
+                    xp[r - 1] += h
+                    xm[r - 1] -= h
+                    fd = (lambda_kernel(n, alpha, TYPE_A, xp, y)
+                          - lambda_kernel(n, alpha, TYPE_A, xm, y)) / (2 * h)
+                    got = lambda_deriv(n, alpha, TYPE_A, x, y, r)
+                    assert got == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
     def test_antisymmetric_argument_swap(self):
         x, y = [1.2, 0.5], [0.8, 2.0]
@@ -201,6 +203,16 @@ class TestBandKernels:
         phi, psi = band_kernels(2, [0.0], pair, [0.8], [1.9])
         assert phi == psi
 
+    @pytest.mark.parametrize("alpha,x,y", [([0.5], [0.8], [1.9]),
+                                           ([0.0, 1.5], [0.8, 1.3], [1.9, 0.4])])
+    def test_dual_pair_equals_lambda_kernels(self, alpha, x, y):
+        pair = make_dual_pair(frame_default())
+        for j in (1, 2, 3):
+            n = 4 ** (j - 1)
+            assert band_kernels(j, alpha, pair, x, y) == (
+                lambda_kernel(n, alpha, pair.a_hat, x, y),
+                lambda_kernel(n, alpha, pair.b_hat, x, y))
+
 
 class TestFilterCache:
     @pytest.mark.parametrize("tight", [False, True], ids=["dual", "tight"])
@@ -235,6 +247,10 @@ class TestDiagnostics:
     def test_decay_envelope_dominates_profile(self):
         prof = kernel_decay_profile(128, [0.0], frame_default(), sigma=6.0)
         assert np.all(prof["normalized_value"] <= prof["bound_value"] * (1 + 1e-12))
+
+    def test_decay_profile_rejects_zero_n(self):
+        with pytest.raises(ValueError):
+            kernel_decay_profile(0, [0.0], frame_default())
 
     def test_decay_constant_stable(self):
         cs = [kernel_decay_profile(n, [0.0], frame_default(), sigma=6.0)["fitted_c"]
