@@ -353,6 +353,8 @@ def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
             arr = (np.asarray(item["re"], dtype=float)
                    + 1j * np.asarray(item["im"], dtype=float)).reshape(shape)
             levels.append(arr)
+        if not any(lv.imag.any() for lv in levels):  # real data stays float64
+            levels = [lv.real.copy() for lv in levels]
         return NeedletCoeffs(tuple(levels), data["system_hash"])
     except KeyError as exc:
         raise ValueError(f"needlet coefficient data lacks the key {exc}") from None

@@ -2,12 +2,13 @@
 
 Each kernel at one point pair is one filtered sum, sum_m w_m * (degree-m
 kernel at (x, y)), written once in ``_filtered_sum``: ``lambda_kernel``
-(w_m = a(m/n)), its x-derivative ``lambda_deriv``, ``lambda_direct`` over any
-family, and the level kernels ``band_kernels``.  ``lambda_tilde`` and
-``lambda_star`` follow from ``lambda_kernel`` by exact pointwise relations
-(their agreement with ``lambda_direct`` is part of the test contract).
-``lambda_kernel_profile`` is the vectorized univariate path of the
-off-diagonal decay diagnostic; the other diagnostic measures the
+(w_m = a(m/n), n >= 1), its x-derivative ``lambda_deriv``, ``lambda_direct``
+over any family, and the level kernel of ``evaluate_needlet``;
+``band_kernels`` takes both level kernels from one degree table.
+``lambda_tilde`` and ``lambda_star`` follow from ``lambda_kernel`` by exact
+pointwise relations (their agreement with ``lambda_direct`` is part of the
+test contract).  ``lambda_kernel_profile`` is the vectorized univariate path
+of the off-diagonal decay diagnostic; the other diagnostic measures the
 on-diagonal lower bound.
 """
 
@@ -84,6 +85,13 @@ def _point(x, d):
     return pt
 
 
+def _kernel_weights(a_hat: CutoffSpec, n: int) -> np.ndarray:
+    """Weights a(m/n) of the public kernels, where a(m/0) is undefined."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return cutoff_weights(a_hat, n)
+
+
 def _filtered_sum(w: np.ndarray, alpha, x, y, family: str = "F",
                   deriv_axis: int | None = None) -> float:
     """sum_m w[m] * (degree-m kernel at (x, y)), degrees 0..len(w)-1; see
@@ -93,7 +101,7 @@ def _filtered_sum(w: np.ndarray, alpha, x, y, family: str = "F",
 
 def lambda_kernel(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
     """Filtered kernel sum_m a(m/n) * (degree-m projector at (x, y))."""
-    return _filtered_sum(cutoff_weights(a_hat, n), alpha, x, y)
+    return _filtered_sum(_kernel_weights(a_hat, n), alpha, x, y)
 
 
 def lambda_kernel_profile(n: int, alpha, a_hat: CutoffSpec, x0: float, ys) -> np.ndarray:
@@ -101,7 +109,7 @@ def lambda_kernel_profile(n: int, alpha, a_hat: CutoffSpec, x0: float, ys) -> np
     av = as_alpha(alpha)
     if av.d != 1:
         raise ValueError("profile evaluation is univariate")
-    w = cutoff_weights(a_hat, n)
+    w = _kernel_weights(a_hat, n)
     fx = laguerre_fn_batch(len(w) - 1, av[0], float(x0), "F")
     fy = laguerre_fn_batch(len(w) - 1, av[0], np.asarray(ys, dtype=float), "F")
     return (w * fx) @ fy
@@ -137,7 +145,7 @@ def lambda_star(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
 
 def lambda_direct(n: int, alpha, a_hat: CutoffSpec, x, y, family: str) -> float:
     """Direct summation over one family; test oracle for the relations."""
-    return _filtered_sum(cutoff_weights(a_hat, n), alpha, x, y, family)
+    return _filtered_sum(_kernel_weights(a_hat, n), alpha, x, y, family)
 
 
 def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
@@ -145,20 +153,21 @@ def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
     av = as_alpha(alpha)
     if not 1 <= r <= av.d:
         raise ValueError(f"axis {r} out of range for dimension {av.d}")
-    return _filtered_sum(cutoff_weights(a_hat, n), av, x, y, deriv_axis=r - 1)
+    return _filtered_sum(_kernel_weights(a_hat, n), av, x, y, deriv_axis=r - 1)
 
 
 def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:
     """Level-j analysis and synthesis kernels at one point pair.
 
     The pair's cut-offs filter at scale 4^(j-1); at level 0 both kernels are
-    the plain degree-0 projector.
+    the plain degree-0 projector.  Both sums read one degree table, built up
+    to the larger of the two top degrees.
     """
     scale = _level_scale(j)
-    phi = _filtered_sum(cutoff_weights(pair.a_hat, scale), alpha, x, y)
-    if pair.tight:
-        return phi, phi
-    return phi, _filtered_sum(cutoff_weights(pair.b_hat, scale), alpha, x, y)
+    ws = [cutoff_weights(cut, scale) for cut in (pair.a_hat, pair.b_hat)]
+    table = _kernel_table(max(len(w) for w in ws) - 1, alpha, x, y)
+    phi, psi = (float(math.fsum(w * table[: len(w)])) for w in ws)
+    return phi, psi
 
 
 def kernel_decay_profile(n: int, alpha, a_hat: CutoffSpec, sigma: float = 6.0) -> dict:

@@ -12,6 +12,11 @@ A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
 product over axes except for its filter, so each level keeps per-axis node
 tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
 synthesis are one filter and one real matrix product per axis.
+
+The frame elements are real, so the coefficient dtype follows the data:
+float64 unless the data is complex, then complex128.  Analysis, synthesis,
+evaluation and the continuous norms keep that dtype, so for a real function
+those matrix products stay real end to end.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
                       _fold, _outer)
 from .quadrature import CubatureGrid, cubature_grid
-from .kernels import lambda_kernel, _filter_degrees, _level_scale, _top_degree
+from .kernels import cutoff_weights, _filter_degrees, _filtered_sum, _level_scale, _top_degree
 
 __all__ = [
     "CoeffFn",
@@ -49,7 +54,8 @@ class CoeffFn:
 
     coeffs has shape (N+1,)^d; entries with total degree above N must be
     zero, which makes the l2 norm of the tensor the exact L2 norm of the
-    function.
+    function.  A float64 or complex128 tensor is kept as given, without a
+    copy; other real or complex kinds are cast to those.
     """
 
     alpha: AlphaVector
@@ -60,7 +66,8 @@ class CoeffFn:
         self.alpha = as_alpha(self.alpha)
         self.max_degree = int(self.max_degree)
         want = (self.max_degree + 1,) * self.alpha.d
-        arr = np.asarray(self.coeffs, dtype=complex)
+        arr = np.asarray(self.coeffs)
+        arr = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
         if arr.shape != want:
             raise ValueError(f"coefficient tensor must have shape {want}, got {arr.shape}")
         over = total_degree_grid(want) > self.max_degree
@@ -100,9 +107,14 @@ class CoeffFn:
         flat = pts.reshape(-1, self.d)
         tables = [laguerre_fn_batch(self.max_degree, a, flat[:, ax], "F")
                   for ax, a in enumerate(self.alpha)]
-        vals = np.tensordot(tables[0], self.coeffs, axes=(0, 0))  # (P, rest...)
+        coeffs, split = self.coeffs, np.iscomplexobj(self.coeffs)
+        if split:  # contract the float view with a trailing (re, im) axis, as _fold does
+            coeffs = np.ascontiguousarray(coeffs).view(float).reshape(coeffs.shape + (2,))
+        vals = np.tensordot(tables[0], coeffs, axes=(0, 0))  # (P, rest...)
         for ax in range(1, self.d):
             vals = np.einsum("np,pn...->p...", tables[ax], vals)
+        if split:
+            vals = np.ascontiguousarray(vals).view(complex)[..., 0]
         if single:
             return complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
         return vals.reshape(pts.shape[:-1])
@@ -113,7 +125,7 @@ class CoeffFn:
         av = as_alpha(alpha)
         rng = np.random.default_rng(seed)
         shape = (max_degree + 1,) * av.d
-        arr = rng.standard_normal(shape).astype(complex)
+        arr = rng.standard_normal(shape)
         if complex_valued:
             arr = arr + 1j * rng.standard_normal(shape)
         arr[total_degree_grid(shape) > max_degree] = 0.0
@@ -143,17 +155,18 @@ class CoeffFn:
         try:
             av = as_alpha(data["alpha"])
             n = int(data["N"])
-            arr = np.zeros((n + 1,) * av.d, dtype=complex)
+            re, im = np.zeros((n + 1,) * av.d), np.zeros((n + 1,) * av.d)
             for item in data["coeffs"]:
                 nu = MultiIndex(item["nu"])
                 if nu.d != av.d:
                     raise ValueError(f"multi-index {nu.nu} has wrong dimension")
                 if nu.degree > n:
                     raise ValueError(f"multi-index {nu.nu} exceeds stated degree {n}")
-                arr[nu.nu] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+                re[nu.nu] = float(item["re"])
+                im[nu.nu] = float(item.get("im", 0.0))
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks the key {exc}") from None
-        return cls(av, n, arr)
+        return cls(av, n, re + 1j * im if im.any() else re)
 
 
 @dataclass
@@ -277,7 +290,8 @@ def evaluate_needlet(system: NeedletSystem, j: int, gamma, x,
     c = system.node_coeff(j, gamma)
     pair = system.pair
     cut = pair.b_hat if which == "psi" and not pair.tight else pair.a_hat
-    return math.sqrt(c) * lambda_kernel(_level_scale(j), system.alpha, cut, x, xi)
+    return math.sqrt(c) * _filtered_sum(cutoff_weights(cut, _level_scale(j)),
+                                        system.alpha, x, xi)
 
 
 def _band_block(system: NeedletSystem, f: CoeffFn, j: int) -> np.ndarray:
@@ -312,7 +326,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     if coeffs.level_count != system.J + 1:
         raise ValueError("level count does not match the system")
     n_out = system.max_degree()
-    out = np.zeros((n_out + 1,) * system.d, dtype=complex)
+    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *coeffs.levels))
     for j in range(system.J + 1):
         cap = min(system.band_degree(j), n_out)
         block = _fold(coeffs.levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
@@ -348,7 +362,7 @@ def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> Coeff
     av = as_alpha(alpha)
     if av.d != grid.d:
         raise ValueError("alpha and grid dimensions differ")
-    vals = np.asarray([fn(p) for p in grid.points()], dtype=complex)
+    vals = np.asarray([fn(p) for p in grid.points()])
     vals = vals.reshape((grid.n_j,) * grid.d) * _outer(grid.axis_c)
     tables = [laguerre_fn_batch(max_degree, a, xi, "F") for a, xi in zip(av, grid.axis_xi)]
     block = _fold(vals, tables, 1)

@@ -417,14 +417,13 @@ def make_test_corpus(system: NeedletSystem, count: int = 20, seed: int = 0) -> l
     degrees = total_degree_grid(shape)
     # single-band spikes across the degree range
     for m in np.unique(np.linspace(0, deg, min(count // 3 + 1, deg + 1), dtype=int)):
-        arr = np.zeros(shape, dtype=complex)
+        arr = np.zeros(shape)
         mask = degrees == m
         arr[mask] = 1.0 / math.sqrt(int(np.count_nonzero(mask)))
         corpus.append(CoeffFn(av, deg, arr))
     # smooth decaying spectra
     while len(corpus) < 2 * count // 3:
         arr = rng.standard_normal(shape) * (1.0 + degrees) ** -1.5
-        arr = arr.astype(complex)
         arr[degrees > deg] = 0.0
         corpus.append(CoeffFn(av, deg, arr / np.linalg.norm(arr.ravel())))
     # rough random content

@@ -241,13 +241,14 @@ def _fold(tensor, mats, axis: int):
 
     Each step is one GEMM on a transposed 2-D view, t.reshape(n0, -1).T @ m:
     it contracts the leading axis and appends the matrix's other axis last,
-    so after one matrix per axis the axes are back in order.  A complex
-    tensor that meets only real matrices, with an output no larger than the
-    tensor and matrices together, is folded as its float view with a
-    trailing (re, im) axis: the steps rotate that axis to the front, it is
-    recombined once at the end, and no matrix is cast to complex.  A larger
-    output stays complex, where the recombination would be one more pass
-    over the largest array.
+    so after one matrix per axis the axes are back in order.  A real tensor,
+    such as the coefficients of a real function, meets the real matrices in
+    real GEMMs throughout.  A complex tensor that meets only real matrices,
+    with an output no larger than the tensor and matrices together, is
+    folded as its float view with a trailing (re, im) axis: the steps rotate
+    that axis to the front, it is recombined once at the end, and no matrix
+    is cast to complex.  A larger output stays complex, where the
+    recombination would be one more pass over the largest array.
     """
     mats = [m.T if axis else m for m in mats]
     shape = tuple(m.shape[1] for m in mats)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lagneed.cli import (
+    _needlet_coeffs_from_payload,
     canonical_json,
     load_config,
     main,
@@ -103,6 +104,12 @@ class TestKernelCommands:
         payload = json.loads(out)
         assert len(payload["values"]) == 2
 
+    def test_kernel_eval_rejects_zero_n(self, capsys):
+        code, out, _ = run_main(["kernel-eval", "--n", "0", "--alpha", "0.5",
+                                 "--x", "1.0", "--points", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+
     def test_kernel_decay_csv(self, capsys, tmp_path):
         out_file = tmp_path / "decay.csv"
         code, _, _ = run_main(["kernel-decay", "--alpha", "0", "--n-list", "64,128",
@@ -174,6 +181,31 @@ class TestTransform:
                                str(out_file)], capsys)
         assert code == 0
         g = CoeffFn.from_json_dict(json.loads(out_file.read_text()))
+        assert np.max(np.abs(g.coeffs[:5] - f.coeffs)) < 1e-9
+
+    def test_real_round_trip_keeps_file_format(self, tmp_path, system_config):
+        # an input without "im" entries is real; the writers still emit "im"
+        f = CoeffFn.random([0.5], 4, seed=5)
+        coeff_file = tmp_path / "f.json"
+        coeff_file.write_text(json.dumps({
+            "alpha": [0.5], "N": 4,
+            "coeffs": [{"nu": [k], "re": float(v)} for k, v in enumerate(f.coeffs)]}))
+        needlet_file, out_file = tmp_path / "needlet.json", tmp_path / "recon.json"
+        assert main(["transform", "analyze", "--system", system_config,
+                     "--input", str(coeff_file), "--out", str(needlet_file)]) == 0
+        payload = json.loads(needlet_file.read_text())
+        for lv in payload["levels"]:
+            assert set(lv) == {"j", "shape", "re", "im"}
+            assert not any(lv["im"])
+        assert all(lv.dtype == np.float64
+                   for lv in _needlet_coeffs_from_payload(payload).levels)
+        assert main(["transform", "synthesize", "--system", system_config,
+                     "--input", str(needlet_file), "--out", str(out_file)]) == 0
+        data = json.loads(out_file.read_text())
+        assert all(set(item) == {"nu", "re", "im"} and item["im"] == 0.0
+                   for item in data["coeffs"])
+        g = CoeffFn.from_json_dict(data)
+        assert g.coeffs.dtype == np.float64
         assert np.max(np.abs(g.coeffs[:5] - f.coeffs)) < 1e-9
 
     def test_analyze_csv_export(self, capsys, tmp_path, system_config):

@@ -71,6 +71,19 @@ class TestLambdaKernel:
         for y, v in zip(ys, prof):
             assert v == pytest.approx(lambda_kernel(32, [0.5], TYPE_A, 1.0, y), rel=1e-12)
 
+    def test_rejects_zero_n(self):
+        # a(m/0) is undefined; level 0 of a needlet system is a separate path
+        calls = [lambda n: lambda_kernel(n, [0.5], TYPE_A, [1.0], [0.5]),
+                 lambda n: lambda_tilde(n, [0.5], TYPE_A, [1.0], [0.5]),
+                 lambda n: lambda_star(n, [0.5], TYPE_A, [1.0], [0.5]),
+                 lambda n: lambda_direct(n, [0.5], TYPE_A, [1.0], [0.5], "L"),
+                 lambda n: lambda_deriv(n, [0.5], TYPE_A, [1.0], [0.5], 1),
+                 lambda n: lambda_kernel_profile(n, [0.5], TYPE_A, 1.0, [0.5])]
+        for call in calls:
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="n must be at least 1"):
+                    call(n)
+
 
 class TestRelatedKernels:
     @pytest.mark.parametrize("alpha", [[0.0], [0.5], [2.0]])
@@ -212,6 +225,25 @@ class TestBandKernels:
             assert band_kernels(j, alpha, pair, x, y) == (
                 lambda_kernel(n, alpha, pair.a_hat, x, y),
                 lambda_kernel(n, alpha, pair.b_hat, x, y))
+
+
+    def test_dual_pair_makes_one_recurrence_pass_per_point(self, monkeypatch):
+        # both level kernels read one degree table: one pass for x, one for y
+        from lagneed import special
+        passes = []
+        rows = special._damped_rows
+
+        def counted(N, alpha, u):
+            passes.append(N)
+            return rows(N, alpha, u)
+
+        monkeypatch.setattr(special, "_damped_rows", counted)
+        counts = {}
+        for tight in (False, True):
+            passes.clear()
+            band_kernels(4, [0.5], make_dual_pair(frame_default(), tight=tight), [0.8], [1.9])
+            counts[tight] = len(passes)
+        assert counts[False] == counts[True] == 2
 
 
 class TestFilterCache:

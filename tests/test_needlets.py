@@ -272,6 +272,13 @@ def traced_peak(fn, *args):
 
 
 class TestTransformMemory:
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_evaluate_casts_no_table_to_complex(self, complex_valued):
+        f = CoeffFn.random([0.5], 256, seed=1, complex_valued=complex_valued)
+        pts = np.linspace(0.0, 30.0, 20000).reshape(-1, 1)
+        table_bytes = 257 * 20000 * 8
+        assert traced_peak(f.evaluate, pts) < 1.5 * table_bytes
+
     def test_synthesize_casts_no_table_to_complex(self):
         system = build_system(4, 1, [0.5], DUAL)
         coeffs = analyze(system, CoeffFn.random([0.5], 64, seed=1, complex_valued=True))
@@ -285,6 +292,51 @@ class TestTransformMemory:
         f = CoeffFn.random(alpha, 4, seed=2, complex_valued=True)
         top_bytes = system.grids[2].point_count * 16
         assert traced_peak(analyze, system, f) < 1.3 * top_bytes
+
+
+class TestRealDtype:
+    """Real data stays float64 end to end; complex data keeps the complex path."""
+
+    @pytest.mark.parametrize("J,alpha,pair", [(3, (0.5,), TIGHT), (2, (0.0, 0.5, 1.0), DUAL),
+                                              (2, (0.5, 0.5), TIGHT)])
+    def test_real_in_gives_real_out(self, J, alpha, pair):
+        system = build_system(J, len(alpha), list(alpha), pair)
+        f = CoeffFn.random(list(alpha), 4 ** (J - 1), seed=4)
+        assert f.coeffs.dtype == np.float64
+        coeffs = analyze(system, f)
+        assert all(lv.dtype == np.float64 for lv in coeffs.levels)
+        g = synthesize(system, coeffs)
+        assert g.coeffs.dtype == np.float64
+        pts = np.full((5, len(alpha)), 0.7)
+        assert f.evaluate(pts).dtype == np.float64
+        assert isinstance(f.evaluate(pts[0]), float)
+        # the same function as a complex tensor, which takes the complex path
+        z = CoeffFn(list(alpha), f.max_degree, f.coeffs.astype(complex))
+        zc = analyze(system, z)
+        assert all(lv.dtype == np.complex128 for lv in zc.levels)
+        for got, want in zip(coeffs.levels, zc.levels):
+            assert not np.any(want.imag)
+            assert np.max(np.abs(got - want.real)) <= 1e-14 * np.max(np.abs(want))
+        zg = synthesize(system, zc)
+        assert zg.coeffs.dtype == np.complex128
+        assert np.max(np.abs(g.coeffs - zg.coeffs.real)) <= 1e-14 * np.max(np.abs(zg.coeffs))
+
+    def test_wraps_float64_and_complex128_without_copy(self):
+        for dtype in (np.float64, np.complex128):
+            arr = np.zeros((3, 3), dtype=dtype)
+            assert np.shares_memory(CoeffFn([0.0, 0.5], 2, arr).coeffs, arr)
+        for dtype, want in [(np.int64, np.float64), (np.float32, np.float64),
+                            (np.complex64, np.complex128)]:
+            assert CoeffFn([0.5], 2, np.ones(3, dtype=dtype)).coeffs.dtype == want
+
+    def test_json_without_imaginary_part_is_real(self):
+        data = {"alpha": [0.5], "N": 2, "coeffs": [{"nu": [1], "re": 0.5},
+                                                    {"nu": [2], "re": -1.0, "im": 0.0}]}
+        f = CoeffFn.from_json_dict(data)
+        assert f.coeffs.dtype == np.float64
+        assert f.coeffs.tolist() == [0.0, 0.5, -1.0]
+        data["coeffs"][0]["im"] = 2.0
+        assert CoeffFn.from_json_dict(data).coeffs.tolist() == [0.0, 0.5 + 2j, -1.0]
 
 
 class TestReconstruction:
@@ -317,7 +369,11 @@ class TestReconstruction:
     def test_complex_coefficients_supported(self):
         system = small_system(J=2)
         f = CoeffFn.random([0.5], 4, seed=9, complex_valued=True)
-        g = synthesize(system, analyze(system, f))
+        coeffs = analyze(system, f)
+        assert all(lv.dtype == np.complex128 for lv in coeffs.levels)
+        g = synthesize(system, coeffs)
+        assert g.coeffs.dtype == np.complex128
+        assert f.evaluate(np.full((3, 1), 1.1)).dtype == np.complex128
         err = np.max(np.abs(g.coeffs[:5] - f.coeffs)) / f.norm2()
         assert err < 1e-9
 
@@ -351,6 +407,7 @@ class TestSampling:
         f = CoeffFn.random([0.5], 6, seed=13)
         grid = cubature_grid(2, 1, [0.5])
         g = coeffs_from_samples(lambda p: f.evaluate(p), [0.5], 6, grid)
+        assert g.coeffs.dtype == np.float64
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-10
 
     def test_recovers_2d(self):
