@@ -1,11 +1,16 @@
 """Command-line front end: rule and grid generation, kernel diagnostics,
 frame verification, transforms, norm computation, and bundled reports.
 
+Each diagnostic suite is one function in ``SUITES``: ``report`` runs them
+into a bundle, one file per suite, and a stand-alone diagnostic runs one
+from its flags and writes the bytes of that suite's bundle file.
+
 Conventions: exit 0 on success, 1 on a numeric-tolerance failure or
-computation defect (with machine-readable JSON on stderr), 2 on usage
-errors.  JSON output is canonical (sorted keys, %.17g floats) so identical
-configurations and seeds produce byte-identical artifacts; wall-clock
-metadata only ever goes to a sidecar file.
+computation defect (with machine-readable JSON on stderr, naming the failed
+suites for a failed verdict), 2 on usage errors.  JSON output is canonical
+(sorted keys, %.17g floats) so identical configurations and seeds produce
+byte-identical artifacts; wall-clock metadata only ever goes to a sidecar
+file.
 """
 
 from __future__ import annotations
@@ -133,13 +138,8 @@ def parse_cutoff(spec: str) -> CutoffSpec:
         return frame_alt()
     if ":" in spec:
         kind, _, body = spec.partition(":")
-        params = {}
-        for item in body.split(","):
-            if not item:
-                continue
-            k, _, v = item.partition("=")
-            params[k.strip()] = float(v)
-        return make_cutoff(kind.strip(), **params)
+        items = (item.partition("=") for item in body.split(",") if item)
+        return make_cutoff(kind.strip(), **{k.strip(): float(v) for k, _, v in items})
     raise ValueError(f"unrecognized cutoff specification {spec!r}")
 
 
@@ -147,10 +147,11 @@ def pair_from_config(cfg: dict) -> CutoffPair:
     return make_dual_pair(parse_cutoff(cfg["cutoff"]), tight=bool(cfg["tight"]))
 
 
-def system_from_config(cfg: dict):
+def system_from_config(cfg: dict, pair: CutoffPair | None = None):
+    """The configured system, with the configured cut-off pair unless one is given."""
     return build_system(int(cfg["J"]), int(cfg["d"]), cfg["alpha"],
-                        pair_from_config(cfg), float(cfg["delta"]),
-                        float(cfg["c_star"]))
+                        pair_from_config(cfg) if pair is None else pair,
+                        float(cfg["delta"]), float(cfg["c_star"]))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -164,9 +165,7 @@ def _write(path: str | None, text: str) -> None:
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -227,106 +226,6 @@ def cmd_kernel_eval(args) -> int:
     return 0
 
 
-def _decay_rows(cfg: dict, n_list) -> tuple[list, dict]:
-    a_hat = parse_cutoff(cfg["cutoff"])
-    rows, fitted = [], {}
-    for n in n_list:
-        prof = kernel_decay_profile(n, cfg["alpha"], a_hat, sigma=cfg["sigma"])
-        fitted[n] = prof["fitted_c"]
-        for sep, nv, bv in zip(prof["separation"], prof["normalized_value"],
-                               prof["bound_value"]):
-            rows.append((n, f"{cfg['sigma']:.17g}", f"{sep:.17g}",
-                         f"{nv:.17g}", f"{bv:.17g}", f"{prof['fitted_c']:.17g}"))
-    return rows, fitted
-
-
-def _decay_ok(fitted: dict) -> bool:
-    cs = list(fitted.values())
-    return max(cs) / min(cs) < 2.0
-
-
-def _lower_bound_ok(minima: dict) -> bool:
-    vals = list(minima.values())
-    return min(vals) > 0.0 and max(vals) / min(vals) < 2.0
-
-
-def _equivalence_csv(rep: dict) -> str:
-    rows = [(r["function_id"], f"{r['cont_norm']:.17g}", f"{r['seq_norm']:.17g}",
-             f"{r['ratio']:.17g}") for r in rep["rows"]]
-    return _csv_text(["function_id", "cont_norm", "seq_norm", "ratio"], rows)
-
-
-def cmd_kernel_decay(args) -> int:
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg["alpha"] = [args.alpha]
-    cfg["sigma"] = args.sigma
-    cfg["cutoff"] = args.cutoff
-    n_list = [int(v) for v in args.n_list.split(",")]
-    rows, fitted = _decay_rows(cfg, n_list)
-    text = _csv_text(["n", "sigma", "separation", "normalized_value",
-                      "bound_value", "fitted_c"], rows)
-    _write(args.out, text)
-    return 0 if _decay_ok(fitted) else 1
-
-
-def cmd_lower_bound(args) -> int:
-    a_hat = parse_cutoff(args.cutoff)
-    n_list = [int(v) for v in args.n_list.split(",")]
-    minima = {}
-    for n in n_list:
-        rep = lower_bound_check(n, [args.alpha], a_hat, delta=args.delta)
-        minima[n] = rep["minimum"]
-    payload = {"alpha": args.alpha, "delta": args.delta, "cutoff": a_hat.describe(),
-               "minima": {str(k): v for k, v in minima.items()}}
-    _write(args.out, canonical_json(payload))
-    return 0 if _lower_bound_ok(minima) else 1
-
-
-def _frame_report(cfg: dict, corrupt: bool = False) -> dict:
-    pair = pair_from_config(cfg)
-    if corrupt:
-        bad = parse_cutoff(cfg["cutoff"])
-        wrecked = make_cutoff("raw", fn=lambda t: 1.3 * np.asarray(bad(t)),
-                              support=bad.support, name="corrupted")
-        pair = CutoffPair(pair.a_hat, wrecked, tight=False)
-    system = build_system(int(cfg["J"]), int(cfg["d"]), cfg["alpha"], pair,
-                          float(cfg["delta"]), float(cfg["c_star"]))
-    deg = system.exact_degree()
-    recon_max, parseval_max = 0.0, 0.0
-    for t in range(int(cfg["trials"])):
-        f = CoeffFn.random(system.alpha, deg, seed=int(cfg["seed"]) + t)
-        coeffs = analyze(system, f)
-        g = synthesize(system, coeffs)
-        sl = (slice(0, deg + 1),) * system.d
-        err = np.max(np.abs(g.coeffs[sl] - f.coeffs)) / f.norm2()
-        recon_max = max(recon_max, float(err))
-        if system.pair.tight:
-            par = abs(coeffs.total_energy() - f.norm2() ** 2) / f.norm2() ** 2
-            parseval_max = max(parseval_max, float(par))
-    report = {
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "degree": deg,
-        "reconstruction_max_err": recon_max,
-        "tight": system.pair.tight,
-    }
-    if system.pair.tight:
-        report["parseval_max_err"] = parseval_max
-    report["pass"] = recon_max < RECON_TOL and (not system.pair.tight
-                                                or parseval_max < PARSEVAL_TOL)
-    return report
-
-
-def cmd_frame_verify(args) -> int:
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg.update({"J": args.J, "d": args.d,
-                "alpha": [float(v) for v in args.alpha.split(",")],
-                "delta": args.delta, "tight": args.tight,
-                "trials": args.trials, "seed": args.seed})
-    report = _frame_report(cfg, corrupt=args.corrupt)
-    _write(args.out, canonical_json(report))
-    return 0 if report["pass"] else 1
-
-
 def _coeff_fn_from_file(path: str) -> CoeffFn:
     with open(path, "r", encoding="utf-8") as fh:
         return CoeffFn.from_json_dict(json.load(fh))
@@ -343,6 +242,14 @@ def _needlet_coeffs_to_payload(coeffs: NeedletCoeffs) -> dict:
     }
 
 
+def _level_part(item: dict, key: str, j: int) -> np.ndarray:
+    """A level's "re" or "im" values; a null (numpy would read NaN) or an object is malformed."""
+    part = np.asarray(item[key], dtype=object)
+    if not all(isinstance(v, (int, float, str)) for v in part.flat):
+        raise ValueError(f"level {j}: {key!r} holds an entry that is not a number")
+    return part.astype(float)
+
+
 def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
     if not isinstance(data, dict):
         raise ValueError("needlet coefficient data must be a JSON object")
@@ -350,9 +257,8 @@ def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
     try:
         for item in data["levels"]:
             shape = tuple(int(v) for v in item["shape"])
-            arr = (np.asarray(item["re"], dtype=float)
-                   + 1j * np.asarray(item["im"], dtype=float)).reshape(shape)
-            levels.append(arr)
+            re, im = (_level_part(item, key, len(levels)) for key in ("re", "im"))
+            levels.append((re + 1j * im).reshape(shape))
         if not any(lv.imag.any() for lv in levels):  # real data stays float64
             levels = [lv.real.copy() for lv in levels]
         return NeedletCoeffs(tuple(levels), data["system_hash"])
@@ -424,17 +330,136 @@ def cmd_norms(args) -> int:
     return 0
 
 
+# ---------------------------------------------------------------- suites
+#
+# A suite is (cfg, **options) -> (pass, summary fields, (bundle file name,
+# artifact text)); its keyword defaults are the settings `report` runs it with.
+
+
+def _kernel_decay(cfg: dict, n_list=(64, 256)):
+    a_hat = parse_cutoff(cfg["cutoff"])
+    rows, fitted = [], {}
+    for n in n_list:
+        prof = kernel_decay_profile(n, cfg["alpha"][:1], a_hat, sigma=cfg["sigma"])
+        fitted[str(n)] = prof["fitted_c"]
+        for sep, nv, bv in zip(prof["separation"], prof["normalized_value"],
+                               prof["bound_value"]):
+            rows.append((n, f"{cfg['sigma']:.17g}", f"{sep:.17g}",
+                         f"{nv:.17g}", f"{bv:.17g}", f"{prof['fitted_c']:.17g}"))
+    cs = list(fitted.values())
+    text = _csv_text(["n", "sigma", "separation", "normalized_value", "bound_value",
+                      "fitted_c"], rows)
+    return (max(cs) / min(cs) < 2.0,
+            {"fitted_c": fitted, "tolerance": "fitted constant ratio < 2 across n"},
+            ("kernel_decay.csv", text))
+
+
+def _lower_bound(cfg: dict, n_list=(64, 256), delta: float = 0.5):
+    a_hat, alpha = parse_cutoff(cfg["cutoff"]), cfg["alpha"][0]
+    minima = {str(n): lower_bound_check(n, [alpha], a_hat, delta=delta)["minimum"]
+              for n in n_list}
+    vals = list(minima.values())
+    payload = {"alpha": alpha, "delta": delta, "cutoff": a_hat.describe(), "minima": minima}
+    return (min(vals) > 0.0 and max(vals) / min(vals) < 2.0,
+            {"minima": minima, "tolerance": "positive minima, ratio < 2"},
+            ("lower_bound.json", canonical_json(payload)))
+
+
+def _nikolskii(cfg: dict):
+    rep = nikolskii_report(16, cfg["alpha"][:1], p=math.inf, q=2.0,
+                           trials=min(int(cfg["trials"]), 10), seed=int(cfg["seed"]),
+                           n_set=(16, 64))
+    ok = (rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
+          and rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1)
+    return (ok, {"tolerance": "measured exponent <= theory + 0.1"},
+            ("nikolskii.json", canonical_json(rep)))
+
+
+def _equivalence(cfg: dict, params=NormParams(0.0, 0.0, 2.0, 2.0), space: str = "F",
+                 count: int = 10, max_width: float = 50.0):
+    system = system_from_config(cfg)
+    corpus = make_test_corpus(system, count=count, seed=int(cfg["seed"]))
+    rep = equivalence_report(system, params, corpus, space=space)
+    rows = [(r["function_id"], f"{r['cont_norm']:.17g}", f"{r['seq_norm']:.17g}",
+             f"{r['ratio']:.17g}") for r in rep["rows"]]
+    return (rep["width"] <= max_width,
+            {"width": rep["width"], "tolerance": f"ratio bracket width <= {max_width:g}"},
+            ("equivalence.csv", _csv_text(["function_id", "cont_norm", "seq_norm", "ratio"],
+                                          rows)))
+
+
+def _frame_verify(cfg: dict, corrupt: bool = False):
+    pair = pair_from_config(cfg)
+    if corrupt:
+        bad = parse_cutoff(cfg["cutoff"])
+        wrecked = make_cutoff("raw", fn=lambda t: 1.3 * np.asarray(bad(t)),
+                              support=bad.support, name="corrupted")
+        pair = CutoffPair(pair.a_hat, wrecked, tight=False)
+    system = system_from_config(cfg, pair)
+    deg = system.exact_degree()
+    recon_max, parseval_max = 0.0, 0.0
+    for t in range(int(cfg["trials"])):
+        f = CoeffFn.random(system.alpha, deg, seed=int(cfg["seed"]) + t)
+        coeffs = analyze(system, f)
+        g = synthesize(system, coeffs)
+        sl = (slice(0, deg + 1),) * system.d
+        err = np.max(np.abs(g.coeffs[sl] - f.coeffs)) / f.norm2()
+        recon_max = max(recon_max, float(err))
+        if system.pair.tight:
+            par = abs(coeffs.total_energy() - f.norm2() ** 2) / f.norm2() ** 2
+            parseval_max = max(parseval_max, float(par))
+    report = {"config": cfg, "degree": deg, "reconstruction_max_err": recon_max,
+              "tight": system.pair.tight}
+    if system.pair.tight:
+        report["parseval_max_err"] = parseval_max
+    report["pass"] = recon_max < RECON_TOL and (not system.pair.tight
+                                                or parseval_max < PARSEVAL_TOL)
+    return (report["pass"], {"reconstruction_max_err": recon_max,
+                             "tolerance": f"reconstruction < {RECON_TOL:g}"},
+            ("frame_verify.json", canonical_json(report)))
+
+
+SUITES = {"kernel-decay": _kernel_decay, "lower-bound": _lower_bound,
+          "nikolskii": _nikolskii, "equivalence": _equivalence,
+          "frame-verify": _frame_verify}
+
+
+def _verdict(failed) -> int:
+    """0 when no suite failed, else 1 with the failed suites named on stderr."""
+    return _fail("failed suites: " + ",".join(failed)) if failed else 0
+
+
+def _run_suite(name: str, out: str | None, cfg: dict, **options) -> int:
+    """Run one suite stand-alone: its artifact goes to out, its verdict to the exit code."""
+    ok, _, (_, text) = SUITES[name](cfg, **options)
+    _write(out, text)
+    return _verdict([] if ok else [name])
+
+
+def cmd_kernel_decay(args) -> int:
+    cfg = dict(CONFIG_DEFAULTS, alpha=[args.alpha], sigma=args.sigma, cutoff=args.cutoff)
+    return _run_suite("kernel-decay", args.out, cfg,
+                      n_list=[int(v) for v in args.n_list.split(",")])
+
+
+def cmd_lower_bound(args) -> int:
+    cfg = dict(CONFIG_DEFAULTS, alpha=[args.alpha], cutoff=args.cutoff)
+    return _run_suite("lower-bound", args.out, cfg,
+                      n_list=[int(v) for v in args.n_list.split(",")], delta=args.delta)
+
+
+def cmd_frame_verify(args) -> int:
+    cfg = dict(CONFIG_DEFAULTS, J=args.J, d=args.d,
+               alpha=[float(v) for v in args.alpha.split(",")], delta=args.delta,
+               tight=args.tight, trials=args.trials, seed=args.seed)
+    return _run_suite("frame-verify", args.out, cfg, corrupt=args.corrupt)
+
+
 def cmd_equivalence_report(args) -> int:
     cfg = load_config(args.config)
-    system = system_from_config(cfg)
-    corpus = make_test_corpus(system, count=20, seed=int(cfg["seed"]))
     params = NormParams(args.s, args.rho, _parse_q(args.p), _parse_q(args.q))
-    rep = equivalence_report(system, params, corpus, space=args.space)
-    _write(args.out, _equivalence_csv(rep))
-    return 0 if rep["width"] <= args.max_width else 1
-
-
-SUITES = ("kernel-decay", "lower-bound", "nikolskii", "equivalence", "frame-verify")
+    return _run_suite("equivalence", args.out, cfg, params=params, space=args.space,
+                      count=20, max_width=args.max_width)
 
 
 def cmd_report(args) -> int:
@@ -442,72 +467,26 @@ def cmd_report(args) -> int:
     only = args.only.split(",") if args.only else list(SUITES)
     for name in only:
         if name not in SUITES:
-            return _fail(f"unknown suite {name!r}; choose from {SUITES}", 2)
+            return _fail(f"unknown suite {name!r}; choose from {tuple(SUITES)}", 2)
     out_dir = args.out or os.path.join(
         os.environ.get("LAGNEED_CACHE_DIR", "."), "lagneed-report")
     os.makedirs(out_dir, exist_ok=True)
 
-    summary, status = {}, 0
-    alpha0 = cfg["alpha"][0]
-
-    if "kernel-decay" in only:
-        decay_cfg = dict(cfg)
-        decay_cfg["alpha"] = [alpha0]  # univariate diagnostic
-        rows, fitted = _decay_rows(decay_cfg, [64, 256])
-        _write(os.path.join(out_dir, "kernel_decay.csv"),
-               _csv_text(["n", "sigma", "separation", "normalized_value",
-                          "bound_value", "fitted_c"], rows))
-        ok = _decay_ok(fitted)
-        summary["kernel-decay"] = {"pass": ok, "fitted_c": {str(k): v for k, v in fitted.items()},
-                                   "tolerance": "fitted constant ratio < 2 across n"}
-        status |= 0 if ok else 1
-
-    if "lower-bound" in only:
-        minima = {}
-        a_hat = parse_cutoff(cfg["cutoff"])
-        for n in (64, 256):
-            minima[str(n)] = lower_bound_check(n, [alpha0], a_hat, delta=0.5)["minimum"]
-        ok = _lower_bound_ok(minima)
-        summary["lower-bound"] = {"pass": ok, "minima": minima,
-                                  "tolerance": "positive minima, ratio < 2"}
-        status |= 0 if ok else 1
-
-    if "nikolskii" in only:
-        rep = nikolskii_report(16, [alpha0], p=math.inf, q=2.0,
-                               trials=min(int(cfg["trials"]), 10), seed=int(cfg["seed"]),
-                               n_set=(16, 64))
-        ok = (rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
-              and rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1)
-        _write(os.path.join(out_dir, "nikolskii.json"), canonical_json(rep))
-        summary["nikolskii"] = {"pass": ok,
-                                "tolerance": "measured exponent <= theory + 0.1"}
-        status |= 0 if ok else 1
-
-    if "equivalence" in only:
-        system = system_from_config(cfg)
-        corpus = make_test_corpus(system, count=10, seed=int(cfg["seed"]))
-        rep = equivalence_report(system, NormParams(0.0, 0.0, 2.0, 2.0), corpus)
-        _write(os.path.join(out_dir, "equivalence.csv"), _equivalence_csv(rep))
-        ok = rep["width"] <= 50.0
-        summary["equivalence"] = {"pass": ok, "width": rep["width"],
-                                  "tolerance": "ratio bracket width <= 50"}
-        status |= 0 if ok else 1
-
-    if "frame-verify" in only:
-        rep = _frame_report(cfg)
-        _write(os.path.join(out_dir, "frame_verify.json"), canonical_json(rep))
-        summary["frame-verify"] = {"pass": rep["pass"],
-                                   "reconstruction_max_err": rep["reconstruction_max_err"],
-                                   "tolerance": f"reconstruction < {RECON_TOL:g}"}
-        status |= 0 if rep["pass"] else 1
+    summary = {}
+    for name, suite in SUITES.items():
+        if name in only:
+            ok, fields, (file_name, text) = suite(cfg)
+            _write(os.path.join(out_dir, file_name), text)
+            summary[name] = {"pass": ok, **fields}
+    failed = [name for name, fields in summary.items() if not fields["pass"]]
 
     _write(os.path.join(out_dir, "config.resolved"), render_config_text(cfg))
     _write(os.path.join(out_dir, "summary.json"),
-           canonical_json({"suites": summary, "exit_status": status}))
+           canonical_json({"suites": summary, "exit_status": int(bool(failed))}))
     _write(os.path.join(out_dir, "meta.sidecar.json"),
            json.dumps({"timestamp": time.time(), "version": __version__}))
     sys.stdout.write(canonical_json({"out_dir": out_dir, "suites": summary}) + "\n")
-    return status
+    return _verdict(failed)
 
 
 # ---------------------------------------------------------------- parser
@@ -523,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quadrature)
 
     p = sub.add_parser("grid", help="emit a level-j cubature grid")
@@ -532,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="comma-separated per-axis values")
     p.add_argument("--delta", type=float, default=0.03)
     p.add_argument("--c-star", dest="c_star", type=float, default=1.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("kernel-eval", help="evaluate the localized kernel on points")
@@ -542,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="first argument, comma-separated")
     p.add_argument("--points", required=True,
                    help="semicolon-separated second arguments")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kernel_eval)
 
     p = sub.add_parser("kernel-decay", help="off-diagonal decay diagnostics (CSV)")
@@ -550,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=6.0)
     p.add_argument("--n-list", dest="n_list", default="64,256")
     p.add_argument("--cutoff", default="frame_default")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kernel_decay)
 
     p = sub.add_parser("lower-bound", help="on-diagonal lower-bound sweep")
@@ -558,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--n-list", dest="n_list", default="64,256")
     p.add_argument("--cutoff", default="frame_default")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("frame-verify", help="reconstruction and Parseval checks")
@@ -571,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="deliberately break the synthesis cut-off (negative control)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_frame_verify)
 
     p = sub.add_parser("transform", help="needlet analysis / synthesis")
@@ -579,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system config file")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("norms", help="sequence / continuous norms of a coefficient file")
@@ -591,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="2")
     p.add_argument("--system", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("equivalence-report", help="continuous vs sequence norm ratios")
@@ -603,15 +574,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="2")
     p.add_argument("--q", default="2")
     p.add_argument("--max-width", dest="max_width", type=float, default=50.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_equivalence_report)
 
     p = sub.add_parser("report", help="run the diagnostic suites into a bundle")
     p.add_argument("--config", required=True)
     p.add_argument("--only", default=None, help="comma-separated suite names")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

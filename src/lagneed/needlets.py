@@ -162,8 +162,10 @@ class CoeffFn:
                     raise ValueError(f"multi-index {nu.nu} has wrong dimension")
                 if nu.degree > n:
                     raise ValueError(f"multi-index {nu.nu} exceeds stated degree {n}")
-                re[nu.nu] = float(item["re"])
-                im[nu.nu] = float(item.get("im", 0.0))
+                vals = (item["re"], item.get("im", 0.0))
+                if not all(isinstance(v, (int, float, str)) for v in vals):
+                    raise ValueError(f"multi-index {nu.nu} has a non-numeric coefficient")
+                re[nu.nu], im[nu.nu] = (float(v) for v in vals)
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks the key {exc}") from None
         return cls(av, n, re + 1j * im if im.any() else re)
@@ -319,17 +321,23 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     return NeedletCoeffs(tuple(levels), system.hash)
 
 
-def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
-    """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J."""
+def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.ndarray, ...]:
+    """The per-level tensors of coefficients that belong to this system."""
     if coeffs.system_hash != system.hash:
         raise ValueError("coefficients come from a different system")
     if coeffs.level_count != system.J + 1:
         raise ValueError("level count does not match the system")
+    return coeffs.levels
+
+
+def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
+    """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J."""
+    levels = _system_levels(coeffs, system)
     n_out = system.max_degree()
-    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *coeffs.levels))
+    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *levels))
     for j in range(system.J + 1):
         cap = min(system.band_degree(j), n_out)
-        block = _fold(coeffs.levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
+        block = _fold(levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
         out[(slice(0, cap + 1),) * system.d] += _filter_degrees(block, system.pair.b_hat,
                                                                 _level_scale(j))
     out[total_degree_grid(out.shape) > n_out] = 0.0

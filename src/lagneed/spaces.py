@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import as_alpha, laguerre_fn_batch, _fold, _outer
-from .quadrature import CubatureGrid, cubature_grid, weight_W
+from .quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
 from .kernels import _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
-                       _band_block)
+                       _band_block, _system_levels)
 
 __all__ = [
     "NormParams",
@@ -137,18 +137,10 @@ def _arrangement(system: NeedletSystem):
     return cell_meas, level_maps
 
 
-def _coeffs_levels(coeffs: NeedletCoeffs, system: NeedletSystem):
-    if coeffs.system_hash != system.hash:
-        raise ValueError("coefficients come from a different system")
-    if coeffs.level_count != system.J + 1:
-        raise ValueError("level count does not match the system")
-    return coeffs.levels
-
-
 def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
     """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement."""
     params.require_F()
-    levels = _coeffs_levels(coeffs, system)
+    levels = _system_levels(coeffs, system)
     cell_meas, level_maps = _arrangement(system)
 
     def on_cells(j):
@@ -161,7 +153,7 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
     """Sequence Besov norm: inner l_p over nodes, outer l_q over levels."""
-    levels = _coeffs_levels(coeffs, system)
+    levels = _system_levels(coeffs, system)
     return _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho,
                                             1.0 / params.p - 0.5), 1.0)
                       for j in range(system.J + 1)), params)
@@ -341,7 +333,6 @@ def nikolskii_report(n: int, alpha, p: float, q: float, s: float = 0.0,
     av = as_alpha(alpha)
     if av.d != 1:
         raise NotImplementedError("report implemented for d = 1")
-    from .quadrature import gauss_laguerre
 
     def norms_for(nn: int):
         rule = gauss_laguerre(max(8 * nn, 64), av[0])

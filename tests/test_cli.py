@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from lagneed import cli
 from lagneed.cli import (
     _needlet_coeffs_from_payload,
     canonical_json,
@@ -142,11 +144,12 @@ class TestFrameVerify:
         assert payload["reconstruction_max_err"] < 1e-9
 
     def test_corrupt_pair_fails(self, capsys):
-        code, out, _ = run_main(["frame-verify", "--J", "2", "--d", "1",
-                                 "--alpha", "0", "--trials", "3", "--seed", "1",
-                                 "--corrupt"], capsys)
+        code, out, err = run_main(["frame-verify", "--J", "2", "--d", "1",
+                                   "--alpha", "0", "--trials", "3", "--seed", "1",
+                                   "--corrupt"], capsys)
         assert code == 1
         assert json.loads(out)["reconstruction_max_err"] > 1e-6
+        assert json.loads(err) == {"code": 1, "error": "failed suites: frame-verify"}
 
     def test_deterministic_output(self, capsys):
         args = ["frame-verify", "--J", "1", "--d", "1", "--alpha", "0.5",
@@ -270,6 +273,17 @@ def test_input_missing_key_exits_2(capsys, tmp_path, system_config, command, pay
      "negative entry"),
     (["transform", "analyze"], [1, 2], "JSON object"),
     (["transform", "synthesize"], [1, 2], "JSON object"),
+    (["transform", "analyze"], {"alpha": [0.5], "N": 1, "coeffs": [{"nu": [1], "re": None}]},
+     "multi-index (1,)"),
+    (["transform", "analyze"],
+     {"alpha": [0.5], "N": 1, "coeffs": [{"nu": [0], "re": 1, "im": None}]}, "multi-index (0,)"),
+    (["norms", "--space", "f-seq"], {"alpha": [0.5], "N": 1, "coeffs": [{"nu": [0], "re": {}}]},
+     "multi-index (0,)"),
+    (["transform", "synthesize"], {"system_hash": "x", "levels": [
+        {"j": 0, "shape": [2], "re": [1.0, 2.0], "im": [0.0, 0.0]},
+        {"j": 1, "shape": [2], "re": [1.0, None], "im": [0.0, 0.0]}]}, "level 1: 're'"),
+    (["transform", "synthesize"], {"system_hash": "x", "levels": [
+        {"j": 0, "shape": [2], "re": [1.0, 2.0], "im": [0.0, {}]}]}, "level 0: 'im'"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, system_config, command, payload, message):
     bad = tmp_path / "bad.json"
@@ -340,8 +354,10 @@ class TestEquivalenceReport:
         assert code == 0
         ratios = [float(r[3]) for r in _equivalence_rows(out)]
         assert max(ratios) / min(ratios) >= 1.0
-        code, _, _ = run_main(args + ["--max-width", "0.5"], capsys)
+        code, out_narrow, err = run_main(args + ["--max-width", "0.5"], capsys)
         assert code == 1
+        assert out_narrow == out
+        assert json.loads(err) == {"code": 1, "error": "failed suites: equivalence"}
 
 
 class TestReport:
@@ -363,6 +379,51 @@ class TestReport:
         code, _, err = run_main(["report", "--config", system_config, "--only",
                                  "bogus"], capsys)
         assert code == 2
+
+    def test_standalone_diagnostics_write_bundle_bytes(self, capsys, tmp_path, system_config):
+        bundle = tmp_path / "bundle"
+        code, _, _ = run_main(["report", "--config", system_config, "--only",
+                               "kernel-decay,lower-bound,frame-verify", "--out", str(bundle)],
+                              capsys)
+        assert code == 0
+        # the fixture config: alpha=0.5 d=1 J=2 tight=true seed=3 trials=4, other keys default
+        for argv, name in [
+            (["kernel-decay", "--alpha", "0.5", "--n-list", "64,256"], "kernel_decay.csv"),
+            (["lower-bound", "--alpha", "0.5"], "lower_bound.json"),
+            (["frame-verify", "--J", "2", "--alpha", "0.5", "--tight", "--trials", "4",
+              "--seed", "3"], "frame_verify.json"),
+        ]:
+            out_file = tmp_path / name
+            assert main(argv + ["--out", str(out_file)]) == 0
+            assert out_file.read_bytes() == (bundle / name).read_bytes()
+
+    def test_repeated_runs_are_byte_identical(self, capsys, tmp_path, system_config):
+        bundles = [tmp_path / "one", tmp_path / "two"]
+        for bundle in bundles:
+            code, _, _ = run_main(["report", "--config", system_config, "--out", str(bundle)],
+                                  capsys)
+            assert code == 0
+        files = [{p.name: p.read_bytes() for p in sorted(b.iterdir())
+                  if p.name != "meta.sidecar.json"} for b in bundles]
+        assert set(files[0]) == {"config.resolved", "summary.json", "kernel_decay.csv",
+                                 "lower_bound.json", "nikolskii.json", "equivalence.csv",
+                                 "frame_verify.json"}
+        assert files[0] == files[1]
+
+    def test_failed_suite_names_itself_on_stderr(self, capsys, tmp_path, system_config,
+                                                 monkeypatch):
+        # the frame suite's negative control stands in for a failing suite
+        monkeypatch.setitem(cli.SUITES, "frame-verify",
+                            functools.partial(cli.SUITES["frame-verify"], corrupt=True))
+        bundle = tmp_path / "bundle"
+        code, out, err = run_main(["report", "--config", system_config, "--only",
+                                   "lower-bound,frame-verify", "--out", str(bundle)], capsys)
+        assert code == 1
+        assert json.loads(err) == {"code": 1, "error": "failed suites: frame-verify"}
+        summary = json.loads((bundle / "summary.json").read_text())
+        assert summary["exit_status"] == 1
+        assert json.loads(out)["suites"] == summary["suites"]
+        assert not summary["suites"]["frame-verify"]["pass"]
 
     def test_full_bundle(self, capsys, tmp_path, system_config):
         out_dir = tmp_path / "full"
