@@ -106,6 +106,8 @@ def parse_config_text(text: str) -> dict:
             cfg[key] = [float(v) for v in val.split(",") if v.strip() != ""]
         else:
             cfg[key] = type(default)(val)
+    if cfg["trials"] < 1:
+        raise ValueError("trials must be at least 1")
     return cfg
 
 
@@ -397,8 +399,11 @@ def _frame_verify(cfg: dict, corrupt: bool = False):
         pair = CutoffPair(pair.a_hat, wrecked, tight=False)
     system = system_from_config(cfg, pair)
     deg = system.exact_degree()
+    trials = int(cfg["trials"])
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     recon_max, parseval_max = 0.0, 0.0
-    for t in range(int(cfg["trials"])):
+    for t in range(trials):
         f = CoeffFn.random(system.alpha, deg, seed=int(cfg["seed"]) + t)
         coeffs = analyze(system, f)
         g = synthesize(system, coeffs)
@@ -436,16 +441,23 @@ def _run_suite(name: str, out: str | None, cfg: dict, **options) -> int:
     return _verdict([] if ok else [name])
 
 
+def _parse_n_list(text: str) -> list[int]:
+    """The --n-list values; the ratio gates compare across n, so two distinct n are needed."""
+    n_list = [int(v) for v in text.split(",")]
+    if len(set(n_list)) < 2:
+        raise ValueError(f"--n-list needs at least two distinct values, got {text!r}")
+    return n_list
+
+
 def cmd_kernel_decay(args) -> int:
     cfg = dict(CONFIG_DEFAULTS, alpha=[args.alpha], sigma=args.sigma, cutoff=args.cutoff)
-    return _run_suite("kernel-decay", args.out, cfg,
-                      n_list=[int(v) for v in args.n_list.split(",")])
+    return _run_suite("kernel-decay", args.out, cfg, n_list=_parse_n_list(args.n_list))
 
 
 def cmd_lower_bound(args) -> int:
     cfg = dict(CONFIG_DEFAULTS, alpha=[args.alpha], cutoff=args.cutoff)
-    return _run_suite("lower-bound", args.out, cfg,
-                      n_list=[int(v) for v in args.n_list.split(",")], delta=args.delta)
+    return _run_suite("lower-bound", args.out, cfg, n_list=_parse_n_list(args.n_list),
+                      delta=args.delta)
 
 
 def cmd_frame_verify(args) -> int:

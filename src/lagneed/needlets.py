@@ -29,7 +29,7 @@ import numpy as np
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _fold, _outer)
+                      _fold)
 from .quadrature import CubatureGrid, cubature_grid
 from .kernels import cutoff_weights, _filter_degrees, _filtered_sum, _level_scale, _top_degree
 
@@ -370,9 +370,9 @@ def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> Coeff
     av = as_alpha(alpha)
     if av.d != grid.d:
         raise ValueError("alpha and grid dimensions differ")
-    vals = np.asarray([fn(p) for p in grid.points()])
-    vals = vals.reshape((grid.n_j,) * grid.d) * _outer(grid.axis_c)
-    tables = [laguerre_fn_batch(max_degree, a, xi, "F") for a, xi in zip(av, grid.axis_xi)]
+    vals = np.asarray([fn(p) for p in grid.points()]).reshape((grid.n_j,) * grid.d)
+    tables = [laguerre_fn_batch(max_degree, a, xi, "F") * c
+              for a, xi, c in zip(av, grid.axis_xi, grid.axis_c)]
     block = _fold(vals, tables, 1)
     block[total_degree_grid(block.shape) > max_degree] = 0.0
     return CoeffFn(av, max_degree, block)

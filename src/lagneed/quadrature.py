@@ -156,19 +156,23 @@ class Tile:
         return tile_measure(self.box, alpha)
 
 
+def _interval_measures(breaks, a: float) -> np.ndarray:
+    """Closed-form w_alpha measures (hi^p - lo^p)/p, p = 2a+2, of the
+    intervals between consecutive breakpoints on one axis."""
+    p = 2.0 * a + 2.0
+    return np.diff(np.asarray(breaks, dtype=float) ** p) / p
+
+
 def tile_measure(box, alpha) -> float:
     """Closed-form w_alpha measure of a box: prod (b^(2a+2)-a^(2a+2))/(2a+2)."""
     av = as_alpha(alpha)
     box = tuple((float(a), float(b)) for a, b in box)
     if len(box) != av.d:
         raise ValueError("box dimension does not match alpha")
-    val = 1.0
-    for (lo, hi), a in zip(box, av):
+    for lo, hi in box:
         if not (0.0 <= lo < hi):
             raise ValueError(f"inverted or negative box side ({lo}, {hi})")
-        p = 2.0 * a + 2.0
-        val *= (hi ** p - lo ** p) / p
-    return val
+    return math.prod(float(_interval_measures(side, a)[0]) for side, a in zip(box, av))
 
 
 class CubatureGrid:
@@ -194,7 +198,7 @@ class CubatureGrid:
         self.axis_c = tuple(r.cub_coeffs for r in self._rules)
         self.axis_breaks = tuple(self._breaks(xi, ext) for xi in self.axis_xi)
         self.axis_tile_measure = tuple(
-            self._axis_measures(br, a) for br, a in zip(self.axis_breaks, self.alpha))
+            _interval_measures(br, a) for br, a in zip(self.axis_breaks, self.alpha))
         for arr in self.axis_breaks + self.axis_tile_measure:
             arr.flags.writeable = False
 
@@ -202,13 +206,6 @@ class CubatureGrid:
     def _breaks(xi: np.ndarray, ext: float) -> np.ndarray:
         mids = 0.5 * (xi[:-1] + xi[1:])
         return np.concatenate(([0.0], mids, [0.5 * (xi[-1] + xi[-1] + ext)]))
-
-    @staticmethod
-    def _axis_measures(breaks: np.ndarray, a: float) -> np.ndarray:
-        """Closed-form w_alpha measures (hi^p - lo^p)/p, p = 2a+2, of the
-        intervals between consecutive breakpoints on one axis."""
-        p = 2.0 * a + 2.0
-        return np.diff(breaks ** p) / p
 
     @property
     def point_count(self) -> int:
@@ -238,11 +235,8 @@ class CubatureGrid:
 
     def domain_measure(self) -> float:
         """w_alpha measure of the union of all tiles (a box at the origin)."""
-        val = 1.0
-        for br, a in zip(self.axis_breaks, self.alpha):
-            p = 2.0 * a + 2.0
-            val *= br[-1] ** p / p
-        return val
+        return math.prod(float(_interval_measures(br[[0, -1]], a)[0])
+                         for br, a in zip(self.axis_breaks, self.alpha))
 
 
 @lru_cache(maxsize=64)

@@ -16,8 +16,10 @@ measures have closed forms.  The sequence B-norm sums over the tiles of
 each level directly.  The continuous norms are controlled approximations:
 band parts of the function are evaluated on a finer cubature grid, axis by
 axis (per-axis Laguerre tables contracted with the band's coefficient
-block), and the outer integral uses that grid's coefficients (the absolute
-value breaks polynomial exactness, which is documented behavior).
+block), and the outer integral folds the values, kept in their (n,)*d
+shape, with that grid's per-axis cubature weights (the absolute value breaks
+polynomial exactness, which is documented behavior).  The sequence norms
+fold per-axis cell or tile measures the same way.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import as_alpha, laguerre_fn_batch, _fold, _outer
-from .quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
+from .special import as_alpha, laguerre_fn_batch, _fold, _fold_sum, _outer
+from .quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W, _interval_measures
 from .kernels import _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
                        _band_block, _system_levels)
@@ -75,51 +77,41 @@ class NormParams:
         return math.isinf(self.q)
 
 
-def _fsum(arr) -> float:
-    return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
-
-
 def _lp(vals, weights, p: float) -> float:
-    """(sum weights * vals^p)^(1/p) of nonnegative vals; their max at p = inf, 0 when empty."""
+    """(sum w * vals^p)^(1/p) of nonnegative vals, w the tensor product of the
+    per-axis ``weights``; their max at p = inf, 0 when empty."""
     if math.isinf(p):
         return float(np.max(vals, initial=0.0))
-    return _fsum(weights * vals ** p) ** (1.0 / p)
+    return _fold_sum(vals ** p, weights) ** (1.0 / p)
 
 
 def _F_reduce(levels, weights, params: NormParams) -> float:
-    """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j.
-
-    ``weights`` is called after the level loop, so the weight array is not
-    held alongside the band values while they are formed.
-    """
+    """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j."""
     acc = 0.0
     for j, g in levels:
         term = 2.0 ** (params.s * j) * g
         acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
     integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
-    return _fsum(weights() * integrand) ** (1.0 / params.p)
+    return _fold_sum(integrand, weights) ** (1.0 / params.p)
 
 
 def _B_reduce(levels, params: NormParams) -> float:
     """l_q(L^p) norm: the l_q over (j, g_j, w_j) of 2^(sj) ||g_j||_(l^p(w_j))."""
-    terms = [2.0 ** (params.s * j) * _lp(g, w, params.p) for j, g, w in levels]
-    # an object array raises the few level terms with the scalar pow, not
-    # numpy's vectorized one, which rounds some values differently
-    return _lp(np.array(terms, dtype=object), 1.0, params.q)
+    terms = np.array([2.0 ** (params.s * j) * _lp(g, w, params.p) for j, g, w in levels])
+    return _lp(terms, [np.ones(len(terms))], params.q)
 
 
-def _axis_weight_factors(grid: CubatureGrid, j: int):
-    """Per-axis factors of W(4^j; xi) over the points of a cubature grid."""
-    return [weight_W(4.0 ** j, [a], xi[:, None]) for xi, a in zip(grid.axis_xi, grid.alpha)]
+def _axis_weight_powers(grid: CubatureGrid, j: int, rho: float):
+    """Per-axis factors of W(4^j; xi)^(-rho/d) over the points of a cubature grid."""
+    return [weight_W(4.0 ** j, [a], xi[:, None]) ** (-rho / grid.d)
+            for xi, a in zip(grid.axis_xi, grid.alpha)]
 
 
-def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray,
-                      rho: float, mu_power: float) -> np.ndarray:
-    """|h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^mu_power on the level grid."""
+def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float) -> np.ndarray:
+    """|h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^(-1/2) on the level grid."""
     g = system.grids[j]
-    scale = _outer([w ** (-rho / system.d) * m ** mu_power
-                    for w, m in zip(_axis_weight_factors(g, j), g.axis_tile_measure)])
-    return np.abs(h) * scale
+    return np.abs(h) * _outer([w * m ** -0.5 for w, m in
+                               zip(_axis_weight_powers(g, j, rho), g.axis_tile_measure)])
 
 
 def _arrangement(system: NeedletSystem):
@@ -127,7 +119,7 @@ def _arrangement(system: NeedletSystem):
     level and axis the tile index of every cell and a 0/1 factor for cells it covers."""
     breaks = [np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
               for ax in range(system.d)]
-    cell_meas = [CubatureGrid._axis_measures(b, a) for b, a in zip(breaks, system.alpha)]
+    cell_meas = [_interval_measures(b, a) for b, a in zip(breaks, system.alpha)]
     level_maps = []
     for g in system.grids:
         idx = [np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
@@ -145,17 +137,17 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
 
     def on_cells(j):
         take, covered = level_maps[j]
-        return _level_amplitudes(system, j, levels[j], params.rho, -0.5)[take] * _outer(covered)
+        return _level_amplitudes(system, j, levels[j], params.rho)[take] * _outer(covered)
 
-    return _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)),
-                     lambda: _outer(cell_meas), params)
+    return _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)), cell_meas, params)
 
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
-    """Sequence Besov norm: inner l_p over nodes, outer l_q over levels."""
+    """Sequence Besov norm: inner l_p over nodes against the tile measures, outer
+    l_q over levels."""
     levels = _system_levels(coeffs, system)
-    return _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho,
-                                            1.0 / params.p - 0.5), 1.0)
+    return _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho),
+                       system.grids[j].axis_tile_measure)
                       for j in range(system.J + 1)), params)
 
 
@@ -177,7 +169,7 @@ def _integration_grid(system: NeedletSystem, integration_level: int) -> Cubature
 
 
 def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGrid):
-    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the grid, flattened as points().
+    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the grid, in its (n,)*d shape.
 
     The band part f_j is formed exactly in coefficient space; its values
     come from folding the band's coefficient block into per-axis Laguerre
@@ -188,8 +180,7 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGr
     for j in _cont_levels(f, system):
         block = _band_block(system, f, j)
         vals = np.abs(_fold(block, [t[: len(block)] for t in tables], 0))
-        wj = _outer(_axis_weight_factors(grid, j)) ** (-rho / system.d)
-        yield j, (wj * vals).reshape(-1)
+        yield j, _outer(_axis_weight_powers(grid, j, rho)) * vals
 
 
 def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
@@ -202,15 +193,14 @@ def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     """
     params.require_F()
     grid = _integration_grid(system, integration_level)
-    return _F_reduce(_band_values(f, params.rho, system, grid), grid.coeffs, params)
+    return _F_reduce(_band_values(f, params.rho, system, grid), grid.axis_c, params)
 
 
 def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
                 integration_level: int) -> float:
     """Continuous Besov norm; as F_norm_cont with the l_q outside the L^p."""
     grid = _integration_grid(system, integration_level)
-    c = grid.coeffs()
-    return _B_reduce(((j, g, c) for j, g in _band_values(f, params.rho, system, grid)),
+    return _B_reduce(((j, g, grid.axis_c) for j, g in _band_values(f, params.rho, system, grid)),
                      params)
 
 
@@ -219,13 +209,8 @@ def seminorm_P_star(f: CoeffFn, r: int) -> float:
     if r < 0:
         raise ValueError("order must be nonnegative")
     deg = total_degree_grid(f.coeffs.shape)
-    sq = np.abs(f.coeffs) ** 2
-    terms = []
-    for n in range(f.max_degree + 1):
-        e = _fsum(sq[deg == n])
-        if e > 0.0:
-            terms.append((n + 1.0) ** r * math.sqrt(e))
-    return _fsum(terms)
+    energy = np.bincount(deg.ravel(), (np.abs(f.coeffs) ** 2).ravel())[: f.max_degree + 1]
+    return float((np.arange(1.0, len(energy) + 1) ** r) @ np.sqrt(energy))
 
 
 def multiplier_apply(m, f: CoeffFn) -> CoeffFn:
@@ -255,12 +240,14 @@ class PiecewiseCellFn:
     def d(self) -> int:
         return self.alpha.d
 
+    def _measures(self) -> list:
+        return [_interval_measures(b, a) for b, a in zip(self.breaks, self.alpha)]
+
     def cell_measures(self) -> np.ndarray:
-        return _outer([CubatureGrid._axis_measures(b, a)
-                       for b, a in zip(self.breaks, self.alpha)])
+        return _outer(self._measures())
 
     def integral(self) -> float:
-        return _fsum(self.values * self.cell_measures())
+        return _fold_sum(self.values, self._measures())
 
     def with_values(self, values) -> "PiecewiseCellFn":
         return PiecewiseCellFn(self.breaks, values, self.alpha)
@@ -337,7 +324,7 @@ def nikolskii_report(n: int, alpha, p: float, q: float, s: float = 0.0,
     def norms_for(nn: int):
         rule = gauss_laguerre(max(8 * nn, 64), av[0])
         pts = rule.sqrt_nodes.reshape(-1, 1)
-        c = rule.cub_coeffs
+        c = [rule.cub_coeffs]
         r1_max, r2_max = 0.0, 0.0
         for tr in range(trials):
             g = CoeffFn.random(av, nn, seed=seed + tr)

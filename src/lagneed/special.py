@@ -265,6 +265,11 @@ def _fold(tensor, mats, axis: int):
     return tensor.reshape(shape)
 
 
+def _fold_sum(tensor, vecs) -> float:
+    """Sum of a real ``tensor`` against the tensor product of per-axis weight vectors."""
+    return _fold(tensor, [v[:, None] for v in vecs], 0).item()
+
+
 def _convolve_degrees(seqs):
     """Total-degree sequence of a product of per-axis degree sequences,
     truncated to the length of the first."""

@@ -122,8 +122,18 @@ class TestKernelCommands:
         assert len(lines) == 1 + 2 * 60
 
     def test_kernel_decay_rejects_zero_n(self, capsys):
-        code, _, _ = run_main(["kernel-decay", "--n-list", "0"], capsys)
+        code, _, _ = run_main(["kernel-decay", "--n-list", "0,64"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n_list", ["64", "64,64"])
+    @pytest.mark.parametrize("command", ["kernel-decay", "lower-bound"])
+    def test_ratio_gates_need_two_distinct_n(self, capsys, command, n_list):
+        # a ratio over one n is 1, so the gate would pass on any data
+        code, out, err = run_main([command, "--alpha", "0", "--n-list", n_list], capsys)
+        assert code == 2
+        assert out == ""
+        last = json.loads(err.splitlines()[-1])
+        assert last["code"] == 2 and "two distinct" in last["error"]
 
     def test_lower_bound(self, capsys):
         code, out, _ = run_main(["lower-bound", "--alpha", "0",
@@ -150,6 +160,15 @@ class TestFrameVerify:
         assert code == 1
         assert json.loads(out)["reconstruction_max_err"] > 1e-6
         assert json.loads(err) == {"code": 1, "error": "failed suites: frame-verify"}
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_rejects_nonpositive_trials(self, capsys, trials):
+        code, out, err = run_main(["frame-verify", "--J", "1", "--alpha", "0",
+                                   "--trials", trials], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {"code": 2,
+                                                    "error": "trials must be at least 1"}
 
     def test_deterministic_output(self, capsys):
         args = ["frame-verify", "--J", "1", "--d", "1", "--alpha", "0.5",
@@ -374,6 +393,18 @@ class TestReport:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert list(summary["suites"]) == ["lower-bound"]
         assert (out_dir / "config.resolved").exists()
+
+    def test_config_with_zero_trials_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("alpha=0.5\nd=1\nJ=2\ntight=true\ntrials=0\n")
+        out_dir = tmp_path / "bundle"
+        code, out, err = run_main(["report", "--config", str(cfg), "--out", str(out_dir)],
+                                  capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {"code": 2,
+                                                    "error": "trials must be at least 1"}
+        assert not out_dir.exists()
 
     def test_unknown_suite_rejected(self, capsys, system_config):
         code, _, err = run_main(["report", "--config", system_config, "--only",

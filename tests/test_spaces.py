@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagneed.cutoffs import frame_alt, frame_default, make_dual_pair
 from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
-from lagneed.quadrature import cubature_grid, weight_W
+from lagneed.quadrature import CubatureGrid, cubature_grid, weight_W
 from lagneed.spaces import (
     B_norm_cont,
     F_norm_cont,
@@ -262,6 +262,26 @@ class TestContinuousNorms:
             assert F_norm_cont(f, params, sys_, sys_.J + 1) == pytest.approx(want_F, rel=1e-12)
             assert B_norm_cont(f, params, sys_, sys_.J + 1) == pytest.approx(want_B, rel=1e-12)
 
+    @pytest.mark.parametrize("which", ["1d", "2d"])
+    def test_no_flattened_grid(self, system, system_2d, which, monkeypatch):
+        # every norm folds per-axis weights; none builds the n^d point or weight arrays
+        sys_ = system if which == "1d" else system_2d
+        f = CoeffFn.random(sys_.alpha, 4 ** (sys_.J - 1), seed=11)
+        coeffs = analyze(sys_, f)
+        params = NormParams(0.5, 0.5, 1.5, 1.0)
+        norms = [lambda: F_norm_cont(f, params, sys_, sys_.J + 1),
+                 lambda: B_norm_cont(f, params, sys_, sys_.J + 1),
+                 lambda: f_norm_seq(coeffs, params, sys_),
+                 lambda: b_norm_seq(coeffs, params, sys_)]
+        want = [norm() for norm in norms]
+
+        def refuse(self):
+            raise AssertionError("flattened grid requested")
+
+        for name in ("coeffs", "points", "tile_measures"):
+            monkeypatch.setattr(CubatureGrid, name, refuse)
+        assert [norm() for norm in norms] == want
+
     def test_zero_function(self, system):
         z = CoeffFn([0.5], 2, np.zeros(3, dtype=complex))
         params = NormParams(0.0, 0.0, 2.0, 2.0)
@@ -355,6 +375,15 @@ class TestSeminormAndMultiplier:
         f = CoeffFn.random([0.0], 12, seed=2)
         vals = [seminorm_P_star(f, r) for r in range(4)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_matches_degree_mask_oracle(self, r):
+        f = CoeffFn.random([0.0, 0.5], 9, seed=13, complex_valued=True)
+        deg = total_degree_grid(f.coeffs.shape)
+        sq = np.abs(f.coeffs) ** 2
+        want = math.fsum((n + 1.0) ** r * math.sqrt(math.fsum(sq[deg == n].tolist()))
+                         for n in range(f.max_degree + 1))
+        assert seminorm_P_star(f, r) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_negative_order(self):
         f = CoeffFn.random([0.0], 3, seed=0)
@@ -461,6 +490,15 @@ class TestMaximal:
             rhs = float(np.sum(f_side ** p * mu)) ** (1 / p)
             ratios.append(lhs / rhs)
         assert max(ratios) < 10.0  # measured constant, must stay bounded
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cell_integral_matches_flattened_sum(self, d):
+        rng = np.random.default_rng(17 + d)
+        breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.5, 15))))
+                  for _ in range(d)]
+        cells = PiecewiseCellFn(breaks, rng.uniform(0.0, 1.0, (15,) * d), [0.5, 1.0][:d])
+        want = math.fsum((cells.values * cells.cell_measures()).ravel().tolist())
+        assert cells.integral() == pytest.approx(want, rel=1e-13)
 
     def test_cell_validation(self):
         with pytest.raises(ValueError):
