@@ -368,9 +368,7 @@ def _lower_bound(cfg: dict, n_list=(64, 256), delta: float = 0.5):
 
 
 def _nikolskii(cfg: dict):
-    rep = nikolskii_report(16, cfg["alpha"][:1], p=math.inf, q=2.0,
-                           trials=min(int(cfg["trials"]), 10), seed=int(cfg["seed"]),
-                           n_set=(16, 64))
+    rep = nikolskii_report(cfg["alpha"][:1], n_set=(16, 64))
     ok = (rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
           and rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1)
     return (ok, {"tolerance": "measured exponent <= theory + 0.1"},

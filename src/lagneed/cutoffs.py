@@ -263,42 +263,26 @@ def make_dual_pair(a_hat: CutoffSpec, tight: bool = False) -> CutoffPair:
     if tight and not a_hat.nonneg:
         raise ValueError("tight normalization requires a nonnegative cut-off")
 
-    sup = a_hat.support
-
-    if tight:
-        def t_value(t, _a=a_hat):
-            t = np.asarray(t, dtype=float)
-            inside = (t > sup[0]) & (t < sup[1])
-            d = _dilation_sum_sq(_a, np.where(inside, t, 1.0))
-            return np.where(inside, _a(t) / np.sqrt(d), 0.0)
-
-        def t_jet(t, k, _a=a_hat):
-            if not (sup[0] < t < sup[1]):
-                return np.zeros(k + 1)
-            return jet_div(_a.jet(t, k), jet_sqrt(_dilation_sum_sq_jet(_a, t, k)))
-
-        a_tight = CutoffSpec("tight_of_" + a_hat.kind, a_hat.params, sup,
-                             t_value, t_jet, nonneg=True,
-                             max_order=a_hat.max_order)
-        return CutoffPair(a_tight, a_tight, tight=True)
-
     # already self-dual (a^2 partition): keep b = a and flag tight
-    if a_hat.nonneg and abs(float(np.max(dvals)) - 1.0) < 1e-12 \
+    if not tight and a_hat.nonneg and abs(float(np.max(dvals)) - 1.0) < 1e-12 \
             and abs(float(np.min(dvals)) - 1.0) < 1e-12:
         return CutoffPair(a_hat, a_hat, tight=True)
 
-    def b_value(t, _a=a_hat):
+    # the companion is a / sqrt(D) (tight, on both sides) or b = a / D (dual)
+    root, jet_root = (np.sqrt, jet_sqrt) if tight else (lambda d: d, lambda d: d)
+    sup = a_hat.support
+
+    def value(t, _a=a_hat):
         t = np.asarray(t, dtype=float)
         inside = (t > sup[0]) & (t < sup[1])
         d = _dilation_sum_sq(_a, np.where(inside, t, 1.0))
-        return np.where(inside, _a(t) / d, 0.0)
+        return np.where(inside, _a(t) / root(d), 0.0)
 
-    def b_jet(t, k, _a=a_hat):
+    def jet(t, k, _a=a_hat):
         if not (sup[0] < t < sup[1]):
             return np.zeros(k + 1)
-        return jet_div(_a.jet(t, k), _dilation_sum_sq_jet(_a, t, k))
+        return jet_div(_a.jet(t, k), jet_root(_dilation_sum_sq_jet(_a, t, k)))
 
-    b_hat = CutoffSpec("dual_of_" + a_hat.kind, a_hat.params, sup,
-                       b_value, b_jet, nonneg=a_hat.nonneg,
-                       max_order=a_hat.max_order)
-    return CutoffPair(a_hat, b_hat, tight=False)
+    companion = CutoffSpec(("tight_of_" if tight else "dual_of_") + a_hat.kind, a_hat.params,
+                           sup, value, jet, nonneg=a_hat.nonneg, max_order=a_hat.max_order)
+    return CutoffPair(companion if tight else a_hat, companion, tight=tight)

@@ -247,17 +247,16 @@ def _cubature_grid_cached(j: int, alpha: AlphaVector, delta: float, c_star: floa
 
 
 def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.0,
-                  right_extension: float | None = None,
-                  point_cap: int = GRID_POINT_CAP) -> CubatureGrid:
+                  right_extension: float | None = None) -> CubatureGrid:
     """Build (or fetch) the level-j cubature grid on R_+^d."""
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha has dimension {av.d}, expected {d}")
     j = int(j)
     n_j = level_node_count(j, delta, c_star)
-    if n_j ** d > point_cap:
+    if n_j ** d > GRID_POINT_CAP:
         raise ResourceWarning(
-            f"grid would hold {n_j ** d} points, above the cap {point_cap}")
+            f"grid would hold {n_j ** d} points, above the cap {GRID_POINT_CAP}")
     ext = 2.0 ** (j / 3.0) if right_extension is None else float(right_extension)
     return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
 

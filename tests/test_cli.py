@@ -406,6 +406,19 @@ class TestReport:
                                                     "error": "trials must be at least 1"}
         assert not out_dir.exists()
 
+    def test_nikolskii_suite_is_seed_independent(self, capsys, tmp_path):
+        # the sampled estimate this suite replaced failed its gate at config seeds 8 and 150
+        texts = []
+        for seed in (8, 150):
+            cfg = tmp_path / f"seed{seed}.cfg"
+            cfg.write_text(f"alpha=0.5\nd=1\nJ=3\ntight=true\nseed={seed}\n")
+            out_dir = tmp_path / f"bundle{seed}"
+            code, _, _ = run_main(["report", "--config", str(cfg), "--only", "nikolskii",
+                                   "--out", str(out_dir)], capsys)
+            assert code == 0
+            texts.append((out_dir / "nikolskii.json").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_unknown_suite_rejected(self, capsys, system_config):
         code, _, err = run_main(["report", "--config", system_config, "--only",
                                  "bogus"], capsys)

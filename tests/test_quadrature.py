@@ -10,6 +10,7 @@ from lagneed.special import laguerre_fn_batch, multivariate_F
 from lagneed import quadrature
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
+    GRID_POINT_CAP,
     _gauss_laguerre_cached,
     _newton_polish,
     calibrate_c_star,
@@ -210,8 +211,11 @@ class TestCubatureGrid:
             cubature_grid(0, 2, [0.0])
 
     def test_resource_cap(self):
+        # the level-5 grid in 2-D holds 3337^2 = 11.1M points; the cap is checked
+        # before any rule is built
+        assert level_node_count(5) ** 2 > GRID_POINT_CAP
         with pytest.raises(ResourceWarning):
-            cubature_grid(4, 2, [0.0, 0.0], point_cap=1000)
+            cubature_grid(5, 2, [0.0, 0.0])
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_orthonormality_within_budget(self, j):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from lagneed.cutoffs import frame_alt, frame_default, make_dual_pair
 from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
-from lagneed.quadrature import CubatureGrid, cubature_grid, weight_W
+from lagneed.quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
+from lagneed.special import laguerre_fn_batch
 from lagneed.spaces import (
     B_norm_cont,
     F_norm_cont,
@@ -20,6 +21,7 @@ from lagneed.spaces import (
     multiplier_apply,
     nikolskii_report,
     seminorm_P_star,
+    _lp,
 )
 
 DUAL = make_dual_pair(frame_default())
@@ -508,21 +510,48 @@ class TestMaximal:
 
 
 class TestReports:
-    def test_nikolskii_equal_parameters_trivial(self):
-        rep = nikolskii_report(16, [0.0], p=2.0, q=2.0, trials=4, seed=0,
-                               n_set=(16, 64))
-        assert rep["exponent_plain"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["exponent_weighted"] == pytest.approx(0.0, abs=1e-12)
-
     def test_nikolskii_exponents_within_margin(self):
-        rep = nikolskii_report(16, [0.0], p=math.inf, q=2.0, trials=10, seed=0,
-                               n_set=(16, 64, 256))
+        rep = nikolskii_report([0.0], n_set=(16, 64, 256))
         assert rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
         assert rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1
 
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_nikolskii_suprema_are_attained(self, alpha, s):
+        """The reported suprema are the ratios of explicit V_n functions, measured
+        as max over the rule's nodes against the rule's L^2, and no random
+        V_n function exceeds them."""
+        rep = nikolskii_report([alpha], s=s)
+        for n in rep["n_set"]:
+            rule = gauss_laguerre(max(8 * n, 64), alpha)
+            pts = rule.sqrt_nodes.reshape(-1, 1)
+            c = [rule.cub_coeffs]
+            ww = weight_W(n, [alpha], pts)
+
+            def ratios(vals):
+                return (_lp(vals, c, math.inf) / _lp(vals, c, 2.0),
+                        _lp(ww ** s * vals, c, math.inf) / _lp(ww ** (s - 0.5) * vals, c, 2.0))
+
+            F = laguerre_fn_batch(n, alpha, rule.sqrt_nodes, "F")
+            G = (F * (rule.cub_coeffs * ww ** (2.0 * s - 1.0))) @ F.T
+            GinvF = np.linalg.solve(G, F)
+            i_plain = int(np.argmax(np.sum(F * F, axis=0)))
+            i_weighted = int(np.argmax(ww ** (2.0 * s) * np.sum(F * GinvF, axis=0)))
+            plain = ratios(np.abs(CoeffFn([alpha], n, F[:, i_plain]).evaluate(pts)))[0]
+            weighted = ratios(np.abs(CoeffFn([alpha], n, GinvF[:, i_weighted]).evaluate(pts)))[1]
+            assert plain == pytest.approx(rep["max_ratio_plain"][n], rel=1e-10)
+            assert weighted == pytest.approx(rep["max_ratio_weighted"][n], rel=1e-10)
+            for seed in range(50):
+                g = CoeffFn.random([alpha], n, seed=seed)
+                r_plain, r_weighted = ratios(np.abs(g.coeffs @ F))
+                assert r_plain <= rep["max_ratio_plain"][n]
+                assert r_weighted <= rep["max_ratio_weighted"][n]
+
     def test_nikolskii_rejects_bad_parameters(self):
+        with pytest.raises(NotImplementedError):
+            nikolskii_report([0.0, 0.5])
         with pytest.raises(ValueError):
-            nikolskii_report(16, [0.0], p=1.0, q=2.0)
+            nikolskii_report([0.0], n_set=(16, 16))
 
     def test_equivalence_skips_zero_functions(self, system):
         z = CoeffFn([0.5], 2, np.zeros(3, dtype=complex))
