@@ -371,7 +371,9 @@ def _nikolskii(cfg: dict):
     rep = nikolskii_report(cfg["alpha"][:1], n_set=(16, 64))
     ok = (rep["exponent_plain"] <= rep["theory_exponent_plain"] + 0.1
           and rep["exponent_weighted"] <= rep["theory_exponent_weighted"] + 0.1)
-    return (ok, {"tolerance": "measured exponent <= theory + 0.1"},
+    figures = {key: rep[key] for key in ("exponent_plain", "exponent_weighted",
+                                         "theory_exponent_plain", "theory_exponent_weighted")}
+    return (ok, {**figures, "tolerance": "measured exponent <= theory + 0.1"},
             ("nikolskii.json", canonical_json(rep)))
 
 

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
@@ -123,7 +124,7 @@ class CoeffFn:
     def random(cls, alpha, max_degree: int, seed=0, complex_valued: bool = False,
                normalized: bool = True) -> "CoeffFn":
         av = as_alpha(alpha)
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         shape = (max_degree + 1,) * av.d
         arr = rng.standard_normal(shape)
         if complex_valued:

@@ -2,14 +2,17 @@
 rescaled tensor cubature on the positive orthant with its level grids and
 tiles.
 
-Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix, polished
-by one Newton step whose derivative comes from the same-alpha identity
-t L_n' = n L_n - (n+a) L_{n-1}.  Cubature coefficients come from the
-Christoffel sum of damped orthonormal values, which Christoffel-Darboux
-writes in the last three rows of the same streaming pass of the damped
-recurrence, so nothing overflows or underflows; classical Gauss weights are
-kept in log form.  Rules and grids are kept in bounded caches; their arrays
-are read-only.
+A rule starts from asymptotic zeros of L_n (Bessel-type near 0, Tricomi-type
+in the bulk, Airy-type near the top) and takes them to the zeros in one
+streaming pass of the damped recurrence: the pass reads the Sturm count at
+each point, and from its last two rows and the Laguerre equation a degree-8
+Taylor model of L_n, whose zero is the stepped node.  The same model carries
+L_n' to that node, where Christoffel-Darboux gives the cubature coefficient,
+so nothing overflows, underflows or needs a second pass.  If a step is not
+small, or leaves the bracket the Sturm counts give, every node takes a
+further pass, from its stepped place or else from its bracket's midpoint.
+Classical Gauss weights are kept in log form.  Rules and grids are kept in
+bounded caches; their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from .special import AlphaVector, as_alpha, _damped_rows, _outer
+from .special import _LN2, AlphaVector, as_alpha, _damped_rows, _outer
 
 __all__ = [
     "QuadratureRule",
@@ -59,40 +60,172 @@ class QuadratureRule:
     sqrt_nodes: np.ndarray
 
 
-def _newton_polish(n: int, alpha: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step on Laguerre zeros, with the Christoffel function at t.
+# Zeros of the Airy function Ai; later ones come from their asymptotic series.
+_AIRY_ZEROS = (-2.338107410459767, -4.08794944413097, -5.520559828095551,
+               -6.786708090071759, -7.944133587120853, -9.02265085334098,
+               -10.040174341558085, -11.008524303733262, -11.936015563236262,
+               -12.828776752865757)
+_TAYLOR_DEGREE = 8      # degree of the local Taylor model of L_n in a pass
+_STEP_LIMIT = 5e-3      # largest final step, as a share of the local node gap
+_SLACK = 1e-6           # rounding allowance on brackets, as a share of the gap
+_MAX_PASSES = 64
+_SIGN_BLOCK = 128       # sign bits held before their changes are counted
 
-    The step t q_n / (b_n q_{n-1} - n q_n), b_k = sqrt(k(k+a)), is the exact
-    Newton step -L_n / L_n' with t L_n' = n L_n - (n+a) L_{n-1}.  The same
-    identity turns Christoffel-Darboux into
-    sum_{k<n} q_k(t)^2 = b_n (b_n q_{n-1}^2 - q_n q_{n-1} - b_{n-1} q_{n-2} q_n) / t,
-    exact at every t > 0.  Both read the last three rows of one same-alpha
-    pass of damped orthonormal values, so only O(n) values are held at a time.
-    Returns (stepped t, lambda_n(t) e^t).
+
+def _initial_nodes(n: int, alpha: float) -> np.ndarray:
+    """Asymptotic zeros of L_n^alpha, increasing, with nu = 4n + 2 alpha + 2.
+
+    About sqrt(n)/2 zeros at each end come from the Bessel-type (Gatteschi)
+    form j_k^2 / nu (1 + (j_k^2 + 2 alpha^2 - 2) / (3 nu^2)), j_k the zeros of
+    J_alpha by McMahon's expansion, and the Airy-type form nu + 2^(2/3) a nu^(1/3)
+    + ..., a the zeros of Ai counted from the top; the rest from the
+    Tricomi-type form nu s - (5/(4(1-s)^2) - 1/(1-s) - 1 + 3 alpha^2) / (3 nu),
+    s = cos^2(tau/2), tau - sin tau = (4n - 4k + 3) pi / nu (Gatteschi,
+    J. Comput. Appl. Math. 144, 2002; Gil-Segura-Temme, Stud. Appl. Math. 140,
+    2018).
     """
-    # q_{-1} = 0 stands in for q_{n-2} at n = 1; earlier rows are never converted
-    qm, qd, qn = ([0.0] + [row() for k, row in enumerate(_damped_rows(n, alpha, t))
-                           if k >= n - 2])[-3:]
-    root, root_m = math.sqrt(n * (n + alpha)), math.sqrt((n - 1) * (n - 1 + alpha))
-    kernel_diag = root * (root * qd * qd - qn * qd - root_m * qm * qn) / t
-    return t + t * qn / (root * qd - n * qn), 1.0 / kernel_diag
+    nu = 4.0 * n + 2.0 * alpha + 2.0
+    c = np.arange(4.0 * n - 1.0, 0.0, -4.0) * (math.pi / nu)
+    tau = np.cbrt(6.0 * c)
+    for _ in range(3):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    r = 2.0 / (1.0 - np.cos(tau))            # 1 / (1 - s), s = cos^2(tau/2)
+    x = nu - nu / r - (r * (1.25 * r - 1.0) + (3.0 * alpha ** 2 - 1.0)) / (3.0 * nu)
+
+    m = min(n, math.ceil(0.5 * math.sqrt(n)))
+    beta = np.arange(0.5 * alpha + 0.75, m + 0.5 * alpha + 0.5) * math.pi
+    mu = 4.0 * alpha ** 2
+    w = (8.0 * beta) ** -2
+    j = beta - (mu - 1.0) / (8.0 * beta) * (
+        1.0 + w * (4.0 * (7.0 * mu - 31.0) / 3.0
+                   + w * (32.0 * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / 15.0
+                          + w * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu ** 2
+                                        + 1585743.0 * mu - 6277237.0) / 105.0)))
+    jj = j * j
+    x[:m] = jj / nu * (1.0 + (jj + 2.0 * alpha ** 2 - 2.0) / (3.0 * nu ** 2))
+
+    z = np.arange(2.25, 3.0 * m, 3.0) * (0.5 * math.pi)         # 3 pi (4k - 1) / 8
+    v = z ** -2
+    a = -np.cbrt(z * z) * (1.0 + v * (5.0 / 48.0 + v * (-5.0 / 36.0 + v * (
+        77125.0 / 82944.0 - v * 108056875.0 / 6967296.0))))
+    a[:len(_AIRY_ZEROS)] = _AIRY_ZEROS[:m]
+    nu3, two3 = nu ** (1.0 / 3.0), 2.0 ** (1.0 / 3.0)
+    x[n - m:] = (nu + (11.0 / 35.0 - alpha ** 2) / nu + a * (
+        two3 ** 2 * (nu3 + 16.0 / 1575.0 / nu3 ** 5) + a * (
+            0.2 * two3 ** 4 / nu3 - 1088.0 / 121275.0 * two3 / nu3 ** 7 + a * (
+                -12.0 / 175.0 / nu + a * (
+                    92.0 / 7875.0 * two3 ** 2 / nu3 ** 5
+                    - a * 15152.0 / 3031875.0 * two3 / nu3 ** 7)))))[::-1]
+    return np.sort(np.minimum(np.maximum(x, 0.0), nu))
+
+
+def _newton_polish(n: int, alpha: float, t: np.ndarray):
+    """One streaming pass of the damped recurrence at t, read as a local model of L_n.
+
+    The pass counts the sign changes of q_0(t), ..., q_n(t): a Sturm sequence,
+    so the count is the number of zeros of L_n below t.  The signs are read
+    from the rescaled state, because converted rows of low degree underflow to
+    0 at large t.  From the last two rows, t L_n' = n L_n - b_n L_(n-1) (the
+    orthonormal, same-alpha identity, b_k = sqrt(k(k+a))) gives L_n', and the
+    Laguerre equation t y^(m+2) = (t - a - 1 - m) y^(m+1) - (n - m) y^(m) every
+    further derivative, so Newton's method on the degree-8 Taylor polynomial
+    of L_n at t (damped by e^(-h/2)) finds the step h to the nearest zero.
+    At a zero sum_{k<n} q_k^2 = t q_n'^2 (Christoffel-Darboux), and the Taylor
+    polynomial of L_n' carries q_n' from t to t + h, so the Christoffel
+    function at the stepped node needs no second pass.
+    Returns (t + h, lambda_n(t + h) e^(t + h), its log, Sturm counts at t).
+    """
+    count = np.zeros(t.size, dtype=np.int64)
+    signs = np.zeros((_SIGN_BLOCK + 1, t.size), dtype=bool)
+    bits = signs.view(np.uint8)
+    rows = _damped_rows(n, alpha, t)
+    state = next(rows)      # q_0 > 0: sign bit 0, already in signs[0]
+    i = 0
+    for state in rows:
+        i += 1
+        np.signbit(state.v, out=signs[i])
+        if i == _SIGN_BLOCK:
+            count += np.bitwise_xor(bits[1:], bits[:-1]).sum(axis=0, dtype=np.uint8)
+            signs[0] = signs[i]
+            i = 0
+    count += np.bitwise_xor(bits[1:i + 1], bits[:i]).sum(axis=0, dtype=np.uint8)
+
+    # Taylor coefficients c_m = L_n^(m)(t) / (m! L_n'(t)): c_0 = L_n / L_n', c_1 = 1,
+    # and by the Laguerre equation c_(m+2) = up_m c_(m+1) - down_m c_m.  A point
+    # far from every zero may give a non-finite step, which the caller's
+    # bracket test turns away.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        deriv = (n * state.v - math.sqrt(n * (n + alpha)) * state.v_prev) / t
+        m = np.arange(_TAYLOR_DEGREE - 1.0)[:, None]
+        up = (t - (alpha + 1.0 + m)) / ((m + 2.0) * t)
+        down = ((n - m) / ((m + 2.0) * (m + 1.0))) / t
+        c = np.empty((_TAYLOR_DEGREE + 1, t.size))
+        c[0], c[1] = state.v / deriv, 1.0
+        for k in range(_TAYLOR_DEGREE - 1):
+            np.subtract(up[k] * c[k + 1], down[k] * c[k], out=c[k + 2])
+        powers = np.arange(_TAYLOR_DEGREE + 1)[:, None]
+        dc = powers[1:] * c[1:]
+        # Newton's method on the damped model e^(-h/2) L_n(t + h), which lacks
+        # the undamped polynomial's e^(h/2) growth, from its first step
+        h = -c[0] / (1.0 - 0.5 * c[0])
+        for _ in range(2):
+            hp = h ** powers
+            f = (c * hp).sum(axis=0)
+            h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)
+        root = t + h
+        # e^(-t/2) L_n'(t + h) = slope 2^(e + m0 + shift), slope in [1/2, 1)
+        slope, e = np.frexp(deriv * (dc * h ** powers[:-1]).sum(axis=0) * state.frac)
+        exponent = -2 * (e + state.m0 + state.shift)
+        return (root, *_scaled(np.exp(h) / (root * slope * slope), exponent), count)
+
+
+def _scaled(mantissa: np.ndarray, exponent: np.ndarray):
+    """(mantissa 2^exponent, its log); where the value overflows to inf (callers
+    silence that warning), its log stays finite."""
+    return np.ldexp(mantissa, exponent), np.log(mantissa) + exponent * _LN2
+
+
+def _local_gaps(t: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearer neighbour, 0 counting as the first's."""
+    gap = np.empty_like(t)
+    gap[0], gap[1:] = t[0], t[1:] - t[:-1]
+    gap[:-1] = np.minimum(gap[:-1], gap[1:])
+    return gap
 
 
 @lru_cache(maxsize=256)
 def _gauss_laguerre_cached(n: int, alpha: float) -> QuadratureRule:
-    diag = 2.0 * np.arange(n) + alpha + 1.0
-    k = np.arange(1, n, dtype=float)
-    off = np.sqrt(k * (k + alpha))
-    try:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defect path
-        raise ArithmeticError(f"tridiagonal eigensolver failed for n={n}: {exc}")
-    nodes = np.sort(nodes)
-    nodes, lam_exp = _newton_polish(n, alpha, nodes)
-    if not np.all(np.diff(nodes) > 0.0) or nodes[0] <= 0.0:
-        raise ArithmeticError(f"eigensolver produced invalid nodes for n={n}, alpha={alpha}")
+    # Every zero lies in (0, nu) (Gershgorin on the Jacobi matrix).  lo and hi
+    # bracket each zero by the Sturm counts seen so far.  A pass is final when
+    # every step is small against the local gap, so the Taylor model holds,
+    # and the stepped nodes are distinct and inside their brackets, so they
+    # are the n zeros in order.  Otherwise a node moves to its stepped place
+    # if that lies inside its bracket, else to the bracket's midpoint.
+    nu = 4.0 * n + 2.0 * alpha + 2.0
+    t = _initial_nodes(n, alpha)
+    lo, hi = np.zeros(n), np.full(n, nu)
+    for _ in range(_MAX_PASSES):
+        root, lam_exp, log_lam_exp, count = _newton_polish(n, alpha, t)
+        below, above = np.zeros(n + 1), np.full(n + 1, nu)
+        np.maximum.at(below, count, t)
+        np.minimum.at(above, count, t)
+        lo = np.maximum(lo, np.maximum.accumulate(below)[:-1])
+        hi = np.minimum(hi, np.minimum.accumulate(above[::-1])[-2::-1])
+        gap = _local_gaps(t)
+        slack = _SLACK * gap
+        if ((np.abs(root - t) <= _STEP_LIMIT * gap).all()
+                and (root >= lo - slack).all() and (root <= hi + slack).all()
+                and (root[1:] - root[:-1] > slack[1:]).all()):
+            break
+        t = np.sort(np.where((root > lo) & (root < hi), root, 0.5 * (lo + hi)))
+    else:  # pragma: no cover - defect path
+        raise ArithmeticError(f"no Gauss-Laguerre rule for n={n}, alpha={alpha} "
+                              f"after {_MAX_PASSES} passes")
+    nodes = np.minimum(np.maximum(root, lo), hi)
+    if not ((nodes[1:] > nodes[:-1]).all() and nodes[0] > 0.0 and nodes[-1] < nu):
+        raise ArithmeticError(f"invalid Gauss-Laguerre nodes for n={n}, alpha={alpha}")
 
-    arrays = (nodes, np.log(lam_exp) - nodes, 0.5 * lam_exp, np.sqrt(nodes))
+    arrays = (nodes, log_lam_exp - nodes, 0.5 * lam_exp, np.sqrt(nodes))
     for a in arrays:
         a.flags.writeable = False
     return QuadratureRule(n, float(alpha), *arrays)
@@ -110,8 +243,11 @@ def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
 def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel function of the first n orthonormal Laguerre polynomials.
 
-    Returns (log lambda_n(x), lambda_n(x) * exp(x)); the second form is the
-    numerically safe one and equals 1 / sum_{j<n} q_j(x)^2.
+    Returns (log lambda_n(x), lambda_n(x) * exp(x)), where the second form is
+    1 / sum_{j<n} q_j(x)^2.  The squares are summed as mantissas and exponents
+    of the recurrence's rescaled state, so log lambda_n(x) is finite at every
+    x >= 0.  lambda_n(x) e^x is of moderate size on the rules' support
+    x < 4n + 2 alpha + 2; far beyond it, it overflows and is returned as inf.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -120,9 +256,18 @@ def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("points must be nonnegative")
-    kernel_diag = sum(np.square(row()) for row in _damped_rows(n - 1, alpha, x_arr.reshape(-1)))
-    lam_exp = 1.0 / kernel_diag.reshape(x_arr.shape)
-    log_lam = np.log(lam_exp) - x_arr
+    u = x_arr.reshape(-1)
+    # sum_{j<=k} q_j^2 = total 2^(top + 2 m0), with q_j = mant 2^(e + m0 + shift)
+    total, top = np.zeros(u.size), np.full(u.size, -(2 ** 20), dtype=np.int64)
+    for state in _damped_rows(n - 1, alpha, u):
+        mant, e = np.frexp(state.v * state.frac)
+        e = 2 * (e + state.shift)
+        new_top = np.maximum(top, e)
+        total = np.ldexp(total, top - new_top) + np.ldexp(mant * mant, e - new_top)
+        top = new_top
+    with np.errstate(over="ignore"):
+        lam_exp, log_lam_exp = _scaled(1.0 / total, -(top + 2 * state.m0))
+    lam_exp, log_lam = lam_exp.reshape(x_arr.shape), (log_lam_exp - u).reshape(x_arr.shape)
     if np.ndim(x) == 0:
         return float(log_lam), float(lam_exp)
     return log_lam, lam_exp
@@ -321,5 +466,5 @@ def moments_log(rule: QuadratureRule, k_max: int) -> np.ndarray:
 def moment_relative_errors(rule: QuadratureRule, k_max: int) -> np.ndarray:
     """|moment_k / Gamma(k+alpha+1) - 1| for k = 0..k_max."""
     lm = moments_log(rule, k_max)
-    target = gammaln(np.arange(k_max + 1) + rule.alpha + 1.0)
+    target = np.array([math.lgamma(k + rule.alpha + 1.0) for k in range(k_max + 1)])
     return np.abs(np.expm1(lm - target))

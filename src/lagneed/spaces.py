@@ -117,8 +117,11 @@ def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float) 
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
     level and axis the tile index of every cell and a 0/1 factor for cells it covers."""
-    breaks = [np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
-              for ax in range(system.d)]
+    breaks = []
+    for ax in range(system.d):
+        # np.unique's steps, without its first-call load of numpy.ma
+        b = np.sort(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
+        breaks.append(b[np.append(True, b[1:] != b[:-1])])
     cell_meas = [_interval_measures(b, a) for b, a in zip(breaks, system.alpha)]
     level_maps = []
     for g in system.grids:
@@ -398,7 +401,7 @@ def make_test_corpus(system: NeedletSystem, count: int = 20, seed: int = 0) -> l
     shape = (deg + 1,) * av.d
     degrees = total_degree_grid(shape)
     # single-band spikes across the degree range
-    for m in np.unique(np.linspace(0, deg, min(count // 3 + 1, deg + 1), dtype=int)):
+    for m in sorted(set(np.linspace(0, deg, min(count // 3 + 1, deg + 1), dtype=int).tolist())):
         arr = np.zeros(shape)
         mask = degrees == m
         arr[mask] = 1.0 / math.sqrt(int(np.count_nonzero(mask)))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "AlphaVector",
@@ -37,6 +36,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_SHIFT = 512
+_BOUND_LIMIT = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -113,41 +113,65 @@ def laguerre_poly(n: int, alpha: float, x: float) -> float:
     return cur
 
 
+class _Frame:
+    """The rescaled state of the damped recurrence after its latest step.
+
+    ``v`` and ``v_prev`` hold q_n(u) and q_(n-1)(u) divided by one positive
+    per-point factor 2^(e0 + shift) = 2^(m0 + shift) / frac, e0 = -u / (2 ln 2),
+    so they carry the signs and ratios of the q's at any size of the q's
+    themselves.  ``row`` converts ``v`` into q_n by exact ldexp scaling
+    (genuine underflow flushes cleanly to zero).
+    """
+
+    __slots__ = ("v", "v_prev", "frac", "m0", "shift")
+
+    def row(self) -> np.ndarray:
+        return np.ldexp(self.v * self.frac, self.m0 + self.shift)
+
+
 def _damped_rows(N: int, alpha: float, u: np.ndarray):
     """Step through q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u), n = 0..N.
 
-    ``u`` is flat.  The recurrence runs on rescaled values v with the
-    represented quantity v * 2^(e0 + shift), so no step can overflow.  Each
-    step yields a function that converts the current state into a fresh
-    array of q_n by exact ldexp scaling (genuine underflow flushes cleanly to
-    zero).  The state moves on with the generator, so call it before asking
-    for the next row; a consumer that reads only some rows converts only those.
+    ``u`` is flat.  Each step yields the same _Frame, whose state moves on with
+    the generator, so read it before asking for the next step; a consumer that
+    needs only some rows converts only those.  A running bound on the values
+    (each step grows them by at most (max|2n+a+1-u| + b_n) / b_(n+1)) says when
+    they could near the float range; only then are the large ones rescaled by
+    2^-512, both rows alike, so no step can overflow and the rows do not depend
+    on when the rescaling happened.
     """
+    s = _Frame()
     e0 = -u / (2.0 * _LN2)
     m0 = np.floor(e0)
-    frac = np.exp2(e0 - m0)          # in [1, 2)
-    m0 = m0.astype(np.int64)
-
-    shift = np.zeros(u.size, dtype=np.int64)
-    v_prev = np.zeros(u.size)
-    v_cur = np.full(u.size, math.exp(-0.5 * gammaln(alpha + 1.0)))
-
-    def row():
-        return np.ldexp(v_cur * frac, m0 + shift)
-
-    yield row
-    b_cur = 0.0
+    s.frac = np.exp2(e0 - m0)          # in [1, 2)
+    s.m0 = m0.astype(np.int64)
+    s.shift = np.zeros(u.size, dtype=np.int64)
+    s.v_prev = np.zeros(u.size)
+    start = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+    s.v = np.full(u.size, start)
+    yield s
+    lo, hi = (float(u.min()), float(u.max())) if u.size else (0.0, 0.0)
+    spare, term = np.empty(u.size), np.empty(u.size)
+    bound, b_cur = start, 0.0
     for n in range(N):
+        c = 2.0 * n + alpha + 1.0
         b_next = math.sqrt((n + 1.0) * (n + 1.0 + alpha))
-        v_next = ((2.0 * n + alpha + 1.0 - u) * v_cur - b_cur * v_prev) / b_next
-        v_prev, v_cur, b_cur = v_cur, v_next, b_next
-
-        big = np.abs(v_cur) > _RESCALE_LIMIT
-        if big.any():
-            v_cur[big] = np.ldexp(v_cur[big], -_RESCALE_SHIFT)
-            v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_SHIFT)
-            shift[big] += _RESCALE_SHIFT
-        yield row
+        growth = max(1.0, (max(c - lo, hi - c) + b_cur) / b_next)
+        if bound * growth > _BOUND_LIMIT:
+            size = np.maximum(np.abs(s.v), np.abs(s.v_prev))
+            big = size > _RESCALE_LIMIT
+            s.v[big] = np.ldexp(s.v[big], -_RESCALE_SHIFT)
+            s.v_prev[big] = np.ldexp(s.v_prev[big], -_RESCALE_SHIFT)
+            s.shift[big] += _RESCALE_SHIFT
+            bound = float(np.max(np.where(big, np.ldexp(size, -_RESCALE_SHIFT), size),
+                                  initial=0.0))
+        bound *= growth
+        v = np.subtract(c, u, out=spare)
+        v *= s.v
+        v -= np.multiply(b_cur, s.v_prev, out=term)
+        v /= b_next
+        spare, s.v_prev, s.v, b_cur = s.v_prev, s.v, v, b_next
+        yield s
 
 
 def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
@@ -180,8 +204,8 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
     else:
         raise ValueError(f"unknown family {family!r}")
     q = np.empty((N + 1, u.size))
-    for n, row in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
-        q[n] = row()
+    for n, state in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
+        q[n] = state.row()
     vals = q.reshape((N + 1,) + u.shape)
     vals *= pre
     if np.ndim(x) == 0:

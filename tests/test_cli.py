@@ -419,6 +419,21 @@ class TestReport:
             texts.append((out_dir / "nikolskii.json").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_nikolskii_summary_names_the_exponents(self, capsys, tmp_path, system_config):
+        # a failed run must say which exponent failed without opening nikolskii.json
+        out_dir = tmp_path / "bundle"
+        code, out, _ = run_main(["report", "--config", system_config, "--only", "nikolskii",
+                                 "--out", str(out_dir)], capsys)
+        assert code == 0
+        fields = json.loads((out_dir / "summary.json").read_text())["suites"]["nikolskii"]
+        rep = json.loads((out_dir / "nikolskii.json").read_text())
+        names = ("exponent_plain", "exponent_weighted", "theory_exponent_plain",
+                 "theory_exponent_weighted")
+        assert set(fields) == {"pass", "tolerance", *names}
+        assert all(fields[k] == rep[k] for k in names)
+        assert fields["theory_exponent_plain"] == 0.75
+        assert json.loads(out)["suites"]["nikolskii"] == fields
+
     def test_unknown_suite_rejected(self, capsys, system_config):
         code, _, err = run_main(["report", "--config", system_config, "--only",
                                  "bogus"], capsys)
@@ -495,3 +510,24 @@ def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "lagneed.cli", "quadrature"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_runtime_never_imports_scipy(system_config, tmp_path):
+    # with scipy blocked, report (all five suites) and a degree-3337 rule still
+    # run, and importing the CLI loads no scipy module
+    runs = [["report", "--config", system_config, "--out", str(tmp_path / "bundle")],
+            ["quadrature", "--n", "3337", "--alpha", "0.5", "--out", str(tmp_path / "q.json")]]
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import lagneed.cli",
+        "assert not [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod]",
+        *[f"assert lagneed.cli.main({argv!r}) == 0" for argv in runs],
+    ])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", "import sys, lagneed.cli; "
+                           "print([m for m in sys.modules if m.startswith('scipy')])"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"

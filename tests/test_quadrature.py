@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
-from lagneed.special import laguerre_fn_batch, multivariate_F
+from lagneed.special import _damped_rows, laguerre_fn_batch, multivariate_F
 from lagneed import quadrature
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
@@ -24,6 +26,25 @@ from lagneed.quadrature import (
     tile_measure,
     weight_W,
 )
+
+
+def _eigensolver_rule(n, alpha):
+    """Reference rule: eigenvalues of the Jacobi matrix, then one Newton step and
+    the three-row Christoffel-Darboux sum in one pass at the eigenvalues.
+    Returns (nodes, cub_coeffs); cub_coeffs is inf where it overflows."""
+    k = np.arange(1, n, dtype=float)
+    t = eigh_tridiagonal(2.0 * np.arange(n) + alpha + 1.0, np.sqrt(k * (k + alpha)),
+                         eigvals_only=True)
+    qm, qd, qn = ([0.0] + [s.row() for j, s in enumerate(_damped_rows(n, alpha, t))
+                           if j >= n - 2])[-3:]
+    root, root_m = math.sqrt(n * (n + alpha)), math.sqrt((n - 1) * (n - 1 + alpha))
+    with np.errstate(divide="ignore", over="ignore"):
+        cub = 0.5 * t / (root * (root * qd * qd - qn * qd - root_m * qm * qn))
+        return t + t * qn / (root * qd - n * qn), cub
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a / b - 1.0)))
 
 
 class TestGaussLaguerre:
@@ -113,12 +134,22 @@ class TestGaussLaguerre:
 
     @pytest.mark.parametrize("n, alpha", [(12, 0.0), (12, 0.5), (20, 2.0)])
     def test_newton_sweep_is_exact_step(self, n, alpha):
-        # from nodes perturbed by 1%, one sweep is t - L_n(t) / L_n'(t) with
-        # L_n' = -L_(n-1)^(alpha+1)
-        t0 = gauss_laguerre(n, alpha).nodes
+        # from nodes perturbed by 1%, one sweep (Newton's method on the degree-8
+        # Taylor model of L_n) lands on the zeros of the eigensolver reference
+        # (measured: 7.5e-15 at n = 12, 2.0e-12 at n = 20)
+        t0 = _eigensolver_rule(n, alpha)[0]
         t = t0 * (1.0 + 1e-2 * np.sin(np.arange(n) + 1.0))
-        want = t + eval_genlaguerre(n, alpha, t) / eval_genlaguerre(n - 1, alpha + 1.0, t)
-        assert _newton_polish(n, alpha, t)[0] == pytest.approx(want, rel=1e-12)
+        assert _newton_polish(n, alpha, t)[0] == pytest.approx(t0, rel=1e-11)
+
+    @pytest.mark.parametrize("n, alpha", [(1, 0.0), (12, 0.5), (20, 2.0), (300, 1.0)])
+    def test_pass_reads_sturm_counts(self, n, alpha):
+        # the sign changes of q_0..q_n at t count the zeros of L_n below t, also
+        # where the converted rows underflow (far right of the support)
+        zeros = gauss_laguerre(n, alpha).nodes
+        mids = np.concatenate(([0.5 * zeros[0]], 0.5 * (zeros[1:] + zeros[:-1]),
+                               [zeros[-1] + 1.0, 3000.0]))
+        assert np.array_equal(_newton_polish(n, alpha, mids)[3],
+                              np.searchsorted(zeros, mids))
 
     def test_cold_rule_makes_one_recurrence_pass(self, monkeypatch):
         # the Newton step and the weights read the same streaming pass
@@ -134,6 +165,67 @@ class TestGaussLaguerre:
         gauss_laguerre(77, 0.8125)
         assert _gauss_laguerre_cached.cache_info().misses == misses + 1
         assert passes == [77]
+
+    @pytest.mark.parametrize("n", [209, 835])
+    def test_benchmark_sized_cold_rules_make_one_pass(self, monkeypatch, n):
+        # from the asymptotic nodes one pass is final: it steps the nodes and
+        # gives their coefficients, with no pass for the weights; the rule meets
+        # the moment contract
+        passes = []
+        rows = quadrature._damped_rows
+
+        def counted(N, alpha, u):
+            passes.append((N, u.size))
+            return rows(N, alpha, u)
+
+        monkeypatch.setattr(quadrature, "_damped_rows", counted)
+        rule = _gauss_laguerre_cached.__wrapped__(n, 0.5)
+        assert passes == [(n, n)]
+        assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n, node_tol, coeff_tol", [
+        (1, 1e-15, 1e-14), (2, 1e-15, 1e-14), (4, 1e-14, 1e-14), (14, 1e-14, 5e-14),
+        (53, 2e-13, 5e-13), (209, 2e-12, 5e-12), (835, 3e-11, 1e-10),
+        (3337, 2e-10, 2e-9)])
+    def test_matches_eigensolver_reference(self, n, alpha, node_tol, coeff_tol):
+        # measured maxima: 2.0e-15 / 6.7e-15 (n <= 14), 3.9e-14 / 7.9e-14 (53),
+        # 3.8e-13 / 7.2e-13 (209), 5.7e-12 / 1.4e-11 (835), 5.1e-11 / 3.7e-10 (3337)
+        nodes, cub = _eigensolver_rule(n, alpha)
+        rule = gauss_laguerre(n, alpha)
+        assert _max_rel(rule.nodes, nodes) < node_tol
+        assert _max_rel(rule.cub_coeffs, cub) < coeff_tol
+
+    def test_smallest_nodes_match_mpmath(self):
+        # the recurrence's rounding floor at n = 835 is about 1e-10 at the
+        # smallest nodes, for this rule and the eigensolver alike
+        n, alpha = 835, 0.5
+        rule = gauss_laguerre(n, alpha)
+        with mpmath.workdps(30):
+            for t, c in zip(rule.nodes[:10], rule.cub_coeffs[:10]):
+                z = mpmath.mpf(t)
+                for _ in range(3):
+                    z += mpmath.laguerre(n, alpha, z) / mpmath.laguerre(n - 1, alpha + 1, z)
+                dz = mpmath.laguerre(n - 1, alpha + 1, z)
+                want = mpmath.gamma(n + alpha + 1) * mpmath.exp(z) / (
+                    2 * mpmath.factorial(n) * z * dz ** 2)
+                assert abs(t / z - 1) < 2e-11
+                assert abs(c / want - 1) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [7.5, 10.0, 20.0, 50.0, 100.0])
+    def test_large_alpha_rules_are_robust(self, alpha):
+        # guarded passes keep every node in its Sturm bracket: no duplicates, none
+        # outside the support, and the eigensolver's nodes and (finite)
+        # coefficients; the log weights stay finite where the coefficients overflow
+        for n in list(range(1, 41)) + [64, 255, 512, 1024]:
+            rule = _gauss_laguerre_cached.__wrapped__(n, alpha)
+            nodes, cub = _eigensolver_rule(n, alpha)
+            assert np.all(np.diff(rule.nodes) > 0.0)
+            assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 4 * n + 2 * alpha + 2
+            assert _max_rel(rule.nodes, nodes) < 1e-11
+            finite = np.isfinite(cub) & np.isfinite(rule.cub_coeffs)
+            assert _max_rel(rule.cub_coeffs[finite], cub[finite]) < 1e-10
+            assert np.all(np.isfinite(rule.log_weights))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -160,11 +252,28 @@ class TestChristoffel:
 
     @pytest.mark.parametrize("n,alpha", [(1, 0.0), (2, 0.5), (48, 2.0), (300, 1.0)])
     def test_christoffel_darboux_holds_off_the_zeros(self, n, alpha):
-        # the three-row form used by the rules equals the sum at any t > 0,
-        # which also pins its q_(n-2) q_n term (negligible at the zeros)
-        x = np.linspace(0.01 * n, 4.0 * n, 401)
-        assert _newton_polish(n, alpha, x)[1] == pytest.approx(
-            christoffel(n, alpha, x)[1], rel=1e-12)
+        # from points off the zeros, the pass's t q_n'^2 form, with q_n' carried
+        # to the stepped node by the Taylor model, equals the sum of squares there
+        t0 = _eigensolver_rule(n, alpha)[0]
+        gaps = np.diff(t0, prepend=0.0)
+        root, lam_exp, log_lam_exp, _ = _newton_polish(
+            n, alpha, t0 + 5e-3 * gaps * np.cos(np.arange(n)))
+        log_lam, want = christoffel(n, alpha, root)
+        assert lam_exp == pytest.approx(want, rel=1e-12)
+        assert log_lam_exp - root == pytest.approx(log_lam, rel=1e-12, abs=1e-12)
+
+    def test_log_form_is_finite_beyond_the_support(self):
+        # at the largest node of the 512-point rule the degree-65 sum of squares
+        # underflows if converted, and lambda e^x overflows; log lambda matches
+        # mpmath (about -556.5) and lambda e^x is inf without a warning
+        x = 2004.06
+        log_lam, lam_exp = christoffel(65, 0.5, x)
+        with mpmath.workdps(30):
+            total = mpmath.fsum(mpmath.laguerre(k, 0.5, x) ** 2 * mpmath.factorial(k)
+                                / mpmath.gamma(k + 1.5) for k in range(65))
+            want = float(-mpmath.log(total))
+        assert abs(log_lam / want - 1.0) < 1e-10
+        assert lam_exp == math.inf
 
     @pytest.mark.parametrize("n,alpha", [(1, 0.0), (5, 0.5), (48, 2.0), (128, 0.5), (300, 1.0)])
     def test_matches_full_table_sum(self, n, alpha):
