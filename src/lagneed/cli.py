@@ -200,13 +200,14 @@ def cmd_quadrature(args) -> int:
 def cmd_grid(args) -> int:
     alpha = [float(v) for v in args.alpha.split(",")]
     grid = cubature_grid(args.j, args.d, alpha, args.delta, args.c_star)
+    points = grid.points()  # refuses a grid above the point cap before the boxes
     boxes = [[list(map(float, (grid.axis_breaks[ax][g], grid.axis_breaks[ax][g + 1])))
               for ax, g in enumerate(np.unravel_index(i, (grid.n_j,) * grid.d))]
              for i in range(grid.point_count)]
     payload = {
         "j": grid.j, "d": grid.d, "alpha": list(grid.alpha.alpha),
         "n_j": grid.n_j, "delta": grid.delta, "c_star": grid.c_star,
-        "points": [list(p) for p in grid.points()],
+        "points": [list(p) for p in points],
         "coeffs": list(grid.coeffs()),
         "tile_boxes": boxes,
         "tile_measures": list(grid.tile_measures()),

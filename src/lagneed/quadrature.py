@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 GRID_POINT_CAP = 10_000_000
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -342,6 +343,12 @@ class CubatureGrid:
         self.axis_xi = tuple(r.sqrt_nodes for r in self._rules)
         self.axis_c = tuple(r.cub_coeffs for r in self._rules)
         self.axis_breaks = tuple(self._breaks(xi, ext) for xi in self.axis_xi)
+        for a, c, br in zip(self.alpha, self.axis_c, self.axis_breaks):
+            # a coefficient lambda_n e^t, or the measure of the last tile
+            # (a power 2a+2 of its right end), above the float64 range
+            if not (np.isfinite(c).all() and (2.0 * a + 2.0) * math.log(br[-1]) < _LOG_MAX):
+                raise ValueError(f"no level-{self.j} grid for alpha={a} with n_j={self.n_j}: "
+                                 "its cubature coefficients or tile measures overflow")
         self.axis_tile_measure = tuple(
             _interval_measures(br, a) for br, a in zip(self.axis_breaks, self.alpha))
         for arr in self.axis_breaks + self.axis_tile_measure:
@@ -356,17 +363,27 @@ class CubatureGrid:
     def point_count(self) -> int:
         return self.n_j ** self.d
 
+    def _require_flat(self) -> None:
+        """Refuse to flatten a grid of more than GRID_POINT_CAP points; its
+        per-axis arrays stay available at any size."""
+        if self.point_count > GRID_POINT_CAP:
+            raise ResourceWarning(f"flattening the grid would give {self.point_count} "
+                                  f"points, above the cap {GRID_POINT_CAP}")
+
     def points(self) -> np.ndarray:
         """All grid points, shape (n_j^d, d), in lexicographic gamma order."""
+        self._require_flat()
         mesh = np.meshgrid(*self.axis_xi, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def coeffs(self) -> np.ndarray:
         """Cubature coefficients c_gamma in the same order as points()."""
+        self._require_flat()
         return _outer(self.axis_c).reshape(-1)
 
     def tile_measures(self) -> np.ndarray:
         """w_alpha measures of all tiles, same ordering as points()."""
+        self._require_flat()
         return _outer(self.axis_tile_measure).reshape(-1)
 
     def tile(self, gamma) -> Tile:
@@ -398,10 +415,6 @@ def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.
     if av.d != d:
         raise ValueError(f"alpha has dimension {av.d}, expected {d}")
     j = int(j)
-    n_j = level_node_count(j, delta, c_star)
-    if n_j ** d > GRID_POINT_CAP:
-        raise ResourceWarning(
-            f"grid would hold {n_j ** d} points, above the cap {GRID_POINT_CAP}")
     ext = 2.0 ** (j / 3.0) if right_extension is None else float(right_extension)
     return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
 

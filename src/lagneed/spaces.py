@@ -15,17 +15,28 @@ arrangement on which every level function is constant, and the cell
 measures have closed forms.  The sequence B-norm sums over the tiles of
 each level directly.  The continuous norms are controlled approximations:
 band parts of the function are evaluated on a finer cubature grid, axis by
-axis (per-axis Laguerre tables contracted with the band's coefficient
-block), and the outer integral folds the values, kept in their (n,)*d
-shape, with that grid's per-axis cubature weights (the absolute value breaks
-polynomial exactness, which is documented behavior).  The sequence norms
-fold per-axis cell or tile measures the same way.
+axis (per-axis Laguerre tables, each scaled by its axis's factor of
+W(4^j; x)^(-rho/d), contracted with the band's coefficient block), and the
+outer integral folds the values, kept in their (n,)*d shape, with that
+grid's per-axis cubature weights (the absolute value breaks polynomial
+exactness, which is documented behavior).  The sequence norms fold per-axis
+cell or tile measures the same way.
+
+Every power of a level function goes through ``_normal_pow``: a value whose
+power would fall below the smallest normal float (2.2e-308) counts as 0.
+A band part decays like e^(-x^2/2), so most of its grid values are such
+values, and pow is slow on them; the norms differ from plain powers only by
+those terms.  The F reduction scales, raises and accumulates each level in
+place, so for a real function a continuous norm holds at most two level
+arrays: about 2.2 n^d floats at its peak, masks included (about 4.2 for a
+complex function, whose values are folded as complex).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,21 +88,68 @@ class NormParams:
         return math.isinf(self.q)
 
 
-def _lp(vals, weights, p: float) -> float:
+_TINY = np.finfo(float).tiny
+
+
+def _normal_pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x ** p of a nonnegative float array x, with 0 wherever the result would
+    fall below the normal range (x ** p < tiny); x itself at p = 1.
+
+    ``out`` is None, for a new array, or x, to raise x in place.  Band parts
+    decay like e^(-x^2/2), so most of a level's values lie far below
+    tiny^(1/p), and pow takes a slow path for each of them (and for 0) that
+    costs more than ten normal powers.  Only the others are raised.
+    """
+    if p == 1.0:
+        return x
+    drop = x < _pow_floor(p)  # False at NaN, which propagates
+    if out is None:
+        out = np.zeros_like(x)
+    else:
+        np.copyto(out, 0.0, where=drop)
+    return np.power(x, p, out=out, where=~drop)
+
+
+@lru_cache(maxsize=64)
+def _pow_floor(p: float) -> float:
+    """The least float x with x ** p >= tiny under numpy's power, which
+    _normal_pow uses; tiny ** (1/p) misses it by up to a few hundred ulps,
+    since 1/p is rounded."""
+    x = np.array([_TINY ** (1.0 / p)])
+    while np.power(x, p)[0] < _TINY:
+        x = np.nextafter(x, np.inf)
+    while (below := np.nextafter(x, 0.0)) > 0.0 and np.power(below, p)[0] >= _TINY:
+        x = below
+    return float(x[0])
+
+
+def _lp(vals: np.ndarray, weights, p: float) -> float:
     """(sum w * vals^p)^(1/p) of nonnegative vals, w the tensor product of the
     per-axis ``weights``; their max at p = inf, 0 when empty."""
     if math.isinf(p):
         return float(np.max(vals, initial=0.0))
-    return _fold_sum(vals ** p, weights) ** (1.0 / p)
+    return _fold_sum(_normal_pow(vals, p), weights) ** (1.0 / p)
 
 
 def _F_reduce(levels, weights, params: NormParams) -> float:
-    """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j."""
-    acc = 0.0
+    """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j.
+
+    Each g_j is scaled, raised to q and added into the first level in place,
+    so at most two level arrays are alive at once; the g_j are overwritten.
+    """
+    acc = None
     for j, g in levels:
-        term = 2.0 ** (params.s * j) * g
-        acc = np.maximum(acc, term) if params.q_inf else acc + term ** params.q
-    integrand = acc ** params.p if params.q_inf else acc ** (params.p / params.q)
+        g *= 2.0 ** (params.s * j)
+        if not params.q_inf:
+            _normal_pow(g, params.q, out=g)
+        if acc is None:
+            acc = g
+        elif params.q_inf:
+            np.maximum(acc, g, out=acc)
+        else:
+            acc += g
+        del g  # free this level before the next is computed
+    integrand = _normal_pow(acc, params.p if params.q_inf else params.p / params.q, out=acc)
     return _fold_sum(integrand, weights) ** (1.0 / params.p)
 
 
@@ -176,14 +234,17 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGr
 
     The band part f_j is formed exactly in coefficient space; its values
     come from folding the band's coefficient block into per-axis Laguerre
-    tables on the grid abscissae, so no table is built at the n^d points.
+    tables on the grid abscissae, each scaled by its axis's factor of the
+    weight, so no table and no weight is built at the n^d points.
     """
     tables = [laguerre_fn_batch(f.max_degree, a, xi, "F")
               for a, xi in zip(system.alpha, grid.axis_xi)]
     for j in _cont_levels(f, system):
         block = _band_block(system, f, j)
-        vals = np.abs(_fold(block, [t[: len(block)] for t in tables], 0))
-        yield j, _outer(_axis_weight_powers(grid, j, rho)) * vals
+        vals = _fold(block, [t[: len(block)] * w for t, w in
+                             zip(tables, _axis_weight_powers(grid, j, rho))], 0)
+        yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
+        del vals  # the caller owns the level now; keep no second reference to it
 
 
 def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
@@ -364,7 +425,11 @@ def nikolskii_report(alpha, s: float = 0.0, n_set=(16, 64, 256)) -> dict:
 
 def equivalence_report(system: NeedletSystem, params: NormParams, test_set,
                        space: str = "F", integration_level: int | None = None) -> dict:
-    """Continuous-vs-sequence norm ratios over a set of coefficient functions."""
+    """Continuous-vs-sequence norm ratios over a set of coefficient functions.
+
+    Levels 0..J reconstruct exactly only up to ``system.exact_degree()``, so a
+    function with a nonzero coefficient of higher total degree is refused.
+    """
     norms = {"F": (F_norm_cont, f_norm_seq), "B": (B_norm_cont, b_norm_seq)}
     if space not in norms:
         raise ValueError("space must be 'F' or 'B'")
@@ -372,6 +437,10 @@ def equivalence_report(system: NeedletSystem, params: NormParams, test_set,
     j_int = system.J + 1 if integration_level is None else int(integration_level)
     rows, skipped = [], []
     for k, f in enumerate(test_set):
+        top = int(total_degree_grid(f.coeffs.shape)[f.coeffs != 0].max(initial=0))
+        if top > system.exact_degree():
+            raise ValueError(f"function {k} has total degree {top}, above the degree "
+                             f"{system.exact_degree()} the system reconstructs exactly")
         coeffs = analyze(system, f)
         cont = cont_norm(f, params, system, j_int)
         seq = seq_norm(coeffs, params, system)

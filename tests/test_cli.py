@@ -96,6 +96,13 @@ class TestGridCommand:
         assert len(payload["points"]) == 4
         assert len(payload["tile_measures"]) == 4
 
+    @pytest.mark.parametrize("argv", [["--j", "4", "--alpha", "100"],
+                                      ["--j", "5", "--d", "2", "--alpha", "0,0"]])
+    def test_refused_grid_exits_2(self, argv, capsys):
+        # an overflowing grid, and one above the point cap, which it would flatten
+        code, out, err = run_main(["grid", *argv], capsys)
+        assert code == 2 and out == "" and err
+
 
 class TestKernelCommands:
     def test_kernel_eval(self, capsys):

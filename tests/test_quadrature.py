@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -320,11 +321,26 @@ class TestCubatureGrid:
             cubature_grid(0, 2, [0.0])
 
     def test_resource_cap(self):
-        # the level-5 grid in 2-D holds 3337^2 = 11.1M points; the cap is checked
-        # before any rule is built
+        # the level-5 grid in 2-D holds 3337^2 = 11.1M points: it is built from
+        # its per-axis arrays, and the cap refuses only to flatten it
         assert level_node_count(5) ** 2 > GRID_POINT_CAP
-        with pytest.raises(ResourceWarning):
-            cubature_grid(5, 2, [0.0, 0.0])
+        grid = cubature_grid(5, 2, [0.0, 0.0])
+        assert grid.point_count > GRID_POINT_CAP
+        for flatten in (grid.points, grid.coeffs, grid.tile_measures):
+            with pytest.raises(ResourceWarning):
+                flatten()
+
+    def test_refuses_non_finite_grid(self):
+        # at alpha = 100 the level-4 coefficients lambda_n e^t and the measures
+        # t^(2 alpha + 2) of the outer tiles overflow; the grid is refused
+        # before numpy warns of the overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"alpha=100\.0 with n_j=835"):
+                cubature_grid(4, 1, [100.0])
+            grid = cubature_grid(4, 1, [50.0])
+        assert np.isfinite(grid.axis_c[0]).all()
+        assert np.isfinite(grid.axis_tile_measure[0]).all()
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_orthonormality_within_budget(self, j):

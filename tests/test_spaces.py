@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lagneed.spaces import (
     nikolskii_report,
     seminorm_P_star,
     _lp,
+    _normal_pow,
 )
 
 DUAL = make_dual_pair(frame_default())
@@ -358,6 +360,86 @@ class TestContinuousNorms:
         assert max(consts) < 50.0
 
 
+TINY = np.finfo(float).tiny
+
+
+class TestUnderflow:
+    """Powers are taken only where they stay in the normal range, so scaled
+    functions, whose band parts reach far below it, keep their norms."""
+
+    @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0, 1.5, 2.0, 3.0, 4.0])
+    def test_normal_pow_matches_power_where_normal(self, p):
+        rng = np.random.default_rng(0)
+        x = np.exp(rng.uniform(-745.0, 20.0, 20000))
+        floor = TINY ** (1.0 / p)
+        x[:200] = floor * (1.0 + np.linspace(-1e-13, 1e-13, 200))  # both sides of the floor
+        x[200:210] = [0.0, 5e-324, 1e-320, TINY, 1.0, 2.0, floor, 1e-200, 1e-100, 1e-160]
+        want, before = x ** p, x.copy()
+        normal = want >= TINY
+        if p > 1.0:
+            assert normal[:200].any() and not normal[:200].all()
+        got = _normal_pow(x, p)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(got[normal], want[normal])
+        assert (got[~normal] == 0.0).all()
+        y = x.copy()
+        assert _normal_pow(y, p, out=y) is y
+        np.testing.assert_array_equal(y, _normal_pow(x, p))
+
+    def test_normal_pow_propagates_nan_and_inf(self):
+        got = _normal_pow(np.array([np.nan, np.inf, 1e-300]), 3.0)
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 0.0
+
+    def test_normal_pow_identity_at_one(self):
+        x = np.array([0.0, 5e-324, 1e-310, 1.0])
+        assert _normal_pow(x, 1.0) is x
+        np.testing.assert_array_equal(x, [0.0, 5e-324, 1e-310, 1.0])
+
+    def test_normal_pow_keeps_subnormal_inputs_below_one(self):
+        got = _normal_pow(np.array([5e-324, 1e-310]), 0.5)
+        assert (got > 0.0).all()
+        np.testing.assert_array_equal(got, np.array([5e-324, 1e-310]) ** 0.5)
+
+    @pytest.mark.parametrize("c", [1e-80, 1e80])
+    @pytest.mark.parametrize("which", ["1d", "2d"])
+    def test_norms_scale_exactly(self, system, system_2d, which, c):
+        sys_ = system if which == "1d" else system_2d
+        f = CoeffFn.random(sys_.alpha, 4 ** (sys_.J - 1), seed=4)
+        cf = CoeffFn(f.alpha, f.max_degree, c * f.coeffs)
+        coeffs, c_coeffs = analyze(sys_, f), analyze(sys_, cf)
+        level = sys_.J + 1
+        norms = {"F": (F_norm_cont, f_norm_seq), "B": (B_norm_cont, b_norm_seq)}
+        for params, spaces_ in [(NormParams(0.0, 0.0, 3.0, math.inf), "B"),
+                                (NormParams(0.5, 0.5, 1.5, 1.0), "F"),
+                                (NormParams(1.0, 1.0, 0.5, 0.5), "FB")]:
+            for space in spaces_:
+                cont, seq = norms[space]
+                for plain, scaled in [(cont(f, params, sys_, level), cont(cf, params, sys_, level)),
+                                      (seq(coeffs, params, sys_), seq(c_coeffs, params, sys_))]:
+                    assert 0.0 < plain < math.inf
+                    assert scaled == pytest.approx(c * plain, rel=1e-12)
+
+    def test_continuous_norm_memory(self):
+        # J=3 d=2 at integration level 4: the level values keep the (835, 835)
+        # shape, and a norm holds at most the accumulator, one level and masks
+        sys_ = build_system(3, 2, [0.5, 0.5], TIGHT)
+        f = make_test_corpus(sys_, count=20, seed=1)[-1]
+        n_d = cubature_grid(4, 2, sys_.alpha, sys_.delta, sys_.c_star).point_count
+        for norm, params, bound in [(F_norm_cont, NormParams(0.5, 0.5, 1.5, 1.0), 3.5),
+                                    (F_norm_cont, NormParams(1.0, 1.0, 2.0, math.inf), 3.5),
+                                    (B_norm_cont, NormParams(0.0, 0.0, 3.0, math.inf), 2.5),
+                                    (B_norm_cont, NormParams(0.5, 0.5, 0.5, 2.0), 2.5)]:
+            want = norm(f, params, sys_, 4)  # warm every cache first
+            tracemalloc.start()
+            try:
+                got = norm(f, params, sys_, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak <= bound * n_d * 8, (norm.__name__, params, peak / (n_d * 8))
+
+
 class TestSeminormAndMultiplier:
     def test_unit_lowest_mode(self):
         arr = np.zeros(1, dtype=complex)
@@ -566,6 +648,17 @@ class TestReports:
             arrs.append(CoeffFn([0.5], 16, arr))
         rep = equivalence_report(system, NormParams(0.5, 0.5, 2.0, 2.0), arrs)
         assert all(0.0 < r["ratio"] < math.inf for r in rep["rows"])
+
+    def test_equivalence_refuses_degree_above_exact(self, system):
+        # levels 0..3 reconstruct up to degree 16; a degree-24 spike would give
+        # a meaningless ratio, while a degree-24 function of degree-16 content passes
+        arr = np.zeros(25)
+        arr[24] = 1.0
+        with pytest.raises(ValueError, match="total degree 24"):
+            equivalence_report(system, NormParams(0, 0, 2, 2), [CoeffFn([0.5], 24, arr)])
+        arr[24], arr[16] = 0.0, 1.0
+        rep = equivalence_report(system, NormParams(0, 0, 2, 2), [CoeffFn([0.5], 24, arr)])
+        assert len(rep["rows"]) == 1
 
     def test_equivalence_tight_l2_anchored(self, tight_system):
         corpus = make_test_corpus(tight_system, count=10, seed=0)
