@@ -235,7 +235,7 @@ def _gauss_laguerre_cached(n: int, alpha: float) -> QuadratureRule:
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
     """Gauss-Laguerre rule with n nodes for weight t^alpha e^(-t)."""
     if n < 1:
-        raise ValueError("node count must be at least 1")
+        raise ValueError("n must be at least 1")
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
     return _gauss_laguerre_cached(int(n), float(alpha))

@@ -174,31 +174,30 @@ def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float) 
 
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
-    level and axis the tile index of every cell and a 0/1 factor for cells it covers."""
+    level an open mesh of each cell's tile index along each axis: never negative,
+    as every level's breaks start at 0, and n_j for a cell past the last tile."""
     breaks = []
     for ax in range(system.d):
         # np.unique's steps, without its first-call load of numpy.ma
         b = np.sort(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
         breaks.append(b[np.append(True, b[1:] != b[:-1])])
     cell_meas = [_interval_measures(b, a) for b, a in zip(breaks, system.alpha)]
-    level_maps = []
-    for g in system.grids:
-        idx = [np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
-               for gb, b in zip(g.axis_breaks, breaks)]
-        level_maps.append((np.ix_(*[np.clip(i, 0, g.n_j - 1) for i in idx]),
-                           [((i >= 0) & (i < g.n_j)).astype(float) for i in idx]))
+    level_maps = [np.ix_(*[np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
+                           for gb, b in zip(g.axis_breaks, breaks)])
+                  for g in system.grids]
     return cell_meas, level_maps
 
 
 def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
-    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement."""
+    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement;
+    a level's amplitudes get a trailing 0 per axis for the cells past its tiles."""
     params.require_F()
     levels = _system_levels(coeffs, system)
     cell_meas, level_maps = _arrangement(system)
 
     def on_cells(j):
-        take, covered = level_maps[j]
-        return _level_amplitudes(system, j, levels[j], params.rho)[take] * _outer(covered)
+        amp = _level_amplitudes(system, j, levels[j], params.rho)
+        return np.pad(amp, [(0, 1)] * system.d)[level_maps[j]]
 
     return _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)), cell_meas, params)
 
@@ -333,13 +332,26 @@ def _interval_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
     return np.diagonal(ratio, offset=1)
 
 
+def _lattice_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
+    """``_interval_max`` over every axis: each interval [a, b) of the first axis
+    recurses on its strip, whose padded prefix sums are P[b] - P[a]."""
+    if P_num.ndim == 1:
+        return _interval_max(P_num, P_mu, t)
+    out = np.zeros(tuple(m - 1 for m in P_num.shape))
+    for a in range(len(out)):
+        for b in range(a + 1, len(out) + 1):
+            strip = _lattice_max(P_num[b] - P_num[a], P_mu[b] - P_mu[a], t)
+            np.maximum(out[a:b], strip, out=out[a:b])
+    return out
+
+
 def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
     """Cube-averaged maximal function restricted to lattice-aligned boxes.
 
     For each cell the supremum runs over all boxes whose corners lie on the
     breakpoint lattice and which contain the cell; by the doubling property
     of the weighted measure this differs from the full supremum by at most
-    a fixed constant factor.  Implemented for d <= 2.
+    a fixed constant factor.  Any d: ``_lattice_max`` recurses over the axes.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -352,21 +364,7 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
             p = np.cumsum(p, axis=ax)
         return np.pad(p, [(1, 0)] * a.ndim)
 
-    P_num, P_mu = padded_prefix(num), padded_prefix(mu)
-
-    if samples.d == 1:
-        return samples.with_values(_interval_max(P_num, P_mu, t))
-
-    if samples.d == 2:
-        out = np.zeros_like(samples.values)
-        m1 = samples.values.shape[0]
-        for a1 in range(m1):
-            for b1 in range(a1 + 1, m1 + 1):
-                strip = _interval_max(P_num[b1] - P_num[a1], P_mu[b1] - P_mu[a1], t)
-                np.maximum(out[a1:b1], strip, out=out[a1:b1])
-        return samples.with_values(out)
-
-    raise NotImplementedError("maximal operator implemented for d <= 2")
+    return samples.with_values(_lattice_max(padded_prefix(num), padded_prefix(mu), t))
 
 
 def nikolskii_report(alpha, s: float = 0.0, n_set=(16, 64, 256)) -> dict:

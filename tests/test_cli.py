@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lagneed.cli import (
     system_from_config,
 )
 from lagneed.needlets import CoeffFn, analyze
-from lagneed.spaces import F_norm_cont, NormParams, f_norm_seq, make_test_corpus
+from lagneed.spaces import B_norm_cont, F_norm_cont, NormParams, f_norm_seq, make_test_corpus
 
 
 def run_main(argv, capsys):
@@ -76,6 +77,15 @@ class TestQuadratureCommand:
         code, _, err = run_main(["quadrature", "--n", "0", "--alpha", "0"], capsys)
         assert code == 2
         assert "n must be" in json.loads(err)["error"]
+
+    def test_overflowing_rule_exits_2(self, capsys):
+        # lambda_n e^t of the top nodes is above the float64 range at alpha = 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(["quadrature", "--n", "1024", "--alpha", "100"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert "n=1024" in error and "alpha=100" in error
 
     def test_csv_row_count_and_header(self, capsys, tmp_path):
         out_file = tmp_path / "rule.csv"
@@ -343,6 +353,32 @@ class TestNorms:
                                  str(coeff_file)], capsys)
         assert code == 0
         assert json.loads(out)["norm"] > 0
+
+    @pytest.mark.parametrize("space,norm", [("F-cont", F_norm_cont), ("B-cont", B_norm_cont)])
+    def test_continuous_norms_at_level_J_plus_1(self, capsys, tmp_path, system_config,
+                                                space, norm):
+        f = CoeffFn.random([0.5], 4, seed=6)
+        coeff_file = tmp_path / "f.json"
+        coeff_file.write_text(json.dumps(f.to_json_dict()))
+        code, out, _ = run_main(["norms", "--space", space, "--s", "0.5", "--p", "1.5",
+                                 "--q", "1", "--system", system_config, "--input",
+                                 str(coeff_file)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        system = system_from_config(load_config(system_config))
+        assert payload["norm"] == norm(f, NormParams(0.5, 0.0, 1.5, 1.0), system, system.J + 1)
+        assert payload["per_level"] == []
+
+
+def test_arithmetic_error_exits_1(capsys, monkeypatch):
+    def defect(n, alpha):
+        raise FloatingPointError("recurrence overflow")
+
+    monkeypatch.setattr(cli, "gauss_laguerre", defect)
+    code, out, err = run_main(["quadrature", "--n", "4", "--alpha", "0"], capsys)
+    assert code == 1 and out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": 1, "error": "recurrence overflow"}]
 
 
 def _equivalence_rows(text):

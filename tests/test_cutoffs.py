@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lagneed._jets import jet_mul, jet_rescale_arg
 from lagneed.cutoffs import (
     CutoffPair,
     frame_alt,
@@ -65,9 +66,7 @@ class TestMakeCutoff:
     def test_jet_matches_finite_differences_interior(self):
         # Richardson-extrapolated central differences; order 3 on the steep
         # ramp still carries noticeable truncation, hence the looser bound
-        spec = frame_default()
-
-        def fd(t0, order, h):
+        def fd(spec, t0, order, h):
             pts = np.arange(-3, 4)
             A = np.vander(pts, 7, increasing=True).T.astype(float)
             rhs = np.zeros(7)
@@ -75,10 +74,12 @@ class TestMakeCutoff:
             w = np.linalg.solve(A, rhs)
             return float(np.dot(w, spec(t0 + pts * h))) / h ** order
 
-        for t0 in (0.30, 0.32, 3.3, 3.8):
-            for order, tol in ((1, 1e-6), (2, 1e-6), (3, 1e-4)):
-                rich = (4.0 * fd(t0, order, 5e-4) - fd(t0, order, 1e-3)) / 3.0
-                assert spec.derivative(t0, order) == pytest.approx(rich, rel=tol, abs=1e-7)
+        for spec, points in ((frame_default(), (0.30, 0.32, 3.3, 3.8)),
+                             (make_cutoff("type_a", v=1.0), (1.1, 1.3, 1.5, 1.8))):
+            for t0 in points:
+                for order, tol in ((1, 1e-6), (2, 1e-6), (3, 1e-4)):
+                    rich = (4.0 * fd(spec, t0, order, 5e-4) - fd(spec, t0, order, 1e-3)) / 3.0
+                    assert spec.derivative(t0, order) == pytest.approx(rich, rel=tol, abs=1e-7)
 
     def test_jet_matches_symbolic_derivatives(self):
         # the closed smooth-step formula is only valid strictly inside a
@@ -160,6 +161,22 @@ class TestDualPair:
         assert again.tight
         ts = np.linspace(0.25, 4.0, 400)
         assert np.allclose(again.b_hat(ts), tight.a_hat(ts))
+
+    @pytest.mark.parametrize("factory", [frame_default, frame_alt])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_companion_jets_keep_partition_identity(self, factory, tight):
+        # sum_m conj(a) b at 4^-m t is 1 on [1, inf), so its jet is [1, 0, ..., 0];
+        # the companion's jets come from the dilation-sum jet (and its root)
+        pair = make_dual_pair(factory(), tight=tight)
+        assert pair.b_hat.kind == ("tight_of_" if tight else "dual_of_") + "type_b"
+        want = np.eye(9)[0]
+        for t in np.linspace(1.0, 300.0, 41)[1:]:
+            acc = np.zeros(9)
+            for m in range(12):
+                s = 4.0 ** -m
+                acc += jet_rescale_arg(jet_mul(np.conj(pair.a_hat.jet(s * t, 8)),
+                                               pair.b_hat.jet(s * t, 8)), s)
+            assert np.max(np.abs(acc - want)) < 1e-8
 
     def test_alt_cutoff_is_frame_grade(self):
         pair = make_dual_pair(frame_alt())

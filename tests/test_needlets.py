@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lagneed import needlets
 from lagneed.cutoffs import frame_default, make_dual_pair
 from lagneed.needlets import (
     CoeffFn,
@@ -98,6 +99,11 @@ class TestBuildSystem:
         a = small_system(J=2)
         b = small_system(J=2, alpha=(0.0,))
         assert a.hash != b.hash
+
+    def test_table_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", 1000)
+        with pytest.raises(ResourceWarning, match="above the cap"):
+            small_system(J=2)
 
     def test_alpha_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -517,7 +517,7 @@ class TestMaximal:
         return PiecewiseCellFn(breaks, np.asarray(values, dtype=float), list(alpha))
 
     @pytest.mark.parametrize("t", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("d,m_max", [(1, 12), (2, 6)])
+    @pytest.mark.parametrize("d,m_max", [(1, 12), (2, 6), (3, 4)])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force(self, seed, d, m_max, t):
         rng = np.random.default_rng([seed, d])
