@@ -2,11 +2,11 @@
 synthesis operators acting on coefficient-represented functions.
 
 Functions live as finite Laguerre coefficient tensors (``CoeffFn``), so all
-inner products against frame elements are computed exactly in coefficient
-space; numerical integration enters only through the optional sampling
-helper.  Reconstruction is exact (up to rounding) on functions of total
-degree at most 4^(J-1): above that the dilated partition of unity is not
-yet complete at the top level.
+inner products against frame elements, and the frame operator behind the exact
+``frame_bounds``, are computed in coefficient space; numerical integration
+enters only through the optional sampling helper.  Reconstruction is exact (up
+to rounding) on functions of total degree at most 4^(J-1): above that the
+dilated partition of unity is not yet complete at the top level.
 
 A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
 product over axes except for its filter, so each level keeps per-axis node
@@ -345,21 +345,34 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     return CoeffFn(system.alpha, n_out, out)
 
 
-def frame_bounds(system: NeedletSystem, trials: int = 20, seed: int = 0) -> tuple[float, float]:
-    """Empirical frame bounds of the analysis family on V_(4^(J-1)).
-
-    Over random unit-norm functions, returns the min and max of the total
-    coefficient energy sum |<f, phi_xi>|^2.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+def _frame_operator(system: NeedletSystem, cut) -> np.ndarray:
+    """sum_j D_cut,j (x_ax G_j,ax) D_a,j on V_deg, deg = ``exact_degree()``: G_j,ax = T T^T
+    for one axis's weighted table T, D_cut,j the filter cut(|nu|/4^(j-1)).  cut = a_hat
+    gives the frame operator S, b_hat the reconstruction operator R (synthesize after
+    analyze).  Rows and columns run over the nu of total degree <= deg, in argwhere order."""
     deg = system.exact_degree()
-    lo, hi = math.inf, -math.inf
-    for t in range(trials):
-        f = CoeffFn.random(system.alpha, deg, seed=seed + t)
-        e = analyze(system, f).total_energy()
-        lo, hi = min(lo, e), max(hi, e)
-    return lo, hi
+    idx = np.argwhere(total_degree_grid((deg + 1,) * system.d) <= deg)
+    if len(idx) ** 2 * 8 > TABLE_BYTES_CAP:
+        raise ResourceWarning(f"the frame operator on V_{deg} would need "
+                              f"{len(idx) ** 2 * 8} bytes, above the cap")
+    degrees = idx.sum(axis=1)
+    op = np.zeros((len(idx), len(idx)))
+    for j, tabs in enumerate(system.tables):
+        top = min(deg, system.band_degree(j))
+        live = np.flatnonzero(degrees <= top)  # the filters vanish above the band
+        block = np.outer(*(cutoff_weights(c, _level_scale(j), top)[degrees[live]]
+                           for c in (cut, system.pair.a_hat)))
+        for tab, nu in zip(tabs, idx[live].T):
+            block *= (tab[: top + 1] @ tab[: top + 1].T)[np.ix_(nu, nu)]
+        op[np.ix_(live, live)] += block
+    return op
+
+
+def frame_bounds(system: NeedletSystem) -> tuple[float, float]:
+    """Exact frame bounds on V_(4^(J-1)): the extreme eigenvalues of the frame operator S,
+    that is the min and max of the energy sum |<f, phi_xi>|^2 over unit-norm f."""
+    ev = np.linalg.eigvalsh(_frame_operator(system, system.pair.a_hat))
+    return float(ev[0]), float(ev[-1])
 
 
 def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> CoeffFn:

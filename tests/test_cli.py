@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lagneed import cli
+from lagneed import cli, needlets
 from lagneed.cli import (
     _needlet_coeffs_from_payload,
     canonical_json,
@@ -19,7 +19,8 @@ from lagneed.cli import (
     render_config_text,
     system_from_config,
 )
-from lagneed.needlets import CoeffFn, analyze
+from lagneed.cutoffs import CutoffPair, make_cutoff
+from lagneed.needlets import CoeffFn, analyze, frame_bounds, synthesize
 from lagneed.spaces import B_norm_cont, F_norm_cont, NormParams, f_norm_seq, make_test_corpus
 
 
@@ -163,8 +164,7 @@ class TestKernelCommands:
 class TestFrameVerify:
     def test_tight_passes(self, capsys):
         code, out, _ = run_main(["frame-verify", "--J", "2", "--d", "1",
-                                 "--alpha", "0", "--tight", "--trials", "5",
-                                 "--seed", "1"], capsys)
+                                 "--alpha", "0", "--tight"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["parseval_max_err"] < 1e-8
@@ -172,24 +172,48 @@ class TestFrameVerify:
 
     def test_corrupt_pair_fails(self, capsys):
         code, out, err = run_main(["frame-verify", "--J", "2", "--d", "1",
-                                   "--alpha", "0", "--trials", "3", "--seed", "1",
-                                   "--corrupt"], capsys)
+                                   "--alpha", "0", "--corrupt"], capsys)
         assert code == 1
         assert json.loads(out)["reconstruction_max_err"] > 1e-6
         assert json.loads(err) == {"code": 1, "error": "failed suites: frame-verify"}
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_rejects_nonpositive_trials(self, capsys, trials):
-        code, out, err = run_main(["frame-verify", "--J", "1", "--alpha", "0",
-                                   "--trials", trials], capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err.splitlines()[-1]) == {"code": 2,
-                                                    "error": "trials must be at least 1"}
+    def test_exact_error_bounds_sampled_trials(self):
+        # the corrupted pair's defect |R - I| reaches 1.6, far above rounding, so
+        # the supremum must dominate every sampled ratio max|Rf - f| / ||f||_2
+        cfg = dict(cli.CONFIG_DEFAULTS, J=2, alpha=[0.5])
+        _, fields, _ = cli._frame_verify(cfg, corrupt=True)
+        bad = parse_cutoff(cfg["cutoff"])
+        wrecked = make_cutoff("raw", fn=lambda t: 1.3 * np.asarray(bad(t)),
+                              support=bad.support, name="corrupted")
+        system = system_from_config(cfg, CutoffPair(cli.pair_from_config(cfg).a_hat, wrecked))
+        deg = system.exact_degree()
+        for seed in range(20):
+            f = CoeffFn.random(system.alpha, deg, seed=seed)
+            g = synthesize(system, analyze(system, f))
+            sampled = np.max(np.abs(g.coeffs[: deg + 1] - f.coeffs)) / f.norm2()
+            assert 0.01 < sampled <= fields["reconstruction_max_err"]
+
+    def test_trials_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["frame-verify", "--J", "1", "--alpha", "0", "--trials", "3"])
+        assert exc.value.code == 2
+
+    def test_operator_above_the_cap_is_refused(self, capsys, monkeypatch):
+        cfg = dict(cli.CONFIG_DEFAULTS, J=3, d=3, alpha=[0.5] * 3)
+        system = system_from_config(cfg)
+        k = math.comb(system.exact_degree() + 3, 3)  # dim V_16 in d = 3
+        monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", k * k * 8 - 1)
+        with pytest.raises(ResourceWarning, match="above the cap"):
+            frame_bounds(system)
+        code, out, err = run_main(["frame-verify", "--J", "3", "--d", "3",
+                                   "--alpha", "0.5,0.5,0.5"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        fields = json.loads(err)
+        assert fields["code"] == 2 and "frame operator" in fields["error"]
 
     def test_deterministic_output(self, capsys):
-        args = ["frame-verify", "--J", "1", "--d", "1", "--alpha", "0.5",
-                "--trials", "3", "--seed", "7"]
+        args = ["frame-verify", "--J", "1", "--d", "1", "--alpha", "0.5"]
         _, out1, _ = run_main(args, capsys)
         _, out2, _ = run_main(args, capsys)
         assert out1 == out2
@@ -462,6 +486,18 @@ class TestReport:
             texts.append((out_dir / "nikolskii.json").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_frame_verify_suite_is_seed_independent(self, capsys, tmp_path):
+        texts = []
+        for seed, trials in ((0, 4), (8, 20)):
+            cfg = tmp_path / f"seed{seed}.cfg"
+            cfg.write_text(f"alpha=0.5\nd=1\nJ=3\ntight=true\nseed={seed}\ntrials={trials}\n")
+            out_dir = tmp_path / f"bundle{seed}"
+            code, _, _ = run_main(["report", "--config", str(cfg), "--only", "frame-verify",
+                                   "--out", str(out_dir)], capsys)
+            assert code == 0
+            texts.append((out_dir / "frame_verify.json").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_nikolskii_summary_names_the_exponents(self, capsys, tmp_path, system_config):
         # a failed run must say which exponent failed without opening nikolskii.json
         out_dir = tmp_path / "bundle"
@@ -492,8 +528,7 @@ class TestReport:
         for argv, name in [
             (["kernel-decay", "--alpha", "0.5", "--n-list", "64,256"], "kernel_decay.csv"),
             (["lower-bound", "--alpha", "0.5"], "lower_bound.json"),
-            (["frame-verify", "--J", "2", "--alpha", "0.5", "--tight", "--trials", "4",
-              "--seed", "3"], "frame_verify.json"),
+            (["frame-verify", "--J", "2", "--alpha", "0.5", "--tight"], "frame_verify.json"),
         ]:
             out_file = tmp_path / name
             assert main(argv + ["--out", str(out_file)]) == 0

@@ -384,28 +384,42 @@ class TestReconstruction:
         assert err < 1e-9
 
 
+def _basis_loop_operators(system):
+    """S and R from analyze/synthesize of each basis function of V_deg."""
+    deg = system.exact_degree()
+    idx = np.argwhere(total_degree_grid((deg + 1,) * system.d) <= deg)
+    columns, recon = [], []
+    for nu in idx:
+        basis = np.zeros((deg + 1,) * system.d)
+        basis[tuple(nu)] = 1.0
+        coeffs = analyze(system, CoeffFn(system.alpha, deg, basis))
+        columns.append(np.concatenate([lv.ravel() for lv in coeffs.levels]))
+        recon.append(synthesize(system, coeffs).coeffs[tuple(idx.T)])
+    A = np.array(columns).T
+    return A.T @ A, np.array(recon).T
+
+
 class TestFrameBounds:
     def test_tight_bounds_are_unit(self):
         system = small_system(J=2, pair=TIGHT)
-        lo, hi = frame_bounds(system, trials=8, seed=0)
+        lo, hi = frame_bounds(system)
         assert lo == pytest.approx(1.0, abs=1e-8)
         assert hi == pytest.approx(1.0, abs=1e-8)
 
     def test_general_pair_bounds_finite(self):
         system = small_system(J=2, pair=DUAL)
-        lo, hi = frame_bounds(system, trials=8, seed=0)
+        lo, hi = frame_bounds(system)
         assert 0.0 < lo <= hi < math.inf
 
-    def test_single_trial_matches_brute_force(self):
-        system = small_system(J=1, pair=DUAL)
-        f = CoeffFn.random([0.5], 1, seed=7)
-        lo, hi = frame_bounds(system, trials=1, seed=7)
-        want = analyze(system, f).total_energy()
-        assert lo == pytest.approx(want) and hi == pytest.approx(want)
-
-    def test_requires_positive_trials(self):
-        with pytest.raises(ValueError):
-            frame_bounds(small_system(J=1), trials=0)
+    @pytest.mark.parametrize("d,pair", [(1, TIGHT), (2, DUAL), (3, DUAL)],
+                             ids=["d1-tight", "d2-dual", "d3-dual"])
+    def test_closed_form_matches_basis_loop(self, d, pair):
+        system = small_system(J=2, d=d, alpha=(0.5,) * d, pair=pair)
+        S, R = _basis_loop_operators(system)
+        assert np.max(np.abs(needlets._frame_operator(system, pair.a_hat) - S)) < 1e-13
+        assert np.max(np.abs(needlets._frame_operator(system, pair.b_hat) - R)) < 1e-13
+        assert frame_bounds(system) == pytest.approx(np.linalg.eigvalsh(S)[[0, -1]],
+                                                     abs=1e-13)
 
 
 class TestSampling:
