@@ -490,8 +490,16 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors reach main() as ValueError, so they exit 2
+    with the same JSON line on stderr as every other usage error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagneed",
         description="Laguerre needlet frames: quadrature, kernels, transforms, norms")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -583,9 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, ResourceWarning) as exc:
         return _fail(str(exc), 2)

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import as_alpha, laguerre_fn_batch, _fold, _fold_sum, _outer
+from .special import as_alpha, laguerre_fn_batch, _flush_subnormal, _fold, _fold_sum, _outer, _TINY
 from .quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W, _interval_measures
 from .kernels import _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
@@ -86,9 +86,6 @@ class NormParams:
     @property
     def q_inf(self) -> bool:
         return math.isinf(self.q)
-
-
-_TINY = np.finfo(float).tiny
 
 
 def _normal_pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -240,7 +237,7 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGr
               for a, xi in zip(system.alpha, grid.axis_xi)]
     for j in _cont_levels(f, system):
         block = _band_block(system, f, j)
-        vals = _fold(block, [t[: len(block)] * w for t, w in
+        vals = _fold(block, [_flush_subnormal(t[: len(block)] * w) for t, w in
                              zip(tables, _axis_weight_powers(grid, j, rho))], 0)
         yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
         del vals  # the caller owns the level now; keep no second reference to it

@@ -37,6 +37,8 @@ _LN2 = math.log(2.0)
 _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_SHIFT = 512
 _BOUND_LIMIT = 2.0 ** 1000
+_TINY = np.finfo(float).tiny
+_FLUSH_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -263,30 +265,70 @@ def _outer(vecs):
 def _fold(tensor, mats, axis: int):
     """Contract each axis of ``tensor`` in turn with axis ``axis`` of its matrix.
 
-    Each step is one GEMM on a transposed 2-D view, t.reshape(n0, -1).T @ m:
-    it contracts the leading axis and appends the matrix's other axis last,
-    so after one matrix per axis the axes are back in order.  A real tensor,
-    such as the coefficients of a real function, meets the real matrices in
-    real GEMMs throughout.  A complex tensor that meets only real matrices,
-    with an output no larger than the tensor and matrices together, is
-    folded as its float view with a trailing (re, im) axis: the steps rotate
-    that axis to the front, it is recombined once at the end, and no matrix
-    is cast to complex.  A larger output stays complex, where the
+    Axis i of the result has the length of the i-th matrix's other axis.  Each
+    axis is contracted where it lies, with no step on a transposed view: the
+    first axis is one GEMM on t.reshape(k, -1), a middle axis one matmul on
+    t.reshape(pre, k, post) batched over pre, and the last axis one GEMM in
+    d = 2 and from d = 3 on a matmul on t.reshape(n0, -1, k) batched over the
+    leading axis, so each output slab stays in cache.  A real tensor, such as
+    the coefficients of a real function, meets the real matrices in real
+    GEMMs throughout.
+
+    A complex tensor that meets only real matrices, with an output no larger
+    than the tensor and matrices together, is folded as its float view with
+    a trailing (re, im) axis, so no matrix is cast to complex: each step is
+    one GEMM t.reshape(k, -1).T @ m, which contracts the leading axis and
+    appends the new one last, and the (re, im) axis, rotated to the front, is
+    recombined once at the end.  A larger output stays complex, where the
     recombination would be one more pass over the largest array.
     """
     mats = [m.T if axis else m for m in mats]
     shape = tuple(m.shape[1] for m in mats)
-    split = (np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats)
-             and math.prod(shape) <= tensor.size + sum(m.size for m in mats))
-    if split:
+    if (np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats)
+            and math.prod(shape) <= tensor.size + sum(m.size for m in mats)):
         tensor = np.ascontiguousarray(tensor, dtype=complex)
         tensor = tensor.view(float).reshape(tensor.shape + (2,))
-    for m in mats:
-        tensor = tensor.reshape(len(m), -1).T @ m
-    if split:
+        for m in mats:
+            tensor = tensor.reshape(len(m), -1).T @ m
         pairs = np.moveaxis(tensor.reshape((2,) + shape), 0, -1)
         return np.ascontiguousarray(pairs).view(complex).reshape(shape)
+    dims = list(np.shape(tensor))
+    for i, m in enumerate(mats):
+        k, post = len(m), math.prod(dims[i + 1:])
+        if i == 0:
+            tensor = m.T @ tensor.reshape(k, post)
+        elif i < len(mats) - 1:
+            tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
+        elif i == 1:
+            tensor = tensor.reshape(dims[0], k) @ m
+        else:
+            tensor = tensor.reshape(dims[0], math.prod(dims[1:i]), k) @ m
+        dims[i] = m.shape[1]
     return tensor.reshape(shape)
+
+
+def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
+    """Set the entries of a C-contiguous float or complex array that lie below
+    the normal range (|x| < tiny = 2.2e-308) to 0, in place; returns ``arr``.
+
+    Dense products slow down severalfold on subnormal operands, and damped
+    Laguerre values and needlet coefficients hold many of them, so a needlet
+    GEMM should see only normal numbers and zeros; results change only by
+    terms under tiny.  A complex array goes through its float view.  The pass
+    runs over chunks of _FLUSH_CHUNK entries with two boolean masks, so it
+    needs no float temporary and nothing of the array's size.
+    """
+    flat = arr.reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(float)
+    low = np.empty(min(flat.size, _FLUSH_CHUNK), dtype=bool)
+    high = np.empty_like(low)
+    for start in range(0, flat.size, _FLUSH_CHUNK):
+        part = flat[start: start + _FLUSH_CHUNK]
+        lo, hi = low[: part.size], high[: part.size]
+        np.logical_and(np.less(part, _TINY, out=lo), np.greater(part, -_TINY, out=hi), out=lo)
+        np.copyto(part, 0.0, where=lo)
+    return arr
 
 
 def _fold_sum(tensor, vecs) -> float:

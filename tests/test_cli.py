@@ -193,10 +193,19 @@ class TestFrameVerify:
             sampled = np.max(np.abs(g.coeffs[: deg + 1] - f.coeffs)) / f.norm2()
             assert 0.01 < sampled <= fields["reconstruction_max_err"]
 
-    def test_trials_flag_is_a_usage_error(self):
+    def test_trials_flag_is_a_usage_error(self, capsys):
+        code, out, err = run_main(["frame-verify", "--J", "1", "--alpha", "0", "--trials", "3"],
+                                  capsys)
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line) == {"code": 2,
+                                    "error": "lagneed: unrecognized arguments: --trials 3"}
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frame-verify", "--J", "1", "--alpha", "0", "--trials", "3"])
-        assert exc.value.code == 2
+            main(["frame-verify", "--help"])
+        assert exc.value.code == 0
+        assert "--corrupt" in capsys.readouterr().out
 
     def test_operator_above_the_cap_is_refused(self, capsys, monkeypatch):
         cfg = dict(cli.CONFIG_DEFAULTS, J=3, d=3, alpha=[0.5] * 3)

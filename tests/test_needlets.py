@@ -18,7 +18,7 @@ from lagneed.needlets import (
     total_degree_grid,
 )
 from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
-from lagneed.special import laguerre_fn_batch
+from lagneed.special import laguerre_fn_batch, _fold
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -298,6 +298,36 @@ class TestTransformMemory:
         f = CoeffFn.random(alpha, 4, seed=2, complex_valued=True)
         top_bytes = system.grids[2].point_count * 16
         assert traced_peak(analyze, system, f) < 1.3 * top_bytes
+
+    def test_real_analyze_peaks_near_its_output(self):
+        # the subnormal flush works in fixed chunks, with no temporary of a level's size
+        system = build_system(3, 2, [0.5, 0.5], TIGHT)
+        f = CoeffFn.random([0.5, 0.5], 16, seed=3)
+        out_bytes = sum(lv.nbytes for lv in analyze(system, f).levels)
+        assert traced_peak(analyze, system, f) < 1.3 * out_bytes
+
+
+def subnormal_count(arr):
+    return int(np.count_nonzero((arr != 0) & (np.abs(arr) < np.finfo(float).tiny)))
+
+
+class TestNormalOrZero:
+    """Node tables and needlet coefficients hold no subnormal entry, which would
+    slow every dense product they enter."""
+
+    @pytest.mark.parametrize("J,alpha,complex_valued", [(4, (0.5,), False), (3, (0.5, 0.5), False),
+                                                        (3, (0.5, 0.5), True)])
+    def test_tables_and_levels(self, J, alpha, complex_valued):
+        system = build_system(J, len(alpha), list(alpha), TIGHT)
+        assert all(subnormal_count(tab) == 0 for tabs in system.tables for tab in tabs)
+        f = CoeffFn.random(list(alpha), system.exact_degree(), seed=5,
+                           complex_valued=complex_valued)
+        levels = analyze(system, f).levels
+        assert all(subnormal_count(lv.view(float)) == 0 for lv in levels)
+        # the flush does find work: the unflushed top level holds subnormals
+        block = needlets._band_block(system, f, J)
+        raw = _fold(block, [tab[: len(block)] for tab in system.tables[J]], 0)
+        assert subnormal_count(raw.view(float)) > 0
 
 
 class TestRealDtype:

@@ -16,6 +16,7 @@ from lagneed.special import (
     laguerre_fn_F_deriv_batch,
     laguerre_poly,
     multivariate_F,
+    _flush_subnormal,
     _fold,
 )
 from lagneed.quadrature import gauss_laguerre
@@ -293,6 +294,66 @@ class TestFold:
         assert got.dtype == (float if case == "real" else complex)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def einsum_fold(tensor, mats, axis):
+    ins, outs = "abc"[: tensor.ndim], "xyz"[: tensor.ndim]
+    subs = [i + o if axis == 0 else o + i for i, o in zip(ins, outs)]
+    return np.einsum(",".join([ins, *subs]) + "->" + outs, tensor, *mats)
+
+
+class TestFoldInPlace:
+    """Every axis contracted where it lies: first, middle and last axis forms."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_einsum(self, d, axis, kind):
+        rng = np.random.default_rng([d, axis, len(kind)])
+        n_in, n_out = [7, 5, 3][:d], [4, 9, 11][:d]
+        mats = [rng.standard_normal((a, b) if axis == 0 else (b, a))
+                for a, b in zip(n_in, n_out)]
+        tensor = rng.standard_normal(n_in)
+        if kind == "complex":
+            tensor = tensor + 1j * rng.standard_normal(n_in)
+        got = _fold(tensor, mats, axis)
+        want = einsum_fold(tensor, mats, axis)
+        assert got.shape == tuple(n_out) and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestFlushSubnormal:
+    TINY = np.finfo(float).tiny
+
+    def values(self, size, seed=0):
+        rng = np.random.default_rng(seed)
+        normal = rng.standard_normal(size) * 10.0 ** rng.integers(-307, 308, size)
+        sub = rng.standard_normal(size) * self.TINY * rng.uniform(0.0, 1.0, size)
+        return np.where(rng.uniform(size=size) < 0.3, sub, normal)
+
+    @pytest.mark.parametrize("size", [1, 1000, 3 * 2 ** 15 + 5])
+    def test_zeroes_subnormals_and_keeps_every_normal_entry(self, size):
+        arr = self.values(size)
+        arr[:4] = [self.TINY, -self.TINY, np.inf, -np.inf][: min(4, size)]
+        before = arr.copy()
+        assert _flush_subnormal(arr) is arr
+        keep = np.abs(before) >= self.TINY
+        assert np.array_equal(arr[keep].view(np.int64), before[keep].view(np.int64))
+        assert not np.any(arr[~keep])
+
+    def test_complex_through_float_view(self):
+        re, im = self.values(5000, 1), self.values(5000, 2)
+        arr = (re + 1j * im).reshape(50, 100)
+        _flush_subnormal(arr)
+        for part, src in ((arr.real.ravel(), re), (arr.imag.ravel(), im)):
+            keep = np.abs(src) >= self.TINY
+            assert np.array_equal(part[keep], src[keep]) and not np.any(part[~keep])
+
+    def test_nan_kept(self):
+        arr = np.array([np.nan, 1e-310, 1.0])
+        _flush_subnormal(arr)
+        assert np.isnan(arr[0]) and arr[1:].tolist() == [0.0, 1.0]
 
 
 class TestTypes:
