@@ -72,10 +72,12 @@ def _cached_weights(a_hat: CutoffSpec, scale: float, top: int) -> np.ndarray:
     return w
 
 
-def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float) -> np.ndarray:
-    """block * a(|nu|/scale) for a coefficient block indexed from nu = 0."""
+def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,
+                    degrees: np.ndarray | None = None) -> np.ndarray:
+    """block * a(|nu|/scale) for a coefficient block indexed from nu = 0;
+    ``degrees`` is the block's total-degree grid, built here when None."""
     w = _cached_weights(a_hat, scale, sum(block.shape) - block.ndim)
-    return block * w[total_degree_grid(block.shape)]
+    return block * w[total_degree_grid(block.shape) if degrees is None else degrees]
 
 
 def _point(x, d):

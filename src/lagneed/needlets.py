@@ -78,6 +78,14 @@ class CoeffFn:
             raise ValueError("nonzero coefficients above the stated max degree")
         self.coeffs = arr
 
+    @classmethod
+    def _unchecked(cls, alpha: AlphaVector, max_degree: int, coeffs: np.ndarray) -> "CoeffFn":
+        """A CoeffFn on a float64 or complex128 tensor of shape (max_degree+1,)^d that
+        its caller has already zeroed above max_degree, so no degree grid is rebuilt."""
+        f = cls.__new__(cls)
+        f.alpha, f.max_degree, f.coeffs = alpha, max_degree, coeffs
+        return f
+
     @property
     def d(self) -> int:
         return self.alpha.d
@@ -342,11 +350,13 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *levels))
     for j in range(system.J + 1):
         cap = min(system.band_degree(j), n_out)
+        box = (slice(0, cap + 1),) * system.d
         block = _fold(levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
-        out[(slice(0, cap + 1),) * system.d] += _filter_degrees(block, system.pair.b_hat,
-                                                                _level_scale(j))
-    out[total_degree_grid(out.shape) > n_out] = 0.0
-    return CoeffFn(system.alpha, n_out, out)
+        degrees = total_degree_grid(block.shape)
+        out[box] += _filter_degrees(block, system.pair.b_hat, _level_scale(j), degrees)
+    # the caps grow with j, so the last level's box holds every entry written
+    out[box][degrees > n_out] = 0.0
+    return CoeffFn._unchecked(system.alpha, n_out, out)
 
 
 def _frame_operator(system: NeedletSystem, cut) -> np.ndarray:

@@ -22,14 +22,33 @@ grid's per-axis cubature weights (the absolute value breaks polynomial
 exactness, which is documented behavior).  The sequence norms fold per-axis
 cell or tile measures the same way.
 
+Every norm is positively homogeneous, so each first divides its input by
+2^shift, shift the binary exponent of its largest coefficient, and
+multiplies the result back by 2^shift: the scale of the input does not
+decide which of its values underflow.
+
+The continuous norms work in a scaled domain.  A band part decays like
+e^(-x^2/2), so its values at far nodes, and the products that form them,
+lie near or below the normal range, where products and pow are slow.  Each
+column k of an axis's Laguerre table (node k, all degrees) is divided by
+2^(e_k), e_k the binary exponent of its largest entry, which is exact and
+independent of the level, so each level's values at node (k_1, .., k_d)
+come out divided by 2^(e_k1 + .. + e_kd) and the pointwise l_q over levels
+stays in one scale.  The integral carries the factor back as per-axis
+weights c_k 2^(p e_k), flushed to normal-or-zero; at p = inf the max
+applies 2^(e_k) axis by axis.  A node is live if its table column is not
+all zero and, for p < inf, its scaled weight is at least the smallest
+normal float (2.2e-308); every other node is cut from the tables before
+any level is formed.  This is the contract ``_normal_pow`` keeps: a term
+below 2.2e-308 contributes 0.
+
 Every power of a level function goes through ``_normal_pow``: a value whose
-power would fall below the smallest normal float (2.2e-308) counts as 0.
-A band part decays like e^(-x^2/2), so most of its grid values are such
-values, and pow is slow on them; the norms differ from plain powers only by
-those terms.  The F reduction scales, raises and accumulates each level in
-place, so for a real function a continuous norm holds at most two level
-arrays: about 2.2 n^d floats at its peak, masks included (about 4.2 for a
-complex function, whose values are folded as complex).
+power would fall below the smallest normal float counts as 0, and pow is
+slow on such values; the norms differ from plain powers only by those
+terms.  Both reductions raise each level in place, and the F reduction
+accumulates them in place, so for a real function a continuous norm holds
+at most two level arrays: about 2.2 n^d floats at its peak, masks included
+(about 4.2 for a complex function, whose values are folded as complex).
 """
 
 from __future__ import annotations
@@ -151,22 +170,45 @@ def _F_reduce(levels, weights, params: NormParams) -> float:
 
 
 def _B_reduce(levels, params: NormParams) -> float:
-    """l_q(L^p) norm: the l_q over (j, g_j, w_j) of 2^(sj) ||g_j||_(l^p(w_j))."""
-    terms = np.array([2.0 ** (params.s * j) * _lp(g, w, params.p) for j, g, w in levels])
+    """l_q(L^p) norm: the l_q over (j, g_j, w_j) of 2^(sj) ||g_j||_(l^p(w_j)).
+
+    Each g_j is raised to p in place, so the g_j are overwritten.
+    """
+    def level_norm(g, w):
+        if params.p_inf:
+            return float(np.max(g, initial=0.0))
+        return _fold_sum(_normal_pow(g, params.p, out=g), w) ** (1.0 / params.p)
+
+    terms = np.array([2.0 ** (params.s * j) * level_norm(g, w) for j, g, w in levels])
     return _lp(terms, [np.ones(len(terms))], params.q)
 
 
-def _axis_weight_powers(grid: CubatureGrid, j: int, rho: float):
-    """Per-axis factors of W(4^j; xi)^(-rho/d) over the points of a cubature grid."""
-    return [weight_W(4.0 ** j, [a], xi[:, None]) ** (-rho / grid.d)
-            for xi, a in zip(grid.axis_xi, grid.alpha)]
+def _binary_exponent(x) -> int:
+    """e with x = m 2^e, 0.5 <= m < 1, for x > 0; 0 for x = 0."""
+    return math.frexp(float(x))[1]
 
 
-def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float) -> np.ndarray:
-    """|h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^(-1/2) on the level grid."""
+def _axis_weight_powers(axis_xi, alpha, j: int, rho: float):
+    """Per-axis factors of W(4^j; xi)^(-rho/d) over per-axis abscissae."""
+    return [weight_W(4.0 ** j, [a], xi[:, None]) ** (-rho / len(axis_xi))
+            for xi, a in zip(axis_xi, alpha)]
+
+
+def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float,
+                      shift: int) -> np.ndarray:
+    """2^(-shift) |h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^(-1/2) on the level grid;
+    the power of two rides on the first axis's factor."""
     g = system.grids[j]
-    return np.abs(h) * _outer([w * m ** -0.5 for w, m in
-                               zip(_axis_weight_powers(g, j, rho), g.axis_tile_measure)])
+    factors = [w * m ** -0.5 for w, m in
+               zip(_axis_weight_powers(g.axis_xi, g.alpha, j, rho), g.axis_tile_measure)]
+    factors[0] = np.ldexp(factors[0], -shift)
+    return np.abs(h) * _outer(factors)
+
+
+def _coeff_shift(levels) -> int:
+    """Binary exponent of the largest |h| over all levels: the sequence norms
+    divide the coefficients by 2^shift and multiply the norm back by it."""
+    return _binary_exponent(max(np.max(np.abs(h), initial=0.0) for h in levels))
 
 
 def _arrangement(system: NeedletSystem):
@@ -190,22 +232,26 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     a level's amplitudes get a trailing 0 per axis for the cells past its tiles."""
     params.require_F()
     levels = _system_levels(coeffs, system)
+    shift = _coeff_shift(levels)
     cell_meas, level_maps = _arrangement(system)
 
     def on_cells(j):
-        amp = _level_amplitudes(system, j, levels[j], params.rho)
+        amp = _level_amplitudes(system, j, levels[j], params.rho, shift)
         return np.pad(amp, [(0, 1)] * system.d)[level_maps[j]]
 
-    return _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)), cell_meas, params)
+    norm = _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)), cell_meas, params)
+    return math.ldexp(norm, shift)
 
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
     """Sequence Besov norm: inner l_p over nodes against the tile measures, outer
     l_q over levels."""
     levels = _system_levels(coeffs, system)
-    return _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho),
+    shift = _coeff_shift(levels)
+    norm = _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho, shift),
                        system.grids[j].axis_tile_measure)
                       for j in range(system.J + 1)), params)
+    return math.ldexp(norm, shift)
 
 
 def _cont_levels(f: CoeffFn, system: NeedletSystem):
@@ -225,22 +271,72 @@ def _integration_grid(system: NeedletSystem, integration_level: int) -> Cubature
                          system.delta, system.c_star)
 
 
-def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, grid: CubatureGrid):
-    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the grid, in its (n,)*d shape.
+def _scaled_axes(f: CoeffFn, p: float, grid: CubatureGrid):
+    """Per-axis lists over the live nodes only: the abscissae, the Laguerre
+    tables with column k scaled by 2^(-e_k), the weights c_k 2^(p e_k) (None
+    at p = inf) and the exponents e_k.
+
+    e_k is the binary exponent of column k's largest |entry|, so every scaled
+    column peaks in [0.5, 1) whatever the level.  A node is live when its
+    column is not all zero and, for p < inf, its scaled weight is normal.  The
+    weight is ldexp(c_k 2^(p e_k - m), m) with m = floor(p e_k): neither
+    factor over- or underflows, and for integer p e_k it is exact.
+    """
+    xis, tables, weights, exps = [], [], [], []
+    for a, xi, c in zip(grid.alpha, grid.axis_xi, grid.axis_c):
+        table = laguerre_fn_batch(f.max_degree, a, xi, "F")
+        peak = np.max(np.abs(table), axis=0)
+        e = np.frexp(peak)[1]
+        live = peak > 0.0
+        if math.isinf(p):
+            weights.append(None)
+        else:
+            m = np.floor(p * e)
+            w = _flush_subnormal(np.ldexp(c * np.exp2(p * e - m), m.astype(np.int64)))
+            live &= w > 0.0
+            weights.append(w[live])
+        xis.append(xi[live])
+        tables.append(np.ldexp(table[:, live], -e[live]))
+        exps.append(e[live])
+    return xis, tables, weights, exps
+
+
+def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables):
+    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the live nodes ``xis`` with
+    the scaled ``tables`` of ``_scaled_axes``, in their (n_live,)*d shape and in
+    the scaled domain: the value at node (k_1, .., k_d) is divided by
+    2^(e_k1 + .. + e_kd).
 
     The band part f_j is formed exactly in coefficient space; its values
-    come from folding the band's coefficient block into per-axis Laguerre
-    tables on the grid abscissae, each scaled by its axis's factor of the
-    weight, so no table and no weight is built at the n^d points.
+    come from folding the band's coefficient block into the per-axis scaled
+    tables, each scaled by its axis's factor of the weight, so no table and
+    no weight is built at the n^d points.
     """
-    tables = [laguerre_fn_batch(f.max_degree, a, xi, "F")
-              for a, xi in zip(system.alpha, grid.axis_xi)]
     for j in _cont_levels(f, system):
         block = _band_block(system, f, j)
         vals = _fold(block, [_flush_subnormal(t[: len(block)] * w) for t, w in
-                             zip(tables, _axis_weight_powers(grid, j, rho))], 0)
+                             zip(tables, _axis_weight_powers(xis, system.alpha, j, rho))], 0)
         yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
         del vals  # the caller owns the level now; keep no second reference to it
+
+
+def _normalized(f: CoeffFn):
+    """(f / 2^shift, shift) with shift the binary exponent of the largest |coefficient|;
+    every norm is positively homogeneous, so the norm of f is 2^shift times the norm
+    of the quotient, whose scale no longer decides which values are below tiny."""
+    shift = _binary_exponent(np.max(np.abs(f.coeffs), initial=0.0))
+    coeffs = np.array(f.coeffs)
+    flat = coeffs.view(float) if np.iscomplexobj(coeffs) else coeffs
+    np.ldexp(flat, -shift, out=flat)  # exact, and zero wherever f's coefficients are
+    return CoeffFn._unchecked(f.alpha, f.max_degree, coeffs), shift
+
+
+def _scaled_max(g: np.ndarray, exps) -> float:
+    """max over nodes of g * 2^(e_k1 + .. + e_kd), one axis at a time from the
+    last: each ldexp along an axis is followed by a max over it."""
+    for e in reversed(exps):
+        g = np.max(np.ldexp(g, e, out=g), axis=-1, initial=0.0)
+    return float(g)
 
 
 def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
@@ -253,15 +349,24 @@ def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     """
     params.require_F()
     grid = _integration_grid(system, integration_level)
-    return _F_reduce(_band_values(f, params.rho, system, grid), grid.axis_c, params)
+    f, shift = _normalized(f)
+    xis, tables, weights, _ = _scaled_axes(f, params.p, grid)
+    norm = _F_reduce(_band_values(f, params.rho, system, xis, tables), weights, params)
+    return math.ldexp(norm, shift)
 
 
 def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
                 integration_level: int) -> float:
     """Continuous Besov norm; as F_norm_cont with the l_q outside the L^p."""
     grid = _integration_grid(system, integration_level)
-    return _B_reduce(((j, g, grid.axis_c) for j, g in _band_values(f, params.rho, system, grid)),
-                     params)
+    f, shift = _normalized(f)
+    xis, tables, weights, exps = _scaled_axes(f, params.p, grid)
+    levels = _band_values(f, params.rho, system, xis, tables)
+    if params.p_inf:  # no weights carry the scale: the max applies it per axis
+        levels = ((j, _scaled_max(g, exps), None) for j, g in levels)
+    else:
+        levels = ((j, g, weights) for j, g in levels)
+    return math.ldexp(_B_reduce(levels, params), shift)
 
 
 def seminorm_P_star(f: CoeffFn, r: int) -> float:
@@ -314,31 +419,42 @@ class PiecewiseCellFn:
 
 
 def _interval_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
-    """out[i] = max over a <= i < b of ((P_num[b]-P_num[a]) / (P_mu[b]-P_mu[a]))^(1/t).
+    """out[..., i] = max over a <= i < b of ((P_num[..., b]-P_num[..., a]) /
+    (P_mu[..., b]-P_mu[..., a]))^(1/t), batched over the leading axes.
 
-    All interval ratios R[a, b] come from the padded prefix sums at once; a
-    running max over a (forward) then over b (backward) leaves at (i, i+1)
+    All interval ratios R[..., a, b] come from the padded prefix sums at once;
+    a running max over a (forward) then over b (backward) leaves at (i, i+1)
     the largest ratio of an interval containing cell i.
     """
-    n = len(P_num)
+    n = P_num.shape[-1]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    ratio = np.divide(P_num[None, :] - P_num[:, None], P_mu[None, :] - P_mu[:, None],
-                      out=np.zeros((n, n)), where=upper) ** (1.0 / t)
-    ratio = np.maximum.accumulate(ratio, axis=0)
-    ratio = np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
-    return np.diagonal(ratio, offset=1)
+    ratio = np.divide(P_num[..., None, :] - P_num[..., :, None],
+                      P_mu[..., None, :] - P_mu[..., :, None],
+                      out=np.zeros(P_num.shape + (n,)), where=upper) ** (1.0 / t)
+    ratio = np.maximum.accumulate(ratio, axis=-2)
+    ratio = np.maximum.accumulate(ratio[..., ::-1], axis=-1)[..., ::-1]
+    return np.diagonal(ratio, offset=1, axis1=-2, axis2=-1)
 
 
-def _lattice_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
-    """``_interval_max`` over every axis: each interval [a, b) of the first axis
-    recurses on its strip, whose padded prefix sums are P[b] - P[a]."""
-    if P_num.ndim == 1:
+def _lattice_max(P_num: np.ndarray, P_mu: np.ndarray, t: float, d: int) -> np.ndarray:
+    """``_interval_max`` over the last d axes, batched over the leading ones.
+
+    For each start a on the first of those axes, the strips [a, b) for every
+    end b have padded prefix sums P[b] - P[a]; one recursive call takes them
+    all, stacked as a new batch axis, and a suffix max over b leaves at cell
+    i >= a the largest value of a strip that contains it.
+    """
+    if d == 1:
         return _interval_max(P_num, P_mu, t)
-    out = np.zeros(tuple(m - 1 for m in P_num.shape))
-    for a in range(len(out)):
-        for b in range(a + 1, len(out) + 1):
-            strip = _lattice_max(P_num[b] - P_num[a], P_mu[b] - P_mu[a], t)
-            np.maximum(out[a:b], strip, out=out[a:b])
+    ax = P_num.ndim - d
+    lead = (slice(None),) * ax
+    out = np.zeros(P_num.shape[:ax] + tuple(m - 1 for m in P_num.shape[ax:]))
+    for a in range(out.shape[ax]):
+        start, ends = lead + (slice(a, a + 1),), lead + (slice(a + 1, None),)
+        strips = _lattice_max(P_num[ends] - P_num[start], P_mu[ends] - P_mu[start], t, d - 1)
+        cells = out[lead + (slice(a, None),)]
+        np.maximum(cells, np.flip(np.maximum.accumulate(np.flip(strips, ax), axis=ax), ax),
+                   out=cells)
     return out
 
 
@@ -348,7 +464,8 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
     For each cell the supremum runs over all boxes whose corners lie on the
     breakpoint lattice and which contain the cell; by the doubling property
     of the weighted measure this differs from the full supremum by at most
-    a fixed constant factor.  Any d: ``_lattice_max`` recurses over the axes.
+    a fixed constant factor.  Any d: ``_lattice_max`` recurses over the axes,
+    with one call per start on an axis (n^(d-1) calls for n cells per axis).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -361,7 +478,8 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
             p = np.cumsum(p, axis=ax)
         return np.pad(p, [(1, 0)] * a.ndim)
 
-    return samples.with_values(_lattice_max(padded_prefix(num), padded_prefix(mu), t))
+    return samples.with_values(_lattice_max(padded_prefix(num), padded_prefix(mu), t,
+                                             samples.d))
 
 
 def nikolskii_report(alpha, s: float = 0.0, n_set=(16, 64, 256)) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lagneed import needlets
-from lagneed.cutoffs import frame_default, make_dual_pair
+from lagneed.cutoffs import CutoffPair, frame_default, make_cutoff, make_dual_pair
 from lagneed.needlets import (
     CoeffFn,
     NeedletCoeffs,
@@ -259,6 +259,18 @@ class TestSynthesize:
             want = evaluate_needlet(system, j, gamma, np.array([x]), "psi")
             got = g.evaluate(np.array([x]))
             assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    def test_output_vanishes_above_max_degree(self):
+        # a b_hat supported past 4 fills degrees above 4^J inside the top
+        # level's box, and synthesize must zero them as CoeffFn requires
+        pair = CutoffPair(frame_default(), make_cutoff("type_b", u=0.25, v=4.0))
+        system = small_system(J=2, d=2, alpha=(0.5, 0.5), pair=pair)
+        rng = np.random.default_rng(0)
+        coeffs = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 2) for g in system.grids),
+                               system.hash)
+        g = synthesize(system, coeffs)
+        assert not g.coeffs[total_degree_grid(g.coeffs.shape) > g.max_degree].any()
+        assert g.coeffs.any()
 
     def test_provenance_mismatch_rejected(self):
         sys_a = small_system(J=1)
