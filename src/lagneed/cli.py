@@ -133,13 +133,13 @@ def load_config(path: str) -> dict:
 
 
 def parse_cutoff(spec: str) -> CutoffSpec:
-    """Cut-off specification strings: frame_default, frame_alt, kind:k=v,..."""
+    """Cut-off specification strings: frame_default, frame_alt, type_a:k=v,..., type_b:k=v,..."""
     if spec == "frame_default":
         return frame_default()
     if spec == "frame_alt":
         return frame_alt()
-    if ":" in spec:
-        kind, _, body = spec.partition(":")
+    kind, colon, body = spec.partition(":")
+    if colon and kind.strip() in ("type_a", "type_b"):
         items = (item.partition("=") for item in body.split(",") if item)
         return make_cutoff(kind.strip(), **{k.strip(): float(v) for k, _, v in items})
     raise ValueError(f"unrecognized cutoff specification {spec!r}")
@@ -263,6 +263,8 @@ def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
         return NeedletCoeffs(tuple(levels), data["system_hash"])
     except KeyError as exc:
         raise ValueError(f"needlet coefficient data lacks the key {exc}") from None
+    except TypeError as exc:  # a value of the wrong JSON type, such as "levels": 5
+        raise ValueError(f"malformed needlet coefficient data: {exc}") from None
 
 
 def _needlet_coeffs_csv(system, coeffs: NeedletCoeffs) -> str:

@@ -96,7 +96,15 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
         Rises from 0 at u over [u, u+rise], falls to 0 over [1+v-fall, 1+v].
     kind="raw": params fn (callable), support=(lo, hi); optional jet_fn, name.
         Without jet_fn, derivatives come from central finite differences.
+    A parameter name the kind does not read is an error.
     """
+    names = {"type_a": {"v"}, "type_b": {"u", "v", "rise", "fall"},
+             "raw": {"fn", "support", "name", "jet_fn", "nonneg"}}
+    if kind not in names:
+        raise ValueError(f"unknown cut-off kind {kind!r}")
+    unknown = sorted(set(params) - names[kind])
+    if unknown:
+        raise ValueError(f"cut-off kind {kind!r} has no parameter {', '.join(unknown)}")
     if kind == "type_a":
         v = float(params.get("v", 1.0))
         if v <= 0.0:
@@ -135,34 +143,32 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
         return CutoffSpec("type_b", {"u": u, "v": v, "rise": rise, "fall": fall},
                           (u, 1.0 + v), value, jet)
 
-    if kind == "raw":
-        fn = params["fn"]
-        support = params["support"]
-        name = params.get("name", "anonymous")
-        jet_fn = params.get("jet_fn")
+    # kind == "raw"
+    fn = params["fn"]
+    support = params["support"]
+    name = params.get("name", "anonymous")
+    jet_fn = params.get("jet_fn")
 
-        def value(t):
-            return np.asarray(fn(t), dtype=float)
+    def value(t):
+        return np.asarray(fn(t), dtype=float)
 
-        if jet_fn is None:
-            def jet(t, k, _fn=fn):
-                # finite-difference fallback; adequate for diagnostics only
-                out = np.zeros(k + 1)
-                out[0] = float(_fn(t))
-                h = 1e-3
-                for order in range(1, k + 1):
-                    pts = np.arange(-order, order + 1)
-                    w = _fd_weights(pts, order)
-                    out[order] = float(np.dot(w, [_fn(t + p * h) for p in pts])) / (
-                        h ** order * math.factorial(order))
-                return out
-        else:
-            jet = jet_fn
+    if jet_fn is None:
+        def jet(t, k, _fn=fn):
+            # finite-difference fallback; adequate for diagnostics only
+            out = np.zeros(k + 1)
+            out[0] = float(_fn(t))
+            h = 1e-3
+            for order in range(1, k + 1):
+                pts = np.arange(-order, order + 1)
+                w = _fd_weights(pts, order)
+                out[order] = float(np.dot(w, [_fn(t + p * h) for p in pts])) / (
+                    h ** order * math.factorial(order))
+            return out
+    else:
+        jet = jet_fn
 
-        return CutoffSpec("raw", {"name": name}, support, value, jet,
-                          nonneg=bool(params.get("nonneg", False)))
-
-    raise ValueError(f"unknown cut-off kind {kind!r}")
+    return CutoffSpec("raw", {"name": name}, support, value, jet,
+                      nonneg=bool(params.get("nonneg", False)))
 
 
 def _fd_weights(points: np.ndarray, order: int) -> np.ndarray:

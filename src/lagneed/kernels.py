@@ -22,7 +22,7 @@ import numpy as np
 from .cutoffs import CutoffSpec, CutoffPair
 from .special import (as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _kernel_table,
                       _outer)
-from .quadrature import weight_W
+from .quadrature import _axis_W
 
 __all__ = [
     "cutoff_weights",
@@ -193,8 +193,8 @@ def kernel_decay_profile(n: int, alpha, a_hat: CutoffSpec, sigma: float = 6.0) -
     seps = np.geomspace(0.25, 12.0, 60) / math.sqrt(n)
     ys = x0 + seps
     vals = lambda_kernel_profile(n, av, a_hat, x0, ys)
-    w_x0 = weight_W(n, av, np.array([x0]))
-    w_ys = weight_W(n, av, ys.reshape(-1, 1))
+    w_x0 = _axis_W(n, av[0], np.array([x0]))
+    w_ys = _axis_W(n, av[0], ys)
     normalized = np.abs(vals) * np.sqrt(w_x0 * w_ys) / math.sqrt(n)
     growth = (1.0 + math.sqrt(n) * seps) ** sigma
     fitted_c = float(np.max(normalized * growth))
@@ -230,7 +230,7 @@ def lower_bound_check(n: int, alpha, a_hat: CutoffSpec, delta: float = 0.5,
     xs = np.linspace(0.0, upper, points_per_axis)
     w2 = np.square(_filter_degrees(np.ones((M + 1,) * av.d), a_hat, n))
     diag = _fold(w2, [np.square(laguerre_fn_batch(M, a, xs, "F")) for a in av], 0)
-    wts = _outer([weight_W(n, [a], xs.reshape(-1, 1)) for a in av])
+    wts = _outer([_axis_W(n, a, xs) for a in av])
     vals = diag * wts / math.sqrt(n) ** av.d
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     return {"n": n, "delta": float(delta), "minimum": float(vals[idx]),

@@ -179,6 +179,8 @@ class CoeffFn:
                 re[nu.nu], im[nu.nu] = (float(v) for v in vals)
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks the key {exc}") from None
+        except TypeError as exc:  # a value of the wrong JSON type, such as "coeffs": 5
+            raise ValueError(f"malformed coefficient data: {exc}") from None
         return cls(av, n, re + 1j * im if im.any() else re)
 
 

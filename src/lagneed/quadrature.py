@@ -444,6 +444,11 @@ def cubature_integrate_values(grid: CubatureGrid, values: np.ndarray):
     return math.fsum(terms.tolist())
 
 
+def _axis_W(n: float, a: float, x) -> np.ndarray:
+    """One axis's factor (x + n^(-1/2))^(2a + 1) of ``weight_W``, unchecked."""
+    return (x + n ** -0.5) ** (2.0 * a + 1.0)
+
+
 def weight_W(n: float, alpha, x) -> np.ndarray:
     """The localization weight prod_j (x_j + n^(-1/2))^(2 alpha_j + 1).
 
@@ -459,9 +464,7 @@ def weight_W(n: float, alpha, x) -> np.ndarray:
         raise ValueError("point dimension does not match alpha")
     if np.any(pts < 0.0):
         raise ValueError("points must be nonnegative")
-    shift = n ** -0.5
-    expo = 2.0 * np.asarray(av.alpha) + 1.0
-    vals = np.prod((pts + shift) ** expo, axis=-1)
+    vals = math.prod(_axis_W(n, a, pts[..., i]) for i, a in enumerate(av.alpha))
     if scalar_in:
         return float(vals[0])
     return vals

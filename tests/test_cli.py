@@ -62,8 +62,10 @@ class TestConfig:
     def test_cutoff_strings(self):
         assert parse_cutoff("frame_default").support == (0.25, 4.0)
         assert parse_cutoff("type_a:v=2").support == (0.0, 3.0)
-        with pytest.raises(ValueError):
-            parse_cutoff("garbage")
+        assert parse_cutoff("type_b:u=0.3").support == (0.3, 4.0)
+        for bad in ("garbage", "type_b:uu=0.3", "raw:x=1", "raw:fn=1", "type_a:v"):
+            with pytest.raises(ValueError):
+                parse_cutoff(bad)
 
 
 class TestQuadratureCommand:
@@ -353,15 +355,42 @@ def test_input_missing_key_exits_2(capsys, tmp_path, system_config, command, pay
         {"j": 1, "shape": [2], "re": [1.0, None], "im": [0.0, 0.0]}]}, "level 1: 're'"),
     (["transform", "synthesize"], {"system_hash": "x", "levels": [
         {"j": 0, "shape": [2], "re": [1.0, 2.0], "im": [0.0, {}]}]}, "level 0: 'im'"),
+    # values of the wrong JSON type
+    (["transform", "analyze"], {"alpha": [0.5], "N": 1, "coeffs": [1, 2]}, "malformed"),
+    (["transform", "analyze"], {"alpha": [0.5], "N": 1, "coeffs": 5}, "malformed"),
+    (["transform", "analyze"], {"alpha": [0.5], "N": 1, "coeffs": [{"nu": 5, "re": 1}]},
+     "malformed"),
+    (["transform", "analyze"], {"alpha": [0.5], "N": [2], "coeffs": []}, "malformed"),
+    (["transform", "analyze"], {"alpha": None, "N": 1, "coeffs": []}, "malformed"),
+    (["norms", "--space", "f-seq"], {"alpha": [0.5], "N": 1, "coeffs": [1, 2]}, "malformed"),
+    (["transform", "synthesize"], {"system_hash": "x", "levels": 5}, "malformed"),
+    (["transform", "synthesize"], {"system_hash": "x", "levels": [5]}, "malformed"),
+    (["transform", "synthesize"], {"system_hash": "x", "levels": [
+        {"j": 0, "shape": 5, "re": [1.0], "im": [0.0]}]}, "malformed"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, system_config, command, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    code, _, err = run_main(command + ["--system", system_config, "--input", str(bad)],
-                            capsys)
-    assert code == 2
-    last = err.splitlines()[-1]
-    assert '"code":2' in last and message in last
+    code, out, err = run_main(command + ["--system", system_config, "--input", str(bad)],
+                              capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and '"code":2' in lines[0] and message in lines[0]
+
+
+@pytest.mark.parametrize("spec", ["type_b:uu=0.3", "raw:x=1"])
+@pytest.mark.parametrize("where", ["config", "kernel-decay"])
+def test_bad_cutoff_spec_exits_2(capsys, tmp_path, spec, where):
+    if where == "config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"alpha=0.5\nd=1\nJ=2\ntight=true\ncutoff={spec}\n")
+        argv = ["report", "--config", str(cfg), "--out", str(tmp_path / "bundle")]
+    else:
+        argv = ["kernel-decay", "--alpha", "0", "--n-list", "16,32", "--cutoff", spec]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
 
 
 class TestNorms:

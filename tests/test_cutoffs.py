@@ -118,6 +118,13 @@ class TestMakeCutoff:
             make_cutoff("type_b", u=1.5, v=1.0)
         with pytest.raises(ValueError):
             make_cutoff("nonsense")
+        # a parameter name the kind does not read
+        with pytest.raises(ValueError, match="no parameter uu"):
+            make_cutoff("type_b", uu=0.3)
+        with pytest.raises(ValueError, match="no parameter u$"):
+            make_cutoff("type_a", u=0.3)
+        with pytest.raises(ValueError, match="no parameter x"):
+            make_cutoff("raw", fn=lambda t: t, support=(0.0, 1.0), x=1.0)
 
     def test_jet_order_cap(self):
         spec = frame_default()

@@ -407,22 +407,29 @@ class TestUnderflow:
     @pytest.mark.parametrize("which", ["1d", "2d"])
     def test_norms_scale_exactly(self, system, system_2d, which, c):
         sys_ = system if which == "1d" else system_2d
-        f = CoeffFn.random(sys_.alpha, 4 ** (sys_.J - 1), seed=4)
-        cf = CoeffFn(f.alpha, f.max_degree, c * f.coeffs)
-        coeffs, c_coeffs = analyze(sys_, f), analyze(sys_, cf)
         level = sys_.J + 1
         norms = {"F": (F_norm_cont, f_norm_seq), "B": (B_norm_cont, b_norm_seq)}
-        for params, spaces_ in [(NormParams(0.0, 0.0, 3.0, math.inf), "B"),
-                                (NormParams(0.5, 0.5, 1.5, 1.0), "F"),
-                                (NormParams(1.0, 1.0, 0.5, 0.5), "FB")]:
-            for space in spaces_:
-                cont, seq = norms[space]
-                for plain, scaled in [(cont(f, params, sys_, level), cont(cf, params, sys_, level)),
-                                      (seq(coeffs, params, sys_), seq(c_coeffs, params, sys_))]:
-                    assert 0.0 < plain < math.inf
-                    # relative to plain: approx's absolute floor of 1e-12 would
-                    # pass any value near 0 for small c
-                    assert scaled / c == pytest.approx(plain, rel=1e-12)
+        # a complex f takes _fold's (re, im) path, and B at p = inf _scaled_max:
+        # both read the first axis's table, which carries the shift
+        for complex_valued in (False, True):
+            f = CoeffFn.random(sys_.alpha, 4 ** (sys_.J - 1), seed=4,
+                               complex_valued=complex_valued)
+            cf = CoeffFn(f.alpha, f.max_degree, c * f.coeffs)
+            coeffs, c_coeffs = analyze(sys_, f), analyze(sys_, cf)
+            for params, spaces_ in [(NormParams(0.0, 0.0, 3.0, math.inf), "B"),
+                                    (NormParams(0.5, 0.5, 1.5, 1.0), "F"),
+                                    (NormParams(1.0, 1.0, 0.5, 0.5), "FB"),
+                                    (NormParams(0.3, 0.2, math.inf, 2.0), "B")]:
+                for space in spaces_:
+                    cont, seq = norms[space]
+                    for plain, scaled in [(cont(f, params, sys_, level),
+                                           cont(cf, params, sys_, level)),
+                                          (seq(coeffs, params, sys_),
+                                           seq(c_coeffs, params, sys_))]:
+                        assert 0.0 < plain < math.inf
+                        # relative to plain: approx's absolute floor of 1e-12 would
+                        # pass any value near 0 for small c
+                        assert scaled / c == pytest.approx(plain, rel=1e-12)
 
     def test_continuous_norm_memory(self):
         # J=3 d=2 at integration level 4: the level values keep the (835, 835)
@@ -659,7 +666,7 @@ class TestReports:
             ww = weight_W(n, [alpha], pts)
 
             def ratios(vals):
-                return (_lp(vals, c, math.inf) / _lp(vals, c, 2.0),
+                return (_lp(vals, c, math.inf) / _lp(vals.copy(), c, 2.0),
                         _lp(ww ** s * vals, c, math.inf) / _lp(ww ** (s - 0.5) * vals, c, 2.0))
 
             F = laguerre_fn_batch(n, alpha, rule.sqrt_nodes, "F")
