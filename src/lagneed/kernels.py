@@ -72,12 +72,21 @@ def _cached_weights(a_hat: CutoffSpec, scale: float, top: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=256)
+def _filter_band(a_hat: CutoffSpec, scale: float) -> tuple[int, int]:
+    """First and last degree m with a(m/scale) != 0 in the cached weights, (1, 0) if none."""
+    live = np.flatnonzero(_cached_weights(a_hat, scale, _top_degree(a_hat, scale)))
+    return (int(live[0]), int(live[-1])) if live.size else (1, 0)
+
+
 def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,
-                    degrees: np.ndarray | None = None) -> np.ndarray:
-    """block * a(|nu|/scale) for a coefficient block indexed from nu = 0;
-    ``degrees`` is the block's total-degree grid, built here when None."""
-    w = _cached_weights(a_hat, scale, sum(block.shape) - block.ndim)
-    return block * w[total_degree_grid(block.shape) if degrees is None else degrees]
+                    degrees: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """block * a(|nu|/scale) for a coefficient block indexed from nu = (start, .., start);
+    ``degrees`` is the block's total-degree grid counted from that corner, built here
+    when None."""
+    w = _cached_weights(a_hat, scale, sum(block.shape) + block.ndim * (start - 1))
+    grid = total_degree_grid(block.shape) if degrees is None else degrees
+    return block * w[block.ndim * start:][grid]
 
 
 def _point(x, d):

@@ -15,6 +15,12 @@ synthesis are one filter and one real matrix product per axis.  The tables and
 the analysis coefficients store values below the normal range (2.2e-308) as 0:
 subnormal operands slow those products severalfold.
 
+Each level's products run on its live box only (``_live_box``): the table rows
+of the degrees where the level filter is nonzero, and per axis the first K
+nodes, past which the damped table rows have underflowed to 0 on those rows.
+K is read from a per-axis vector built with the tables; analysis levels are
+exactly 0 outside the box.
+
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
 evaluation and the continuous norms keep that dtype, so for a real function
@@ -34,7 +40,8 @@ from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
                       _flush_subnormal, _fold)
 from .quadrature import CubatureGrid, cubature_grid
-from .kernels import cutoff_weights, _filter_degrees, _filtered_sum, _level_scale, _top_degree
+from .kernels import (cutoff_weights, _filter_band, _filter_degrees, _filtered_sum, _level_scale,
+                      _top_degree)
 
 __all__ = [
     "CoeffFn",
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 TABLE_BYTES_CAP = 2 << 30
+_REACH_CHUNK = 1 << 18  # table entries per boolean chunk of _reach
 
 
 @dataclass
@@ -196,7 +204,7 @@ class NeedletCoeffs:
         return len(self.levels)
 
     def total_energy(self) -> float:
-        return float(sum(np.sum(np.abs(lv) ** 2) for lv in self.levels))
+        return float(sum(np.vdot(lv, lv).real for lv in self.levels))
 
     def scale(self, factor) -> "NeedletCoeffs":
         return NeedletCoeffs(tuple(lv * factor for lv in self.levels), self.system_hash)
@@ -237,6 +245,8 @@ class NeedletSystem:
                 _flush_subnormal(tab)
                 tab.flags.writeable = False
             self.tables.append(tabs)
+        # per level, per axis: _reach(tab)[m] live nodes for the rows 0..m
+        self._reach = [tuple(_reach(tab) for tab in tabs) for tabs in self.tables]
 
     def band_degree(self, j: int) -> int:
         """Largest total degree the level-j filters can touch."""
@@ -269,6 +279,22 @@ class NeedletSystem:
     def node_coeff(self, j: int, gamma) -> float:
         g = self.grids[j]
         return float(np.prod([g.axis_c[ax][v] for ax, v in enumerate(gamma)]))
+
+
+def _reach(tab: np.ndarray) -> np.ndarray:
+    """Read-only reach[m] = 1 + the last node k with tab[r, k] != 0 for some row r <= m
+    (0 if there is none): in rows 0..m, the columns from reach[m] on hold only zeros.
+    One pass over chunks of rows, each looking only right of the reach so far."""
+    n = tab.shape[1]
+    reach = np.empty(len(tab), dtype=np.intp)
+    step, done = max(1, _REACH_CHUNK // n), 0
+    for start in range(0, len(tab), step):
+        live = tab[start: start + step, done:][:, ::-1] != 0
+        last = np.where(live.any(axis=1), n - live.argmax(axis=1), done)
+        reach[start: start + step] = np.maximum.accumulate(last)
+        done = int(reach[start: start + step][-1])
+    reach.flags.writeable = False
+    return reach
 
 
 def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
@@ -317,11 +343,31 @@ def _band_block(system: NeedletSystem, f: CoeffFn, j: int) -> np.ndarray:
                            _level_scale(j))
 
 
+def _live_box(system: NeedletSystem, j: int, cut, cap: int):
+    """Where the level-j transform with filter cut(|nu|/4^(j-1)), on coefficients of
+    total degree <= cap, is not exactly 0: ``(rows, K)``, or None if nowhere.
+
+    With [lo, hi] the filter's nonzero degrees, ``rows`` is the slice of degrees
+    r0..r1 per axis, r1 = min(hi, cap, top table row) and r0 = max(0, lo - (d-1) r1):
+    a total degree of at least lo leaves no single coordinate below r0.  K is per
+    axis the node count ``_reach(tab)[r1]``; the table columns from K on are 0 on
+    those rows.
+    """
+    lo, hi = _filter_band(cut, _level_scale(j))
+    tabs = system.tables[j]
+    r1 = min(hi, cap, len(tabs[0]) - 1)
+    r0 = max(0, lo - (system.d - 1) * r1)
+    if lo > cap or r0 > r1:
+        return None
+    return slice(r0, r1 + 1), tuple(int(reach[r1]) for reach in system._reach[j])
+
+
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     """Needlet coefficients <f, phi_xi> for every level and node.
 
     Exact in coefficient space: the level-j coefficient at node xi is
-    c_xi^(1/2) sum_nu conj(a(|nu|/4^(j-1))) f_nu F_nu(xi).
+    c_xi^(1/2) sum_nu conj(a(|nu|/4^(j-1))) f_nu F_nu(xi).  Each level is folded
+    only on its live box (see ``_live_box``) and is exactly 0 outside it.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
@@ -329,10 +375,17 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
         raise ValueError(
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
     levels = []
-    for j in range(system.J + 1):
-        block = _band_block(system, f, j)
-        level = _fold(block, [tab[: len(block)] for tab in system.tables[j]], 0)
-        levels.append(_flush_subnormal(level))
+    for j, g in enumerate(system.grids):
+        level = np.zeros((g.n_j,) * f.d, dtype=f.coeffs.dtype)
+        box = _live_box(system, j, system.pair.a_hat, f.max_degree)
+        if box is not None:
+            rows, K = box
+            block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
+                                    _level_scale(j), start=rows.start)
+            _fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)], 0,
+                  out=level[tuple(slice(0, k) for k in K)])
+            _flush_subnormal(level[: K[0]])  # C-contiguous, unlike the box itself
+        levels.append(level)
     return NeedletCoeffs(tuple(levels), system.hash)
 
 
@@ -346,18 +399,24 @@ def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.nda
 
 
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
-    """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J."""
+    """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J; each level
+    enters only through its live box (see ``_live_box``)."""
     levels = _system_levels(coeffs, system)
-    n_out = system.max_degree()
+    n_out, cut = system.max_degree(), system.pair.b_hat
     out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *levels))
     for j in range(system.J + 1):
-        cap = min(system.band_degree(j), n_out)
-        box = (slice(0, cap + 1),) * system.d
-        block = _fold(levels[j], [tab[: cap + 1] for tab in system.tables[j]], 1)
+        box = _live_box(system, j, cut, n_out)
+        if box is None:
+            continue
+        rows, K = box
+        block = _fold(levels[j][tuple(slice(0, k) for k in K)],
+                      [tab[rows, :k] for tab, k in zip(system.tables[j], K)], 1)
         degrees = total_degree_grid(block.shape)
-        out[box] += _filter_degrees(block, system.pair.b_hat, _level_scale(j), degrees)
-    # the caps grow with j, so the last level's box holds every entry written
-    out[box][degrees > n_out] = 0.0
+        out[(rows,) * system.d] += _filter_degrees(block, cut, _level_scale(j), degrees,
+                                                   rows.start)
+    # total degrees above 4^J arise only in d >= 2, where the boxes start at 0 and grow
+    # with j, so the last box holds every entry written
+    out[(rows,) * system.d][degrees > n_out - system.d * rows.start] = 0.0
     return CoeffFn._unchecked(system.alpha, n_out, out)
 
 

@@ -262,23 +262,25 @@ def _outer(vecs):
     return acc
 
 
-def _fold(tensor, mats, axis: int):
+def _fold(tensor, mats, axis: int, out=None):
     """Contract each axis of ``tensor`` in turn with axis ``axis`` of its matrix.
 
     Axis i of the result has the length of the i-th matrix's other axis.  Each
     axis is contracted where it lies, with no step on a transposed view: the
     first axis is one GEMM on t.reshape(k, -1), a middle axis one matmul on
     t.reshape(pre, k, post) batched over pre, and the last axis one GEMM in
-    d = 2 and from d = 3 on a matmul on t.reshape(n0, -1, k) batched over the
-    leading axis, so each output slab stays in cache.  A real tensor, such as
+    d = 2 and from d = 3 on a matmul on t.reshape(n0, .., k) batched over the
+    leading axes, so each output slab stays in cache.  A real tensor, such as
     the coefficients of a real function, meets the real matrices in real
-    GEMMs throughout.
+    GEMMs throughout.  The last step writes into ``out`` when given, which may
+    be a strided view of the result's shape, such as a box of a larger array;
+    the result is returned.
 
     A complex tensor that meets only real matrices, with an output no larger
     than the tensor and matrices together, is folded as its float view with
     a trailing (re, im) axis, so no matrix is cast to complex: each step is
     one GEMM t.reshape(k, -1).T @ m, which contracts the leading axis and
-    appends the new one last, and the (re, im) axis, rotated to the front, is
+    appends the new one last, and the (re, im) axis, now in front, is
     recombined once at the end.  A larger output stays complex, where the
     recombination would be one more pass over the largest array.
     """
@@ -290,26 +292,33 @@ def _fold(tensor, mats, axis: int):
         tensor = tensor.view(float).reshape(tensor.shape + (2,))
         for m in mats:
             tensor = tensor.reshape(len(m), -1).T @ m
-        pairs = np.moveaxis(tensor.reshape((2,) + shape), 0, -1)
-        return np.ascontiguousarray(pairs).view(complex).reshape(shape)
+        pairs = tensor.reshape((2,) + shape)
+        out = np.empty(shape, dtype=complex) if out is None else out
+        np.copyto(out.real, pairs[0])
+        np.copyto(out.imag, pairs[1])
+        return out
     dims = list(np.shape(tensor))
-    for i, m in enumerate(mats):
+    for i, m in enumerate(mats[:-1]):
         k, post = len(m), math.prod(dims[i + 1:])
         if i == 0:
             tensor = m.T @ tensor.reshape(k, post)
-        elif i < len(mats) - 1:
-            tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
-        elif i == 1:
-            tensor = tensor.reshape(dims[0], k) @ m
         else:
-            tensor = tensor.reshape(dims[0], math.prod(dims[1:i]), k) @ m
+            tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
         dims[i] = m.shape[1]
-    return tensor.reshape(shape)
+    m = mats[-1]
+    out = np.empty(shape, dtype=np.result_type(tensor, m)) if out is None else out
+    if len(mats) == 1:
+        np.matmul(m.T, tensor.reshape(len(m), 1), out=out[:, None])
+    else:
+        np.matmul(tensor.reshape(*dims[:-1], len(m)), m, out=out)
+    return out
 
 
 def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
-    """Set the entries of a C-contiguous float or complex array that lie below
-    the normal range (|x| < tiny = 2.2e-308) to 0, in place; returns ``arr``.
+    """Set the entries of a contiguous (C or Fortran order) float or complex array
+    that lie below the normal range (|x| < tiny = 2.2e-308) to 0, in place;
+    returns ``arr``.  A strided view, such as a box of a larger array, is
+    refused: flattening it would copy, and the flush would be lost.
 
     Dense products slow down severalfold on subnormal operands, and damped
     Laguerre values and needlet coefficients hold many of them, so a needlet
@@ -318,7 +327,9 @@ def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
     runs over chunks of _FLUSH_CHUNK entries with two boolean masks, so it
     needs no float temporary and nothing of the array's size.
     """
-    flat = arr.reshape(-1)
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        raise ValueError("the subnormal flush works in place only on a contiguous array")
+    flat = arr.ravel(order="K")
     if np.iscomplexobj(flat):
         flat = flat.view(float)
     low = np.empty(min(flat.size, _FLUSH_CHUNK), dtype=bool)

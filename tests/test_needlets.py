@@ -17,8 +17,9 @@ from lagneed.needlets import (
     synthesize,
     total_degree_grid,
 )
+from lagneed.kernels import _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
-from lagneed.special import laguerre_fn_batch, _fold
+from lagneed.special import laguerre_fn_batch, _flush_subnormal, _fold
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -312,11 +313,27 @@ class TestTransformMemory:
         assert traced_peak(analyze, system, f) < 1.3 * top_bytes
 
     def test_real_analyze_peaks_near_its_output(self):
-        # the subnormal flush works in fixed chunks, with no temporary of a level's size
-        system = build_system(3, 2, [0.5, 0.5], TIGHT)
-        f = CoeffFn.random([0.5, 0.5], 16, seed=3)
-        out_bytes = sum(lv.nbytes for lv in analyze(system, f).levels)
-        assert traced_peak(analyze, system, f) < 1.3 * out_bytes
+        # the subnormal flush works in fixed chunks, with no temporary of a level's size,
+        # and at J = 4 the level-4 box (728^2 of 835^2) is folded straight into the level
+        for J, degree in ((3, 16), (4, 64)):
+            system = build_system(J, 2, [0.5, 0.5], TIGHT)
+            f = CoeffFn.random([0.5, 0.5], degree, seed=3)
+            out_bytes = sum(lv.nbytes for lv in analyze(system, f).levels)
+            assert traced_peak(analyze, system, f) < 1.3 * out_bytes
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_total_energy_is_the_sum_of_squares(self, complex_valued):
+        system = build_system(3, 2, [0.5, 1.0], DUAL)
+        f = CoeffFn.random(system.alpha, 16, seed=5, complex_valued=complex_valued)
+        coeffs = analyze(system, f)
+        want = sum(float(np.sum(np.abs(lv) ** 2)) for lv in coeffs.levels)
+        assert coeffs.total_energy() == pytest.approx(want, rel=1e-13)
+
+    def test_total_energy_allocates_no_level(self):
+        system = build_system(3, 3, [0.0, 0.5, 1.0], TIGHT)
+        coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=4))
+        assert max(lv.nbytes for lv in coeffs.levels) > 10 << 20
+        assert traced_peak(coeffs.total_energy) < 1 << 20
 
 
 def subnormal_count(arr):
@@ -328,8 +345,10 @@ class TestNormalOrZero:
     slow every dense product they enter."""
 
     @pytest.mark.parametrize("J,alpha,complex_valued", [(4, (0.5,), False), (3, (0.5, 0.5), False),
-                                                        (3, (0.5, 0.5), True)])
+                                                        (3, (0.5, 0.5), True), (4, (0.5, 0.5), False),
+                                                        (4, (0.5, 0.5), True)])
     def test_tables_and_levels(self, J, alpha, complex_valued):
+        # at J = 4, d = 2 the level-4 box is 728^2 of 835^2, a strided view of the level
         system = build_system(J, len(alpha), list(alpha), TIGHT)
         assert all(subnormal_count(tab) == 0 for tabs in system.tables for tab in tabs)
         f = CoeffFn.random(list(alpha), system.exact_degree(), seed=5,
@@ -340,6 +359,157 @@ class TestNormalOrZero:
         block = needlets._band_block(system, f, J)
         raw = _fold(block, [tab[: len(block)] for tab in system.tables[J]], 0)
         assert subnormal_count(raw.view(float)) > 0
+
+
+def dense_analyze(system, f):
+    """Levels from the full node tables, every row and every node, flushed as analyze
+    flushes them."""
+    levels = []
+    for j, tabs in enumerate(system.tables):
+        cap = min(system.band_degree(j), f.max_degree)
+        block = f.coeffs[(slice(0, cap + 1),) * f.d]
+        level = block * cutoff_weights(system.pair.a_hat, _level_scale(j),
+                                       f.d * cap)[total_degree_grid(block.shape)]
+        for tab in tabs:
+            level = np.einsum("m...,mk->...k", level, tab[: cap + 1], optimize=True)
+        levels.append(_flush_subnormal(np.ascontiguousarray(level)))
+    return levels
+
+
+def dense_synthesize(system, levels):
+    """Coefficients of sum h_xi psi_xi from the full node tables."""
+    n_out, d = system.max_degree(), system.d
+    out = np.zeros((n_out + 1,) * d, dtype=np.result_type(float, *levels))
+    for j, tabs in enumerate(system.tables):
+        cap = min(system.band_degree(j), n_out)
+        block = levels[j]
+        for tab in tabs:
+            block = np.einsum("k...,mk->...m", block, tab[: cap + 1], optimize=True)
+        w = cutoff_weights(system.pair.b_hat, _level_scale(j), d * cap)
+        out[(slice(0, cap + 1),) * d] += block * w[total_degree_grid(block.shape)]
+    out[total_degree_grid(out.shape) > n_out] = 0.0
+    return out
+
+
+def box_slices(K):
+    return tuple(slice(0, k) for k in K)
+
+
+def filter_band(cut, j):
+    live = np.flatnonzero(cutoff_weights(cut, _level_scale(j)))
+    return int(live[0]), int(live[-1])
+
+
+class TestLiveBox:
+    """analyze and synthesize fold each level only on its live box: the rows where the
+    level filter is nonzero, and the nodes K whose table columns are nonzero there."""
+
+    @pytest.mark.parametrize("J,alpha,pair,degrees", [
+        (4, (0.5,), TIGHT, (3, 64, 256)),
+        (3, (0.0,), DUAL, (2, 16, 64)),
+        (3, (0.5, 1.0), DUAL, (3, 16, 64)),
+        (3, (0.5, 0.5), TIGHT, (3, 16, 64)),
+        (2, (0.0, 0.5, 1.0), DUAL, (1, 4, 16)),
+        (2, (0.5, 0.5, 0.5), TIGHT, (1, 4, 16)),
+    ], ids=["d1-tight", "d1-dual", "d2-dual", "d2-tight", "d3-dual", "d3-tight"])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_matches_dense_reference(self, J, alpha, pair, degrees, complex_valued):
+        # degrees: below the top level's lower band edge, exact_degree() and 4^J
+        system = build_system(J, len(alpha), list(alpha), pair)
+        assert degrees[1:] == (system.exact_degree(), system.max_degree())
+        assert degrees[0] <= filter_band(pair.a_hat, J)[0] - 1
+        for seed, degree in enumerate(degrees):
+            f = CoeffFn.random(list(alpha), degree, seed=seed, complex_valued=complex_valued)
+            coeffs = analyze(system, f)
+            for got, want in zip(coeffs.levels, dense_analyze(system, f)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if degree < system.exact_degree():
+                assert not coeffs.levels[J].any()
+            got = synthesize(system, coeffs).coeffs
+            want = dense_synthesize(system, coeffs.levels)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("J,alpha,pair", [(4, (0.5,), TIGHT), (3, (0.0, 1.0), DUAL),
+                                              (2, (0.0, 0.5, 1.0), DUAL)])
+    def test_levels_vanish_outside_the_box(self, J, alpha, pair):
+        system = build_system(J, len(alpha), list(alpha), pair)
+        for degree in (system.exact_degree(), system.max_degree()):
+            f = CoeffFn.random(list(alpha), degree, seed=degree)
+            for j, level in enumerate(analyze(system, f).levels):
+                rows, K = needlets._live_box(system, j, pair.a_hat, degree)
+                outside = np.ones(level.shape, dtype=bool)
+                outside[box_slices(K)] = False
+                assert not level[outside].any()
+                assert level[box_slices(K)].any()
+
+    @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (1.5,), DUAL),
+                                              (4, (0.5, 0.5), DUAL), (2, (0.0, 0.5, 1.0), TIGHT)])
+    def test_box_is_the_nonzero_part(self, J, alpha, pair):
+        # rows from the filter's nonzero degrees, K from the tables, each brute force
+        system = build_system(J, len(alpha), list(alpha), pair)
+        d = system.d
+        for j, tabs in enumerate(system.tables):
+            for reach, tab in zip(system._reach[j], tabs):
+                first = np.argmax(tab != 0, axis=0)  # each node's first nonzero row
+                first[~tab.any(axis=0)] = len(tab)
+                want = [1 + int(np.flatnonzero(first <= m)[-1]) for m in range(len(tab))]
+                assert reach.tolist() == want and not reach.flags.writeable
+            for cut, cap in ((pair.a_hat, system.exact_degree()),
+                             (pair.a_hat, system.max_degree()), (pair.b_hat, system.max_degree())):
+                lo, hi = filter_band(cut, j)
+                r1 = min(hi, cap, system.band_degree(j))
+                box = needlets._live_box(system, j, cut, cap)
+                if lo > cap:
+                    assert box is None
+                    continue
+                rows, K = box
+                assert rows == slice(max(0, lo - (d - 1) * r1), r1 + 1)
+                for tab, k in zip(tabs, K):
+                    assert not tab[: r1 + 1, k:].any() and tab[: r1 + 1, k - 1].any()
+
+    def test_deep_1d_box_is_cut(self):
+        system = build_system(5, 1, [0.5], TIGHT)
+        assert system.tables[5][0].shape == (1025, 3337)
+        assert needlets._live_box(system, 5, TIGHT.b_hat, 1024) == (slice(65, 1018), (2785,))
+        assert needlets._live_box(system, 5, TIGHT.a_hat, 256) == (slice(65, 257), (1984,))
+
+    @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0,), DUAL),
+                                              (4, (0.5, 0.5), DUAL), (2, (0.0, 0.5, 1.0), DUAL)])
+    def test_box_edges_exactly(self, J, alpha, pair):
+        # single coefficients on the edge rows and edge nodes of each box: every entry
+        # is one product, so the box and the full tables agree bit for bit, and a box
+        # one row or one node short loses a whole entry
+        system = build_system(J, len(alpha), list(alpha), pair)
+        d, N, scale = system.d, system.max_degree(), 1e300  # edge values stay normal
+        for j, tabs in enumerate(system.tables):
+            for cap in (system.exact_degree(), N):
+                box = needlets._live_box(system, j, pair.a_hat, cap)
+                if box is None:
+                    continue
+                rows, K = box
+                lo = filter_band(pair.a_hat, j)[0]
+                edges = [((rows.stop - 1,) + (0,) * (d - 1), None),
+                         ((lo,) if d == 1 else (0, lo) + (0,) * (d - 2), None)]
+                for ax, (tab, k) in enumerate(zip(tabs, K)):
+                    m = lo + int(np.flatnonzero(tab[lo: rows.stop, k - 1])[-1])
+                    edges.append((tuple(m if i == ax else 0 for i in range(d)),
+                                  tuple(k - 1 if i == ax else 0 for i in range(d))))
+                for nu, node in edges:
+                    coeffs = np.zeros((cap + 1,) * d)
+                    coeffs[nu] = scale
+                    f = CoeffFn(system.alpha, cap, coeffs)
+                    got = analyze(system, f).levels
+                    assert all(np.array_equal(a, b) for a, b in zip(got, dense_analyze(system, f)))
+                    assert node is None or got[j][node] != 0
+            rows, K = needlets._live_box(system, j, pair.b_hat, N)
+            for node in [(0,) * d] + [tuple(k - 1 if i == ax else 0 for i in range(d))
+                                      for ax, k in enumerate(K)]:
+                levels = [np.zeros((g.n_j,) * d) for g in system.grids]
+                levels[j][node] = scale
+                got = synthesize(system, NeedletCoeffs(tuple(levels), system.hash)).coeffs
+                assert np.array_equal(got, dense_synthesize(system, levels))
+                assert got.any()
 
 
 class TestRealDtype:

@@ -355,6 +355,22 @@ class TestFlushSubnormal:
         _flush_subnormal(arr)
         assert np.isnan(arr[0]) and arr[1:].tolist() == [0.0, 1.0]
 
+    def test_refuses_a_strided_view(self):
+        # flattening a sub-box copies, so a flush there would change nothing
+        arr = np.full((4, 4), 1e-310)
+        with pytest.raises(ValueError, match="contiguous"):
+            _flush_subnormal(arr[:3, :3])
+        _flush_subnormal(arr[:3])
+        assert not arr[:3].any() and np.all(arr[3] == 1e-310)
+
+    def test_fortran_order_in_place(self):
+        # a boolean column selection, table[:, live], comes out in Fortran order
+        arr = np.full((3, 5), 1e-310)[:, np.array([True, False, True, True, False])]
+        assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+        arr[0] = 1.0
+        assert _flush_subnormal(arr) is arr
+        assert arr.tolist() == [[1.0] * 3, [0.0] * 3, [0.0] * 3]
+
 
 class TestTypes:
     def test_alpha_vector_validation(self):
