@@ -121,14 +121,38 @@ class _Frame:
     ``v`` and ``v_prev`` hold q_n(u) and q_(n-1)(u) divided by one positive
     per-point factor 2^(e0 + shift) = 2^(m0 + shift) / frac, e0 = -u / (2 ln 2),
     so they carry the signs and ratios of the q's at any size of the q's
-    themselves.  ``row`` converts ``v`` into q_n by exact ldexp scaling
-    (genuine underflow flushes cleanly to zero).
+    themselves.
+
+    ``row`` converts ``v`` into q_n = (v frac) 2^E, E = m0 + shift, as
+    (v frac) a b with per-point power-of-two factors, bit for bit what
+    ldexp(v frac, E) gives, since |v frac| < 2^1001:
+
+    * E >= -1022: a = 2^E, b = 1; one rounding, none when the result is normal;
+    * -2075 <= E < -1022: a = 2^(E+1022), b = 2^-1022; the first product is
+      exact wherever the result can be nonzero, so only the last one rounds;
+    * E <= -2076: a = 0; the result is below 2^-1075 and rounds to 0, here
+      the zero with the sign of v.
+
+    The factors are worked out on the first conversion and again after each
+    rescale, which clears ``scale``; a consumer that converts no row never
+    pays for them.
     """
 
-    __slots__ = ("v", "v_prev", "frac", "m0", "shift")
+    __slots__ = ("v", "v_prev", "frac", "m0", "shift", "scale")
 
-    def row(self) -> np.ndarray:
-        return np.ldexp(self.v * self.frac, self.m0 + self.shift)
+    def row(self, out=None) -> np.ndarray:
+        """q_n at every point, written into ``out`` when given."""
+        if self.scale is None:
+            e = self.m0 + self.shift
+            band = e < -1022
+            a = np.ldexp(1.0, np.where(band, e + 1022, e))
+            a[e <= -2076] = 0.0
+            self.scale = (a, np.where(band, 2.0 ** -1022, 1.0))
+        a, b = self.scale
+        out = np.multiply(self.v, self.frac, out=out)
+        out *= a
+        out *= b
+        return out
 
 
 def _damped_rows(N: int, alpha: float, u: np.ndarray):
@@ -148,6 +172,7 @@ def _damped_rows(N: int, alpha: float, u: np.ndarray):
     s.frac = np.exp2(e0 - m0)          # in [1, 2)
     s.m0 = m0.astype(np.int64)
     s.shift = np.zeros(u.size, dtype=np.int64)
+    s.scale = None
     s.v_prev = np.zeros(u.size)
     start = math.exp(-0.5 * math.lgamma(alpha + 1.0))
     s.v = np.full(u.size, start)
@@ -165,6 +190,7 @@ def _damped_rows(N: int, alpha: float, u: np.ndarray):
             s.v[big] = np.ldexp(s.v[big], -_RESCALE_SHIFT)
             s.v_prev[big] = np.ldexp(s.v_prev[big], -_RESCALE_SHIFT)
             s.shift[big] += _RESCALE_SHIFT
+            s.scale = None
             bound = float(np.max(np.where(big, np.ldexp(size, -_RESCALE_SHIFT), size),
                                   initial=0.0))
         bound *= growth
@@ -207,7 +233,7 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
         raise ValueError(f"unknown family {family!r}")
     q = np.empty((N + 1, u.size))
     for n, state in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
-        q[n] = state.row()
+        state.row(q[n])
     vals = q.reshape((N + 1,) + u.shape)
     vals *= pre
     if np.ndim(x) == 0:
@@ -250,8 +276,11 @@ def multivariate_F(nu, alpha, x) -> float:
 
 
 def total_degree_grid(shape) -> np.ndarray:
-    """Tensor of total degrees |nu| over a coefficient array shape."""
-    return sum(np.indices(shape, dtype=np.int64))
+    """Tensor of total degrees |nu| over a coefficient array shape, as a broadcast
+    sum of per-axis ranges, so no index array of the full shape is built."""
+    d = len(shape)
+    return sum(np.arange(n, dtype=np.int64).reshape((-1,) + (1,) * (d - 1 - ax))
+               for ax, n in enumerate(shape))
 
 
 def _outer(vecs):

@@ -16,8 +16,11 @@ from lagneed.special import (
     laguerre_fn_F_deriv_batch,
     laguerre_poly,
     multivariate_F,
+    total_degree_grid,
+    _damped_rows,
     _flush_subnormal,
     _fold,
+    _Frame,
 )
 from lagneed.quadrature import gauss_laguerre
 
@@ -370,6 +373,69 @@ class TestFlushSubnormal:
         arr[0] = 1.0
         assert _flush_subnormal(arr) is arr
         assert arr.tolist() == [[1.0] * 3, [0.0] * 3, [0.0] * 3]
+
+
+def ldexp_rows(N, alpha, x, family):
+    """laguerre_fn_batch's values from ldexp(v frac, m0 + shift) of every recurrence
+    state, and the exponents m0 + shift of every row."""
+    u = x if family == "L" else np.square(x)
+    pre = {"F": math.sqrt(2.0), "L": np.power(x, 0.5 * alpha),
+           "M": math.sqrt(2.0) * np.power(x, alpha + 0.5)}[family]
+    rows, exps = [], []
+    for state in _damped_rows(N, alpha, u):
+        assert state.scale is None  # a consumer that converts no row gets no factors
+        exps.append(state.m0 + state.shift)
+        rows.append(np.ldexp(state.v * state.frac, exps[-1]))
+    return np.array(rows) * pre, np.array(exps)
+
+
+class TestRowConversion:
+    """_Frame.row converts by cached power-of-two factors, bit for bit as ldexp."""
+
+    TINY_X = [0.0, 5e-324, 1e-310, 1e-300, 1e-20]
+
+    @pytest.mark.parametrize("family, alpha, N", [
+        ("F", 0.5, 1024), ("L", 0.0, 300), ("M", 1.0, 300),
+        ("F", 80.0, 600), ("L", 50.0, 600), ("M", 80.0, 600)])
+    def test_bits_equal_ldexp(self, family, alpha, N):
+        u = np.linspace(0.0, 1.4e4, 701)
+        x = np.concatenate((self.TINY_X, u if family == "L" else np.sqrt(u)))
+        want, exps = ldexp_rows(N, alpha, x, family)
+        got = laguerre_fn_batch(N, alpha, x, family)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # every regime of the conversion, and zeros of both signs, are on the rows
+        assert np.any(exps >= -1022) and np.any((exps < -1022) & (exps > -2076))
+        assert np.any(exps <= -2076)
+        zeros = want == 0.0
+        assert np.any(zeros & np.signbit(want)) and np.any(zeros & ~np.signbit(want))
+        if alpha >= 50.0:  # a rescale between two converted rows
+            assert np.array_equal(exps[1], exps[0]) and not np.array_equal(exps[-1], exps[0])
+
+    def test_regime_edges_by_hand(self):
+        # |v| up to the recurrence's bound 2^1000, frac in [1, 2), E on each regime's edges
+        v = np.array([2.0 ** 1000, -(2.0 ** 1000), 1.5 * 2.0 ** 999, 1.0, -1.0 - 2.0 ** -52,
+                      3.0 * 2.0 ** -1000, 5e-324, -0.0, 0.0])
+        frac = np.array([1.0, 1.5, 2.0 - 2.0 ** -52])
+        e = np.array([3, 0, -1021, -1022, -1023, -1074, -1075, -1076, -2000, -2074, -2075,
+                      -2076, -2077, -2100, -5000])
+        vv, ff, ee = (g.ravel() for g in np.meshgrid(v, frac, e, indexing="ij"))
+        state = _Frame()
+        state.v, state.frac, state.scale = vv, ff, None
+        state.shift = np.where(ee > -1000, 0, 512)
+        state.m0 = ee - state.shift
+        want, got = np.ldexp(vv * ff, ee), np.empty_like(vv)
+        state.row(got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any(want[ee == -2075]) and not np.any(want[ee == -2076])
+
+
+class TestTotalDegreeGrid:
+    @pytest.mark.parametrize("shape", [(1,), (5, 7), (3, 4, 5), (2, 2, 2, 2), (3, 0, 2), (0,)])
+    def test_matches_index_sum(self, shape):
+        got = total_degree_grid(shape)
+        want = sum(np.indices(shape, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestTypes:
