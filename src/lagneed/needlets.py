@@ -336,30 +336,24 @@ def evaluate_needlet(system: NeedletSystem, j: int, gamma, x,
                                         system.alpha, x, xi)
 
 
-def _band_block(system: NeedletSystem, f: CoeffFn, j: int) -> np.ndarray:
-    """Coefficients of f up to the level-j band degree, filtered by a(|nu|/4^(j-1))."""
-    cap = min(system.band_degree(j), f.max_degree)
-    return _filter_degrees(f.coeffs[(slice(0, cap + 1),) * f.d], system.pair.a_hat,
-                           _level_scale(j))
+def _band_rows(d: int, cut, j: int, cap: int) -> slice | None:
+    """The per-axis degrees r0..r1 (a slice, or None if none) that the level-j filter
+    cut(|nu|/4^(j-1)) reaches on coefficients of total degree <= cap: with [lo, hi]
+    its nonzero degrees, r1 = min(hi, cap) and r0 = max(0, lo - (d-1) r1), as a total
+    degree of at least lo leaves no single coordinate below r0."""
+    lo, hi = _filter_band(cut, _level_scale(j))
+    r1 = min(hi, cap)
+    r0 = max(0, lo - (d - 1) * r1)
+    return None if lo > cap or r0 > r1 else slice(r0, r1 + 1)
 
 
 def _live_box(system: NeedletSystem, j: int, cut, cap: int):
     """Where the level-j transform with filter cut(|nu|/4^(j-1)), on coefficients of
-    total degree <= cap, is not exactly 0: ``(rows, K)``, or None if nowhere.
-
-    With [lo, hi] the filter's nonzero degrees, ``rows`` is the slice of degrees
-    r0..r1 per axis, r1 = min(hi, cap, top table row) and r0 = max(0, lo - (d-1) r1):
-    a total degree of at least lo leaves no single coordinate below r0.  K is per
-    axis the node count ``_reach(tab)[r1]``; the table columns from K on are 0 on
-    those rows.
-    """
-    lo, hi = _filter_band(cut, _level_scale(j))
-    tabs = system.tables[j]
-    r1 = min(hi, cap, len(tabs[0]) - 1)
-    r0 = max(0, lo - (system.d - 1) * r1)
-    if lo > cap or r0 > r1:
-        return None
-    return slice(r0, r1 + 1), tuple(int(reach[r1]) for reach in system._reach[j])
+    total degree <= cap, is not exactly 0, or None if nowhere: ``(rows, K)``, with rows
+    the ``_band_rows`` capped also at the top table row and K per axis the node count
+    ``_reach(tab)[r1]``, r1 the last row; the table columns from K on are 0 there."""
+    rows = _band_rows(system.d, cut, j, min(cap, len(system.tables[j][0]) - 1))
+    return None if rows is None else (rows, tuple(int(r[rows.stop - 1]) for r in system._reach[j]))
 
 
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:

@@ -19,8 +19,10 @@ axis (per-axis Laguerre tables, each scaled by its axis's factor of
 W(4^j; x)^(-rho/d), contracted with the band's coefficient block), and the
 outer integral folds the values, kept in their (n,)*d shape, with that
 grid's per-axis cubature weights (the absolute value breaks polynomial
-exactness, which is documented behavior).  The sequence norms fold per-axis
-cell or tile measures the same way.
+exactness, which is documented behavior).  The levels run, whatever J is,
+until the filter's first degree passes f's degree, each on the per-axis
+degree rows its filter reaches (``needlets._band_rows``, as in ``analyze``).
+The sequence norms fold per-axis cell or tile measures the same way.
 
 Every norm is positively homogeneous, so each puts 2^(-shift), shift the
 binary exponent of its largest coefficient, on its first axis's factor
@@ -58,6 +60,7 @@ that is 0.62 (p = 3) to 1.42 (p < 1, p = inf) grid-sized arrays, 1.15 to
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,9 +69,9 @@ import numpy as np
 
 from .special import as_alpha, laguerre_fn_batch, _flush_subnormal, _fold, _fold_sum, _outer, _TINY
 from .quadrature import cubature_grid, gauss_laguerre, _axis_W, _interval_measures
-from .kernels import _level_scale
+from .kernels import _filter_band, _filter_degrees, _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
-                       _band_block, _system_levels)
+                       _band_rows, _system_levels)
 
 __all__ = [
     "NormParams",
@@ -250,16 +253,6 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     return math.ldexp(norm, shift)
 
 
-def _cont_levels(f: CoeffFn, system: NeedletSystem):
-    """Levels whose filter band can touch the spectrum of f."""
-    lo = system.pair.a_hat.support[0]
-    top, j = 0, 1
-    while lo * _level_scale(j) <= f.max_degree and j <= system.J + 8:
-        top = j
-        j += 1
-    return range(0, top + 1)
-
-
 def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level: int):
     """Per-axis lists over the live nodes of the level ``integration_level``
     cubature grid, which must exceed the system level J: the abscissae, the
@@ -303,14 +296,21 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables):
     the scaled domain: the value at node (k_1, .., k_d) is divided by
     2^(e_k1 + .. + e_kd).
 
-    The band part f_j is formed exactly in coefficient space; its values
-    come from folding the band's coefficient block into the per-axis scaled
-    tables, each scaled by its axis's factor of the weight, so no table and
-    no weight is built at the n^d points.
+    The levels run until the filter's first degree passes f's degree.  The band
+    part f_j is formed exactly in coefficient space; its values come from folding
+    its block on the ``_band_rows`` into those rows of the per-axis scaled tables,
+    each scaled by its axis's factor of the weight, so no table and no weight is
+    built at the n^d points.
     """
-    for j in _cont_levels(f, system):
-        block = _band_block(system, f, j)
-        vals = _fold(block, [_flush_subnormal(t[: len(block)] * w) for t, w in
+    cut = system.pair.a_hat
+    for j in itertools.count():
+        if _filter_band(cut, _level_scale(j))[0] > f.max_degree:
+            return
+        rows = _band_rows(f.d, cut, j, f.max_degree)
+        if rows is None:
+            continue
+        block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j), start=rows.start)
+        vals = _fold(block, [_flush_subnormal(t[rows] * w) for t, w in
                              zip(tables, _axis_weight_powers(xis, system.alpha, j, rho))], 0)
         yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
         del vals  # the caller owns the level now; keep no second reference to it

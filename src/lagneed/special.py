@@ -11,7 +11,7 @@ The three univariate families are selected by a one-letter code:
 All evaluations run the orthonormal three-term recurrence directly on the
 exponentially damped values with dynamic power-of-two rescaling, so no
 intermediate quantity can overflow even for degrees ~2^14 and arguments
-with x^2 ~ 1e4.
+with x^2 ~ 1e4, and at no alpha does the start underflow to 0.
 """
 
 from __future__ import annotations
@@ -164,17 +164,21 @@ def _damped_rows(N: int, alpha: float, u: np.ndarray):
     (each step grows them by at most (max|2n+a+1-u| + b_n) / b_(n+1)) says when
     they could near the float range; only then are the large ones rescaled by
     2^-512, both rows alike, so no step can overflow and the rows do not depend
-    on when the rescaling happened.
+    on when the rescaling happened.  The start G(a+1)^(-1/2) of q_0 is below the
+    normal range from about a = 316 on; there ``shift`` begins at its binary
+    exponent e and the start is G(a+1)^(-1/2) 2^(-e), elsewhere at 0.
     """
     s = _Frame()
     e0 = -u / (2.0 * _LN2)
     m0 = np.floor(e0)
     s.frac = np.exp2(e0 - m0)          # in [1, 2)
     s.m0 = m0.astype(np.int64)
-    s.shift = np.zeros(u.size, dtype=np.int64)
     s.scale = None
     s.v_prev = np.zeros(u.size)
-    start = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+    log_start = -0.5 * math.lgamma(alpha + 1.0)
+    e = 0 if math.exp(log_start) >= _TINY else math.floor(log_start / _LN2)
+    start = math.exp(log_start - e * _LN2)
+    s.shift = np.full(u.size, e, dtype=np.int64)
     s.v = np.full(u.size, start)
     yield s
     lo, hi = (float(u.min()), float(u.max())) if u.size else (0.0, 0.0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lagneed.needlets import (
     synthesize,
     total_degree_grid,
 )
-from lagneed.kernels import _level_scale, cutoff_weights
+from lagneed.kernels import _filter_degrees, _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
 from lagneed.special import laguerre_fn_batch, _flush_subnormal, _fold
 
@@ -336,6 +337,30 @@ class TestTransformMemory:
         assert traced_peak(coeffs.total_energy) < 1 << 20
 
 
+class TestThreadSharing:
+    """One system's read-only tables serve concurrent transforms unchanged."""
+
+    def test_round_trips_across_threads(self):
+        system = build_system(3, 2, [0.5, 0.5], DUAL)
+        arrays = [a for tabs in system.tables for a in tabs]
+        arrays += [a for reach in system._reach for a in reach]
+        assert all(not a.flags.writeable for a in arrays)
+        fns = [CoeffFn.random([0.5, 0.5], system.exact_degree(), seed=seed,
+                              complex_valued=seed % 2 == 1) for seed in range(16)]
+
+        def round_trip(f):
+            coeffs = analyze(system, f)
+            return coeffs.levels, synthesize(system, coeffs).coeffs
+
+        serial = [round_trip(f) for f in fns]
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(round_trip, fns))
+        for (levels, out), (want_levels, want_out) in zip(threaded, serial):
+            assert np.array_equal(out.view(np.int64), want_out.view(np.int64))
+            assert all(np.array_equal(lv.view(np.int64), want.view(np.int64))
+                       for lv, want in zip(levels, want_levels))
+
+
 def subnormal_count(arr):
     return int(np.count_nonzero((arr != 0) & (np.abs(arr) < np.finfo(float).tiny)))
 
@@ -356,8 +381,10 @@ class TestNormalOrZero:
         levels = analyze(system, f).levels
         assert all(subnormal_count(lv.view(float)) == 0 for lv in levels)
         # the flush does find work: the unflushed top level holds subnormals
-        block = needlets._band_block(system, f, J)
-        raw = _fold(block, [tab[: len(block)] for tab in system.tables[J]], 0)
+        rows = needlets._band_rows(system.d, system.pair.a_hat, J, f.max_degree)
+        block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat, _level_scale(J),
+                                start=rows.start)
+        raw = _fold(block, [tab[rows] for tab in system.tables[J]], 0)
         assert subnormal_count(raw.view(float)) > 0
 
 

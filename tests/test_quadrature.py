@@ -67,6 +67,12 @@ class TestGaussLaguerre:
         rule = gauss_laguerre(n, alpha)
         assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
 
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_moment_exactness_large_alpha(self, n):
+        # at alpha = 400 the recurrence's start G(401)^(-1/2) is below the float range
+        rule = gauss_laguerre(n, 400.0)
+        assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_weights_sum_to_gamma(self, alpha):
         for n in (4, 64, 256):
@@ -262,6 +268,19 @@ class TestChristoffel:
         log_lam, want = christoffel(n, alpha, root)
         assert lam_exp == pytest.approx(want, rel=1e-12)
         assert log_lam_exp - root == pytest.approx(log_lam, rel=1e-12, abs=1e-12)
+
+    def test_large_alpha(self):
+        # G(a+1)^(-1/2) is below the float range at a = 400: log lambda stays finite
+        # and matches mpmath, and at the 8-point rule's nodes it gives the rule's weights
+        alpha, n, x = 400.0, 8, 1.0
+        log_lam, _ = christoffel(n, alpha, x)
+        with mpmath.workdps(30):
+            total = mpmath.fsum(mpmath.laguerre(k, alpha, x) ** 2 * mpmath.factorial(k)
+                                / mpmath.gamma(k + alpha + 1) for k in range(n))
+            want = float(-mpmath.log(total))
+        assert abs(log_lam / want - 1.0) < 1e-12
+        rule = gauss_laguerre(n, alpha)
+        assert christoffel(n, alpha, rule.nodes)[0] == pytest.approx(rule.log_weights, rel=1e-12)
 
     def test_log_form_is_finite_beyond_the_support(self):
         # at the largest node of the 512-point rule the degree-65 sum of squares

@@ -330,6 +330,22 @@ class TestContinuousNorms:
         b = B_norm_cont(f, params, system, 4)
         assert a == pytest.approx(b, rel=1e-8)
 
+    def test_every_band_of_a_high_degree(self):
+        # e_N far above the system's band: the levels run until the filter starts past N
+        # (bands 9 and 10 here), whatever J is.  For a tight pair sum_j a(N/4^(j-1))^2 = 1,
+        # so at p = q = 2 both norms are the level-1 cubature sum of c_k F_N(xi_k)^2
+        N, alpha = 70000, 0.5
+        sys_ = build_system(0, 1, [alpha], TIGHT)
+        arr = np.zeros(N + 1)
+        arr[N] = 1.0
+        f = CoeffFn([alpha], N, arr)
+        grid = cubature_grid(1, 1, [alpha], sys_.delta, sys_.c_star)
+        values = laguerre_fn_batch(N, alpha, grid.axis_xi[0])[N]
+        want = math.sqrt(math.fsum(grid.axis_c[0] * values ** 2))
+        params = NormParams(0.0, 0.0, 2.0, 2.0)
+        assert F_norm_cont(f, params, sys_, 1) == pytest.approx(want, rel=1e-12)
+        assert B_norm_cont(f, params, sys_, 1) == pytest.approx(want, rel=1e-12)
+
     def test_requires_finer_integration_level(self, system):
         f = CoeffFn.random([0.5], 4, seed=0)
         with pytest.raises(ValueError):

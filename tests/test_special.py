@@ -379,8 +379,8 @@ def ldexp_rows(N, alpha, x, family):
     """laguerre_fn_batch's values from ldexp(v frac, m0 + shift) of every recurrence
     state, and the exponents m0 + shift of every row."""
     u = x if family == "L" else np.square(x)
-    pre = {"F": math.sqrt(2.0), "L": np.power(x, 0.5 * alpha),
-           "M": math.sqrt(2.0) * np.power(x, alpha + 0.5)}[family]
+    pre = {"F": lambda: math.sqrt(2.0), "L": lambda: np.power(x, 0.5 * alpha),
+           "M": lambda: math.sqrt(2.0) * np.power(x, alpha + 0.5)}[family]()
     rows, exps = [], []
     for state in _damped_rows(N, alpha, u):
         assert state.scale is None  # a consumer that converts no row gets no factors
@@ -396,7 +396,7 @@ class TestRowConversion:
 
     @pytest.mark.parametrize("family, alpha, N", [
         ("F", 0.5, 1024), ("L", 0.0, 300), ("M", 1.0, 300),
-        ("F", 80.0, 600), ("L", 50.0, 600), ("M", 80.0, 600)])
+        ("F", 80.0, 600), ("L", 50.0, 600), ("M", 80.0, 600), ("F", 400.0, 2000)])
     def test_bits_equal_ldexp(self, family, alpha, N):
         u = np.linspace(0.0, 1.4e4, 701)
         x = np.concatenate((self.TINY_X, u if family == "L" else np.sqrt(u)))
@@ -427,6 +427,27 @@ class TestRowConversion:
         state.row(got)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.any(want[ee == -2075]) and not np.any(want[ee == -2076])
+
+
+class TestLargeAlpha:
+    """G(a+1)^(-1/2) leaves the normal range from about a = 316 on; its binary
+    exponent then rides in the recurrence's shift."""
+
+    @pytest.mark.parametrize("alpha, n", [(320, 500), (400, 2000), (1000, 40000)])
+    def test_closed_form_at_zero(self, alpha, n):
+        # F_n(0) = sqrt(2) (G(n+a+1) / G(n+1))^(1/2) / G(a+1), for integer a a product
+        ks = range(1, alpha + 1)
+        log_want = (0.5 * math.log(2.0) + 0.5 * math.fsum(math.log(n + k) for k in ks)
+                    - math.fsum(math.log(k) for k in ks))
+        got = laguerre_fn_batch(n, float(alpha), 0.0)[n]
+        assert abs(got / math.exp(log_want) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 80.0, 300.0])
+    def test_normal_start_unchanged(self, alpha):
+        state = next(_damped_rows(3, alpha, np.array([0.0, 1.0])))
+        want = math.exp(-0.5 * math.lgamma(alpha + 1.0))
+        assert want >= np.finfo(float).tiny
+        assert np.array_equal(state.v, [want, want]) and not state.shift.any()
 
 
 class TestTotalDegreeGrid:
