@@ -238,7 +238,7 @@ def lower_bound_check(n: int, alpha, a_hat: CutoffSpec, delta: float = 0.5,
         points_per_axis = max(200, int(12 * n ** 0.5)) if av.d == 1 else 48
     xs = np.linspace(0.0, upper, points_per_axis)
     w2 = np.square(_filter_degrees(np.ones((M + 1,) * av.d), a_hat, n))
-    diag = _fold(w2, [np.square(laguerre_fn_batch(M, a, xs, "F")) for a in av], 0)
+    diag = _fold(w2, [np.square(laguerre_fn_batch(M, a, xs, "F")) for a in av])
     wts = _outer([_axis_W(n, a, xs) for a in av])
     vals = diag * wts / math.sqrt(n) ** av.d
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)

@@ -376,7 +376,7 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
             rows, K = box
             block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
                                     _level_scale(j), start=rows.start)
-            _fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)], 0,
+            _fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)],
                   out=level[tuple(slice(0, k) for k in K)])
             _flush_subnormal(level[: K[0]])  # C-contiguous, unlike the box itself
         levels.append(level)
@@ -384,11 +384,15 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
 
 
 def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.ndarray, ...]:
-    """The per-level tensors of coefficients that belong to this system."""
+    """The per-level tensors of coefficients with this system's hash, level count and
+    level shapes (n_j,)^d."""
     if coeffs.system_hash != system.hash:
         raise ValueError("coefficients come from a different system")
     if coeffs.level_count != system.J + 1:
         raise ValueError("level count does not match the system")
+    for j, (lv, g) in enumerate(zip(coeffs.levels, system.grids)):
+        if np.shape(lv) != (g.n_j,) * system.d:
+            raise ValueError(f"level {j} has shape {np.shape(lv)}, not {(g.n_j,) * system.d}")
     return coeffs.levels
 
 
@@ -404,7 +408,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
             continue
         rows, K = box
         block = _fold(levels[j][tuple(slice(0, k) for k in K)],
-                      [tab[rows, :k] for tab, k in zip(system.tables[j], K)], 1)
+                      [tab[rows, :k].T for tab, k in zip(system.tables[j], K)])
         degrees = total_degree_grid(block.shape)
         out[(rows,) * system.d] += _filter_degrees(block, cut, _level_scale(j), degrees,
                                                    rows.start)
@@ -454,8 +458,8 @@ def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> Coeff
     if av.d != grid.d:
         raise ValueError("alpha and grid dimensions differ")
     vals = np.asarray([fn(p) for p in grid.points()]).reshape((grid.n_j,) * grid.d)
-    tables = [laguerre_fn_batch(max_degree, a, xi, "F") * c
+    tables = [(laguerre_fn_batch(max_degree, a, xi, "F") * c).T
               for a, xi, c in zip(av, grid.axis_xi, grid.axis_c)]
-    block = _fold(vals, tables, 1)
+    block = _fold(vals, tables)
     block[total_degree_grid(block.shape) > max_degree] = 0.0
     return CoeffFn(av, max_degree, block)

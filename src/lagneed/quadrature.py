@@ -49,7 +49,8 @@ class QuadratureRule:
 
     nodes      : zeros of the degree-n Laguerre polynomial, increasing
     log_weights: log of the classical Gauss weights
-    cub_coeffs : c_nu = (1/2) * weight * exp(node); O(1)-sized, stored directly
+    cub_coeffs : c_nu = (1/2) * weight * exp(node), stored directly; inf from about
+                 alpha = 120 (n = 64; 135 at n = 8), where cubature_grid refuses them
     sqrt_nodes : square roots of the nodes (cubature abscissae)
     """
 
@@ -167,9 +168,10 @@ def _newton_polish(n: int, alpha: float, t: np.ndarray):
         powers = np.arange(_TAYLOR_DEGREE + 1)[:, None]
         dc = powers[1:] * c[1:]
         # Newton's method on the damped model e^(-h/2) L_n(t + h), which lacks
-        # the undamped polynomial's e^(h/2) growth, from its first step
+        # the undamped polynomial's e^(h/2) growth, from its first step; three
+        # iterations, as a lone node's wide gap lets a far-off start pass the step test
         h = -c[0] / (1.0 - 0.5 * c[0])
-        for _ in range(2):
+        for _ in range(3):
             hp = h ** powers
             f = (c * hp).sum(axis=0)
             h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)

@@ -311,7 +311,7 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables):
             continue
         block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j), start=rows.start)
         vals = _fold(block, [_flush_subnormal(t[rows] * w) for t, w in
-                             zip(tables, _axis_weight_powers(xis, system.alpha, j, rho))], 0)
+                             zip(tables, _axis_weight_powers(xis, system.alpha, j, rho))])
         yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
         del vals  # the caller owns the level now; keep no second reference to it
 

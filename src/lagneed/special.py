@@ -295,19 +295,19 @@ def _outer(vecs):
     return acc
 
 
-def _fold(tensor, mats, axis: int, out=None):
-    """Contract each axis of ``tensor`` in turn with axis ``axis`` of its matrix.
+def _fold(tensor, mats, out=None):
+    """Contract axis i of ``tensor`` with the first axis of ``mats[i]``, for every i.
 
-    Axis i of the result has the length of the i-th matrix's other axis.  Each
-    axis is contracted where it lies, with no step on a transposed view: the
-    first axis is one GEMM on t.reshape(k, -1), a middle axis one matmul on
-    t.reshape(pre, k, post) batched over pre, and the last axis one GEMM in
-    d = 2 and from d = 3 on a matmul on t.reshape(n0, .., k) batched over the
-    leading axes, so each output slab stays in cache.  A real tensor, such as
-    the coefficients of a real function, meets the real matrices in real
-    GEMMs throughout.  The last step writes into ``out`` when given, which may
-    be a strided view of the result's shape, such as a box of a larger array;
-    the result is returned.
+    Axis i of the result has the length of ``mats[i]``'s second axis; a caller
+    whose matrices run the other way passes their transposed views.  Each axis
+    is contracted where it lies, by one rule: every axis but the last is one
+    matmul m.T @ t.reshape(pre, k, post), batched over the pre entries of the
+    axes before it (pre = 1 on the first axis), and the last axis is one matmul
+    t.reshape(.., k) @ m, batched over the leading axes, so each output slab
+    stays in cache.  A real tensor, such as the coefficients of a real
+    function, meets the real matrices in real GEMMs throughout.  The last step
+    writes into ``out`` when given, which may be a strided view of the result's
+    shape, such as a box of a larger array; the result is returned.
 
     A complex tensor that meets only real matrices, with an output no larger
     than the tensor and matrices together, is folded as its float view with
@@ -317,7 +317,6 @@ def _fold(tensor, mats, axis: int, out=None):
     recombined once at the end.  A larger output stays complex, where the
     recombination would be one more pass over the largest array.
     """
-    mats = [m.T if axis else m for m in mats]
     shape = tuple(m.shape[1] for m in mats)
     if (np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats)
             and math.prod(shape) <= tensor.size + sum(m.size for m in mats)):
@@ -333,18 +332,9 @@ def _fold(tensor, mats, axis: int, out=None):
     dims = list(np.shape(tensor))
     for i, m in enumerate(mats[:-1]):
         k, post = len(m), math.prod(dims[i + 1:])
-        if i == 0:
-            tensor = m.T @ tensor.reshape(k, post)
-        else:
-            tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
+        tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
         dims[i] = m.shape[1]
-    m = mats[-1]
-    out = np.empty(shape, dtype=np.result_type(tensor, m)) if out is None else out
-    if len(mats) == 1:
-        np.matmul(m.T, tensor.reshape(len(m), 1), out=out[:, None])
-    else:
-        np.matmul(tensor.reshape(*dims[:-1], len(m)), m, out=out)
-    return out
+    return np.matmul(tensor.reshape(*dims[:-1], len(mats[-1])), mats[-1], out=out)
 
 
 def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
@@ -377,7 +367,7 @@ def _flush_subnormal(arr: np.ndarray) -> np.ndarray:
 
 def _fold_sum(tensor, vecs) -> float:
     """Sum of a real ``tensor`` against the tensor product of per-axis weight vectors."""
-    return _fold(tensor, [v[:, None] for v in vecs], 0).item()
+    return _fold(tensor, [v[:, None] for v in vecs]).item()
 
 
 def _convolve_degrees(seqs):

@@ -257,6 +257,28 @@ class TestTransform:
         g = CoeffFn.from_json_dict(json.loads(out_file.read_text()))
         assert np.max(np.abs(g.coeffs[:5] - f.coeffs)) < 1e-9
 
+    @pytest.mark.parametrize("size", [60, 10])
+    def test_synthesize_refuses_wrong_level_shape(self, capsys, tmp_path, system_config, size):
+        # a file with the system's hash whose level 2 (53 nodes) is grown, the extra
+        # entries 5.0, or cut, and whose stated shape agrees with its entries
+        f = CoeffFn.random([0.5], 4, seed=5)
+        coeff_file, needlet_file = tmp_path / "f.json", tmp_path / "needlet.json"
+        coeff_file.write_text(json.dumps(f.to_json_dict()))
+        assert main(["transform", "analyze", "--system", system_config,
+                     "--input", str(coeff_file), "--out", str(needlet_file)]) == 0
+        payload = json.loads(needlet_file.read_text())
+        level = payload["levels"][2]
+        assert level["shape"] == [53]
+        for key, fill in (("re", 5.0), ("im", 0.0)):
+            level[key] = (level[key] + [fill] * 7)[:size]
+        level["shape"] = [size]
+        needlet_file.write_text(json.dumps(payload))
+        code, out, err = run_main(["transform", "synthesize", "--system", system_config,
+                                   "--input", str(needlet_file)], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and '"code":2' in lines[0] and "level 2 has shape" in lines[0]
+
     def test_real_round_trip_keeps_file_format(self, tmp_path, system_config):
         # an input without "im" entries is real; the writers still emit "im"
         f = CoeffFn.random([0.5], 4, seed=5)

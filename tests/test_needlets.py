@@ -20,6 +20,7 @@ from lagneed.needlets import (
 )
 from lagneed.kernels import _filter_degrees, _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
+from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
 from lagneed.special import laguerre_fn_batch, _flush_subnormal, _fold
 
 DUAL = make_dual_pair(frame_default())
@@ -281,6 +282,24 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(sys_b, coeffs)
 
+    @pytest.mark.parametrize("op", ["synthesize", "f_norm_seq", "b_norm_seq"])
+    @pytest.mark.parametrize("change", ["grown", "cut", "extra axis"])
+    def test_wrong_level_shape_rejected(self, op, change):
+        # the right hash and level count, but level 2 (53 nodes) of the wrong shape:
+        # grown, its extra entries would be dropped; cut or with an extra axis, it
+        # would fail deep in numpy
+        system = small_system(J=2, pair=TIGHT)
+        levels = list(analyze(system, CoeffFn.random([0.5], 4, seed=0)).levels)
+        assert levels[2].shape == (53,)
+        levels[2] = {"grown": np.concatenate([levels[2], np.full(7, 5.0)]),
+                     "cut": levels[2][:10], "extra axis": levels[2][:, None]}[change]
+        coeffs = NeedletCoeffs(tuple(levels), system.hash)
+        run = {"synthesize": lambda: synthesize(system, coeffs),
+               "f_norm_seq": lambda: f_norm_seq(coeffs, NormParams(0.5, 0.5, 2.0, 2.0), system),
+               "b_norm_seq": lambda: b_norm_seq(coeffs, NormParams(0.5, 0.5, 2.0, 2.0), system)}
+        with pytest.raises(ValueError, match=r"level 2 has shape"):
+            run[op]()
+
 
 def traced_peak(fn, *args):
     tracemalloc.start()
@@ -384,7 +403,7 @@ class TestNormalOrZero:
         rows = needlets._band_rows(system.d, system.pair.a_hat, J, f.max_degree)
         block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat, _level_scale(J),
                                 start=rows.start)
-        raw = _fold(block, [tab[rows] for tab in system.tables[J]], 0)
+        raw = _fold(block, [tab[rows] for tab in system.tables[J]])
         assert subnormal_count(raw.view(float)) > 0
 
 

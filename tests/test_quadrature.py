@@ -67,11 +67,17 @@ class TestGaussLaguerre:
         rule = gauss_laguerre(n, alpha)
         assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
 
-    @pytest.mark.parametrize("n", [8, 40])
-    def test_moment_exactness_large_alpha(self, n):
-        # at alpha = 400 the recurrence's start G(401)^(-1/2) is below the float range
-        rule = gauss_laguerre(n, 400.0)
+    @pytest.mark.parametrize("n, alpha", [(8, 400.0), (40, 400.0), (1, 300.0), (2, 300.0),
+                                          (3, 300.0), (1, 150.0)],
+                             ids=["8", "40", "1-300", "2-300", "3-300", "1-150"])
+    def test_moment_exactness_large_alpha(self, n, alpha):
+        # at alpha = 400 the recurrence's start G(401)^(-1/2) is below the float range;
+        # at n <= 3 a node starts far from its zero (n = 1: 426 against 301) and its
+        # gap, down to 0, is wide, so the final-step test alone is loose there
+        rule = gauss_laguerre(n, alpha)
         assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
+        if n == 1:
+            assert rule.nodes[0] == pytest.approx(alpha + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_weights_sum_to_gamma(self, alpha):

@@ -256,11 +256,18 @@ class TestMultivariate:
             multivariate_F((1, 2), [0.5], [1.0, 2.0])
 
 
-def tensordot_fold(tensor, mats, axis):
+def tensordot_fold(tensor, mats):
     out = np.asarray(tensor, dtype=complex)
     for m in mats:
-        out = np.tensordot(out, np.asarray(m, dtype=complex), axes=([0], [axis]))
+        out = np.tensordot(out, np.asarray(m, dtype=complex), axes=([0], [0]))
     return out
+
+
+def draw_mats(rng, n_in, n_out, fortran):
+    """Per-axis (k_i, n_i) matrices; Fortran order (transposed views) when asked,
+    as a caller with node-major tables passes them."""
+    return [rng.standard_normal((b, a)).T if fortran else rng.standard_normal((a, b))
+            for a, b in zip(n_in, n_out)]
 
 
 class TestFold:
@@ -269,14 +276,13 @@ class TestFold:
     # other complex-against-real cases take the float view
     @pytest.mark.parametrize("case", ["complex", "sliced", "transposed", "growing", "real",
                                       "complex-matrix"])
-    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("fortran", [0, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_complex_tensordot(self, d, axis, case):
-        rng = np.random.default_rng([d, axis, len(case)])
+    def test_matches_complex_tensordot(self, d, fortran, case):
+        rng = np.random.default_rng([d, fortran, len(case)])
         n_in = [5, 3, 4][:d]
         n_out = ([40, 30, 20] if case == "growing" else [6, 2, 7])[:d]
-        mats = [rng.standard_normal((a, b) if axis == 0 else (b, a))
-                for a, b in zip(n_in, n_out)]
+        mats = draw_mats(rng, n_in, n_out, fortran)
         if case == "complex-matrix":
             mats[-1] = mats[-1] + 1j * rng.standard_normal(mats[-1].shape)
 
@@ -291,39 +297,61 @@ class TestFold:
             tensor = rng.standard_normal(n_in)
         else:
             tensor = draw(n_in)
-        got = _fold(tensor, mats, axis)
-        want = tensordot_fold(tensor, mats, axis)
+        got = _fold(tensor, mats)
+        want = tensordot_fold(tensor, mats)
         assert got.shape == tuple(n_out)
         assert got.dtype == (float if case == "real" else complex)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def einsum_fold(tensor, mats, axis):
-    ins, outs = "abc"[: tensor.ndim], "xyz"[: tensor.ndim]
-    subs = [i + o if axis == 0 else o + i for i, o in zip(ins, outs)]
+def einsum_fold(tensor, mats):
+    ins, outs = "abcd"[: tensor.ndim], "wxyz"[: tensor.ndim]
+    subs = [i + o for i, o in zip(ins, outs)]
     return np.einsum(",".join([ins, *subs]) + "->" + outs, tensor, *mats)
 
 
 class TestFoldInPlace:
-    """Every axis contracted where it lies: first, middle and last axis forms."""
+    """Every axis contracted where it lies: the batched form on each axis but the
+    last, one matmul on the last."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_einsum(self, d, axis, kind):
-        rng = np.random.default_rng([d, axis, len(kind)])
-        n_in, n_out = [7, 5, 3][:d], [4, 9, 11][:d]
-        mats = [rng.standard_normal((a, b) if axis == 0 else (b, a))
-                for a, b in zip(n_in, n_out)]
+    @pytest.mark.parametrize("fortran", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_einsum(self, d, fortran, kind):
+        # d = 4 batches two middle axes, over 7 and 7 * 5 leading entries
+        rng = np.random.default_rng([d, fortran, len(kind)])
+        n_in, n_out = [7, 5, 3, 6][:d], [4, 9, 11, 2][:d]
+        mats = draw_mats(rng, n_in, n_out, fortran)
         tensor = rng.standard_normal(n_in)
         if kind == "complex":
             tensor = tensor + 1j * rng.standard_normal(n_in)
-        got = _fold(tensor, mats, axis)
-        want = einsum_fold(tensor, mats, axis)
+        got = _fold(tensor, mats)
+        want = einsum_fold(tensor, mats)
         assert got.shape == tuple(n_out) and got.dtype == want.dtype
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_out_is_a_box_of_a_larger_array(self, d, kind):
+        # as analyze writes a level's live box: the result lands in the strided view,
+        # the array around it is untouched, and the view itself is returned
+        rng = np.random.default_rng([d, len(kind), 7])
+        n_in, n_out = [7, 5, 3][:d], [4, 9, 11][:d]
+        mats = draw_mats(rng, n_in, n_out, 0)
+        tensor = rng.standard_normal(n_in)
+        if kind == "complex":
+            tensor = tensor + 1j * rng.standard_normal(n_in)
+        big = np.full([n + 3 for n in n_out], 5.0, dtype=tensor.dtype)
+        box = big[tuple(slice(0, n) for n in n_out)]
+        assert not box.flags.c_contiguous
+        assert _fold(tensor, mats, out=box) is box
+        want = einsum_fold(tensor, mats)
+        assert np.max(np.abs(box - want)) <= 1e-13 * np.max(np.abs(want))
+        rest = np.ones(big.shape, dtype=bool)
+        rest[tuple(slice(0, n) for n in n_out)] = False
+        assert np.all(big[rest] == 5.0)
 
 
 class TestFlushSubnormal:
