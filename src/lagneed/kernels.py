@@ -121,9 +121,12 @@ def lambda_kernel_profile(n: int, alpha, a_hat: CutoffSpec, x0: float, ys) -> np
     if av.d != 1:
         raise ValueError("profile evaluation is univariate")
     w = _kernel_weights(a_hat, n)
-    fx = laguerre_fn_batch(len(w) - 1, av[0], float(x0), "F")
-    fy = laguerre_fn_batch(len(w) - 1, av[0], np.asarray(ys, dtype=float), "F")
-    return (w * fx) @ fy
+    ys = np.asarray(ys, dtype=float)
+    # one recurrence over x0 and the ys, since at these sizes a call costs per step, not
+    # per point; the ys' rows are copied out, as BLAS sums a strided vector in another order
+    rows = laguerre_fn_batch(len(w) - 1, av[0], np.append(float(x0), ys), "F")
+    fy = np.ascontiguousarray(rows[:, 1:]).reshape(len(w), *ys.shape)
+    return (w * rows[:, 0]) @ fy
 
 
 def lambda_tilde(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:

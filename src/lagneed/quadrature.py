@@ -277,7 +277,9 @@ def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def level_node_count(j: int, delta: float = 0.03, c_star: float = 1.0) -> int:
-    """Per-axis node count n_j = floor((1+11 delta) sqrt(6) 4^j / c_star) + 1."""
+    """Per-axis node count n_j = floor((1+11 delta) sqrt(6) 4^j / c_star) + 1, j >= 0."""
+    if j < 0:
+        raise ValueError("level must be nonnegative")
     if not (0.0 < delta < 1.0 / 26.0):
         raise ValueError("delta must lie in (0, 1/26)")
     if not (0.0 < c_star <= 1.0):

@@ -300,41 +300,35 @@ def _fold(tensor, mats, out=None):
 
     Axis i of the result has the length of ``mats[i]``'s second axis; a caller
     whose matrices run the other way passes their transposed views.  Each axis
-    is contracted where it lies, by one rule: every axis but the last is one
-    matmul m.T @ t.reshape(pre, k, post), batched over the pre entries of the
-    axes before it (pre = 1 on the first axis), and the last axis is one matmul
-    t.reshape(.., k) @ m, batched over the leading axes, so each output slab
-    stays in cache.  A real tensor, such as the coefficients of a real
-    function, meets the real matrices in real GEMMs throughout.  The last step
-    writes into ``out`` when given, which may be a strided view of the result's
-    shape, such as a box of a larger array; the result is returned.
+    is contracted where it lies, by one rule: every axis is one matmul
+    m.T @ t.reshape(.., k, post), batched over the axes before it, so each
+    output slab stays in cache, and the tensor's own last axis, where post = 1,
+    is the matmul t.reshape(.., k) @ m.  A real tensor, such as the
+    coefficients of a real function, meets the real matrices in real GEMMs
+    throughout.  A complex tensor that meets only real matrices is folded the
+    same way as its float view, whose trailing (re, im) axis no matrix meets
+    (post = 2 on the last matrix's axis), so no matrix is cast to complex; a
+    complex matrix meets the tensor as it is.
 
-    A complex tensor that meets only real matrices, with an output no larger
-    than the tensor and matrices together, is folded as its float view with
-    a trailing (re, im) axis, so no matrix is cast to complex: each step is
-    one GEMM t.reshape(k, -1).T @ m, which contracts the leading axis and
-    appends the new one last, and the (re, im) axis, now in front, is
-    recombined once at the end.  A larger output stays complex, where the
-    recombination would be one more pass over the largest array.
+    The last step writes into ``out`` when given, which may be a strided view
+    of the result's shape, such as a box of a larger array, whose last axis is
+    contiguous when the data are complex; the result is returned.
     """
-    shape = tuple(m.shape[1] for m in mats)
-    if (np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats)
-            and math.prod(shape) <= tensor.size + sum(m.size for m in mats)):
+    if np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats):
         tensor = np.ascontiguousarray(tensor, dtype=complex)
-        tensor = tensor.view(float).reshape(tensor.shape + (2,))
-        for m in mats:
-            tensor = tensor.reshape(len(m), -1).T @ m
-        pairs = tensor.reshape((2,) + shape)
-        out = np.empty(shape, dtype=complex) if out is None else out
-        np.copyto(out.real, pairs[0])
-        np.copyto(out.imag, pairs[1])
-        return out
+        floats = _fold(tensor.view(float).reshape(tensor.shape + (2,)), mats,
+                       None if out is None else out.view(float).reshape(out.shape + (2,)))
+        return floats.view(complex)[..., 0] if out is None else out
     dims = list(np.shape(tensor))
-    for i, m in enumerate(mats[:-1]):
-        k, post = len(m), math.prod(dims[i + 1:])
-        tensor = np.matmul(m.T, tensor.reshape(math.prod(dims[:i]), k, post))
+    for i, m in enumerate(mats):
+        k, dest = len(m), out if i == len(mats) - 1 else None
+        if i == len(dims) - 1:
+            tensor = np.matmul(tensor.reshape(*dims[:i], k), m, out=dest)
+        else:
+            tensor = np.matmul(m.T, tensor.reshape(*dims[:i], k, math.prod(dims[i + 1:])),
+                               out=dest)
         dims[i] = m.shape[1]
-    return np.matmul(tensor.reshape(*dims[:-1], len(mats[-1])), mats[-1], out=out)
+    return tensor
 
 
 def _flush_subnormal(arr: np.ndarray) -> np.ndarray:

@@ -116,6 +116,12 @@ class TestGridCommand:
         code, out, err = run_main(["grid", *argv], capsys)
         assert code == 2 and out == "" and err
 
+    @pytest.mark.parametrize("j", ["-1", "-5"])
+    def test_negative_level_exits_2(self, j, capsys):
+        code, out, err = run_main(["grid", "--j", j, "--alpha", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert "level" in json.loads(err.strip())["error"]
+
 
 class TestKernelCommands:
     def test_kernel_eval(self, capsys):

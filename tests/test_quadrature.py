@@ -331,6 +331,12 @@ class TestCubatureGrid:
             expected = math.floor(1.33 * math.sqrt(6.0) * 4 ** j) + 1
             assert level_node_count(j, 0.03, 1.0) == expected
 
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError, match="level"):
+            level_node_count(-1)
+        with pytest.raises(ValueError, match="level"):
+            cubature_grid(-1, 1, [0.5])
+
     def test_grid_point_count(self):
         grid = cubature_grid(1, 2, [0.0, 0.5])
         assert grid.point_count == grid.n_j ** 2
