@@ -10,7 +10,6 @@ and norm-equivalence properties.
 from .special import (
     AlphaVector,
     MultiIndex,
-    laguerre_poly,
     laguerre_fn_batch,
     laguerre_fn_F_deriv,
     multivariate_F,
@@ -20,14 +19,11 @@ from .cutoffs import CutoffSpec, CutoffPair, make_cutoff, make_dual_pair, frame_
 from .quadrature import (
     QuadratureRule,
     CubatureGrid,
-    Tile,
     gauss_laguerre,
     christoffel,
     cubature_grid,
-    cubature_integrate,
     weight_W,
     tile_measure,
-    calibrate_c_star,
     level_node_count,
 )
 from .kernels import (
@@ -35,7 +31,6 @@ from .kernels import (
     lambda_tilde,
     lambda_star,
     lambda_deriv,
-    band_kernels,
     lower_bound_check,
     kernel_decay_profile,
 )
@@ -48,7 +43,6 @@ from .needlets import (
     analyze,
     synthesize,
     frame_bounds,
-    coeffs_from_samples,
 )
 from .spaces import (
     NormParams,
@@ -62,6 +56,7 @@ from .spaces import (
     maximal_fn,
     nikolskii_report,
     equivalence_report,
+    make_test_corpus,
 )
 
 __version__ = "0.1.0"

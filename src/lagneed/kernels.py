@@ -2,14 +2,12 @@
 
 Each kernel at one point pair is one filtered sum, sum_m w_m * (degree-m
 kernel at (x, y)), written once in ``_filtered_sum``: ``lambda_kernel``
-(w_m = a(m/n), n >= 1), its x-derivative ``lambda_deriv``, ``lambda_direct``
-over any family, and the level kernel of ``evaluate_needlet``;
-``band_kernels`` takes both level kernels from one degree table.
-``lambda_tilde`` and ``lambda_star`` follow from ``lambda_kernel`` by exact
-pointwise relations (their agreement with ``lambda_direct`` is part of the
-test contract).  ``lambda_kernel_profile`` is the vectorized univariate path
-of the off-diagonal decay diagnostic; the other diagnostic measures the
-on-diagonal lower bound.
+(w_m = a(m/n), n >= 1), its x-derivative ``lambda_deriv``, and the level
+kernel of ``evaluate_needlet``.  ``lambda_tilde`` and ``lambda_star`` follow
+from ``lambda_kernel`` by exact pointwise relations to the families L and M.
+``lambda_kernel_profile`` is the vectorized univariate path of the
+off-diagonal decay diagnostic; the other diagnostic measures the on-diagonal
+lower bound.
 """
 
 from __future__ import annotations
@@ -19,18 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cutoffs import CutoffSpec, CutoffPair
+from .cutoffs import CutoffSpec
 from .special import (as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _kernel_table,
                       _outer)
 from .quadrature import _axis_W
 
 __all__ = [
-    "cutoff_weights",
     "lambda_kernel",
     "lambda_tilde",
     "lambda_star",
     "lambda_deriv",
-    "band_kernels",
     "kernel_decay_profile",
     "lower_bound_check",
 ]
@@ -103,11 +99,10 @@ def _kernel_weights(a_hat: CutoffSpec, n: int) -> np.ndarray:
     return cutoff_weights(a_hat, n)
 
 
-def _filtered_sum(w: np.ndarray, alpha, x, y, family: str = "F",
-                  deriv_axis: int | None = None) -> float:
+def _filtered_sum(w: np.ndarray, alpha, x, y, deriv_axis: int | None = None) -> float:
     """sum_m w[m] * (degree-m kernel at (x, y)), degrees 0..len(w)-1; see
-    ``special._kernel_table`` for the family and the derivative axis."""
-    return float(math.fsum(w * _kernel_table(len(w) - 1, alpha, x, y, family, deriv_axis)))
+    ``special._kernel_table`` for the derivative axis."""
+    return float(math.fsum(w * _kernel_table(len(w) - 1, alpha, x, y, deriv_axis)))
 
 
 def lambda_kernel(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
@@ -157,31 +152,12 @@ def lambda_star(n: int, alpha, a_hat: CutoffSpec, x, y) -> float:
     return base * factor
 
 
-def lambda_direct(n: int, alpha, a_hat: CutoffSpec, x, y, family: str) -> float:
-    """Direct summation over one family; test oracle for the relations."""
-    return _filtered_sum(_kernel_weights(a_hat, n), alpha, x, y, family)
-
-
 def lambda_deriv(n: int, alpha, a_hat: CutoffSpec, x, y, r: int) -> float:
     """Partial derivative of lambda_kernel in the r-th coordinate of x (1-based)."""
     av = as_alpha(alpha)
     if not 1 <= r <= av.d:
         raise ValueError(f"axis {r} out of range for dimension {av.d}")
     return _filtered_sum(_kernel_weights(a_hat, n), av, x, y, deriv_axis=r - 1)
-
-
-def band_kernels(j: int, alpha, pair: CutoffPair, x, y) -> tuple[float, float]:
-    """Level-j analysis and synthesis kernels at one point pair.
-
-    The pair's cut-offs filter at scale 4^(j-1); at level 0 both kernels are
-    the plain degree-0 projector.  Both sums read one degree table, built up
-    to the larger of the two top degrees.
-    """
-    scale = _level_scale(j)
-    ws = [cutoff_weights(cut, scale) for cut in (pair.a_hat, pair.b_hat)]
-    table = _kernel_table(max(len(w) for w in ws) - 1, alpha, x, y)
-    phi, psi = (float(math.fsum(w * table[: len(w)])) for w in ws)
-    return phi, psi
 
 
 def kernel_decay_profile(n: int, alpha, a_hat: CutoffSpec, sigma: float = 6.0) -> dict:

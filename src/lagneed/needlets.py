@@ -3,10 +3,10 @@ synthesis operators acting on coefficient-represented functions.
 
 Functions live as finite Laguerre coefficient tensors (``CoeffFn``), so all
 inner products against frame elements, and the frame operator behind the exact
-``frame_bounds``, are computed in coefficient space; numerical integration
-enters only through the optional sampling helper.  Reconstruction is exact (up
-to rounding) on functions of total degree at most 4^(J-1): above that the
-dilated partition of unity is not yet complete at the top level.
+``frame_bounds``, are computed in coefficient space, with no numerical
+integration.  Reconstruction is exact (up to rounding) on functions of total
+degree at most 4^(J-1): above that the dilated partition of unity is not yet
+complete at the top level.
 
 A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
 product over axes except for its filter, so each level keeps per-axis node
@@ -52,7 +52,6 @@ __all__ = [
     "analyze",
     "synthesize",
     "frame_bounds",
-    "coeffs_from_samples",
 ]
 
 TABLE_BYTES_CAP = 2 << 30
@@ -447,19 +446,3 @@ def frame_bounds(system: NeedletSystem) -> tuple[float, float]:
     ev = np.linalg.eigvalsh(_frame_operator(system, system.pair.a_hat))
     return float(ev[0]), float(ev[-1])
 
-
-def coeffs_from_samples(fn, alpha, max_degree: int, grid: CubatureGrid) -> CoeffFn:
-    """Project a sampled function onto V_N by cubature.
-
-    Exact when fn lies in V_m with m + max_degree <= 2 n_j - 1; otherwise
-    the result is the cubature approximation of the orthogonal projection.
-    """
-    av = as_alpha(alpha)
-    if av.d != grid.d:
-        raise ValueError("alpha and grid dimensions differ")
-    vals = np.asarray([fn(p) for p in grid.points()]).reshape((grid.n_j,) * grid.d)
-    tables = [(laguerre_fn_batch(max_degree, a, xi, "F") * c).T
-              for a, xi, c in zip(av, grid.axis_xi, grid.axis_c)]
-    block = _fold(vals, tables)
-    block[total_degree_grid(block.shape) > max_degree] = 0.0
-    return CoeffFn(av, max_degree, block)

@@ -28,15 +28,12 @@ from .special import _LN2, AlphaVector, as_alpha, _damped_rows, _outer
 __all__ = [
     "QuadratureRule",
     "CubatureGrid",
-    "Tile",
     "gauss_laguerre",
     "christoffel",
     "level_node_count",
     "cubature_grid",
-    "cubature_integrate",
     "weight_W",
     "tile_measure",
-    "calibrate_c_star",
 ]
 
 GRID_POINT_CAP = 10_000_000
@@ -287,25 +284,6 @@ def level_node_count(j: int, delta: float = 0.03, c_star: float = 1.0) -> int:
     return int(math.floor((1.0 + 11.0 * delta) * math.sqrt(6.0) * 4.0 ** j / c_star)) + 1
 
 
-def calibrate_c_star(alpha: float, n_ref: int = 512) -> float:
-    """Empirical lower constant in t_nu ~ nu^2/n, clamped into (0, 1]."""
-    rule = gauss_laguerre(n_ref, alpha)
-    nu = np.arange(1, n_ref + 1, dtype=float)
-    c = float(np.min(rule.nodes * n_ref / nu ** 2))
-    return min(max(c, 1e-6), 1.0)
-
-
-@dataclass(frozen=True)
-class Tile:
-    """Rectangular cell around a grid point with its weighted measure."""
-
-    center: tuple[float, ...]
-    box: tuple[tuple[float, float], ...]
-
-    def measure(self, alpha) -> float:
-        return tile_measure(self.box, alpha)
-
-
 def _interval_measures(breaks, a: float) -> np.ndarray:
     """Closed-form w_alpha measures (hi^p - lo^p)/p, p = 2a+2, of the
     intervals between consecutive breakpoints on one axis."""
@@ -390,20 +368,6 @@ class CubatureGrid:
         self._require_flat()
         return _outer(self.axis_tile_measure).reshape(-1)
 
-    def tile(self, gamma) -> Tile:
-        gamma = tuple(int(g) for g in gamma)
-        if len(gamma) != self.d or any(not 0 <= g < self.n_j for g in gamma):
-            raise IndexError(f"tile index {gamma} out of range for n_j={self.n_j}")
-        box = tuple((float(self.axis_breaks[ax][g]), float(self.axis_breaks[ax][g + 1]))
-                    for ax, g in enumerate(gamma))
-        center = tuple(float(self.axis_xi[ax][g]) for ax, g in enumerate(gamma))
-        return Tile(center=center, box=box)
-
-    def domain_measure(self) -> float:
-        """w_alpha measure of the union of all tiles (a box at the origin)."""
-        return math.prod(float(_interval_measures(br[[0, -1]], a)[0])
-                         for br, a in zip(self.axis_breaks, self.alpha))
-
 
 @lru_cache(maxsize=64)
 def _cubature_grid_cached(j: int, alpha: AlphaVector, delta: float, c_star: float,
@@ -421,31 +385,6 @@ def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.
     j = int(j)
     ext = 2.0 ** (j / 3.0) if right_extension is None else float(right_extension)
     return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
-
-
-def cubature_integrate(grid: CubatureGrid, f, g=None):
-    """Sum of c_xi f(xi) g(xi) over the grid, in deterministic order.
-
-    f and g take a length-d point array; g defaults to 1.  Accumulation is
-    exact (fsum), meeting the 1e-10 exactness contracts at any grid size.
-    """
-    pts = grid.points()
-    fv = np.asarray([f(p) for p in pts])
-    if g is not None:
-        fv = fv * np.asarray([g(p) for p in pts])
-    return cubature_integrate_values(grid, fv)
-
-
-def cubature_integrate_values(grid: CubatureGrid, values: np.ndarray):
-    """As cubature_integrate, for values already evaluated in grid order."""
-    c = grid.coeffs()
-    vals = np.asarray(values).reshape(-1)
-    if vals.shape != c.shape:
-        raise ValueError("values do not match the grid layout")
-    terms = c * vals
-    if np.iscomplexobj(terms):
-        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-    return math.fsum(terms.tolist())
 
 
 def _axis_W(n: float, a: float, x) -> np.ndarray:

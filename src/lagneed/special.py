@@ -1,6 +1,5 @@
-"""Numerically stable Laguerre polynomials, Laguerre function families,
-their derivatives, and degree-graded projection kernels on the positive
-orthant.
+"""Numerically stable Laguerre function families, their derivatives, and
+degree-graded projection kernels on the positive orthant.
 
 The three univariate families are selected by a one-letter code:
 
@@ -11,7 +10,9 @@ The three univariate families are selected by a one-letter code:
 All evaluations run the orthonormal three-term recurrence directly on the
 exponentially damped values with dynamic power-of-two rescaling, so no
 intermediate quantity can overflow even for degrees ~2^14 and arguments
-with x^2 ~ 1e4, and at no alpha does the start underflow to 0.
+with x^2 ~ 1e4, and at no alpha does the start underflow to 0.  The powers
+of x that families L and M carry join the same per-point power of two, so
+they cannot overflow either.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ import numpy as np
 __all__ = [
     "AlphaVector",
     "MultiIndex",
-    "laguerre_poly",
     "laguerre_fn_batch",
     "laguerre_fn_F_deriv",
-    "laguerre_fn_F_deriv_batch",
     "multivariate_F",
     "kernel_F_m",
-    "kernel_F_table",
 ]
 
 _LN2 = math.log(2.0)
@@ -94,27 +92,6 @@ class MultiIndex:
         return len(self.nu)
 
 
-def laguerre_poly(n: int, alpha: float, x: float) -> float:
-    """Raw Laguerre polynomial value by the forward three-term recurrence.
-
-    Overflows for large n*x are a documented defect of the raw scale; use
-    ``laguerre_fn_batch`` for damped, overflow-free values.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = -x + alpha + 1.0
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
 class _Frame:
     """The rescaled state of the damped recurrence after its latest step.
 
@@ -153,6 +130,33 @@ class _Frame:
         out *= a
         out *= b
         return out
+
+    def times_power(self, x: np.ndarray, p: float) -> None:
+        """Multiply the values by x^p, p > 0, through frac and m0, so no power
+        of x is formed as a float and none can overflow; at x = 0 the values
+        become 0.  frac stays in [1, 2).
+
+        With x = xm 2^xe, xm in [2^-1/2, 2^1/2), x^p = 2^(p xe) xm^p.  p xe is
+        taken exactly as (head of p, 40 bits) xe plus a small tail, as |xe| has
+        at most 11 bits; xm^p is taken in steps of p of at most 1000, each in
+        range, so the product is good to a few units in the last place."""
+        live = x > 0.0
+        xm, xe = np.frexp(np.where(live, x, 1.0))
+        low = xm < math.sqrt(0.5)
+        xm, xe = np.where(low, 2.0 * xm, xm), np.where(low, xe - 1, xe)
+        top = math.frexp(p)[1]
+        head = math.ldexp(round(math.ldexp(p, 40 - top)), top - 40)
+        t = head * xe
+        whole = np.floor(t)
+        mant, expo = self.frac * np.exp2((t - whole) + (p - head) * xe), whole.astype(np.int64)
+        steps = int(p // 1000.0)
+        for step in [1000.0] * steps + [p - 1000.0 * steps]:
+            mant, e = np.frexp(mant * np.power(xm, step))
+            expo += e
+        self.frac = 2.0 * mant
+        # at x = 0 an exponent far below -2076, which row converts to 0
+        self.m0 = np.where(live, self.m0 + expo - 1, -(2 ** 40))
+        self.scale = None
 
 
 def _damped_rows(N: int, alpha: float, u: np.ndarray):
@@ -228,18 +232,21 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
     if np.any(x_arr < 0.0):
         raise ValueError("points must be nonnegative")
     if family == "F":
-        u, pre = np.square(x_arr), math.sqrt(2.0)
+        u, power = np.square(x_arr), 0.0
     elif family == "L":
-        u, pre = x_arr, np.power(x_arr, 0.5 * alpha)
+        u, power = x_arr, 0.5 * alpha
     elif family == "M":
-        u, pre = np.square(x_arr), math.sqrt(2.0) * np.power(x_arr, alpha + 0.5)
+        u, power = np.square(x_arr), alpha + 0.5
     else:
         raise ValueError(f"unknown family {family!r}")
     q = np.empty((N + 1, u.size))
     for n, state in enumerate(_damped_rows(N, alpha, u.reshape(-1))):
+        if n == 0 and power:
+            state.times_power(x_arr.reshape(-1), power)
         state.row(q[n])
     vals = q.reshape((N + 1,) + u.shape)
-    vals *= pre
+    if family != "L":
+        vals *= math.sqrt(2.0)
     if np.ndim(x) == 0:
         return vals.reshape(N + 1)
     return vals
@@ -373,14 +380,13 @@ def _convolve_degrees(seqs):
     return acc
 
 
-def _kernel_table(M: int, alpha, x, y, family: str = "F",
-                  deriv_axis: int | None = None) -> np.ndarray:
-    """Degree-m kernels sum_{|nu|=m} G_nu(x) G_nu(y), m = 0..M, at one point pair.
+def _kernel_table(M: int, alpha, x, y, deriv_axis: int | None = None) -> np.ndarray:
+    """Degree-m kernels sum_{|nu|=m} F_nu(x) F_nu(y), m = 0..M, at one point pair.
 
-    G is the given family; on axis ``deriv_axis`` (0-based) the x factor is
-    the family-F derivative, giving the partial derivative in that coordinate
-    of x.  The per-axis product sequences are convolved across the axes
-    (dynamic programming over dimensions), cost O(d M^2).
+    On axis ``deriv_axis`` (0-based) the x factor is the derivative, giving
+    the partial derivative in that coordinate of x.  The per-axis product
+    sequences are convolved across the axes (dynamic programming over
+    dimensions), cost O(d M^2).
     """
     av = as_alpha(alpha)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -389,18 +395,13 @@ def _kernel_table(M: int, alpha, x, y, family: str = "F",
         raise ValueError("dimension mismatch between alpha and points")
     return _convolve_degrees([
         (laguerre_fn_F_deriv_batch(M, a, float(xi)) if ax == deriv_axis
-         else laguerre_fn_batch(M, a, float(xi), family))
-        * laguerre_fn_batch(M, a, float(yi), family)
+         else laguerre_fn_batch(M, a, float(xi)))
+        * laguerre_fn_batch(M, a, float(yi))
         for ax, (a, xi, yi) in enumerate(zip(av, xs, ys))])
-
-
-def kernel_F_table(M: int, alpha, x, y) -> np.ndarray:
-    """All degree-m projector kernel values for m = 0..M at one point pair."""
-    return _kernel_table(M, alpha, x, y)
 
 
 def kernel_F_m(m: int, alpha, x, y) -> float:
     """Degree-m projector kernel: sum over |nu| = m of F_nu(x) F_nu(y)."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    return float(kernel_F_table(m, alpha, x, y)[m])
+    return float(_kernel_table(m, alpha, x, y)[m])

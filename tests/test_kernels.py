@@ -5,11 +5,9 @@ import pytest
 
 from lagneed.cutoffs import frame_default, make_cutoff, make_dual_pair
 from lagneed.kernels import (
-    band_kernels,
     cutoff_weights,
     kernel_decay_profile,
     lambda_deriv,
-    lambda_direct,
     lambda_kernel,
     lambda_kernel_profile,
     lambda_star,
@@ -17,9 +15,10 @@ from lagneed.kernels import (
     lower_bound_check,
     _cached_weights,
 )
-from lagneed.needlets import CoeffFn, analyze, build_system, synthesize
-from lagneed.quadrature import cubature_grid, cubature_integrate_values
-from lagneed.special import kernel_F_table, laguerre_fn_batch, multivariate_F
+from lagneed.needlets import CoeffFn, analyze, build_system, evaluate_needlet, synthesize
+from lagneed.quadrature import cubature_grid
+from lagneed.special import laguerre_fn_batch, multivariate_F, _kernel_table
+from oracles import cubature_integrate_values, lambda_direct
 
 
 TYPE_A = make_cutoff("type_a", v=1.0)
@@ -179,13 +178,19 @@ class TestLambdaDeriv:
 
 
 class TestBandKernels:
+    """The level-j kernels: the degree-0 projector at j = 0, and above it the pair's
+    cut-offs at scale 4^(j-1), that is lambda_kernel(4^(j-1), .) of a_hat and b_hat;
+    evaluate_needlet is c_xi^(1/2) times the level kernel at (x, xi)."""
+
     def test_level_zero_is_rank_one(self):
-        pair = make_dual_pair(frame_default())
-        phi, psi = band_kernels(0, [0.5], pair, [1.2], [0.4])
+        system = build_system(1, 1, [0.5], make_dual_pair(frame_default()))
         f0x = multivariate_F((0,), [0.5], [1.2])
-        f0y = multivariate_F((0,), [0.5], [0.4])
-        assert phi == pytest.approx(f0x * f0y, rel=1e-14)
-        assert psi == phi
+        for gamma in range(system.grids[0].n_j):
+            xi = system.node_point(0, (gamma,))
+            want = math.sqrt(system.node_coeff(0, (gamma,))) * f0x * multivariate_F((0,), [0.5], xi)
+            phi = evaluate_needlet(system, 0, (gamma,), [1.2])
+            assert phi == pytest.approx(want, rel=1e-14)
+            assert evaluate_needlet(system, 0, (gamma,), [1.2], "psi") == phi
 
     def test_far_band_orthogonality(self):
         # cubature of Phi_j(x,.) Psi_j'(., y) vanishes for |j - j'| >= 2
@@ -193,8 +198,8 @@ class TestBandKernels:
         grid = cubature_grid(3, 1, [0.0])
         pts = grid.points()[:, 0]
         x0, y0 = 1.0, 2.0
-        phi1 = np.array([band_kernels(1, [0.0], pair, [x0], [p])[0] for p in pts])
-        psi3 = np.array([band_kernels(3, [0.0], pair, [p], [y0])[1] for p in pts])
+        phi1 = np.array([lambda_kernel(1, [0.0], pair.a_hat, [x0], [p]) for p in pts])
+        psi3 = np.array([lambda_kernel(16, [0.0], pair.b_hat, [p], [y0]) for p in pts])
         val = cubature_integrate_values(grid, phi1 * psi3)
         assert abs(val) < 1e-10
 
@@ -204,46 +209,31 @@ class TestBandKernels:
         j, alpha, x0 = 2, 0.5, 1.5
         grid = cubature_grid(j + 1, 1, [alpha])
         pts = grid.points()[:, 0]
-        vals = np.array([band_kernels(j, [alpha], pair, [x0], [p])[0] for p in pts])
+        vals = np.array([lambda_kernel(4 ** (j - 1), [alpha], pair.a_hat, [x0], [p])
+                         for p in pts])
         lhs = cubature_integrate_values(grid, vals ** 2)
         w = cutoff_weights(pair.a_hat, 4.0 ** (j - 1))
-        diag = kernel_F_table(len(w) - 1, [alpha], [x0], [x0])
+        diag = _kernel_table(len(w) - 1, [alpha], [x0], [x0])
         rhs = math.fsum(w ** 2 * diag)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_tight_pair_gives_equal_kernels(self):
-        pair = make_dual_pair(frame_default(), tight=True)
-        phi, psi = band_kernels(2, [0.0], pair, [0.8], [1.9])
-        assert phi == psi
+        system = build_system(2, 1, [0.0], make_dual_pair(frame_default(), tight=True))
+        for gamma in ((0,), (3,), (7,)):
+            assert evaluate_needlet(system, 2, gamma, [0.8]) == evaluate_needlet(
+                system, 2, gamma, [0.8], "psi")
 
     @pytest.mark.parametrize("alpha,x,y", [([0.5], [0.8], [1.9]),
                                            ([0.0, 1.5], [0.8, 1.3], [1.9, 0.4])])
     def test_dual_pair_equals_lambda_kernels(self, alpha, x, y):
-        pair = make_dual_pair(frame_default())
+        system = build_system(3, len(alpha), alpha, make_dual_pair(frame_default()))
+        pair = system.pair
         for j in (1, 2, 3):
-            n = 4 ** (j - 1)
-            assert band_kernels(j, alpha, pair, x, y) == (
-                lambda_kernel(n, alpha, pair.a_hat, x, y),
-                lambda_kernel(n, alpha, pair.b_hat, x, y))
-
-
-    def test_dual_pair_makes_one_recurrence_pass_per_point(self, monkeypatch):
-        # both level kernels read one degree table: one pass for x, one for y
-        from lagneed import special
-        passes = []
-        rows = special._damped_rows
-
-        def counted(N, alpha, u):
-            passes.append(N)
-            return rows(N, alpha, u)
-
-        monkeypatch.setattr(special, "_damped_rows", counted)
-        counts = {}
-        for tight in (False, True):
-            passes.clear()
-            band_kernels(4, [0.5], make_dual_pair(frame_default(), tight=tight), [0.8], [1.9])
-            counts[tight] = len(passes)
-        assert counts[False] == counts[True] == 2
+            gamma = (2,) * len(alpha)
+            xi, c = system.node_point(j, gamma), system.node_coeff(j, gamma)
+            for which, cut in (("phi", pair.a_hat), ("psi", pair.b_hat)):
+                assert evaluate_needlet(system, j, gamma, x, which) == (
+                    math.sqrt(c) * lambda_kernel(4 ** (j - 1), alpha, cut, x, xi))
 
 
 class TestFilterCache:
@@ -314,7 +304,7 @@ class TestDiagnostics:
         for i1 in (0, 3):
             for i2 in (1, 4):
                 x = [float(xs[i1]), float(xs[i2])]
-                diag = kernel_F_table(M, [0.0, 0.5], x, x)
+                diag = _kernel_table(M, [0.0, 0.5], x, x)
                 want = math.fsum(w2 * diag)
                 from lagneed.quadrature import weight_W
                 want *= weight_W(16.0, [0.0, 0.5], x) / 16.0

@@ -12,16 +12,16 @@ from lagneed.needlets import (
     NeedletCoeffs,
     analyze,
     build_system,
-    coeffs_from_samples,
     evaluate_needlet,
     frame_bounds,
     synthesize,
     total_degree_grid,
 )
 from lagneed.kernels import _filter_degrees, _level_scale, cutoff_weights
-from lagneed.quadrature import cubature_grid, cubature_integrate_values, level_node_count
+from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
 from lagneed.special import laguerre_fn_batch, _flush_subnormal, _fold
+from oracles import cubature_integrate_values
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -678,21 +678,6 @@ class TestFrameBounds:
         assert np.max(np.abs(needlets._frame_operator(system, pair.b_hat) - R)) < 1e-13
         assert frame_bounds(system) == pytest.approx(np.linalg.eigvalsh(S)[[0, -1]],
                                                      abs=1e-13)
-
-
-class TestSampling:
-    def test_recovers_band_limited_function(self):
-        f = CoeffFn.random([0.5], 6, seed=13)
-        grid = cubature_grid(2, 1, [0.5])
-        g = coeffs_from_samples(lambda p: f.evaluate(p), [0.5], 6, grid)
-        assert g.coeffs.dtype == np.float64
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-10
-
-    def test_recovers_2d(self):
-        f = CoeffFn.random([0.0, 0.5], 3, seed=14)
-        grid = cubature_grid(1, 2, [0.0, 0.5])
-        g = coeffs_from_samples(lambda p: f.evaluate(p), [0.0, 0.5], 3, grid)
-        assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-10
 
 
 def test_total_degree_grid():

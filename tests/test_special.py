@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,19 +11,19 @@ from lagneed.special import (
     AlphaVector,
     MultiIndex,
     kernel_F_m,
-    kernel_F_table,
     laguerre_fn_batch,
     laguerre_fn_F_deriv,
     laguerre_fn_F_deriv_batch,
-    laguerre_poly,
     multivariate_F,
     total_degree_grid,
     _damped_rows,
     _flush_subnormal,
     _fold,
     _Frame,
+    _kernel_table,
 )
-from lagneed.quadrature import gauss_laguerre
+from lagneed.quadrature import cubature_grid, gauss_laguerre
+from oracles import cubature_integrate, laguerre_poly
 
 
 class TestLaguerrePoly:
@@ -137,6 +138,26 @@ class TestFamilies:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) > 1e-3
 
+    @pytest.mark.parametrize("family, x", [("L", 100.0), ("M", 10.0)])
+    def test_large_alpha_power_of_x_stays_in_range(self, family, x):
+        # x^(a/2) (L) and 2^(1/2) x^(a+1/2) (M) overflow at a = 400, the values
+        # (1e-57 to 1e-53) do not.  The reference is the closed form in mpmath, at
+        # n = 0 exp(a/2 ln x - x/2 - lgamma(a+1)/2) (L) and exp(ln 2/2 + (a+1/2) ln x
+        # - x^2/2 - lgamma(a+1)/2) (M); the error left (8.7e-14) is that of the
+        # start G(a+1)^(-1/2), which family F shares.  At x = 0 the values are 0.
+        alpha = 400.0
+        vals = laguerre_fn_batch(10, alpha, [x, 0.0], family)
+        assert np.all(np.isfinite(vals)) and not vals[:, 1].any()
+        with mpmath.workdps(40):
+            a, u = mpmath.mpf(alpha), mpmath.mpf(x if family == "L" else x * x)
+            power = a / 2 if family == "L" else a + mpmath.mpf(0.5)
+            log_pre = power * mpmath.log(x) + (0 if family == "L" else mpmath.log(2) / 2)
+            for n in range(3):
+                want = (mpmath.exp(log_pre - u / 2 + (mpmath.loggamma(n + 1)
+                                                      - mpmath.loggamma(n + a + 1)) / 2)
+                        * mpmath.laguerre(n, a, u))
+                assert abs(vals[n, 0] / want - 1) < 1e-13
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             laguerre_fn_batch(-1, 0.0, 1.0)
@@ -224,7 +245,7 @@ class TestKernel:
 
     def test_table_prefix_consistency(self):
         alpha = [0.0, 0.5]
-        tab = kernel_F_table(8, alpha, [1.0, 0.5], [0.7, 1.3])
+        tab = _kernel_table(8, alpha, [1.0, 0.5], [0.7, 1.3])
         for m in range(9):
             assert tab[m] == pytest.approx(
                 kernel_F_m(m, alpha, [1.0, 0.5], [0.7, 1.3]), rel=1e-13, abs=1e-300)
@@ -244,7 +265,6 @@ class TestMultivariate:
             multivariate_F((5, 2), alpha, [2.0, 1.0]), rel=1e-14)
 
     def test_unit_norm_under_cubature(self):
-        from lagneed.quadrature import cubature_grid, cubature_integrate
         grid = cubature_grid(2, 2, [0.0, 0.5])
         nu = (3, 2)
         val = cubature_integrate(grid, lambda p: multivariate_F(nu, [0.0, 0.5], p),
@@ -425,16 +445,18 @@ class TestFlushSubnormal:
 
 def ldexp_rows(N, alpha, x, family):
     """laguerre_fn_batch's values from ldexp(v frac, m0 + shift) of every recurrence
-    state, and the exponents m0 + shift of every row."""
+    state, the power of x of families L and M folded into the first, and the
+    exponents m0 + shift of every row."""
     u = x if family == "L" else np.square(x)
-    pre = {"F": lambda: math.sqrt(2.0), "L": lambda: np.power(x, 0.5 * alpha),
-           "M": lambda: math.sqrt(2.0) * np.power(x, alpha + 0.5)}[family]()
+    power = {"F": 0.0, "L": 0.5 * alpha, "M": alpha + 0.5}[family]
     rows, exps = [], []
     for state in _damped_rows(N, alpha, u):
         assert state.scale is None  # a consumer that converts no row gets no factors
+        if power and not rows:
+            state.times_power(x, power)
         exps.append(state.m0 + state.shift)
         rows.append(np.ldexp(state.v * state.frac, exps[-1]))
-    return np.array(rows) * pre, np.array(exps)
+    return np.array(rows) * (1.0 if family == "L" else math.sqrt(2.0)), np.array(exps)
 
 
 class TestRowConversion:
