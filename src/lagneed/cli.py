@@ -302,8 +302,8 @@ def _parse_q(text: str) -> float:
 
 
 def cmd_norms(args) -> int:
-    system = system_from_config(load_config(args.system))
     params = NormParams(args.s, args.rho, _parse_q(args.p), _parse_q(args.q))
+    system = system_from_config(load_config(args.system))
     f = _coeff_fn_from_file(args.input)
 
     def seq_for(coeffs):

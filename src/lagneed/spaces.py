@@ -26,7 +26,8 @@ The sequence norms fold per-axis cell or tile measures the same way.
 
 Every norm is positively homogeneous, so each puts 2^(-shift), shift the
 binary exponent of its largest coefficient, on its first axis's factor
-(amplitudes or Laguerre table) and multiplies the result back by 2^shift:
+(amplitudes, or the Laguerre table rows a band reads) and multiplies the
+result back by 2^shift:
 no copy of the input is made, and its scale does not decide which values
 underflow.  Powers of two commute with rounding, so away from under- and
 overflow this equals dividing the input by 2^shift.
@@ -56,6 +57,16 @@ n the live nodes per axis (about 4.1 for a complex function, whose values
 are folded as complex).  For a degree-16 f on the 835^2-point level-4 grid
 that is 0.62 (p = 3) to 1.42 (p < 1, p = inf) grid-sized arrays, 1.15 to
 2.71 for a complex f.
+
+A norm call does only the work that depends on its input.  What does not is
+kept read-only in bounded caches (``special._ArrayCache``, 16 MiB each; a
+value above that is made on every call and not kept), keyed by values and
+never by a ``NeedletSystem``, so no entry keeps a system alive: per
+integration grid and degree of f, the live abscissae, cubature coefficients,
+scaled Laguerre tables and exponents of ``_scaled_axes`` (the weights, which
+depend on p, are formed per call); per set of level grids, the cell measures
+and per-axis tile indices of ``f_norm_seq``'s cell arrangement; per cell
+count, the interval triangle of ``maximal_fn``.
 """
 
 from __future__ import annotations
@@ -67,7 +78,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import as_alpha, laguerre_fn_batch, _flush_subnormal, _fold, _fold_sum, _outer, _TINY
+from .special import (as_alpha, laguerre_fn_batch, _ArrayCache, _flush_subnormal, _fold, _fold_sum,
+                      _outer, _TINY)
 from .quadrature import cubature_grid, gauss_laguerre, _axis_W, _interval_measures
 from .kernels import _filter_band, _filter_degrees, _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
@@ -99,8 +111,10 @@ class NormParams:
     q: float
 
     def __post_init__(self):
-        if self.p <= 0.0 or self.q <= 0.0:
+        if not (self.p > 0.0 and self.q > 0.0):  # False at NaN
             raise ValueError("p and q must be positive")
+        if not (math.isfinite(self.s) and math.isfinite(self.rho)):
+            raise ValueError("s and rho must be finite")
 
     def require_F(self):
         if self.p_inf:
@@ -120,18 +134,23 @@ def _normal_pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.nd
     fall below the normal range (x ** p < tiny); x itself at p = 1.
 
     ``out`` is None, for a new array, or x, to raise x in place.  Band parts
-    decay like e^(-x^2/2), so most of a level's values lie far below
+    decay like e^(-x^2/2), so most of a level's values may lie far below
     tiny^(1/p), and pow takes a slow path for each of them (and for 0) that
-    costs more than ten normal powers.  Only the others are raised.
+    costs more than ten normal powers.  So they are raised as 1 and set to 0
+    after; at p = 2 they are set to 0 first and x * x, which equals numpy's
+    x ** 2, raises every value.
     """
     if p == 1.0:
         return x
     drop = x < _pow_floor(p)  # False at NaN, which propagates
-    if out is None:
-        out = np.zeros_like(x)
-    else:
+    out = x.copy() if out is None else out
+    if p == 2.0:
         np.copyto(out, 0.0, where=drop)
-    return np.power(x, p, out=out, where=~drop)
+        return np.square(out, out=out)
+    np.copyto(out, 1.0, where=drop)
+    np.power(out, p, out=out)
+    np.copyto(out, 0.0, where=drop)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -164,7 +183,8 @@ def _F_reduce(levels, weights, params: NormParams) -> float:
     """
     acc = None
     for j, g in levels:
-        g *= 2.0 ** (params.s * j)
+        if params.s * j != 0.0:
+            g *= 2.0 ** (params.s * j)
         if not params.q_inf:
             _normal_pow(g, params.q, out=g)
         if acc is None:
@@ -210,35 +230,49 @@ def _coeff_shift(arrays) -> int:
     return math.frexp(float(max(np.max(np.abs(a), initial=0.0) for a in arrays)))[1]
 
 
+_CELL_MAPS = _ArrayCache()
+
+
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
-    level an open mesh of each cell's tile index along each axis: never negative,
-    as every level's breaks start at 0, and n_j for a cell past the last tile."""
-    breaks = []
-    for ax in range(system.d):
-        # np.unique's steps, without its first-call load of numpy.ma
-        b = np.sort(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
-        breaks.append(b[np.append(True, b[1:] != b[:-1])])
-    cell_meas = [_interval_measures(b, a) for b, a in zip(breaks, system.alpha)]
-    level_maps = [np.ix_(*[np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
-                           for gb, b in zip(g.axis_breaks, breaks)])
-                  for g in system.grids]
-    return cell_meas, level_maps
+    level, per axis, each cell's tile index: never negative, as every level's
+    breaks start at 0, and n_j for a cell past the last tile.  Kept read-only in
+    a bounded cache keyed by the grids' parameters."""
+    grids = system.grids
+
+    def make():
+        breaks = []
+        for ax in range(system.d):
+            # np.unique's steps, without its first-call load of numpy.ma
+            b = np.sort(np.concatenate([g.axis_breaks[ax] for g in grids]))
+            breaks.append(b[np.append(True, b[1:] != b[:-1])])
+        cell_meas = tuple(_interval_measures(b, a) for b, a in zip(breaks, system.alpha))
+        level_maps = tuple(tuple(np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
+                                 for gb, b in zip(g.axis_breaks, breaks)) for g in grids)
+        return cell_meas, level_maps
+
+    key = (system.alpha, system.delta, system.c_star, tuple(g.right_extension for g in grids))
+    return _CELL_MAPS.get(key, make)
+
+
+def _on_cells(amp: np.ndarray, maps) -> np.ndarray:
+    """A level's amplitudes on the cells, with a trailing 0 per axis for the cells
+    past its tiles: one take per axis of the per-axis tile indices ``maps``."""
+    amp = np.pad(amp, [(0, 1)] * amp.ndim)
+    for ax, idx in enumerate(maps):
+        amp = np.take(amp, idx, axis=ax)
+    return amp
 
 
 def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
-    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement;
-    a level's amplitudes get a trailing 0 per axis for the cells past its tiles."""
+    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement."""
     params.require_F()
     levels = _system_levels(coeffs, system)
     shift = _coeff_shift(levels)
     cell_meas, level_maps = _arrangement(system)
-
-    def on_cells(j):
-        amp = _level_amplitudes(system, j, levels[j], params.rho, shift)
-        return np.pad(amp, [(0, 1)] * system.d)[level_maps[j]]
-
-    norm = _F_reduce(((j, on_cells(j)) for j in range(system.J + 1)), cell_meas, params)
+    norm = _F_reduce(((j, _on_cells(_level_amplitudes(system, j, levels[j], params.rho, shift),
+                                    level_maps[j]))
+                      for j in range(system.J + 1)), cell_meas, params)
     return math.ldexp(norm, shift)
 
 
@@ -253,54 +287,69 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     return math.ldexp(norm, shift)
 
 
+_INTEGRATION_AXES = _ArrayCache()
+
+
 def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level: int):
     """Per-axis lists over the live nodes of the level ``integration_level``
     cubature grid, which must exceed the system level J: the abscissae, the
     Laguerre tables with column k scaled by 2^(-e_k), the weights c_k 2^(p e_k)
-    (None at p = inf) and the exponents e_k; then ``shift``, f's
-    ``_coeff_shift``, whose 2^(-shift) the first axis's table carries.
+    (None at p = inf) and the exponents e_k.
 
     e_k is the binary exponent of column k's largest |entry|, so every scaled
     column peaks in [0.5, 1) whatever the level.  A node is live when its
     column is not all zero and, for p < inf, its scaled weight is normal.  The
     weight is ldexp(c_k 2^(p e_k - m), m) with m = floor(p e_k): neither
-    factor over- or underflows, and for integer p e_k it is exact.
+    factor over- or underflows, and for integer p e_k it is exact.  What does
+    not depend on p, the abscissae, cubature coefficients, scaled tables and
+    exponents of the nodes with a nonzero column, is kept read-only in a
+    bounded cache keyed by the grid's parameters and f's degree; only the
+    weights are formed per call.
     """
     if integration_level <= system.J:
         raise ValueError("integration level must exceed the system level J")
-    grid = cubature_grid(integration_level, system.d, system.alpha, system.delta, system.c_star)
+    args = (integration_level, system.d, system.alpha, system.delta, system.c_star)
+
+    def make():
+        axes = []
+        grid = cubature_grid(*args)
+        for a, xi, c in zip(grid.alpha, grid.axis_xi, grid.axis_c):
+            table = laguerre_fn_batch(f.max_degree, a, xi, "F")
+            peak = np.max(np.abs(table), axis=0)
+            e = np.frexp(peak)[1]
+            live = peak > 0.0
+            axes.append((xi[live], c[live], np.ldexp(table[:, live], -e[live]), e[live]))
+        return tuple(axes)
+
     xis, tables, weights, exps = [], [], [], []
-    for a, xi, c in zip(grid.alpha, grid.axis_xi, grid.axis_c):
-        table = laguerre_fn_batch(f.max_degree, a, xi, "F")
-        peak = np.max(np.abs(table), axis=0)
-        e = np.frexp(peak)[1]
-        live = peak > 0.0
+    for xi, c, table, e in _INTEGRATION_AXES.get(args + (f.max_degree,), make):
         if math.isinf(p):
             weights.append(None)
         else:
             m = np.floor(p * e)
             w = _flush_subnormal(np.ldexp(c * np.exp2(p * e - m), m.astype(np.int64)))
-            live &= w > 0.0
-            weights.append(w[live])
-        xis.append(xi[live])
-        tables.append(np.ldexp(table[:, live], -e[live]))
-        exps.append(e[live])
-    shift = _coeff_shift([f.coeffs])
-    np.ldexp(tables[0], -shift, out=tables[0])
-    return xis, tables, weights, exps, shift
+            if not w.all():  # a copy only when some weight underflows
+                live = w > 0.0
+                xi, table, e, w = xi[live], table[:, live], e[live], w[live]
+            weights.append(w)
+        xis.append(xi)
+        tables.append(table)
+        exps.append(e)
+    return xis, tables, weights, exps
 
 
-def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables):
-    """Yield (j, W(4^j; x)^(-rho/d) |f_j(x)|) over the live nodes ``xis`` with
-    the scaled ``tables`` of ``_scaled_axes``, in their (n_live,)*d shape and in
-    the scaled domain: the value at node (k_1, .., k_d) is divided by
+def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables, shift: int):
+    """Yield (j, 2^(-shift) W(4^j; x)^(-rho/d) |f_j(x)|) over the live nodes ``xis``
+    with the scaled ``tables`` of ``_scaled_axes``, in their (n_live,)*d shape and
+    in the scaled domain: the value at node (k_1, .., k_d) is divided by
     2^(e_k1 + .. + e_kd).
 
     The levels run until the filter's first degree passes f's degree.  The band
     part f_j is formed exactly in coefficient space; its values come from folding
     its block on the ``_band_rows`` into those rows of the per-axis scaled tables,
-    each scaled by its axis's factor of the weight, so no table and no weight is
-    built at the n^d points.
+    each scaled by its axis's factor of the weight, the first also by 2^(-shift),
+    so no table and no weight is built at the n^d points.  A one-entry block
+    (the degree-0 band) is an outer product, formed without a GEMM.
     """
     cut = system.pair.a_hat
     for j in itertools.count():
@@ -310,8 +359,13 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables):
         if rows is None:
             continue
         block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j), start=rows.start)
-        vals = _fold(block, [_flush_subnormal(t[rows] * w) for t, w in
-                             zip(tables, _axis_weight_powers(xis, system.alpha, j, rho))])
+        mats = [_flush_subnormal(np.ldexp(t[rows], e) * w) for t, e, w in
+                zip(tables, [-shift] + [0] * (f.d - 1),
+                    _axis_weight_powers(xis, system.alpha, j, rho))]
+        if block.size == 1:  # signed zeros may differ from the GEMM's; |.| drops them
+            vals = _outer([block.reshape(1) * mats[0][0]] + [m[0] for m in mats[1:]])
+        else:
+            vals = _fold(block, mats)
         yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
         del vals  # the caller owns the level now; keep no second reference to it
 
@@ -333,16 +387,18 @@ def F_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
     ``integration_level`` cubature, which must exceed the system level J.
     """
     params.require_F()
-    xis, tables, weights, _, shift = _scaled_axes(f, params.p, system, integration_level)
-    norm = _F_reduce(_band_values(f, params.rho, system, xis, tables), weights, params)
+    xis, tables, weights, _ = _scaled_axes(f, params.p, system, integration_level)
+    shift = _coeff_shift([f.coeffs])
+    norm = _F_reduce(_band_values(f, params.rho, system, xis, tables, shift), weights, params)
     return math.ldexp(norm, shift)
 
 
 def B_norm_cont(f: CoeffFn, params: NormParams, system: NeedletSystem,
                 integration_level: int) -> float:
     """Continuous Besov norm; as F_norm_cont with the l_q outside the L^p."""
-    xis, tables, weights, exps, shift = _scaled_axes(f, params.p, system, integration_level)
-    levels = _band_values(f, params.rho, system, xis, tables)
+    xis, tables, weights, exps = _scaled_axes(f, params.p, system, integration_level)
+    shift = _coeff_shift([f.coeffs])
+    levels = _band_values(f, params.rho, system, xis, tables, shift)
     if params.p_inf:  # no weights carry the scale: the max applies it per axis
         levels = ((j, _scaled_max(g, exps), None) for j, g in levels)
     else:
@@ -399,44 +455,42 @@ class PiecewiseCellFn:
         return PiecewiseCellFn(self.breaks, values, self.alpha)
 
 
-def _interval_max(P_num: np.ndarray, P_mu: np.ndarray, t: float) -> np.ndarray:
-    """out[..., i] = max over a <= i < b of ((P_num[..., b]-P_num[..., a]) /
-    (P_mu[..., b]-P_mu[..., a]))^(1/t), batched over the leading axes.
-
-    All interval ratios R[..., a, b] come from the padded prefix sums at once;
-    a running max over a (forward) then over b (backward) leaves at (i, i+1)
-    the largest ratio of an interval containing cell i.
-    """
-    n = P_num.shape[-1]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    ratio = np.divide(P_num[..., None, :] - P_num[..., :, None],
-                      P_mu[..., None, :] - P_mu[..., :, None],
-                      out=np.zeros(P_num.shape + (n,)), where=upper) ** (1.0 / t)
-    ratio = np.maximum.accumulate(ratio, axis=-2)
-    ratio = np.maximum.accumulate(ratio[..., ::-1], axis=-1)[..., ::-1]
-    return np.diagonal(ratio, offset=1, axis1=-2, axis2=-1)
+_TRIANGLES = _ArrayCache()
+_LATTICE_CHUNK = 1 << 20  # entries of the (a, b) grid that one recursive call may fill
 
 
 def _lattice_max(P_num: np.ndarray, P_mu: np.ndarray, t: float, d: int) -> np.ndarray:
-    """``_interval_max`` over the last d axes, batched over the leading ones.
+    """out[i_1, .., i_d, ...] = the max over the lattice boxes B that contain cell
+    (i_1, .., i_d) of (num(B) / mu(B))^(1/t), from the padded prefix sums P of
+    num and mu over the first d axes, batched over the trailing axes.
 
-    For each start a on the first of those axes, the strips [a, b) for every
-    end b have padded prefix sums P[b] - P[a]; one recursive call takes them
-    all, stacked as a new batch axis, and a suffix max over b leaves at cell
-    i >= a the largest value of a strip that contains it.
+    Every interval [a, b) of the first axis, read off the cached triangle a < b,
+    cuts the strip P[b] - P[a].  At d = 1 its value is the ratio; otherwise the
+    strips join the batch of one recursive call over the other axes (in
+    chunks, so that no call's (a, b) grid passes about _LATTICE_CHUNK entries),
+    which leaves per strip the max over its boxes that contain each cell.  On
+    the (a, b) grid, zero where a >= b, a running max over a, one np.maximum per
+    row, then the max over b > i of row i give the max over every interval
+    that contains cell i.
     """
-    if d == 1:
-        return _interval_max(P_num, P_mu, t)
-    ax = P_num.ndim - d
-    lead = (slice(None),) * ax
-    out = np.zeros(P_num.shape[:ax] + tuple(m - 1 for m in P_num.shape[ax:]))
-    for a in range(out.shape[ax]):
-        start, ends = lead + (slice(a, a + 1),), lead + (slice(a + 1, None),)
-        strips = _lattice_max(P_num[ends] - P_num[start], P_mu[ends] - P_mu[start], t, d - 1)
-        cells = out[lead + (slice(a, None),)]
-        np.maximum(cells, np.flip(np.maximum.accumulate(np.flip(strips, ax), axis=ax), ax),
-                   out=cells)
-    return out
+    n = len(P_num) - 1
+    upper = _TRIANGLES.get(n, lambda: np.triu(np.ones((n + 1, n + 1), dtype=bool), 1))
+    starts, ends = np.nonzero(upper)
+    inner, batch = P_num.shape[1:d], P_num.shape[d:]
+    grid = np.zeros((n + 1, n + 1) + tuple(m - 1 for m in inner) + batch)
+    step = max(1, _LATTICE_CHUNK // (math.prod(inner) ** 2 * math.prod(batch)))
+    for k in range(0, len(starts), step):
+        a, b = starts[k: k + step], ends[k: k + step]
+        num, mu = P_num[b] - P_num[a], P_mu[b] - P_mu[a]
+        if d == 1:
+            grid[a, b] = num / mu if t == 1.0 else (num / mu) ** (1.0 / t)
+        else:
+            num, mu = (np.ascontiguousarray(np.moveaxis(x, 0, d - 1)) for x in (num, mu))
+            grid[a, b] = np.moveaxis(_lattice_max(num, mu, t, d - 1), d - 1, 0)
+    for row, prev in zip(grid[1:n], grid[: n - 1]):
+        np.maximum(row, prev, out=row)
+    past_i = upper[:n].reshape((n, n + 1) + (1,) * (grid.ndim - 2))  # b > i in row i
+    return np.max(grid[:n], axis=1, initial=0.0, where=past_i)
 
 
 def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
@@ -446,7 +500,7 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
     breakpoint lattice and which contain the cell; by the doubling property
     of the weighted measure this differs from the full supremum by at most
     a fixed constant factor.  Any d: ``_lattice_max`` recurses over the axes,
-    with one call per start on an axis (n^(d-1) calls for n cells per axis).
+    with the intervals of each axis batched into one call (or a few chunks).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")

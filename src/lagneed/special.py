@@ -18,6 +18,8 @@ they cannot overflow either.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,12 +288,69 @@ def multivariate_F(nu, alpha, x) -> float:
     return val
 
 
+class _ArrayCache:
+    """Thread-safe LRU cache of read-only arrays keyed by values, holding at most
+    ``max_bytes`` of array data and ``max_entries`` entries.
+
+    ``get(key, make)`` returns the value kept for ``key``, or ``make()``'s
+    result: an array, a number, None, or tuples of these.  Its arrays are set
+    read-only, so one value can be handed to every caller; a value larger
+    than ``max_bytes`` is returned without being kept, so it is made again on
+    every call.  Keys are values (numbers, tuples, ``AlphaVector``), never an
+    object whose lifetime the cache would extend.
+    """
+
+    def __init__(self, max_bytes: int = 16 << 20, max_entries: int = 128):
+        self.max_bytes, self.max_entries = max_bytes, max_entries
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, make):
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key][0]
+        value = make()
+        size = _freeze(value)
+        if size <= self.max_bytes:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = value, size
+                    self.nbytes += size
+                    while self.nbytes > self.max_bytes or len(self._entries) > self.max_entries:
+                        self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return value
+
+
+def _freeze(value) -> int:
+    """Set every array in ``value`` (an array, a number, None, or tuples of these)
+    read-only; returns their total size in bytes."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_freeze(v) for v in value)
+    if value is None or isinstance(value, (int, float)):
+        return 0
+    raise TypeError(f"cannot cache a {type(value).__name__} read-only")
+
+
+_DEGREE_GRIDS = _ArrayCache()
+
+
 def total_degree_grid(shape) -> np.ndarray:
-    """Tensor of total degrees |nu| over a coefficient array shape, as a broadcast
-    sum of per-axis ranges, so no index array of the full shape is built."""
+    """Read-only tensor of total degrees |nu| over a coefficient array shape, as a
+    broadcast sum of per-axis ranges, so no index array of the full shape is built;
+    kept in a bounded cache keyed by the shape."""
+    shape = tuple(int(n) for n in shape)
     d = len(shape)
-    return sum(np.arange(n, dtype=np.int64).reshape((-1,) + (1,) * (d - 1 - ax))
-               for ax, n in enumerate(shape))
+    return _DEGREE_GRIDS.get(shape, lambda: sum(
+        np.arange(n, dtype=np.int64).reshape((-1,) + (1,) * (d - 1 - ax))
+        for ax, n in enumerate(shape)))
 
 
 def _outer(vecs):

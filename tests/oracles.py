@@ -1,6 +1,7 @@
 """Reference evaluations that only the tests read: a raw Laguerre polynomial,
-cubature sums over a flattened grid, and the filtered kernel summed directly
-over one Laguerre-function family."""
+cubature sums over a flattened grid, the filtered kernel summed directly
+over one Laguerre-function family, and a level's amplitudes laid out on the
+cells of the sequence F-norm by an open-mesh index."""
 
 import math
 
@@ -65,3 +66,10 @@ def lambda_direct(n: int, alpha, a_hat, x, y, family: str) -> float:
                                * laguerre_fn_batch(len(w) - 1, a, yi, family)
                                for a, xi, yi in zip(as_alpha(alpha), xs, ys)])
     return float(math.fsum(w * table))
+
+
+def cells_by_open_mesh(amp: np.ndarray, maps) -> np.ndarray:
+    """A level's amplitudes on the cells of the sequence F-norm: padded with a
+    trailing 0 per axis and indexed by the open mesh of the per-axis tile
+    indices ``maps``; the oracle for ``spaces._on_cells``."""
+    return np.pad(amp, [(0, 1)] * amp.ndim)[np.ix_(*maps)]

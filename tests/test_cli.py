@@ -422,6 +422,20 @@ def test_bad_cutoff_spec_exits_2(capsys, tmp_path, spec, where):
 
 
 class TestNorms:
+    @pytest.mark.parametrize("flags", [["--p", "nan"], ["--q", "NaN"], ["--s", "nan"],
+                                       ["--rho", "inf"], ["--p", "0"]])
+    def test_invalid_parameters_exit_2(self, capsys, tmp_path, system_config, flags):
+        coeff_file = tmp_path / "f.json"
+        coeff_file.write_text(json.dumps(CoeffFn.random([0.5], 4, seed=6).to_json_dict()))
+        code, out, err = run_main(["norms", "--space", "F-cont", *flags, "--system",
+                                   system_config, "--input", str(coeff_file)], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["code"] == 2 and ("p and q" in payload["error"]
+                                         or "s and rho" in payload["error"])
+
     def test_f_seq_norm_with_per_level(self, capsys, tmp_path, system_config):
         f = CoeffFn.random([0.5], 4, seed=6)
         coeff_file = tmp_path / "f.json"

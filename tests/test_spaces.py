@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from lagneed.cutoffs import frame_alt, frame_default, make_dual_pair
 from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
 from lagneed.quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
-from lagneed.special import laguerre_fn_batch
+from lagneed import spaces
+from lagneed.special import laguerre_fn_batch, _ArrayCache
 from lagneed.spaces import (
     B_norm_cont,
     F_norm_cont,
@@ -22,9 +25,13 @@ from lagneed.spaces import (
     multiplier_apply,
     nikolskii_report,
     seminorm_P_star,
+    _arrangement,
     _lp,
     _normal_pow,
+    _on_cells,
+    _scaled_axes,
 )
+from oracles import cells_by_open_mesh
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -409,6 +416,13 @@ class TestUnderflow:
         got = _normal_pow(np.array([np.nan, np.inf, 1e-300]), 3.0)
         assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 0.0
 
+    def test_normal_pow_square_propagates_nan_and_inf(self):
+        x = np.array([np.nan, np.inf, 1e-300, 3.0])
+        got = _normal_pow(x, 2.0)
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 0.0 and got[3] == 9.0
+        assert _normal_pow(x, 2.0, out=x) is x
+        np.testing.assert_array_equal(x, got)
+
     def test_normal_pow_identity_at_one(self):
         x = np.array([0.0, 5e-324, 1e-310, 1.0])
         assert _normal_pow(x, 1.0) is x
@@ -744,3 +758,167 @@ class TestReports:
         # deterministic across calls
         again = make_test_corpus(system, count=20, seed=0)
         assert all(np.allclose(a.coeffs, b.coeffs) for a, b in zip(corpus, again))
+
+
+class TestNormParams:
+    @pytest.mark.parametrize("p,q", [(math.nan, 2.0), (2.0, math.nan), (math.nan, math.nan),
+                                     (0.0, 2.0), (2.0, -1.0), (-math.inf, 2.0)])
+    def test_rejects_nan_or_nonpositive_p_q(self, p, q):
+        with pytest.raises(ValueError, match="p and q"):
+            NormParams(0.0, 0.0, p, q)
+
+    @pytest.mark.parametrize("s,rho", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                       (0.0, -math.inf)])
+    def test_rejects_nonfinite_s_rho(self, s, rho):
+        with pytest.raises(ValueError, match="s and rho"):
+            NormParams(s, rho, 2.0, 2.0)
+
+    def test_infinite_p_and_q_stay_valid(self):
+        params = NormParams(0.5, -1.0, math.inf, math.inf)
+        assert params.p_inf and params.q_inf
+
+
+def bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def cache_systems():
+    return {1: build_system(2, 1, [0.5], DUAL), 2: build_system(2, 2, [0.0, 0.5], TIGHT),
+            3: build_system(1, 3, [0.0, 0.5, 1.0], DUAL)}
+
+
+class TestNormCaches:
+    """The norm layer keeps read-only integration tables, cell maps and interval
+    triangles in bounded caches keyed by values; none of that changes a bit."""
+
+    @pytest.fixture()
+    def cold(self, monkeypatch):
+        """Empty every cache of the norm layer, as in a fresh process."""
+        for name in ("_INTEGRATION_AXES", "_CELL_MAPS", "_TRIANGLES"):
+            monkeypatch.setattr(spaces, name, _ArrayCache())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("space", ["F", "B"])
+    def test_cold_equals_warm_bit_for_bit(self, cache_systems, monkeypatch, d, space):
+        system = cache_systems[d]
+        level = system.J + 1
+        cont, seq = {"F": (F_norm_cont, f_norm_seq), "B": (B_norm_cont, b_norm_seq)}[space]
+        for complex_valued in (False, True):
+            f = CoeffFn.random(system.alpha, system.exact_degree(), seed=d,
+                               complex_valued=complex_valued)
+            for scale in (1.0, 1e200, 1e-200):
+                g = CoeffFn(f.alpha, f.max_degree, scale * f.coeffs)
+                coeffs = analyze(system, g)
+                for p in (0.5, 1.5, 2.0, 3.0, math.inf):
+                    if space == "F" and p == math.inf:
+                        continue
+                    for q in (1.0, 2.0, math.inf):
+                        params = NormParams(0.5, -0.5, p, q)
+                        # b_norm_seq reads no cache; the others keep one entry
+                        for norm, args, kept in ((cont, (g, params, system, level), 1),
+                                                 (seq, (coeffs, params, system), int(space == "F"))):
+                            for name in ("_INTEGRATION_AXES", "_CELL_MAPS"):
+                                monkeypatch.setattr(spaces, name, _ArrayCache())
+                            first = norm(*args)
+                            assert len(spaces._INTEGRATION_AXES) + len(spaces._CELL_MAPS) == kept
+                            second = norm(*args)
+                            assert 0.0 < first < math.inf
+                            assert bits(second) == bits(first), (norm.__name__, p, q, scale)
+
+    def test_keys_separate_degree_level_and_grid(self, cache_systems, monkeypatch):
+        params = NormParams(0.5, 0.5, 1.5, 2.0)
+        cases = [(cache_systems[2], degree, level) for degree in (1, 4) for level in (3, 4)]
+        cases.append((build_system(2, 2, [0.5, 0.0], TIGHT), 4, 3))
+        fns = [CoeffFn.random(system.alpha, degree, seed=degree) for system, degree, _ in cases]
+        want = []
+        for (system, _, level), f in zip(cases, fns):
+            monkeypatch.setattr(spaces, "_INTEGRATION_AXES", _ArrayCache())
+            want.append(bits(F_norm_cont(f, params, system, level)))
+        monkeypatch.setattr(spaces, "_INTEGRATION_AXES", _ArrayCache())
+        for _ in range(2):
+            got = [bits(F_norm_cont(f, params, system, level))
+                   for (system, _, level), f in zip(cases, fns)]
+            assert got == want
+        assert len(spaces._INTEGRATION_AXES) == len(cases)
+
+    def test_cached_arrays_are_read_only(self, cache_systems, cold):
+        system = cache_systems[2]
+        f = CoeffFn.random(system.alpha, system.exact_degree(), seed=0)
+        for p in (2.0, math.inf):
+            _scaled_axes(f, p, system, system.J + 1)
+        f_norm_seq(analyze(system, f), NormParams(0.0, 0.0, 2.0, 2.0), system)
+        maximal_fn(PiecewiseCellFn([np.arange(5.0), np.arange(4.0)], np.ones((4, 3)),
+                                   [0.5, 0.5]), 1.0)
+        held = []
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif isinstance(value, tuple):
+                for v in value:
+                    arrays(v)
+
+        for cache in (spaces._INTEGRATION_AXES, spaces._CELL_MAPS, spaces._TRIANGLES):
+            assert len(cache) >= 1
+            arrays(tuple(v for v, _ in cache._entries.values()))
+        assert held and not any(a.flags.writeable for a in held)
+        # the per-p part is formed per call; the cached tables come back as they are
+        xis, tables, weights, exps = _scaled_axes(f, math.inf, system, system.J + 1)
+        assert weights == [None] * system.d
+        assert not any(t.flags.writeable for t in tables)
+        with pytest.raises(ValueError):
+            tables[0][0, 0] = 1.0
+
+    def test_system_is_not_kept_alive(self, cold):
+        system = build_system(2, 2, [0.5, 0.5], TIGHT)
+        f = CoeffFn.random(system.alpha, system.exact_degree(), seed=1)
+        coeffs = analyze(system, f)
+        params = NormParams(0.5, 0.5, 1.5, 2.0)
+        values = [f_norm_seq(coeffs, params, system), b_norm_seq(coeffs, params, system),
+                  F_norm_cont(f, params, system, 3), B_norm_cont(f, params, system, 3)]
+        assert all(v > 0.0 for v in values)
+        assert len(spaces._INTEGRATION_AXES) == 1 and len(spaces._CELL_MAPS) == 1
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
+
+    def test_entry_above_budget_is_not_kept(self, cache_systems, monkeypatch):
+        system = cache_systems[2]
+        f = CoeffFn.random(system.alpha, system.exact_degree(), seed=2)
+        params = NormParams(0.0, 0.0, 2.0, 2.0)
+        want = F_norm_cont(f, params, system, system.J + 1)
+        tiny = _ArrayCache(64)
+        monkeypatch.setattr(spaces, "_INTEGRATION_AXES", tiny)
+        for _ in range(2):
+            assert bits(F_norm_cont(f, params, system, system.J + 1)) == bits(want)
+            assert len(tiny) == 0 and tiny.nbytes == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_take_expansion_matches_open_mesh(self, cache_systems, d):
+        system = cache_systems[d]
+        _, level_maps = _arrangement(system)
+        rng = np.random.default_rng(d)
+        for g, maps in zip(system.grids, level_maps):
+            amp = rng.uniform(0.0, 1.0, (g.n_j,) * d)
+            want = cells_by_open_mesh(amp, maps)
+            got = _on_cells(amp, maps)
+            assert got.shape == want.shape == tuple(len(m) for m in maps)
+            assert np.array_equal(got, want)
+            # cells past a level's last tile read its trailing 0
+            assert (np.concatenate(maps) <= g.n_j).all()
+            assert (got[maps[0] == g.n_j] == 0.0).all()
+        assert (level_maps[0][0] == system.grids[0].n_j).any()
+
+    def test_lattice_chunks_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for shape in ((9,), (7, 6), (4, 3, 5)):
+            breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, m)))) for m in shape]
+            f = PiecewiseCellFn(breaks, rng.uniform(-1.0, 1.0, shape), [0.5] * len(shape))
+            for t in (1.0, 1.5):
+                whole = maximal_fn(f, t).values
+                monkeypatch.setattr(spaces, "_LATTICE_CHUNK", 1)
+                chunked = maximal_fn(f, t).values
+                monkeypatch.undo()
+                assert np.array_equal(whole, chunked)

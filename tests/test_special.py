@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -16,12 +18,14 @@ from lagneed.special import (
     laguerre_fn_F_deriv_batch,
     multivariate_F,
     total_degree_grid,
+    _ArrayCache,
     _damped_rows,
     _flush_subnormal,
     _fold,
     _Frame,
     _kernel_table,
 )
+from lagneed import special
 from lagneed.quadrature import cubature_grid, gauss_laguerre
 from oracles import cubature_integrate, laguerre_poly
 
@@ -527,6 +531,82 @@ class TestTotalDegreeGrid:
         want = sum(np.indices(shape, dtype=np.int64))
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+    def test_one_read_only_array_per_shape(self):
+        got = total_degree_grid((65, 65, 65))
+        assert total_degree_grid([65, 65, np.int64(65)]) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1
+
+    def test_shape_above_budget_is_made_each_call(self, monkeypatch):
+        monkeypatch.setattr(special, "_DEGREE_GRIDS", _ArrayCache(1 << 10))
+        small, big = total_degree_grid((4, 4)), total_degree_grid((20, 20))
+        assert total_degree_grid((4, 4)) is small
+        again = total_degree_grid((20, 20))
+        assert again is not big and np.array_equal(again, big) and not again.flags.writeable
+        assert len(special._DEGREE_GRIDS) == 1
+
+
+class TestArrayCache:
+    def test_lru_order_and_byte_bound(self):
+        cache = _ArrayCache(3 * 800)  # three arrays of 100 floats
+        made = []
+
+        def make(k):
+            made.append(k)
+            return np.full(100, float(k)), None
+
+        for k in (0, 1, 2, 0, 3):  # 0 is used again, so 1 is the least recent
+            value = cache.get(k, lambda: make(k))
+            assert value[0][0] == k and value[1] is None
+        assert made == [0, 1, 2, 3] and len(cache) == 3 and cache.nbytes == 2400
+        cache.get(1, lambda: make(1))
+        assert made[-1] == 1 and cache.get(0, lambda: make(0))[0][0] == 0.0
+        assert made == [0, 1, 2, 3, 1]  # 2 went to make room for 1, 0 stayed
+
+    def test_entry_bound(self):
+        cache = _ArrayCache(1 << 20, max_entries=2)
+        for k in range(5):
+            cache.get(k, lambda: np.zeros(1))
+        assert len(cache) == 2 and cache.nbytes == 16
+
+    def test_value_above_budget_is_returned_not_kept(self):
+        cache = _ArrayCache(100)
+        first = cache.get("big", lambda: (np.zeros(20), (np.ones(3),)))
+        assert not first[0].flags.writeable and not first[1][0].flags.writeable
+        assert cache.get("big", lambda: (np.zeros(20), (np.ones(3),))) is not first
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_threads_share_one_cache(self):
+        # more threads than cores, short switch interval: the byte count and the
+        # entries stay consistent and every value matches its key
+        cache = _ArrayCache(40 * 8 * 8)
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for k in rng.integers(0, 60, 400):
+                    got = cache.get(int(k), lambda: np.full(8, float(k)))
+                    if got[0] != k:
+                        errors.append((k, got[0]))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(cache) <= 40 and cache.nbytes == 64 * len(cache)
 
 
 class TestTypes:
