@@ -11,15 +11,19 @@ complete at the top level.
 A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
 product over axes except for its filter, so each level keeps per-axis node
 tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
-synthesis are one filter and one real matrix product per axis.  The tables and
-the analysis coefficients store values below the normal range (2.2e-308) as 0:
-subnormal operands slow those products severalfold.
+synthesis are one filter and one real matrix product per axis.  The analysis
+coefficients store values below the normal range (2.2e-308) as 0: subnormal
+operands slow those products severalfold.  The tables are trimmed at a
+Frobenius floor: each zeroes its entries below 2^-56 / sqrt(its size), which
+moves it by at most 2^-56 in the Frobenius norm.
 
 Each level's products run on its live box only (``_live_box``): the table rows
 of the degrees where the level filter is nonzero, and per axis the first K
-nodes, past which the damped table rows have underflowed to 0 on those rows.
-K is read from a per-axis vector built with the tables; analysis levels are
-exactly 0 outside the box.
+nodes, past which the trimmed table rows are 0 on those rows.  The atoms decay
+like e^(-x^2/2) past their turning points, so K ends well before the last
+node.  K is read from a per-axis vector built with the tables; analysis levels
+are exactly 0 outside the box, and ``synthesize`` of analysis output reads
+only the nodes that ``analyze`` wrote.
 
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -56,6 +60,7 @@ __all__ = [
 
 TABLE_BYTES_CAP = 2 << 30
 _REACH_CHUNK = 1 << 18  # table entries per boolean chunk of _reach
+_TABLE_TRIM = 2.0 ** -56  # Frobenius norm bound of the entries trimmed from one table
 
 
 @dataclass
@@ -191,12 +196,20 @@ class CoeffFn:
         return cls(av, n, re + 1j * im if im.any() else re)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeedletCoeffs:
-    """Per-level needlet coefficient tensors, tagged with the system hash."""
+    """Per-level needlet coefficient tensors, tagged with the system hash.
+
+    ``analyze`` returns read-only levels and records in ``_live`` the per-axis node
+    counts K of the box it folded each level on (the level is 0 outside it), which
+    ``synthesize`` then reads as the end of its own box.  Coefficients made in any
+    other way have no ``_live`` and keep the caller's arrays as given.
+    """
 
     levels: tuple[np.ndarray, ...]
     system_hash: str
+    _live: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False,
+                                                       compare=False)
 
     @property
     def level_count(self) -> int:
@@ -234,14 +247,15 @@ class NeedletSystem:
         if need > TABLE_BYTES_CAP:
             raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
         # per level, per axis: the atoms' factors c_k^(1/2) F_m(xi_k), degree m
-        # by node k; read-only, shared by every analyze/synthesize call
+        # by node k, trimmed at the Frobenius floor _TABLE_TRIM / sqrt(size);
+        # read-only, shared by every analyze/synthesize call
         self.tables: list[tuple[np.ndarray, ...]] = []
         for j, g in enumerate(self.grids):
             tabs = tuple(laguerre_fn_batch(self.band_degree(j), a, xi, "F")
                          for a, xi in zip(self.alpha, g.axis_xi))
             for tab, c in zip(tabs, g.axis_c):
                 tab *= np.sqrt(c)
-                _flush_subnormal(tab)
+                _flush_subnormal(tab, _TABLE_TRIM / math.sqrt(tab.size))
                 tab.flags.writeable = False
             self.tables.append(tabs)
         # per level, per axis: _reach(tab)[m] live nodes for the rows 0..m
@@ -359,27 +373,35 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     """Needlet coefficients <f, phi_xi> for every level and node.
 
     Exact in coefficient space: the level-j coefficient at node xi is
-    c_xi^(1/2) sum_nu conj(a(|nu|/4^(j-1))) f_nu F_nu(xi).  Each level is folded
-    only on its live box (see ``_live_box``) and is exactly 0 outside it.
+    c_xi^(1/2) sum_nu conj(a(|nu|/4^(j-1))) f_nu F_nu(xi), with the factors read
+    from the trimmed node tables.  Each level is folded only on its live box (see
+    ``_live_box``) and is exactly 0 outside it.  Against the untrimmed tables T_l a
+    level moves by at most d 2^-56 max|a| ||f|| times prod_l ||T_l||_2: each axis's
+    trimmed part has Frobenius norm at most 2^-56, and the cubature's exactness
+    keeps each ||T_l||_2 <= 1 + 1e-10.  The levels are read-only.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
     if f.max_degree > system.max_degree():
         raise ValueError(
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
-    levels = []
+    levels, live = [], []
     for j, g in enumerate(system.grids):
         level = np.zeros((g.n_j,) * f.d, dtype=f.coeffs.dtype)
         box = _live_box(system, j, system.pair.a_hat, f.max_degree)
+        K = (0,) * f.d
         if box is not None:
             rows, K = box
             block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
                                     _level_scale(j), start=rows.start)
-            _fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)],
-                  out=level[tuple(slice(0, k) for k in K)])
-            _flush_subnormal(level[: K[0]])  # C-contiguous, unlike the box itself
+            _flush_subnormal(_fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)],
+                                   out=level[tuple(slice(0, k) for k in K)]))
+        level.flags.writeable = False
         levels.append(level)
-    return NeedletCoeffs(tuple(levels), system.hash)
+        live.append(K)
+    coeffs = NeedletCoeffs(tuple(levels), system.hash)
+    object.__setattr__(coeffs, "_live", tuple(live))  # not an init field: set here only
+    return coeffs
 
 
 def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.ndarray, ...]:
@@ -397,7 +419,11 @@ def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.nda
 
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J; each level
-    enters only through its live box (see ``_live_box``)."""
+    enters only through its live box (see ``_live_box``), cut further to the nodes
+    ``analyze`` wrote when ``coeffs`` is its output, since the level is 0 beyond.
+
+    The trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
+    below the GEMM rounding gamma_k |T| |h| that the product carries anyway."""
     levels = _system_levels(coeffs, system)
     n_out, cut = system.max_degree(), system.pair.b_hat
     out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *levels))
@@ -406,6 +432,8 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
         if box is None:
             continue
         rows, K = box
+        if coeffs._live is not None:
+            K = tuple(map(min, K, coeffs._live[j]))
         block = _fold(levels[j][tuple(slice(0, k) for k in K)],
                       [tab[rows, :k].T for tab, k in zip(system.tables[j], K)])
         degrees = total_degree_grid(block.shape)

@@ -1,14 +1,15 @@
 """Reference evaluations that only the tests read: a raw Laguerre polynomial,
 cubature sums over a flattened grid, the filtered kernel summed directly
-over one Laguerre-function family, and a level's amplitudes laid out on the
-cells of the sequence F-norm by an open-mesh index."""
+over one Laguerre-function family, a level's amplitudes laid out on the
+cells of the sequence F-norm by an open-mesh index, and needlet levels from
+whole node tables, trimmed or not."""
 
 import math
 
 import numpy as np
 
-from lagneed.kernels import _kernel_weights
-from lagneed.special import _convolve_degrees, as_alpha, laguerre_fn_batch
+from lagneed.kernels import _kernel_weights, _level_scale, cutoff_weights
+from lagneed.special import _convolve_degrees, as_alpha, laguerre_fn_batch, total_degree_grid
 
 
 def laguerre_poly(n: int, alpha: float, x: float) -> float:
@@ -73,3 +74,27 @@ def cells_by_open_mesh(amp: np.ndarray, maps) -> np.ndarray:
     trailing 0 per axis and indexed by the open mesh of the per-axis tile
     indices ``maps``; the oracle for ``spaces._on_cells``."""
     return np.pad(amp, [(0, 1)] * amp.ndim)[np.ix_(*maps)]
+
+
+def untrimmed_tables(system, j: int) -> list[np.ndarray]:
+    """Level j's per-axis node tables c_k^(1/2) F_m(xi_k) as the recurrence gives
+    them, without the Frobenius-floor trim that ``NeedletSystem`` applies."""
+    g = system.grids[j]
+    return [laguerre_fn_batch(system.band_degree(j), a, xi, "F") * np.sqrt(c)
+            for a, xi, c in zip(system.alpha, g.axis_xi, g.axis_c)]
+
+
+def dense_levels(system, f, tables) -> list[np.ndarray]:
+    """Needlet levels of f from whole per-level node tables, every row and every
+    node, one einsum per axis and no flush; ``tables`` is ``system.tables`` or the
+    ``untrimmed_tables``."""
+    levels = []
+    for j, tabs in enumerate(tables):
+        cap = min(system.band_degree(j), f.max_degree)
+        block = f.coeffs[(slice(0, cap + 1),) * f.d]
+        level = block * cutoff_weights(system.pair.a_hat, _level_scale(j),
+                                       f.d * cap)[total_degree_grid(block.shape)]
+        for tab in tabs:
+            level = np.einsum("m...,mk->...k", level, tab[: cap + 1], optimize=True)
+        levels.append(level)
+    return levels

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +21,8 @@ from lagneed.needlets import (
 from lagneed.kernels import _filter_degrees, _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
-from lagneed.special import laguerre_fn_batch, _flush_subnormal, _fold
-from oracles import cubature_integrate_values
+from lagneed.special import _flush_subnormal, _fold
+from oracles import cubature_integrate_values, dense_levels, untrimmed_tables
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -118,14 +119,19 @@ class TestBuildSystem:
             system.tables[1][0][0] = 99.0
 
     def test_tables_hold_weighted_atoms(self):
-        # rows c_k^(1/2) F_m(xi_k): the cubature's orthonormality is t @ t.T = I
-        system = build_system(2, 2, [0.0, 1.5], DUAL)
-        for j, g in enumerate(system.grids):
-            for ax, (a, xi, c) in enumerate(zip(system.alpha, g.axis_xi, g.axis_c)):
-                t = system.tables[j][ax]
-                want = laguerre_fn_batch(system.band_degree(j), a, xi, "F") * np.sqrt(c)
-                assert np.allclose(t, want, rtol=1e-15, atol=0.0)
-                assert np.allclose(t @ t.T, np.eye(len(t)), rtol=0.0, atol=1e-10)
+        # rows c_k^(1/2) F_m(xi_k), bit for bit down to the Frobenius floor
+        # 2^-56 / sqrt(size) and 0 below it, so the trimmed part of a table has
+        # Frobenius norm <= 2^-56; the cubature's orthonormality is t @ t.T = I
+        for J, alpha, pair in ((5, [0.5], TIGHT), (3, [0.0, 0.5, 1.0], DUAL), (4, [50.0], DUAL),
+                               (2, [0.0, 1.5], DUAL)):
+            system = build_system(J, len(alpha), alpha, pair)
+            for j in range(J + 1):
+                for t, raw in zip(system.tables[j], untrimmed_tables(system, j)):
+                    floor = max(np.finfo(float).tiny, 2.0 ** -56 / math.sqrt(raw.size))
+                    kept = np.abs(raw) >= floor
+                    assert np.array_equal(t[kept], raw[kept]) and not t[~kept].any()
+                    assert np.linalg.norm(t - raw) <= 2.0 ** -56
+                    assert np.allclose(t @ t.T, np.eye(len(t)), rtol=0.0, atol=1e-10)
 
 
 class TestEvaluateNeedlet:
@@ -207,6 +213,30 @@ class TestAnalyze:
         rhs = analyze(system, f).scale(2.0).add(analyze(system, g).scale(-0.5))
         for a, b in zip(lhs.levels, rhs.levels):
             assert np.allclose(a, b, atol=1e-14)
+
+    def test_levels_are_read_only_and_frozen(self):
+        # _live records where the levels are nonzero, so neither may change after analyze
+        system = small_system(J=2)
+        coeffs = analyze(system, CoeffFn.random([0.5], 4, seed=0))
+        assert all(not lv.flags.writeable for lv in coeffs.levels)
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.levels[1][0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coeffs.levels = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coeffs._live = None
+
+    def test_hand_built_coeffs_keep_the_callers_arrays(self):
+        system = small_system(J=1)
+        levels = tuple(np.zeros((g.n_j,)) for g in system.grids)
+        coeffs = NeedletCoeffs(levels, system.hash)
+        assert coeffs._live is None
+        assert all(lv is mine and lv.flags.writeable for lv, mine in zip(coeffs.levels, levels))
+        levels[1][2] = 1.0  # the caller's write shows in the coefficients
+        assert coeffs.total_energy() == 1.0
+        analyzed = analyze(system, CoeffFn.random([0.5], 2, seed=0))
+        assert analyzed._live is not None and analyzed.scale(2.0)._live is None
+        assert dataclasses.replace(analyzed, levels=levels)._live is None
 
     def test_degree_overflow_rejected(self):
         system = small_system(J=1)
@@ -392,11 +422,13 @@ class TestNormalOrZero:
                                                         (3, (0.5, 0.5), True), (4, (0.5, 0.5), False),
                                                         (4, (0.5, 0.5), True)])
     def test_tables_and_levels(self, J, alpha, complex_valued):
-        # at J = 4, d = 2 the level-4 box is 728^2 of 835^2, a strided view of the level
+        # at J = 4, d = 2 the level-4 box is a strided view of the level; the trimmed
+        # tables no longer make subnormal products from a unit-norm f, so f is
+        # scaled by 2^-1000 to put its small level entries below the normal range
         system = build_system(J, len(alpha), list(alpha), TIGHT)
         assert all(subnormal_count(tab) == 0 for tabs in system.tables for tab in tabs)
         f = CoeffFn.random(list(alpha), system.exact_degree(), seed=5,
-                           complex_valued=complex_valued)
+                           complex_valued=complex_valued) * 2.0 ** -1000
         levels = analyze(system, f).levels
         assert all(subnormal_count(lv.view(float)) == 0 for lv in levels)
         # the flush does find work: the unflushed top level holds subnormals
@@ -410,16 +442,8 @@ class TestNormalOrZero:
 def dense_analyze(system, f):
     """Levels from the full node tables, every row and every node, flushed as analyze
     flushes them."""
-    levels = []
-    for j, tabs in enumerate(system.tables):
-        cap = min(system.band_degree(j), f.max_degree)
-        block = f.coeffs[(slice(0, cap + 1),) * f.d]
-        level = block * cutoff_weights(system.pair.a_hat, _level_scale(j),
-                                       f.d * cap)[total_degree_grid(block.shape)]
-        for tab in tabs:
-            level = np.einsum("m...,mk->...k", level, tab[: cap + 1], optimize=True)
-        levels.append(_flush_subnormal(np.ascontiguousarray(level)))
-    return levels
+    return [_flush_subnormal(np.ascontiguousarray(lv))
+            for lv in dense_levels(system, f, system.tables)]
 
 
 def dense_synthesize(system, levels):
@@ -517,8 +541,55 @@ class TestLiveBox:
     def test_deep_1d_box_is_cut(self):
         system = build_system(5, 1, [0.5], TIGHT)
         assert system.tables[5][0].shape == (1025, 3337)
-        assert needlets._live_box(system, 5, TIGHT.b_hat, 1024) == (slice(65, 1018), (2785,))
-        assert needlets._live_box(system, 5, TIGHT.a_hat, 256) == (slice(65, 257), (1984,))
+        assert needlets._live_box(system, 5, TIGHT.b_hat, 1024) == (slice(65, 1018), (2317,))
+        assert needlets._live_box(system, 5, TIGHT.a_hat, 256) == (slice(65, 257), (1302,))
+        coeffs = analyze(system, CoeffFn.random([0.5], 256, seed=0))
+        assert coeffs._live[5] == (1302,)  # synthesize reads these nodes, not 2317
+
+    def test_wide_3d_boxes(self):
+        # level 3 of the J=3 d=3 dual pair: 123 of 209 nodes per axis in analyze of a
+        # degree-16 function, 173 in synthesize of any coefficients, and 123 in
+        # synthesize of analyze's output
+        system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
+        assert needlets._live_box(system, 3, DUAL.a_hat, 16) == (slice(0, 17), (123,) * 3)
+        assert needlets._live_box(system, 3, DUAL.b_hat, 64) == (slice(0, 64), (173,) * 3)
+        assert analyze(system, CoeffFn.random(system.alpha, 16, seed=0))._live[3] == (123,) * 3
+
+    @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0, 0.5, 1.0), DUAL),
+                                              (4, (50.0,), DUAL), (4, (0.5, 0.5), TIGHT)])
+    def test_levels_within_the_trim_bound(self, J, alpha, pair):
+        # the trimmed tables move a level by at most d 2^-56 ||f|| (|a| <= 1, and each
+        # ||T_l||_2 <= 1 + 1e-10), checked with one arithmetic on both table sets;
+        # analyze then adds only its GEMM rounding
+        system = build_system(J, len(alpha), list(alpha), pair)
+        untrimmed = [untrimmed_tables(system, j) for j in range(J + 1)]
+        d = system.d
+        for degree in (system.exact_degree(), system.max_degree()):
+            for complex_valued in (False, True):
+                f = CoeffFn.random(list(alpha), degree, seed=degree,
+                                   complex_valued=complex_valued, normalized=False)
+                bound = d * 2.0 ** -56 * (1.0 + 1e-10) ** d * f.norm2()
+                for got, trimmed, raw in zip(analyze(system, f).levels,
+                                             dense_levels(system, f, system.tables),
+                                             dense_levels(system, f, untrimmed)):
+                    assert np.linalg.norm(trimmed - raw) <= bound
+                    rounding = 1e-13 * np.max(np.abs(raw))
+                    assert np.max(np.abs(got - raw)) <= bound + rounding
+
+    @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0, 0.5, 1.0), DUAL),
+                                              (3, (0.5, 0.5), DUAL)])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_synthesize_reads_only_what_analyze_wrote(self, J, alpha, pair, complex_valued):
+        # the same levels without _live are folded on the whole synthesis box, whose
+        # extra nodes hold zeros: only the GEMMs' summation order differs
+        system = build_system(J, len(alpha), list(alpha), pair)
+        for degree in (system.exact_degree(), system.max_degree()):
+            f = CoeffFn.random(list(alpha), degree, seed=degree, complex_valued=complex_valued)
+            coeffs = analyze(system, f)
+            bare = NeedletCoeffs(coeffs.levels, coeffs.system_hash)
+            assert bare._live is None
+            got, want = synthesize(system, coeffs).coeffs, synthesize(system, bare).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(coeffs.total_energy())
 
     @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0,), DUAL),
                                               (4, (0.5, 0.5), DUAL), (2, (0.0, 0.5, 1.0), DUAL)])

@@ -430,13 +430,37 @@ class TestFlushSubnormal:
         _flush_subnormal(arr)
         assert np.isnan(arr[0]) and arr[1:].tolist() == [0.0, 1.0]
 
-    def test_refuses_a_strided_view(self):
-        # flattening a sub-box copies, so a flush there would change nothing
-        arr = np.full((4, 4), 1e-310)
-        with pytest.raises(ValueError, match="contiguous"):
-            _flush_subnormal(arr[:3, :3])
-        _flush_subnormal(arr[:3])
-        assert not arr[:3].any() and np.all(arr[3] == 1e-310)
+    @pytest.mark.parametrize("shape,box", [
+        ((4, 4), np.s_[:3, :3]),
+        ((5000,), np.s_[1::3]),
+        ((3, 300, 300), np.s_[:, :250, 7:207]),  # rows of 50000 entries: slabs of a slab
+        ((40, 30, 20), np.s_[2:37, ::-2, 3:]),
+    ])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_strided_view_in_place(self, shape, box, dtype):
+        # a box of a larger array is flushed where it lies, as a copy of it would be,
+        # and the entries outside it stay as they were
+        def bits(x):
+            return np.ascontiguousarray(x).view(np.int64)
+
+        arr = self.values(math.prod(shape), 3).reshape(shape)
+        if dtype is complex:
+            arr = arr + 1j * self.values(arr.size, 4).reshape(shape)
+        before = arr.copy()
+        want = _flush_subnormal(arr[box].copy())
+        view = arr[box]
+        assert _flush_subnormal(view) is view
+        assert np.array_equal(bits(arr[box]), bits(want))
+        outside = np.ones(shape, dtype=bool)
+        outside[box] = False
+        assert np.array_equal(bits(arr[outside]), bits(before[outside]))
+
+    def test_floor(self):
+        # entries below a floor above tiny are trimmed as well, the floor itself kept
+        arr = np.array([1e-18, -1e-18, 2e-18, -2e-18, 3e-18, 1e-310, 0.0, np.nan])
+        _flush_subnormal(arr, 2e-18)
+        assert arr[:5].tolist() == [0.0, 0.0, 2e-18, -2e-18, 3e-18] and not arr[5:7].any()
+        assert np.isnan(arr[7])
 
     def test_fortran_order_in_place(self):
         # a boolean column selection, table[:, live], comes out in Fortran order
