@@ -21,9 +21,11 @@ Each level's products run on its live box only (``_live_box``): the table rows
 of the degrees where the level filter is nonzero, and per axis the first K
 nodes, past which the trimmed table rows are 0 on those rows.  The atoms decay
 like e^(-x^2/2) past their turning points, so K ends well before the last
-node.  K is read from a per-axis vector built with the tables; analysis levels
-are exactly 0 outside the box, and ``synthesize`` of analysis output reads
-only the nodes that ``analyze`` wrote.
+node.  K is read from a per-axis vector built with the tables.  Analysis
+levels are exactly 0 outside the box, so ``NeedletCoeffs`` stores each level
+as its box, a leading block with the level's shape kept beside it, and
+``synthesize`` of analysis output reads only the nodes that ``analyze``
+wrote.  The dense ``levels`` are built from the boxes on first access.
 
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
@@ -36,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -200,32 +203,57 @@ class CoeffFn:
 class NeedletCoeffs:
     """Per-level needlet coefficient tensors, tagged with the system hash.
 
-    ``analyze`` returns read-only levels and records in ``_live`` the per-axis node
-    counts K of the box it folded each level on (the level is 0 outside it), which
-    ``synthesize`` then reads as the end of its own box.  Coefficients made in any
-    other way have no ``_live`` and keep the caller's arrays as given.
+    Each level is stored as its box: a leading block of the level, which is 0
+    beyond it, kept with the level shape (n_j,)^d.  ``NeedletCoeffs(levels,
+    system_hash)`` keeps each of the caller's arrays as given, as the box of a
+    level of its own shape.  ``analyze`` stores each level as the fresh,
+    C-contiguous, read-only box it folded (an empty (0,)^d array where the
+    level is 0), which ``synthesize`` reads as the end of its own box.
     """
 
-    levels: tuple[np.ndarray, ...]
+    _boxes: tuple[np.ndarray, ...]
     system_hash: str
-    _live: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False,
-                                                       compare=False)
+    _shapes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """The dense level tensors, built on first access and kept: each box that
+        is smaller than its level zero-padded into a new read-only array."""
+        return tuple(_padded(box, shape) for box, shape in zip(self._boxes, self._level_shapes()))
+
+    def _level_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return self._shapes or tuple(np.shape(box) for box in self._boxes)
 
     @property
     def level_count(self) -> int:
-        return len(self.levels)
+        return len(self._boxes)
 
     def total_energy(self) -> float:
-        return float(sum(np.vdot(lv, lv).real for lv in self.levels))
+        return float(sum(np.vdot(box, box).real for box in self._boxes))
 
     def scale(self, factor) -> "NeedletCoeffs":
-        return NeedletCoeffs(tuple(lv * factor for lv in self.levels), self.system_hash)
+        return NeedletCoeffs(tuple(box * factor for box in self._boxes), self.system_hash,
+                             self._shapes)
 
     def add(self, other: "NeedletCoeffs") -> "NeedletCoeffs":
-        if other.system_hash != self.system_hash or other.level_count != self.level_count:
+        if (other.system_hash != self.system_hash or other.level_count != self.level_count
+                or other._level_shapes() != self._level_shapes()):
             raise ValueError("coefficient sets belong to different systems")
-        return NeedletCoeffs(tuple(a + b for a, b in zip(self.levels, other.levels)),
-                             self.system_hash)
+        boxes = []
+        for a, b in zip(self._boxes, other._boxes):  # on the elementwise larger box
+            shape = tuple(map(max, a.shape, b.shape))
+            boxes.append(_padded(a, shape) + _padded(b, shape))
+        return NeedletCoeffs(tuple(boxes), self.system_hash, self._shapes or other._shapes)
+
+
+def _padded(box: np.ndarray, shape) -> np.ndarray:
+    """``box`` as the leading block of a read-only array of ``shape`` that is 0 beyond
+    it; ``box`` itself when it already has that shape."""
+    if np.shape(box) == shape:
+        return box
+    out = np.pad(box, [(0, n - k) for n, k in zip(shape, box.shape)])
+    out.flags.writeable = False
+    return out
 
 
 class NeedletSystem:
@@ -375,66 +403,63 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     Exact in coefficient space: the level-j coefficient at node xi is
     c_xi^(1/2) sum_nu conj(a(|nu|/4^(j-1))) f_nu F_nu(xi), with the factors read
     from the trimmed node tables.  Each level is folded only on its live box (see
-    ``_live_box``) and is exactly 0 outside it.  Against the untrimmed tables T_l a
+    ``_live_box``), is exactly 0 outside it, and is stored as that box: a new
+    C-contiguous read-only array of shape K.  Against the untrimmed tables T_l a
     level moves by at most d 2^-56 max|a| ||f|| times prod_l ||T_l||_2: each axis's
     trimmed part has Frobenius norm at most 2^-56, and the cubature's exactness
-    keeps each ||T_l||_2 <= 1 + 1e-10.  The levels are read-only.
+    keeps each ||T_l||_2 <= 1 + 1e-10.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
     if f.max_degree > system.max_degree():
         raise ValueError(
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
-    levels, live = [], []
-    for j, g in enumerate(system.grids):
-        level = np.zeros((g.n_j,) * f.d, dtype=f.coeffs.dtype)
+    boxes = []
+    for j in range(system.J + 1):
         box = _live_box(system, j, system.pair.a_hat, f.max_degree)
-        K = (0,) * f.d
-        if box is not None:
+        if box is None:
+            level = np.zeros((0,) * f.d, dtype=f.coeffs.dtype)
+        else:
             rows, K = box
             block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
                                     _level_scale(j), start=rows.start)
-            _flush_subnormal(_fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)],
-                                   out=level[tuple(slice(0, k) for k in K)]))
+            level = _flush_subnormal(_fold(block, [tab[rows, :k]
+                                                   for tab, k in zip(system.tables[j], K)]))
         level.flags.writeable = False
-        levels.append(level)
-        live.append(K)
-    coeffs = NeedletCoeffs(tuple(levels), system.hash)
-    object.__setattr__(coeffs, "_live", tuple(live))  # not an init field: set here only
-    return coeffs
+        boxes.append(level)
+    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids))
 
 
 def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.ndarray, ...]:
-    """The per-level tensors of coefficients with this system's hash, level count and
+    """The per-level boxes of coefficients with this system's hash, level count and
     level shapes (n_j,)^d."""
     if coeffs.system_hash != system.hash:
         raise ValueError("coefficients come from a different system")
     if coeffs.level_count != system.J + 1:
         raise ValueError("level count does not match the system")
-    for j, (lv, g) in enumerate(zip(coeffs.levels, system.grids)):
-        if np.shape(lv) != (g.n_j,) * system.d:
-            raise ValueError(f"level {j} has shape {np.shape(lv)}, not {(g.n_j,) * system.d}")
-    return coeffs.levels
+    for j, (shape, g) in enumerate(zip(coeffs._level_shapes(), system.grids)):
+        if shape != (g.n_j,) * system.d:
+            raise ValueError(f"level {j} has shape {shape}, not {(g.n_j,) * system.d}")
+    return coeffs._boxes
 
 
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J; each level
-    enters only through its live box (see ``_live_box``), cut further to the nodes
-    ``analyze`` wrote when ``coeffs`` is its output, since the level is 0 beyond.
+    enters only through its live box (see ``_live_box``), cut further to the level's
+    stored box, since the level is 0 beyond it.
 
     The trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
     below the GEMM rounding gamma_k |T| |h| that the product carries anyway."""
-    levels = _system_levels(coeffs, system)
+    boxes = _system_levels(coeffs, system)
     n_out, cut = system.max_degree(), system.pair.b_hat
-    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *levels))
-    for j in range(system.J + 1):
+    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *boxes))
+    for j, level in enumerate(boxes):
         box = _live_box(system, j, cut, n_out)
         if box is None:
             continue
         rows, K = box
-        if coeffs._live is not None:
-            K = tuple(map(min, K, coeffs._live[j]))
-        block = _fold(levels[j][tuple(slice(0, k) for k in K)],
+        K = tuple(map(min, K, level.shape))
+        block = _fold(level[tuple(slice(0, k) for k in K)],
                       [tab[rows, :k].T for tab, k in zip(system.tables[j], K)])
         degrees = total_degree_grid(block.shape)
         out[(rows,) * system.d] += _filter_degrees(block, cut, _level_scale(j), degrees,

@@ -175,11 +175,12 @@ def _lp(vals: np.ndarray, weights, p: float) -> float:
     return _fold_sum(_normal_pow(vals, p, out=vals), weights) ** (1.0 / p)
 
 
-def _F_reduce(levels, weights, params: NormParams) -> float:
+def _F_reduce(levels, weights, params: NormParams, onto=None) -> float:
     """L^p(l_q) norm: the L^p(weights) of the pointwise l_q over (j, g_j) of 2^(sj) g_j.
 
-    Each g_j is scaled, raised to q and added into the first level in place,
-    so at most two level arrays are alive at once; the g_j are overwritten.
+    Each g_j is scaled, raised to q, mapped by ``onto(j, .)`` when given (onto the
+    points the weights belong to) and added into the first level in place, so at
+    most two level arrays are alive at once; the g_j are overwritten.
     """
     acc = None
     for j, g in levels:
@@ -187,6 +188,8 @@ def _F_reduce(levels, weights, params: NormParams) -> float:
             g *= 2.0 ** (params.s * j)
         if not params.q_inf:
             _normal_pow(g, params.q, out=g)
+        if onto is not None:
+            g = onto(j, g)
         if acc is None:
             acc = g
         elif params.q_inf:
@@ -214,11 +217,12 @@ def _axis_weight_powers(axis_xi, alpha, j: int, rho: float):
 
 def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float,
                       shift: int) -> np.ndarray:
-    """2^(-shift) |h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^(-1/2) on the level grid;
-    the power of two rides on the first axis's factor."""
+    """2^(-shift) |h| * W(4^j; xi)^(-rho/d) * mu(R_xi)^(-1/2) on the leading nodes of
+    the level grid that the box h covers; the power of two rides on the first axis's
+    factor."""
     g = system.grids[j]
-    factors = [w * m ** -0.5 for w, m in
-               zip(_axis_weight_powers(g.axis_xi, g.alpha, j, rho), g.axis_tile_measure)]
+    factors = [(w * m ** -0.5)[:k] for w, m, k in
+               zip(_axis_weight_powers(g.axis_xi, g.alpha, j, rho), g.axis_tile_measure, h.shape)]
     factors[0] = np.ldexp(factors[0], -shift)
     return np.abs(h) * _outer(factors)
 
@@ -255,35 +259,37 @@ def _arrangement(system: NeedletSystem):
     return _CELL_MAPS.get(key, make)
 
 
-def _on_cells(amp: np.ndarray, maps) -> np.ndarray:
-    """A level's amplitudes on the cells, with a trailing 0 per axis for the cells
-    past its tiles: one take per axis of the per-axis tile indices ``maps``."""
-    amp = np.pad(amp, [(0, 1)] * amp.ndim)
+def _on_cells(vals: np.ndarray, maps) -> np.ndarray:
+    """Values on a box of a level, taken onto the cells: the box is padded with zeros
+    up to the largest of its per-axis tile indices ``maps`` (n_j for the cells past
+    the level's tiles, which read 0), then taken along each axis at them."""
+    vals = np.pad(vals, [(0, int(idx[-1]) + 1 - k) for idx, k in zip(maps, vals.shape)])
     for ax, idx in enumerate(maps):
-        amp = np.take(amp, idx, axis=ax)
-    return amp
+        vals = np.take(vals, idx, axis=ax)
+    return vals
 
 
 def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
-    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement."""
+    """Sequence Triebel-Lizorkin norm, integrated exactly over the cell arrangement.
+    Each level is scaled and raised on its box, before it is taken onto the cells."""
     params.require_F()
-    levels = _system_levels(coeffs, system)
-    shift = _coeff_shift(levels)
+    boxes = _system_levels(coeffs, system)
+    shift = _coeff_shift(boxes)
     cell_meas, level_maps = _arrangement(system)
-    norm = _F_reduce(((j, _on_cells(_level_amplitudes(system, j, levels[j], params.rho, shift),
-                                    level_maps[j]))
-                      for j in range(system.J + 1)), cell_meas, params)
+    norm = _F_reduce(((j, _level_amplitudes(system, j, h, params.rho, shift))
+                      for j, h in enumerate(boxes)), cell_meas, params,
+                     lambda j, g: _on_cells(g, level_maps[j]))
     return math.ldexp(norm, shift)
 
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
     """Sequence Besov norm: inner l_p over nodes against the tile measures, outer
     l_q over levels."""
-    levels = _system_levels(coeffs, system)
-    shift = _coeff_shift(levels)
-    norm = _B_reduce(((j, _level_amplitudes(system, j, levels[j], params.rho, shift),
-                       system.grids[j].axis_tile_measure)
-                      for j in range(system.J + 1)), params)
+    boxes = _system_levels(coeffs, system)
+    shift = _coeff_shift(boxes)
+    norm = _B_reduce(((j, np.pad(_level_amplitudes(system, j, h, params.rho, shift),
+                                 [(0, g.n_j - k) for k in h.shape]), g.axis_tile_measure)
+                      for j, (h, g) in enumerate(zip(boxes, system.grids))), params)
     return math.ldexp(norm, shift)
 
 

@@ -361,7 +361,7 @@ def _outer(vecs):
     return acc
 
 
-def _fold(tensor, mats, out=None):
+def _fold(tensor, mats):
     """Contract axis i of ``tensor`` with the first axis of ``mats[i]``, for every i.
 
     Axis i of the result has the length of ``mats[i]``'s second axis; a caller
@@ -374,25 +374,19 @@ def _fold(tensor, mats, out=None):
     throughout.  A complex tensor that meets only real matrices is folded the
     same way as its float view, whose trailing (re, im) axis no matrix meets
     (post = 2 on the last matrix's axis), so no matrix is cast to complex; a
-    complex matrix meets the tensor as it is.
-
-    The last step writes into ``out`` when given, which may be a strided view
-    of the result's shape, such as a box of a larger array, whose last axis is
-    contiguous when the data are complex; the result is returned.
+    complex matrix meets the tensor as it is.  The result is a new C-contiguous
+    array.
     """
     if np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats):
         tensor = np.ascontiguousarray(tensor, dtype=complex)
-        floats = _fold(tensor.view(float).reshape(tensor.shape + (2,)), mats,
-                       None if out is None else out.view(float).reshape(out.shape + (2,)))
-        return floats.view(complex)[..., 0] if out is None else out
+        return _fold(tensor.view(float).reshape(tensor.shape + (2,)), mats).view(complex)[..., 0]
     dims = list(np.shape(tensor))
     for i, m in enumerate(mats):
-        k, dest = len(m), out if i == len(mats) - 1 else None
+        k = len(m)
         if i == len(dims) - 1:
-            tensor = np.matmul(tensor.reshape(*dims[:i], k), m, out=dest)
+            tensor = np.matmul(tensor.reshape(*dims[:i], k), m)
         else:
-            tensor = np.matmul(m.T, tensor.reshape(*dims[:i], k, math.prod(dims[i + 1:])),
-                               out=dest)
+            tensor = np.matmul(m.T, tensor.reshape(*dims[:i], k, math.prod(dims[i + 1:])))
         dims[i] = m.shape[1]
     return tensor
 

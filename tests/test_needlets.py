@@ -215,28 +215,37 @@ class TestAnalyze:
             assert np.allclose(a, b, atol=1e-14)
 
     def test_levels_are_read_only_and_frozen(self):
-        # _live records where the levels are nonzero, so neither may change after analyze
+        # the boxes end where the levels' nonzero part ends, so neither may change after
+        # analyze, nor may the dense levels built from them
         system = small_system(J=2)
         coeffs = analyze(system, CoeffFn.random([0.5], 4, seed=0))
-        assert all(not lv.flags.writeable for lv in coeffs.levels)
+        assert all(not a.flags.writeable for a in coeffs._boxes + coeffs.levels)
         with pytest.raises(ValueError, match="read-only"):
             coeffs.levels[1][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.levels[2][50] = 1.0  # past the box (45 of 53 nodes)
         with pytest.raises(dataclasses.FrozenInstanceError):
             coeffs.levels = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            coeffs._live = None
+            coeffs._boxes = ()
 
     def test_hand_built_coeffs_keep_the_callers_arrays(self):
-        system = small_system(J=1)
+        # each array given is the whole box of its level, as given and writable
+        system = small_system(J=2)
         levels = tuple(np.zeros((g.n_j,)) for g in system.grids)
         coeffs = NeedletCoeffs(levels, system.hash)
-        assert coeffs._live is None
+        assert coeffs._boxes is levels
         assert all(lv is mine and lv.flags.writeable for lv, mine in zip(coeffs.levels, levels))
         levels[1][2] = 1.0  # the caller's write shows in the coefficients
         assert coeffs.total_energy() == 1.0
-        analyzed = analyze(system, CoeffFn.random([0.5], 2, seed=0))
-        assert analyzed._live is not None and analyzed.scale(2.0)._live is None
-        assert dataclasses.replace(analyzed, levels=levels)._live is None
+        # analyze cuts level 2 to 45 of 53 nodes; scale keeps that box, while the
+        # same levels handed back in are whole boxes again
+        analyzed = analyze(system, CoeffFn.random([0.5], 4, seed=0))
+        assert [b.shape for b in analyzed._boxes] == [(4,), (14,), (45,)]
+        assert [b.shape for b in analyzed.scale(2.0)._boxes] == [(4,), (14,), (45,)]
+        rebuilt = NeedletCoeffs(analyzed.levels, analyzed.system_hash)
+        assert all(b is lv for b, lv in zip(rebuilt._boxes, analyzed.levels))
+        assert rebuilt._boxes[2].shape == (53,)
 
     def test_degree_overflow_rejected(self):
         system = small_system(J=1)
@@ -364,12 +373,22 @@ class TestTransformMemory:
 
     def test_real_analyze_peaks_near_its_output(self):
         # the subnormal flush works in fixed chunks, with no temporary of a level's size,
-        # and at J = 4 the level-4 box (728^2 of 835^2) is folded straight into the level
+        # and each level is folded straight into its box (728^2 of 835^2 at J = 4), which
+        # analyze keeps: the output is the boxes, not the dense levels
         for J, degree in ((3, 16), (4, 64)):
             system = build_system(J, 2, [0.5, 0.5], TIGHT)
             f = CoeffFn.random([0.5, 0.5], degree, seed=3)
-            out_bytes = sum(lv.nbytes for lv in analyze(system, f).levels)
+            out_bytes = sum(box.nbytes for box in analyze(system, f)._boxes)
             assert traced_peak(analyze, system, f) < 1.3 * out_bytes
+
+    def test_wide_3d_analyze_peaks_near_its_boxes(self):
+        # J = 3, d = 3 dual, degree 16: about 16 MB of boxes, where the dense level 3
+        # alone would be 209^3 * 8 bytes = 73 MB
+        system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
+        f = CoeffFn.random(system.alpha, 16, seed=3)
+        box_bytes = sum(box.nbytes for box in analyze(system, f)._boxes)
+        assert box_bytes < 20 << 20
+        assert traced_peak(analyze, system, f) < 1.3 * box_bytes
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_total_energy_is_the_sum_of_squares(self, complex_valued):
@@ -384,6 +403,66 @@ class TestTransformMemory:
         coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=4))
         assert max(lv.nbytes for lv in coeffs.levels) > 10 << 20
         assert traced_peak(coeffs.total_energy) < 1 << 20
+
+
+def same_bits(a, b, signed_zeros=True):
+    """a and b agree bit for bit; with signed_zeros=False, -0.0 and 0.0 count as equal."""
+    if not signed_zeros:
+        a, b = a + 0.0, b + 0.0
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64),
+                                                                         b.view(np.int64))
+
+
+class TestBoxArithmetic:
+    """scale and add work on the boxes and equal the dense products and sums."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        # degrees 3 and 16 give different boxes at levels 2 (44^2 and 52^2) and 3
+        # (empty and 123^2); the hand-built operand is dense with random levels
+        system = build_system(3, 2, [0.5, 1.0], DUAL)
+        rng = np.random.default_rng(7)
+        hand = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 2) for g in system.grids),
+                             system.hash)
+        return system, {
+            "low": analyze(system, CoeffFn.random(system.alpha, 3, seed=1)),
+            "high": analyze(system, CoeffFn.random(system.alpha, 16, seed=2)),
+            "complex": analyze(system, CoeffFn.random(system.alpha, 4, seed=3,
+                                                      complex_valued=True)),
+            "hand": hand}
+
+    def test_operands_have_different_boxes(self, operands):
+        _, ops = operands
+        shapes = {name: [b.shape for b in c._boxes] for name, c in ops.items()}
+        assert shapes["low"][2:] == [(44, 44), (0, 0)]
+        assert shapes["high"][2:] == [(52, 52), (123, 123)]
+        assert shapes["hand"][2:] == [(53, 53), (209, 209)]
+
+    @pytest.mark.parametrize("factor", [2.0, 0.3, 1.5 + 0.25j, -0.75])
+    def test_scale(self, operands, factor):
+        # the box contract keeps +0.0 beyond a box, where a dense product with a
+        # negative factor has -0.0: those compare as equal values
+        _, ops = operands
+        for c in ops.values():
+            for got, lv in zip(c.scale(factor).levels, c.levels):
+                assert same_bits(got, lv * factor, signed_zeros=factor.real > 0)
+
+    @pytest.mark.parametrize("pair", [("low", "high"), ("high", "low"), ("low", "hand"),
+                                      ("hand", "high"), ("complex", "high"), ("hand", "hand")])
+    def test_add(self, operands, pair):
+        _, ops = operands
+        a, b = (ops[name] for name in pair)
+        total = a.add(b)
+        for j, (got, x, y) in enumerate(zip(total.levels, a.levels, b.levels)):
+            assert same_bits(got, x + y)
+            want = tuple(map(max, a._boxes[j].shape, b._boxes[j].shape))
+            assert total._boxes[j].shape == want
+
+    def test_add_refuses_another_system(self, operands):
+        _, ops = operands
+        other = build_system(3, 2, [0.5, 1.0], TIGHT)
+        with pytest.raises(ValueError, match="different systems"):
+            ops["low"].add(analyze(other, CoeffFn.random(other.alpha, 3, seed=1)))
 
 
 class TestThreadSharing:
@@ -544,7 +623,7 @@ class TestLiveBox:
         assert needlets._live_box(system, 5, TIGHT.b_hat, 1024) == (slice(65, 1018), (2317,))
         assert needlets._live_box(system, 5, TIGHT.a_hat, 256) == (slice(65, 257), (1302,))
         coeffs = analyze(system, CoeffFn.random([0.5], 256, seed=0))
-        assert coeffs._live[5] == (1302,)  # synthesize reads these nodes, not 2317
+        assert coeffs._boxes[5].shape == (1302,)  # synthesize reads these nodes, not 2317
 
     def test_wide_3d_boxes(self):
         # level 3 of the J=3 d=3 dual pair: 123 of 209 nodes per axis in analyze of a
@@ -553,7 +632,24 @@ class TestLiveBox:
         system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
         assert needlets._live_box(system, 3, DUAL.a_hat, 16) == (slice(0, 17), (123,) * 3)
         assert needlets._live_box(system, 3, DUAL.b_hat, 64) == (slice(0, 64), (173,) * 3)
-        assert analyze(system, CoeffFn.random(system.alpha, 16, seed=0))._live[3] == (123,) * 3
+        coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=0))
+        assert coeffs._boxes[3].shape == (123,) * 3
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_wide_3d_box_contract(self, complex_valued):
+        # every analysis level is stored as a fresh C-contiguous read-only box, and
+        # the dense levels are those boxes zero-padded, bit for bit
+        system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
+        f = CoeffFn.random(system.alpha, 16, seed=1, complex_valued=complex_valued)
+        coeffs = analyze(system, f)
+        assert [b.shape for b in coeffs._boxes] == [(4,) * 3, (14,) * 3, (52,) * 3, (123,) * 3]
+        for box, level, g in zip(coeffs._boxes, coeffs.levels, system.grids):
+            assert box.flags.c_contiguous and not box.flags.writeable and not level.flags.writeable
+            assert level.shape == (g.n_j,) * 3 and level.dtype == box.dtype == f.coeffs.dtype
+            padded = np.zeros(level.shape, dtype=level.dtype)
+            padded[box_slices(box.shape)] = box
+            assert np.array_equal(level.view(np.int64), padded.view(np.int64))
+        assert coeffs.levels is coeffs.levels  # built once, on first access
 
     @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0, 0.5, 1.0), DUAL),
                                               (4, (50.0,), DUAL), (4, (0.5, 0.5), TIGHT)])
@@ -580,14 +676,14 @@ class TestLiveBox:
                                               (3, (0.5, 0.5), DUAL)])
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_synthesize_reads_only_what_analyze_wrote(self, J, alpha, pair, complex_valued):
-        # the same levels without _live are folded on the whole synthesis box, whose
+        # the same levels as whole boxes are folded on the whole synthesis box, whose
         # extra nodes hold zeros: only the GEMMs' summation order differs
         system = build_system(J, len(alpha), list(alpha), pair)
         for degree in (system.exact_degree(), system.max_degree()):
             f = CoeffFn.random(list(alpha), degree, seed=degree, complex_valued=complex_valued)
             coeffs = analyze(system, f)
             bare = NeedletCoeffs(coeffs.levels, coeffs.system_hash)
-            assert bare._live is None
+            assert [b.shape for b in bare._boxes] == [lv.shape for lv in coeffs.levels]
             got, want = synthesize(system, coeffs).coeffs, synthesize(system, bare).coeffs
             assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(coeffs.total_energy())
 
