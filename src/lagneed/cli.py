@@ -315,10 +315,11 @@ def cmd_norms(args) -> int:
     if args.space in ("f-seq", "b-seq"):
         coeffs = analyze(system, f)
         value = seq_for(coeffs)
-        for j in range(coeffs.level_count):
-            only = NeedletCoeffs(tuple(lv if k == j else np.zeros_like(lv)
-                                       for k, lv in enumerate(coeffs.levels)),
-                                 coeffs.system_hash)
+        empty = np.zeros((0,) * system.d, dtype=f.coeffs.dtype)
+        for j in range(coeffs.level_count):  # level j's box alone, every other level 0
+            only = NeedletCoeffs(tuple(box if k == j else empty
+                                       for k, box in enumerate(coeffs._boxes)),
+                                 coeffs.system_hash, coeffs._level_shapes())
             per_level.append(seq_for(only))
     elif args.space == "F-cont":
         value = F_norm_cont(f, params, system, system.J + 1)

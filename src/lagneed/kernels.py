@@ -76,13 +76,13 @@ def _filter_band(a_hat: CutoffSpec, scale: float) -> tuple[int, int]:
 
 
 def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,
-                    degrees: np.ndarray | None = None, start: int = 0) -> np.ndarray:
-    """block * a(|nu|/scale) for a coefficient block indexed from nu = (start, .., start);
-    ``degrees`` is the block's total-degree grid counted from that corner, built here
-    when None."""
-    w = _cached_weights(a_hat, scale, sum(block.shape) + block.ndim * (start - 1))
+                    degrees: np.ndarray | None = None, corner: int = 0) -> np.ndarray:
+    """block * a(|nu|/scale) for a coefficient block whose first entry has total degree
+    ``corner``; ``degrees`` is the block's total-degree grid counted from that entry,
+    built here when None."""
+    w = _cached_weights(a_hat, scale, corner + sum(block.shape) - block.ndim)
     grid = total_degree_grid(block.shape) if degrees is None else degrees
-    return block * w[block.ndim * start:][grid]
+    return block * w[corner:][grid]
 
 
 def _point(x, d):

@@ -13,9 +13,10 @@ product over axes except for its filter, so each level keeps per-axis node
 tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
 synthesis are one filter and one real matrix product per axis.  The analysis
 coefficients store values below the normal range (2.2e-308) as 0: subnormal
-operands slow those products severalfold.  The tables are trimmed at a
-Frobenius floor: each zeroes its entries below 2^-56 / sqrt(its size), which
-moves it by at most 2^-56 in the Frobenius norm.
+operands slow those products severalfold.  ``analyze`` clears a level of them
+only where an exponent bound from its input and the tables says one can occur.
+The tables are trimmed at a Frobenius floor: each zeroes its entries below
+2^-56 / sqrt(its size), which moves it by at most 2^-56 in the Frobenius norm.
 
 Each level's products run on its live box only (``_live_box``): the table rows
 of the degrees where the level filter is nonzero, and per axis the first K
@@ -26,6 +27,9 @@ levels are exactly 0 outside the box, so ``NeedletCoeffs`` stores each level
 as its box, a leading block with the level's shape kept beside it, and
 ``synthesize`` of analysis output reads only the nodes that ``analyze``
 wrote.  The dense ``levels`` are built from the boxes on first access.
+``synthesize`` folds each level's first axis once and the others in blocks of
+first-axis degree, each cut to the total-degree simplex that the level filter
+and the degree cap 4^J leave.
 
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
@@ -45,7 +49,7 @@ from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _flush_subnormal, _fold)
+                      _TINY, _flush_subnormal, _fold)
 from .quadrature import CubatureGrid, cubature_grid
 from .kernels import (cutoff_weights, _filter_band, _filter_degrees, _filtered_sum, _level_scale,
                       _top_degree)
@@ -64,6 +68,7 @@ __all__ = [
 TABLE_BYTES_CAP = 2 << 30
 _REACH_CHUNK = 1 << 18  # table entries per boolean chunk of _reach
 _TABLE_TRIM = 2.0 ** -56  # Frobenius norm bound of the entries trimmed from one table
+_SYNTH_BLOCKS = 6  # blocks of first-axis degree in which synthesize folds a level, d >= 2
 
 
 @dataclass
@@ -397,6 +402,19 @@ def _live_box(system: NeedletSystem, j: int, cut, cap: int):
     return None if rows is None else (rows, tuple(int(r[rows.stop - 1]) for r in system._reach[j]))
 
 
+def _may_be_subnormal(block: np.ndarray, tabs) -> bool:
+    """False when no entry of ``_fold(block, rows of tabs)`` can be subnormal (see
+    ``analyze``): the block's least nonzero finite |component| beta and each table's
+    trim floor tau_l give 2^P, P = (e(beta) - 52) + sum_l (e(tau_l) - 52) with e the
+    binary exponent, of which every entry is a multiple, and P >= -1022."""
+    parts = np.abs(block.view(float) if np.iscomplexobj(block) else block)
+    beta = float(np.min(parts, where=parts > 0, initial=math.inf))
+    if not math.isfinite(beta):
+        return True
+    floors = (max(_TINY, _TABLE_TRIM / math.sqrt(tab.size)) for tab in tabs)
+    return sum(math.frexp(x)[1] - 53 for x in (beta, *floors)) < -1022
+
+
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     """Needlet coefficients <f, phi_xi> for every level and node.
 
@@ -408,6 +426,19 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     level moves by at most d 2^-56 max|a| ||f|| times prod_l ||T_l||_2: each axis's
     trimmed part has Frobenius norm at most 2^-56, and the cubature's exactness
     keeps each ||T_l||_2 <= 1 + 1e-10.
+
+    A level is flushed of subnormals (``_flush_subnormal``) only when one can occur.
+    Every nonzero double x is an integer multiple of 2^(e(x) - 52), e(x) = floor(log2
+    |x|), and so of 2^(e(beta) - 52) for the filtered block's least nonzero |component|
+    beta, and of 2^(e(tau_l) - 52) for axis l's table, whose nonzero entries are at
+    least its trim floor tau_l = max(tiny, 2^-56 / sqrt(size)).  Products and sums of
+    multiples of powers of two are multiples of their product or of the smaller one,
+    and rounding to a double keeps that while the power is at least 2^-1074.  So every
+    level entry is a multiple of 2^P, P = (e(beta) - 52) + sum_l (e(tau_l) - 52), and
+    each partial fold of one of 2^P or more.  When P >= -1022 every nonzero entry is
+    normal and the flush is skipped.  The fold's sums start from +0, so it yields no
+    -0.0 for the flush to turn into +0.0 either: the level is the same bit for bit.
+    A NaN or inf in the block makes every entry NaN or inf.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
@@ -422,9 +453,11 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
         else:
             rows, K = box
             block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
-                                    _level_scale(j), start=rows.start)
-            level = _flush_subnormal(_fold(block, [tab[rows, :k]
-                                                   for tab, k in zip(system.tables[j], K)]))
+                                    _level_scale(j), corner=f.d * rows.start)
+            tabs = system.tables[j]
+            level = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
+            if _may_be_subnormal(block, tabs):
+                _flush_subnormal(level)
         level.flags.writeable = False
         boxes.append(level)
     return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids))
@@ -448,25 +481,46 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     enters only through its live box (see ``_live_box``), cut further to the level's
     stored box, since the level is 0 beyond it.
 
+    The level filter b(|nu|/4^(j-1)) and the degree cap 4^J keep only the nu with
+    |nu| <= top = min(hi, 4^J), hi the filter's last nonzero degree: a simplex, not
+    the cube of the box's rows r0..r1.  So the first axis is folded once, its nodes
+    becoming the rows r0..r1, and the others in blocks of that first degree: in the
+    block from nu_0 = a, each later axis keeps only its rows up to
+    top - a - (d-2) r0, and its nodes up to their reach there.  Only that region is
+    filtered and added.  In d = 1 there is one block, the whole box.
+
     The trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
     below the GEMM rounding gamma_k |T| |h| that the product carries anyway."""
     boxes = _system_levels(coeffs, system)
-    n_out, cut = system.max_degree(), system.pair.b_hat
-    out = np.zeros((n_out + 1,) * system.d, dtype=np.result_type(float, *boxes))
+    d, n_out, cut = system.d, system.max_degree(), system.pair.b_hat
+    out = np.zeros((n_out + 1,) * d, dtype=np.result_type(float, *boxes))
     for j, level in enumerate(boxes):
         box = _live_box(system, j, cut, n_out)
-        if box is None:
+        if box is None or not level.size:
             continue
         rows, K = box
         K = tuple(map(min, K, level.shape))
-        block = _fold(level[tuple(slice(0, k) for k in K)],
-                      [tab[rows, :k].T for tab, k in zip(system.tables[j], K)])
-        degrees = total_degree_grid(block.shape)
-        out[(rows,) * system.d] += _filter_degrees(block, cut, _level_scale(j), degrees,
-                                                   rows.start)
-    # total degrees above 4^J arise only in d >= 2, where the boxes start at 0 and grow
-    # with j, so the last box holds every entry written
-    out[(rows,) * system.d][degrees > n_out - system.d * rows.start] = 0.0
+        tabs, reach, r0 = system.tables[j], system._reach[j], rows.start
+        scale = _level_scale(j)
+        hi = _filter_band(cut, scale)[1]
+        top = min(hi, n_out)
+        first = _fold(level[tuple(slice(0, k) for k in K)],
+                      [tabs[0][rows, :K[0]].T] + [None] * (d - 1))
+        step = -(-len(first) // (1 if d == 1 else _SYNTH_BLOCKS))
+        for a in range(r0, rows.stop, step):
+            b = min(a + step, rows.stop)
+            end = min(rows.stop, top - a - (d - 2) * r0 + 1)  # the later axes' row stop
+            if end <= r0:
+                break
+            nodes = [min(k, int(r[end - 1])) for k, r in zip(K[1:], reach[1:])]
+            part = _fold(first[(slice(a - r0, b - r0),) + tuple(slice(0, k) for k in nodes)],
+                         [None] + [tab[r0:end, :k].T for tab, k in zip(tabs[1:], nodes)])
+            corner = a + (d - 1) * r0
+            degrees = total_degree_grid(part.shape)
+            part = _filter_degrees(part, cut, scale, degrees, corner)
+            if n_out < min(hi, corner + sum(part.shape) - d):  # 4^J clips the band here
+                part[degrees > n_out - corner] = 0.0
+            out[(slice(a, b),) + (slice(r0, end),) * (d - 1)] += part
     return CoeffFn._unchecked(system.alpha, n_out, out)
 
 

@@ -364,7 +364,8 @@ def _band_values(f: CoeffFn, rho: float, system: NeedletSystem, xis, tables, shi
         rows = _band_rows(f.d, cut, j, f.max_degree)
         if rows is None:
             continue
-        block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j), start=rows.start)
+        block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j),
+                                corner=f.d * rows.start)
         mats = [_flush_subnormal(np.ldexp(t[rows], e) * w) for t, e, w in
                 zip(tables, [-shift] + [0] * (f.d - 1),
                     _axis_weight_powers(xis, system.alpha, j, rho))]

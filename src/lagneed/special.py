@@ -374,21 +374,24 @@ def _fold(tensor, mats):
     throughout.  A complex tensor that meets only real matrices is folded the
     same way as its float view, whose trailing (re, im) axis no matrix meets
     (post = 2 on the last matrix's axis), so no matrix is cast to complex; a
-    complex matrix meets the tensor as it is.  The result is a new C-contiguous
-    array.
+    complex matrix meets the tensor as it is.  A ``None`` matrix leaves its axis
+    as it is.  The result is a new C-contiguous array unless every matrix is
+    ``None``.
     """
-    if np.iscomplexobj(tensor) and not any(np.iscomplexobj(m) for m in mats):
+    if np.iscomplexobj(tensor) and not any(m is not None and np.iscomplexobj(m) for m in mats):
         tensor = np.ascontiguousarray(tensor, dtype=complex)
         return _fold(tensor.view(float).reshape(tensor.shape + (2,)), mats).view(complex)[..., 0]
     dims = list(np.shape(tensor))
     for i, m in enumerate(mats):
+        if m is None:
+            continue
         k = len(m)
         if i == len(dims) - 1:
             tensor = np.matmul(tensor.reshape(*dims[:i], k), m)
         else:
             tensor = np.matmul(m.T, tensor.reshape(*dims[:i], k, math.prod(dims[i + 1:])))
         dims[i] = m.shape[1]
-    return tensor
+    return tensor.reshape(dims)
 
 
 def _flush_subnormal(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:

@@ -20,8 +20,9 @@ from lagneed.cli import (
     system_from_config,
 )
 from lagneed.cutoffs import CutoffPair, make_cutoff
-from lagneed.needlets import CoeffFn, analyze, frame_bounds, synthesize
-from lagneed.spaces import B_norm_cont, F_norm_cont, NormParams, f_norm_seq, make_test_corpus
+from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, frame_bounds, synthesize
+from lagneed.spaces import (B_norm_cont, F_norm_cont, NormParams, b_norm_seq, f_norm_seq,
+                            make_test_corpus)
 
 
 def run_main(argv, capsys):
@@ -457,6 +458,32 @@ class TestNorms:
                                  str(coeff_file)], capsys)
         assert code == 0
         assert json.loads(out)["norm"] > 0
+
+    @pytest.mark.parametrize("space,norm", [("f-seq", f_norm_seq), ("b-seq", b_norm_seq)])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_per_level_norms_in_3d(self, capsys, tmp_path, space, norm, complex_valued):
+        # each level's norm is taken on its stored box with empty boxes elsewhere; the
+        # payload is byte for byte the one from dense levels with zero levels elsewhere
+        cfg = tmp_path / "system.cfg"
+        cfg.write_text("alpha=0,0.5,1\nd=3\nJ=2\ntight=false\n")
+        f = CoeffFn.random([0.0, 0.5, 1.0], 16, seed=4, complex_valued=complex_valued)
+        coeff_file = tmp_path / "f.json"
+        coeff_file.write_text(json.dumps(f.to_json_dict()))
+        code, out, _ = run_main(["norms", "--space", space, "--s", "0.5", "--rho", "0.5",
+                                 "--p", "1.5", "--q", "3", "--system", str(cfg), "--input",
+                                 str(coeff_file)], capsys)
+        assert code == 0
+        system = system_from_config(load_config(str(cfg)))
+        params = NormParams(0.5, 0.5, 1.5, 3.0)
+        coeffs = analyze(system, CoeffFn.from_json_dict(json.loads(coeff_file.read_text())))
+        dense = coeffs.levels
+        per_level = [norm(NeedletCoeffs(tuple(lv if k == j else np.zeros_like(lv)
+                                              for k, lv in enumerate(dense)), system.hash),
+                          params, system) for j in range(len(dense))]
+        assert sum(v > 0 for v in per_level) == 3
+        want = {"space": space, "norm": norm(coeffs, params, system), "per_level": per_level,
+                "params": {"s": 0.5, "rho": 0.5, "p": 1.5, "q": 3.0}}
+        assert out == canonical_json(want) + "\n"
 
     @pytest.mark.parametrize("space,norm", [("F-cont", F_norm_cont), ("B-cont", B_norm_cont)])
     def test_continuous_norms_at_level_J_plus_1(self, capsys, tmp_path, system_config,

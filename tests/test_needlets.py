@@ -18,7 +18,7 @@ from lagneed.needlets import (
     synthesize,
     total_degree_grid,
 )
-from lagneed.kernels import _filter_degrees, _level_scale, cutoff_weights
+from lagneed.kernels import _filter_band, _filter_degrees, _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
 from lagneed.special import _flush_subnormal, _fold
@@ -390,6 +390,16 @@ class TestTransformMemory:
         assert box_bytes < 20 << 20
         assert traced_peak(analyze, system, f) < 1.3 * box_bytes
 
+    def test_wide_3d_synthesize_peaks_near_its_first_fold(self):
+        # J = 3, d = 3 dual, degree 16: level 3's first axis is folded once into 64 rows
+        # by 123^2 nodes (7.4 MB), and the later axes only on the simplex, in blocks; the
+        # output is 65^3 doubles (2.1 MB).  A fold of the whole cube peaked at 13.4 MB.
+        system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
+        coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=3))
+        first_bytes, out_bytes = 64 * 123 ** 2 * 8, 65 ** 3 * 8
+        assert coeffs._boxes[3].shape == (123,) * 3
+        assert traced_peak(synthesize, system, coeffs) < 1.25 * (first_bytes + out_bytes)
+
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_total_energy_is_the_sum_of_squares(self, complex_valued):
         system = build_system(3, 2, [0.5, 1.0], DUAL)
@@ -499,7 +509,9 @@ class TestNormalOrZero:
 
     @pytest.mark.parametrize("J,alpha,complex_valued", [(4, (0.5,), False), (3, (0.5, 0.5), False),
                                                         (3, (0.5, 0.5), True), (4, (0.5, 0.5), False),
-                                                        (4, (0.5, 0.5), True)])
+                                                        (4, (0.5, 0.5), True),
+                                                        (2, (0.0, 0.5, 1.0), False),
+                                                        (2, (0.0, 0.5, 1.0), True)])
     def test_tables_and_levels(self, J, alpha, complex_valued):
         # at J = 4, d = 2 the level-4 box is a strided view of the level; the trimmed
         # tables no longer make subnormal products from a unit-norm f, so f is
@@ -513,9 +525,40 @@ class TestNormalOrZero:
         # the flush does find work: the unflushed top level holds subnormals
         rows = needlets._band_rows(system.d, system.pair.a_hat, J, f.max_degree)
         block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat, _level_scale(J),
-                                start=rows.start)
+                                corner=f.d * rows.start)
         raw = _fold(block, [tab[rows] for tab in system.tables[J]])
         assert subnormal_count(raw.view(float)) > 0
+
+    @pytest.mark.parametrize("J,d,alpha,pair", [(5, 1, (0.5,), TIGHT), (3, 3, (0.0, 0.5, 1.0), DUAL),
+                                                (3, 2, (0.5, 0.5), TIGHT), (3, 1, (0.5,), TIGHT)],
+                             ids=["deep-1d", "wide-3d", "norms-2d", "cli-report-1d"])
+    def test_skipped_flush_changes_nothing(self, J, d, alpha, pair):
+        # analyze skips the flush where its exponent bound rules subnormals out; there
+        # the unflushed level equals its flushed copy bit for bit, and analyze's level
+        # is that fold.  The bound holds for unit-norm f and fails for f 2^-1000.
+        # wide-3d runs at its workload degree only: at 4^J its level 3 is 209^3 nodes
+        system = build_system(J, d, list(alpha), pair)
+        degrees = (system.exact_degree(),) + ((system.max_degree(),) if d < 3 else ())
+        for degree in degrees:
+            for complex_valued in (False, True):
+                for scale in (1.0, 2.0 ** -600, 2.0 ** -1000):
+                    f = CoeffFn.random(list(alpha), degree, seed=degree,
+                                       complex_valued=complex_valued) * scale
+                    levels = analyze(system, f)._boxes
+                    for j, tabs in enumerate(system.tables):
+                        box = needlets._live_box(system, j, pair.a_hat, degree)
+                        if box is None:
+                            continue
+                        rows, K = box
+                        block = _filter_degrees(f.coeffs[(rows,) * d], pair.a_hat,
+                                                _level_scale(j), corner=d * rows.start)
+                        raw = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
+                        if needlets._may_be_subnormal(block, tabs):
+                            assert scale < 1.0
+                        else:
+                            assert scale > 2.0 ** -1000
+                            assert same_bits(raw, _flush_subnormal(raw.copy()))
+                            assert same_bits(levels[j], raw)
 
 
 def dense_analyze(system, f):
@@ -723,6 +766,53 @@ class TestLiveBox:
                 got = synthesize(system, NeedletCoeffs(tuple(levels), system.hash)).coeffs
                 assert np.array_equal(got, dense_synthesize(system, levels))
                 assert got.any()
+
+
+CLIPPED = CutoffPair(frame_default(), make_cutoff("type_b", u=0.25, v=4.0))  # b_hat up to 5
+
+
+class TestSimplexSynthesis:
+    """synthesize folds each level's later axes in blocks of first-axis degree, on the
+    total-degree simplex only: the same coefficients as the full-cube reference."""
+
+    @pytest.mark.parametrize("J,alpha", [(3, (0.5,)), (3, (0.5, 1.0)), (2, (0.0, 0.5, 1.0))],
+                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("pair", [TIGHT, DUAL, CLIPPED], ids=["tight", "dual", "clipped"])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_matches_dense_reference(self, J, alpha, pair, complex_valued):
+        # hand-built full levels, analysis output, and scale and add of those; with the
+        # clipped pair the top level's b_hat band runs past 4^J, which cuts it
+        system = build_system(J, len(alpha), list(alpha), pair)
+        n_out = system.max_degree()
+        assert (_filter_band(pair.b_hat, _level_scale(J))[1] > n_out) == (pair is CLIPPED)
+        rng = np.random.default_rng(J)
+        hand = NeedletCoeffs(tuple(
+            rng.standard_normal((g.n_j,) * system.d) + (1j * rng.standard_normal(
+                (g.n_j,) * system.d) if complex_valued else 0.0) for g in system.grids),
+            system.hash)
+        low, high = (analyze(system, CoeffFn.random(system.alpha, degree, seed=degree,
+                                                    complex_valued=complex_valued))
+                     for degree in (system.exact_degree(), n_out))
+        factor = 1.5 - 0.25j if complex_valued else -0.75
+        for coeffs in (hand, low, high, low.scale(factor), high.add(hand), low.add(high)):
+            got = synthesize(system, coeffs).coeffs
+            want = dense_synthesize(system, coeffs.levels)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert not got[total_degree_grid(got.shape) > n_out].any()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 5, 100])
+    def test_block_count_moves_only_rounding(self, monkeypatch, blocks):
+        # one block is the whole cube of the box's rows; more blocks than rows is one
+        # block per row
+        system = build_system(2, 3, [0.0, 0.5, 1.0], CLIPPED)
+        rng = np.random.default_rng(blocks)
+        coeffs = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 3) for g in system.grids),
+                               system.hash)
+        monkeypatch.setattr(needlets, "_SYNTH_BLOCKS", blocks)
+        got = synthesize(system, coeffs).coeffs
+        want = dense_synthesize(system, coeffs.levels)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestRealDtype:

@@ -356,6 +356,25 @@ class TestFoldInPlace:
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_none_leaves_an_axis(self, d, kind):
+        # synthesize folds only the first axis, then the others with the first left
+        # alone; a None axis folds as the identity, on a strided tensor as well
+        rng = np.random.default_rng([d, len(kind), 5])
+        n_in, n_out = [7, 5, 3, 6][:d], [4, 9, 11, 2][:d]
+        mats = draw_mats(rng, n_in, n_out, 1)
+        tensor = rng.standard_normal([2 * n for n in n_in])
+        if kind == "complex":
+            tensor = tensor + 1j * rng.standard_normal(tensor.shape)
+        tensor = tensor[(slice(None, None, 2),) * d]
+        for keep in [(0,), tuple(range(1, d)), tuple(range(d))]:
+            got = _fold(tensor, [None if i in keep else m for i, m in enumerate(mats)])
+            want = einsum_fold(tensor, [np.eye(n) if i in keep else m
+                                        for i, (n, m) in enumerate(zip(n_in, mats))])
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("case", ["growing", "strided-last-axis"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_complex_into_a_box(self, d, case):
