@@ -11,6 +11,11 @@ the standard mollifier exp(-1/t).  Two families are provided:
 bounded away from zero on [1/3, 3]) into a pair (a, b) whose dilates by
 powers of 4 form an exact partition of unity on [1, inf), or into the tight
 normalization with b = a >= 0 and squared partition of unity.
+
+The paper asks of a cut-off only that it be C-infinity with the stated
+support, and every consumer (the filters, the companions, the partition
+residual and the frame operator) reads only its values, so a cut-off is its
+vectorized value function, its support and its parameters.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-
-from ._jets import jet_div, jet_mul, jet_rescale_arg, jet_sqrt, smoothstep_jet
 
 __all__ = [
     "CutoffSpec",
@@ -29,8 +32,6 @@ __all__ = [
     "frame_default",
     "frame_alt",
 ]
-
-DEFAULT_ORDER = 12
 
 
 def _smoothstep(u):
@@ -49,17 +50,14 @@ def _smoothstep(u):
 
 
 class CutoffSpec:
-    """A smooth cut-off with closed-form values and Taylor-jet derivatives."""
+    """A smooth cut-off, known by its closed-form values on [0, inf)."""
 
-    def __init__(self, kind, params, support, value_fn, jet_fn, *,
-                 nonneg=True, max_order=DEFAULT_ORDER):
+    def __init__(self, kind, params, support, value_fn, *, nonneg=True):
         self.kind = kind
         self.params = dict(params)
         self.support = (float(support[0]), float(support[1]))
         self.nonneg = bool(nonneg)
-        self.max_order = int(max_order)
         self._value_fn = value_fn
-        self._jet_fn = jet_fn
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -67,16 +65,6 @@ class CutoffSpec:
         if np.ndim(t) == 0:
             return float(vals)
         return vals
-
-    def jet(self, t: float, order: int | None = None) -> np.ndarray:
-        """Taylor coefficients [f, f', f''/2!, ...] at t, length order+1."""
-        k = self.max_order if order is None else int(order)
-        if k > self.max_order:
-            raise ValueError(f"jet order {k} exceeds available order {self.max_order}")
-        return self._jet_fn(float(t), k)
-
-    def derivative(self, t: float, order: int = 1) -> float:
-        return float(self.jet(t, order)[order] * math.factorial(order))
 
     def describe(self) -> str:
         items = ",".join(
@@ -94,12 +82,11 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
     kind="type_a": params v (>0).  Equal to 1 on [0,1], falls to 0 over [1, 1+v].
     kind="type_b": params u, v and optional ramp widths rise, fall.
         Rises from 0 at u over [u, u+rise], falls to 0 over [1+v-fall, 1+v].
-    kind="raw": params fn (callable), support=(lo, hi); optional jet_fn, name.
-        Without jet_fn, derivatives come from central finite differences.
+    kind="raw": params fn (callable), support=(lo, hi); optional name, nonneg.
     A parameter name the kind does not read is an error.
     """
     names = {"type_a": {"v"}, "type_b": {"u", "v", "rise", "fall"},
-             "raw": {"fn", "support", "name", "jet_fn", "nonneg"}}
+             "raw": {"fn", "support", "name", "nonneg"}}
     if kind not in names:
         raise ValueError(f"unknown cut-off kind {kind!r}")
     unknown = sorted(set(params) - names[kind])
@@ -113,12 +100,7 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
         def value(t):
             return np.where(t < 0.0, 0.0, 1.0 - _smoothstep((t - 1.0) / v))
 
-        def jet(t, k):
-            out = -jet_rescale_arg(smoothstep_jet((t - 1.0) / v, k), 1.0 / v)
-            out[0] += 1.0
-            return out
-
-        return CutoffSpec("type_a", {"v": v}, (0.0, 1.0 + v), value, jet)
+        return CutoffSpec("type_a", {"v": v}, (0.0, 1.0 + v), value)
 
     if kind == "type_b":
         u = float(params.get("u", 0.25))
@@ -134,50 +116,19 @@ def make_cutoff(kind: str, **params) -> CutoffSpec:
         def value(t):
             return _smoothstep((t - u) / rise) * (1.0 - _smoothstep((t - fall_start) / fall))
 
-        def jet(t, k):
-            up = jet_rescale_arg(smoothstep_jet((t - u) / rise, k), 1.0 / rise)
-            dn = -jet_rescale_arg(smoothstep_jet((t - fall_start) / fall, k), 1.0 / fall)
-            dn[0] += 1.0
-            return jet_mul(up, dn)
-
         return CutoffSpec("type_b", {"u": u, "v": v, "rise": rise, "fall": fall},
-                          (u, 1.0 + v), value, jet)
+                          (u, 1.0 + v), value)
 
     # kind == "raw"
     fn = params["fn"]
     support = params["support"]
     name = params.get("name", "anonymous")
-    jet_fn = params.get("jet_fn")
 
     def value(t):
         return np.asarray(fn(t), dtype=float)
 
-    if jet_fn is None:
-        def jet(t, k, _fn=fn):
-            # finite-difference fallback; adequate for diagnostics only
-            out = np.zeros(k + 1)
-            out[0] = float(_fn(t))
-            h = 1e-3
-            for order in range(1, k + 1):
-                pts = np.arange(-order, order + 1)
-                w = _fd_weights(pts, order)
-                out[order] = float(np.dot(w, [_fn(t + p * h) for p in pts])) / (
-                    h ** order * math.factorial(order))
-            return out
-    else:
-        jet = jet_fn
-
-    return CutoffSpec("raw", {"name": name}, support, value, jet,
+    return CutoffSpec("raw", {"name": name}, support, value,
                       nonneg=bool(params.get("nonneg", False)))
-
-
-def _fd_weights(points: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for the given derivative order on integer points."""
-    n = len(points)
-    A = np.vander(points, n, increasing=True).T.astype(float)
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(A, rhs)
 
 
 def frame_default() -> CutoffSpec:
@@ -212,16 +163,6 @@ class CutoffPair:
         return float(np.max(np.abs(acc - 1.0)))
 
 
-def _dilation_hits(spec: CutoffSpec, t: float):
-    """Integer m with 4^m * t inside the open support of spec."""
-    lo, hi = spec.support
-    if t <= 0.0:
-        return []
-    m_lo = math.floor(math.log(lo / t, 4.0)) if lo > 0 else -60
-    m_hi = math.ceil(math.log(hi / t, 4.0))
-    return [m for m in range(m_lo - 1, m_hi + 2) if lo < (4.0 ** m) * t < hi]
-
-
 def _dilation_sum_sq(spec: CutoffSpec, t):
     """D(t) = sum_{m in Z} a(4^m t)^2, vectorized (finitely many terms)."""
     t = np.asarray(t, dtype=float)
@@ -235,15 +176,6 @@ def _dilation_sum_sq(spec: CutoffSpec, t):
     for m in range(m_lo, m_hi + 1):
         vals = spec(np.where(t > 0.0, t * 4.0 ** m, -1.0))
         acc += np.square(vals)
-    return acc
-
-
-def _dilation_sum_sq_jet(spec: CutoffSpec, t: float, order: int) -> np.ndarray:
-    acc = np.zeros(order + 1)
-    for m in _dilation_hits(spec, t):
-        s = 4.0 ** m
-        aj = spec.jet(s * t, order)
-        acc += jet_rescale_arg(jet_mul(aj, aj), s)
     return acc
 
 
@@ -275,7 +207,7 @@ def make_dual_pair(a_hat: CutoffSpec, tight: bool = False) -> CutoffPair:
         return CutoffPair(a_hat, a_hat, tight=True)
 
     # the companion is a / sqrt(D) (tight, on both sides) or b = a / D (dual)
-    root, jet_root = (np.sqrt, jet_sqrt) if tight else (lambda d: d, lambda d: d)
+    root = np.sqrt if tight else (lambda d: d)
     sup = a_hat.support
 
     def value(t, _a=a_hat):
@@ -284,11 +216,6 @@ def make_dual_pair(a_hat: CutoffSpec, tight: bool = False) -> CutoffPair:
         d = _dilation_sum_sq(_a, np.where(inside, t, 1.0))
         return np.where(inside, _a(t) / root(d), 0.0)
 
-    def jet(t, k, _a=a_hat):
-        if not (sup[0] < t < sup[1]):
-            return np.zeros(k + 1)
-        return jet_div(_a.jet(t, k), jet_root(_dilation_sum_sq_jet(_a, t, k)))
-
     companion = CutoffSpec(("tight_of_" if tight else "dual_of_") + a_hat.kind, a_hat.params,
-                           sup, value, jet, nonneg=a_hat.nonneg, max_order=a_hat.max_order)
+                           sup, value, nonneg=a_hat.nonneg)
     return CutoffPair(companion if tight else a_hat, companion, tight=tight)

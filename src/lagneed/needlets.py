@@ -50,7 +50,7 @@ from numpy.random import default_rng
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
                       _TINY, _flush_subnormal, _fold)
-from .quadrature import CubatureGrid, cubature_grid
+from .quadrature import CubatureGrid, cubature_grid, level_node_count
 from .kernels import (cutoff_weights, _filter_band, _filter_degrees, _filtered_sum, _level_scale,
                       _top_degree)
 
@@ -274,11 +274,7 @@ class NeedletSystem:
         self.c_star = float(c_star)
         self.grids = list(grids)
         self.hash = self._compute_hash()
-
-        need = sum(d * g.n_j * (self.band_degree(j) + 1) * 8
-                   for j, g in enumerate(self.grids))
-        if need > TABLE_BYTES_CAP:
-            raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
+        _check_table_bytes(self.J, self.d, pair, self.delta, self.c_star)
         # per level, per axis: the atoms' factors c_k^(1/2) F_m(xi_k), degree m
         # by node k, trimmed at the Frobenius floor _TABLE_TRIM / sqrt(size);
         # read-only, shared by every analyze/synthesize call
@@ -327,6 +323,16 @@ class NeedletSystem:
         return float(np.prod([g.axis_c[ax][v] for ax, v in enumerate(gamma)]))
 
 
+def _check_table_bytes(J: int, d: int, pair: CutoffPair, delta: float, c_star: float):
+    """Refuse, with ResourceWarning, a system whose node tables (per level, d tables
+    of n_j nodes by band degree + 1 doubles) would pass TABLE_BYTES_CAP; reads only
+    the node counts, so it runs before any rule is built."""
+    need = sum(d * level_node_count(j, delta, c_star)
+               * (_top_degree(pair.a_hat, _level_scale(j)) + 1) * 8 for j in range(J + 1))
+    if need > TABLE_BYTES_CAP:
+        raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
+
+
 def _reach(tab: np.ndarray) -> np.ndarray:
     """Read-only reach[m] = 1 + the last node k with tab[r, k] != 0 for some row r <= m
     (0 if there is none): in rows 0..m, the columns from reach[m] on hold only zeros.
@@ -351,6 +357,7 @@ def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
+    _check_table_bytes(J, d, pair, delta, c_star)
     grids = [cubature_grid(j, d, av, delta, c_star) for j in range(J + 1)]
     system = NeedletSystem(J, d, av, pair, delta, c_star, grids)
     _spot_check_exactness(system)

@@ -395,37 +395,32 @@ def _fold(tensor, mats):
 
 
 def _flush_subnormal(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Set the entries of a float or complex array with |x| < max(tiny, floor) to 0,
-    in place, tiny = 2.2e-308 being the bottom of the normal range; returns ``arr``.
-    The array may be a strided view, such as a box of a larger array; a complex one
-    goes through its float view with a trailing (re, im) axis.
+    """Set the entries of a C- or F-contiguous float or complex array with
+    |x| < max(tiny, floor) to 0, in place, tiny = 2.2e-308 being the bottom of the
+    normal range; returns ``arr``.  Any other layout is refused with ValueError,
+    as it could only be flushed as a copy.
 
     Dense products slow down severalfold on subnormal operands, and damped
     Laguerre values and needlet coefficients hold many of them, so a needlet
     GEMM should see only normal numbers and zeros; results change only by
     terms under tiny.  A floor above tiny trims the array: zeroing n entries
     below it moves the array by at most floor * sqrt(n) in the Frobenius norm.
-    The pass runs over slabs of the leading axes, in chunks of at most
-    _FLUSH_CHUNK entries with two boolean masks, so it needs no float
-    temporary and nothing of the array's size.
+    The pass runs over the array's memory as one flat float view (a complex
+    entry is two floats), in chunks of _FLUSH_CHUNK entries with two boolean
+    masks, so it needs no float temporary and nothing of the array's size.
     """
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        raise ValueError("only a C- or F-contiguous array is flushed in place")
     floor = max(_TINY, floor)
-    parts = arr.T if arr.flags.f_contiguous and not arr.flags.c_contiguous else arr
-    parts = np.atleast_1d(parts[..., None].view(float) if np.iscomplexobj(parts) else parts)
-    lead = 0  # slabs parts[idx], idx over the first lead axes, whose rows fit a chunk
-    while math.prod(parts.shape[lead + 1:]) > _FLUSH_CHUNK:
-        lead += 1
-    step = _FLUSH_CHUNK // max(1, math.prod(parts.shape[lead + 1:]))
-    low = np.empty(min(parts.size, _FLUSH_CHUNK), dtype=bool)
+    flat = arr.ravel(order="K")
+    flat = flat.view(float) if np.iscomplexobj(flat) else flat
+    low = np.empty(min(flat.size, _FLUSH_CHUNK), dtype=bool)
     high = np.empty_like(low)
-    for idx in np.ndindex(parts.shape[:lead]):
-        slab = parts[idx]
-        for start in range(0, len(slab), step):
-            part = slab[start: start + step]
-            lo, hi = (m[: part.size].reshape(part.shape) for m in (low, high))
-            np.logical_and(np.less(part, floor, out=lo), np.greater(part, -floor, out=hi),
-                           out=lo)
-            np.copyto(part, 0.0, where=lo)
+    for start in range(0, flat.size, _FLUSH_CHUNK):
+        part = flat[start: start + _FLUSH_CHUNK]
+        lo, hi = low[: part.size], high[: part.size]
+        np.logical_and(np.less(part, floor, out=lo), np.greater(part, -floor, out=hi), out=lo)
+        np.copyto(part, 0.0, where=lo)
     return arr
 
 

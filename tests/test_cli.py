@@ -230,6 +230,16 @@ class TestFrameVerify:
         fields = json.loads(err)
         assert fields["code"] == 2 and "frame operator" in fields["error"]
 
+    def test_tables_above_the_cap_are_refused(self, capsys, monkeypatch):
+        # refused from the node counts, before the n = 854019 rule of level 9 is built
+        monkeypatch.setattr(needlets, "cubature_grid",
+                            lambda *args: pytest.fail("a grid was built before the cap check"))
+        code, out, err = run_main(["frame-verify", "--J", "9", "--d", "1", "--alpha", "0.5"],
+                                  capsys)
+        assert code == 2 and out == ""
+        fields = json.loads(err)
+        assert fields["code"] == 2 and "node tables would need" in fields["error"]
+
     def test_deterministic_output(self, capsys):
         args = ["frame-verify", "--J", "1", "--d", "1", "--alpha", "0.5"]
         _, out1, _ = run_main(args, capsys)

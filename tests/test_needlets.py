@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lagneed import needlets
+from lagneed import needlets, quadrature
 from lagneed.cutoffs import CutoffPair, frame_default, make_cutoff, make_dual_pair
 from lagneed.needlets import (
     CoeffFn,
@@ -108,6 +108,20 @@ class TestBuildSystem:
         monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", 1000)
         with pytest.raises(ResourceWarning, match="above the cap"):
             small_system(J=2)
+
+    def test_table_cap_refuses_before_any_rule(self, monkeypatch):
+        # J = 9: n_9 = 854019 nodes; refused from the node counts, no rule built
+        # (a grid asked for fails at once rather than spend hours on the rules)
+        monkeypatch.setattr(needlets, "cubature_grid",
+                            lambda *args: pytest.fail("a grid was built before the cap check"))
+        pair = make_dual_pair(frame_default(), tight=True)
+        need = sum(level_node_count(j) * (math.floor(4.0 * _level_scale(j)) + 1) * 8
+                   for j in range(10))
+        misses = quadrature._gauss_laguerre_cached.cache_info().misses
+        with pytest.raises(ResourceWarning) as exc:
+            build_system(9, 1, [0.5], pair)
+        assert str(exc.value) == f"node tables would need {need} bytes, above the cap"
+        assert quadrature._gauss_laguerre_cached.cache_info().misses == misses
 
     def test_alpha_dimension_mismatch(self):
         with pytest.raises(ValueError):

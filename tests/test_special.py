@@ -428,30 +428,32 @@ class TestFlushSubnormal:
         _flush_subnormal(arr)
         assert np.isnan(arr[0]) and arr[1:].tolist() == [0.0, 1.0]
 
-    @pytest.mark.parametrize("shape,box", [
-        ((4, 4), np.s_[:3, :3]),
-        ((5000,), np.s_[1::3]),
-        ((3, 300, 300), np.s_[:, :250, 7:207]),  # rows of 50000 entries: slabs of a slab
-        ((40, 30, 20), np.s_[2:37, ::-2, 3:]),
-    ])
+    @pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 300, 300), (40, 30, 20)])
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_strided_view_in_place(self, shape, box, dtype):
-        # a box of a larger array is flushed where it lies, as a copy of it would be,
-        # and the entries outside it stay as they were
-        def bits(x):
-            return np.ascontiguousarray(x).view(np.int64)
-
-        arr = self.values(math.prod(shape), 3).reshape(shape)
+    def test_contiguous_in_place(self, shape, order, dtype):
+        # flushed where it lies, each float (a complex entry's two) on its own;
+        # (3, 300, 300) spans several chunks
+        arr = self.values(math.prod(shape), 3)
         if dtype is complex:
-            arr = arr + 1j * self.values(arr.size, 4).reshape(shape)
+            arr = arr + 1j * self.values(arr.size, 4)
+        want = arr.copy().reshape(shape, order=order)
+        for part in (want.real, want.imag) if dtype is complex else (want,):
+            part[np.abs(part) < self.TINY] = 0.0
+        arr = np.asarray(arr.reshape(shape, order=order), order=order)
+        assert arr.flags[f"{order}_CONTIGUOUS"]
+        assert _flush_subnormal(arr) is arr
+        assert np.array_equal(np.ascontiguousarray(arr).view(np.int64),
+                              np.ascontiguousarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("box", [np.s_[:3, :3], np.s_[::2], np.s_[:, 1], np.s_[::-1]])
+    def test_refuses_other_layouts(self, box):
+        # any other layout could only be flushed as a copy: refused, left as it was
+        arr = self.values(20, 5).reshape(4, 5)
         before = arr.copy()
-        want = _flush_subnormal(arr[box].copy())
-        view = arr[box]
-        assert _flush_subnormal(view) is view
-        assert np.array_equal(bits(arr[box]), bits(want))
-        outside = np.ones(shape, dtype=bool)
-        outside[box] = False
-        assert np.array_equal(bits(arr[outside]), bits(before[outside]))
+        with pytest.raises(ValueError, match="contiguous"):
+            _flush_subnormal(arr[box])
+        assert np.array_equal(arr.view(np.int64), before.view(np.int64))
 
     def test_floor(self):
         # entries below a floor above tiny are trimmed as well, the floor itself kept
