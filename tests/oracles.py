@@ -1,15 +1,20 @@
 """Reference evaluations that only the tests read: a raw Laguerre polynomial,
 cubature sums over a flattened grid, the filtered kernel summed directly
 over one Laguerre-function family, a level's amplitudes laid out on the
-cells of the sequence F-norm by an open-mesh index, and needlet levels from
-whole node tables, trimmed or not."""
+cells of the sequence F-norm by an open-mesh index, needlet levels from
+whole node tables, trimmed or not, and the continuous norms with every band
+part formed on all live integration nodes."""
 
 import math
 
 import numpy as np
 
-from lagneed.kernels import _kernel_weights, _level_scale, cutoff_weights
-from lagneed.special import _convolve_degrees, as_alpha, laguerre_fn_batch, total_degree_grid
+from lagneed.kernels import _filter_band, _filter_degrees, _kernel_weights, _level_scale, cutoff_weights
+from lagneed.needlets import _band_rows
+from lagneed.spaces import (_axis_weight_powers, _B_reduce, _coeff_shift, _F_reduce, _lp,
+                            _scaled_axes, _scaled_max)
+from lagneed.special import (_convolve_degrees, _flush_subnormal, _fold, as_alpha,
+                             laguerre_fn_batch, total_degree_grid)
 
 
 def laguerre_poly(n: int, alpha: float, x: float) -> float:
@@ -98,3 +103,32 @@ def dense_levels(system, f, tables) -> list[np.ndarray]:
             level = np.einsum("m...,mk->...k", level, tab[: cap + 1], optimize=True)
         levels.append(level)
     return levels
+
+
+def live_node_cont_norms(f, params, system, level):
+    """(F, B) continuous norms, F None at p = inf, with every band part formed on
+    all live nodes of ``spaces._scaled_axes`` and no box: the norms' arithmetic
+    on the whole live grid, so a norm whose box is not certified returns these
+    bits.  The levels are formed one at a time, once for each norm."""
+    xis, tables, weights, exps = _scaled_axes(f, params.p, system, level)
+    shift, cut = _coeff_shift([f.coeffs]), system.pair.a_hat
+
+    def levels():
+        j = 0
+        while _filter_band(cut, _level_scale(j))[0] <= f.max_degree:
+            rows = _band_rows(f.d, cut, j, f.max_degree)
+            if rows is not None:
+                block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j),
+                                        corner=f.d * rows.start)
+                block = np.ldexp(block.real, -shift) + (1j * np.ldexp(block.imag, -shift)
+                                                        if np.iscomplexobj(block) else 0.0)
+                mats = [_flush_subnormal(t[rows] * w) for t, w in
+                        zip(tables, _axis_weight_powers(xis, system.alpha, j, params.rho))]
+                yield j, np.abs(_fold(block, mats))
+            j += 1
+
+    F = None if params.p_inf else math.ldexp(
+        _F_reduce(levels(), weights, params) ** (1.0 / params.p), shift)
+    norms = [(j, _scaled_max(g, exps) if params.p_inf else _lp(g, weights, params.p))
+             for j, g in levels()]
+    return F, math.ldexp(_B_reduce(norms, params), shift)

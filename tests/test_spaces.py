@@ -29,9 +29,10 @@ from lagneed.spaces import (
     _lp,
     _normal_pow,
     _on_cells,
+    _Bands,
     _scaled_axes,
 )
-from oracles import cells_by_open_mesh
+from oracles import cells_by_open_mesh, live_node_cont_norms
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -461,6 +462,35 @@ class TestUnderflow:
                         # pass any value near 0 for small c
                         assert scaled / c == pytest.approx(plain, rel=1e-12)
 
+    @pytest.mark.parametrize("e", [1000, -1000])
+    def test_continuous_norms_scale_exactly_by_extreme_powers_of_two(self, system_2d, e):
+        # 2^(-shift) rides on the filtered coefficient block, so no table entry is
+        # scaled, and none is flushed, by f's size: 2^e f has exactly 2^e times the norm
+        level = system_2d.J + 1
+        for complex_valued in (False, True):
+            f = CoeffFn.random(system_2d.alpha, 4, seed=4, complex_valued=complex_valued)
+            cf = CoeffFn(f.alpha, f.max_degree, f.coeffs * 2.0 ** e)
+            for norm, params in [(F_norm_cont, NormParams(0.0, 0.0, 2.0, 2.0)),
+                                 (B_norm_cont, NormParams(0.0, 0.0, 2.0, 2.0)),
+                                 (F_norm_cont, NormParams(0.0, 0.0, 0.5, 0.7)),
+                                 (B_norm_cont, NormParams(0.0, 0.0, 0.5, 0.7)),
+                                 (F_norm_cont, NormParams(0.5, 0.5, 1.5, 1.0)),
+                                 (B_norm_cont, NormParams(0.3, 0.2, math.inf, 2.0))]:
+                plain = norm(f, params, system_2d, level)
+                assert math.ldexp(norm(cf, params, system_2d, level), -e) == plain
+
+    @staticmethod
+    def traced_peak(norm, f, params, system, level):
+        want = norm(f, params, system, level)  # warm every cache first
+        tracemalloc.start()
+        try:
+            got = norm(f, params, system, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        return peak
+
     def test_continuous_norm_memory(self):
         # J=3 d=2 at integration level 4: the level values keep the (835, 835)
         # shape, and a norm holds at most the accumulator, one level and masks
@@ -471,15 +501,101 @@ class TestUnderflow:
                                     (F_norm_cont, NormParams(1.0, 1.0, 2.0, math.inf), 3.5),
                                     (B_norm_cont, NormParams(0.0, 0.0, 3.0, math.inf), 2.5),
                                     (B_norm_cont, NormParams(0.5, 0.5, 0.5, 2.0), 2.5)]:
-            want = norm(f, params, sys_, 4)  # warm every cache first
-            tracemalloc.start()
-            try:
-                got = norm(f, params, sys_, 4)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert got == want
+            peak = self.traced_peak(norm, f, params, sys_, 4)
             assert peak <= bound * n_d * 8, (norm.__name__, params, peak / (n_d * 8))
+
+    def test_continuous_norm_memory_in_box_points(self):
+        # the level arrays hold only the box's nodes: a norm holds at most the
+        # accumulator, one level and masks of the box's size (about twice as many
+        # floats for a complex f, whose levels are folded as complex), plus
+        # per-axis tables and factors
+        sys_ = build_system(3, 2, [0.5, 0.5], TIGHT)
+        real = make_test_corpus(sys_, count=20, seed=1)[-1]
+        for f, bound in [(real, 2.75), (CoeffFn(real.alpha, real.max_degree, real.coeffs * (1 + 0.5j)), 4.75)]:
+            for norm, params in [(F_norm_cont, NormParams(0.5, 0.5, 1.5, 1.0)),
+                                 (F_norm_cont, NormParams(1.0, 1.0, 2.0, math.inf)),
+                                 (F_norm_cont, NormParams(0.0, 0.0, 0.5, 0.5)),
+                                 (B_norm_cont, NormParams(0.0, 0.0, 3.0, math.inf)),
+                                 (B_norm_cont, NormParams(0.5, 0.5, 0.5, 2.0)),
+                                 (B_norm_cont, NormParams(0.0, 0.0, math.inf, 2.0))]:
+                box = math.prod(_Bands(f, params, sys_, 4).box)
+                peak = self.traced_peak(norm, f, params, sys_, 4)
+                assert peak <= bound * box * 8, (norm.__name__, params, peak / (box * 8))
+
+
+class TestBox:
+    """The continuous norms form their band parts only on a box of the live nodes,
+    certified after the sums; the oracle forms them on every live node."""
+
+    @pytest.fixture()
+    def boxes(self, monkeypatch):
+        """Per ``_Bands.levels`` call, whether it ran on every live node."""
+        seen, levels = [], _Bands.levels
+
+        def spy(self, box):
+            seen.append(box == self.live)
+            return levels(self, box)
+
+        monkeypatch.setattr(_Bands, "levels", spy)
+        return seen
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_live_node_oracle(self, cache_systems, boxes, d, p):
+        # within 2^-50 of the oracle, and at p = inf a certified max is the oracle's max
+        system = cache_systems[d]
+        level = system.J + 1
+        fns = make_test_corpus(system, count=6, seed=d) + [
+            CoeffFn.random(system.alpha, system.exact_degree(), seed=d, complex_valued=True)]
+        for q, s, rho in [(0.5, 0.5, -0.5), (2.0, -0.3, 0.7), (math.inf, 1.0, 0.4)]:
+            params = NormParams(s, rho, p, q)
+            for f in fns:
+                want_F, want_B = live_node_cont_norms(f, params, system, level)
+                got_B = B_norm_cont(f, params, system, level)
+                if params.p_inf:
+                    assert bits(got_B) == bits(want_B)
+                else:
+                    assert got_B == pytest.approx(want_B, rel=2.0 ** -50, abs=0.0)
+                    got_F = F_norm_cont(f, params, system, level)
+                    assert got_F == pytest.approx(want_F, rel=2.0 ** -50, abs=0.0)
+        # some norm ran on a box smaller than the live nodes; at p = 0.5 the box of
+        # the level-2 grid in 3-D keeps all of its 53 nodes per axis
+        assert False in boxes or (d, p) == (3, 0.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uncertified_box_gives_the_oracle_bits(self, cache_systems, boxes, monkeypatch, d):
+        # a box that leaves out 2^-4 of each axis's bound fails its certificate, so
+        # the norm runs again on every live node and returns the oracle's bits
+        monkeypatch.setattr(spaces, "_BOX_TAIL", 2.0 ** -4)
+        system = cache_systems[d]
+        level = system.J + 1
+        for complex_valued in (False, True):
+            f = CoeffFn.random(system.alpha, system.exact_degree(), seed=5,
+                               complex_valued=complex_valued)
+            for params in (NormParams(0.5, 0.5, 1.5, 2.0), NormParams(0.0, 0.0, math.inf, 0.5),
+                           NormParams(1.0, -1.0, 0.5, math.inf)):
+                for norm, want in zip((F_norm_cont, B_norm_cont),
+                                      live_node_cont_norms(f, params, system, level)):
+                    if want is None:
+                        continue
+                    boxes.clear()
+                    assert bits(norm(f, params, system, level)) == bits(want)
+                    assert boxes == [False, True]
+
+    def test_norms_2d_box(self, boxes):
+        # the benchmark's system and parameter sets: every box is certified, and on
+        # each axis it keeps at most 0.6 of the live nodes
+        system = build_system(3, 2, [0.5, 0.5], TIGHT)
+        f = make_test_corpus(system, seed=0)[-1]
+        for norm, params in [(F_norm_cont, NormParams(0.0, 0.0, 2.0, 2.0)),
+                             (B_norm_cont, NormParams(0.0, 0.0, 3.0, math.inf)),
+                             (F_norm_cont, NormParams(1.0, 1.0, 2.0, 2.0)),
+                             (F_norm_cont, NormParams(0.5, 0.5, 1.5, 1.0))]:
+            bands = _Bands(f, params, system, 4)
+            assert all(k <= 0.6 * n for k, n in zip(bands.box, bands.live)), (bands.box, bands.live)
+            boxes.clear()
+            norm(f, params, system, 4)
+            assert boxes == [False]
 
 
 class TestSeminormAndMultiplier:
