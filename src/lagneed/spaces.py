@@ -64,21 +64,29 @@ power would fall below the smallest normal float counts as 0, and pow is
 slow on such values; the norms differ from plain powers only by those
 terms.  Both reductions raise each level in place, and the F reduction
 accumulates them in place, so for a real function a continuous norm holds
-at most two level arrays: about 2.4 K^d floats at its peak, masks and
-per-axis tables included, K^d the box's nodes (about 4.4 for a complex
+at most two level arrays: about 2.1 K^d floats at its peak, masks and
+fold intermediates included, K^d the box's nodes (about 4.1 for a complex
 function, whose values are folded as complex).  For a degree-16 f on the
-835^2-point level-4 grid that is 0.15 (p = 3) to 0.40 (p < 1) grid-sized
-arrays, 0.27 to 0.74 for a complex f.
+835^2-point level-4 grid that is 0.13 (p = 3) to 0.37 (p < 1) grid-sized
+arrays, 0.25 to 0.71 for a complex f.
 
 A norm call does only the work that depends on its input.  What does not is
-kept read-only in bounded caches (``special._ArrayCache``, 16 MiB each; a
-value above that is made on every call and not kept), keyed by values and
-never by a ``NeedletSystem``, so no entry keeps a system alive: per
-integration grid and degree of f, the live abscissae, cubature coefficients,
-scaled Laguerre tables and exponents of ``_scaled_axes`` (the weights, which
-depend on p, are formed per call); per set of level grids, the cell measures
-and per-axis tile indices of ``f_norm_seq``'s cell arrangement; per cell
-count, the interval triangle of ``maximal_fn``.
+kept read-only in bounded caches (``special._ArrayCache``, 16 MiB and 128
+entries each; a value above 16 MiB is made on every call and not kept), keyed
+by values and never by a ``NeedletSystem``, so no entry keeps a system alive:
+per integration grid and degree of f, the live abscissae, cubature
+coefficients, scaled Laguerre tables and exponents of ``_scaled_axes``; per
+integration grid, degree of f, p, rho and the levels' band rows, the plan of
+a continuous norm (``_Bands``), which holds the live axes' tables, weights
+and exponents at that p, each band's weight factors, the tails and the box,
+and each band's flushed, scaled matrices on the box (0.29 to 0.47 MB for a
+degree-16 f on the J = 3, d = 2 level-4 grid, 1.2 to 2.0 MB on level 6,
+views of the cached tables counted); per set of level grids, the cell
+measures of ``f_norm_seq``'s cell arrangement and per level and axis the
+cells in each tile.  So a continuous norm forms only the filtered
+coefficient blocks, their sizes C_j, the folds and the reductions, and
+``f_norm_seq`` repeats each raised level box over the cells of its tiles
+into the leading block of the sum that they cover.
 """
 
 from __future__ import annotations
@@ -191,11 +199,13 @@ def _F_reduce(levels, weights, params: NormParams, onto=None) -> float:
     """The p-th power of the L^p(l_q) norm: the integral against ``weights`` of the
     pointwise l_q over (j, g_j) of 2^(sj) g_j, raised to p.
 
-    Each g_j is scaled, raised to q, mapped by ``onto(j, .)`` when given (onto the
-    points the weights belong to) and added into the first level in place, so at
-    most two level arrays are alive at once; the g_j are overwritten.
+    Each g_j is scaled, raised to q and added into the first level in place, so at
+    most two level arrays are alive at once; the g_j are overwritten.  With
+    ``onto``, the sum starts from zeros on the points the weights belong to, and
+    ``onto(j, g)`` is g on the leading block of them that it covers, where it is
+    added; the points past that block get 0 from level j.
     """
-    acc = None
+    acc = None if onto is None else np.zeros(tuple(len(w) for w in weights))
     for j, g in levels:
         if params.s * j != 0.0:
             g *= 2.0 ** (params.s * j)
@@ -203,13 +213,17 @@ def _F_reduce(levels, weights, params: NormParams, onto=None) -> float:
             _normal_pow(g, params.q, out=g)
         if onto is not None:
             g = onto(j, g)
-        if acc is None:
+            into = acc[tuple(slice(0, k) for k in g.shape)]
+        elif acc is None:
             acc = g
-        elif params.q_inf:
-            np.maximum(acc, g, out=acc)
+            continue
         else:
-            acc += g
-        del g  # free this level before the next is computed
+            into = acc
+        if params.q_inf:
+            np.maximum(into, g, out=into)
+        else:
+            into += g
+        del g, into  # free this level before the next is computed
     integrand = _normal_pow(acc, params.p if params.q_inf else params.p / params.q, out=acc)
     return _fold_sum(integrand, weights)
 
@@ -249,9 +263,10 @@ _CELL_MAPS = _ArrayCache()
 
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
-    level, per axis, each cell's tile index: never negative, as every level's
-    breaks start at 0, and n_j for a cell past the last tile.  Kept read-only in
-    a bounded cache keyed by the grids' parameters."""
+    level, per axis, the number of cells in each tile: every level's breaks are
+    among the cells' breaks and start at 0, so tile k of a level is a run of
+    consecutive cells, and the cells past its last tile are the last ones.  Kept
+    read-only in a bounded cache keyed by the grids' parameters."""
     grids = system.grids
 
     def make():
@@ -261,21 +276,20 @@ def _arrangement(system: NeedletSystem):
             b = np.sort(np.concatenate([g.axis_breaks[ax] for g in grids]))
             breaks.append(b[np.append(True, b[1:] != b[:-1])])
         cell_meas = tuple(_interval_measures(b, a) for b, a in zip(breaks, system.alpha))
-        level_maps = tuple(tuple(np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
-                                 for gb, b in zip(g.axis_breaks, breaks)) for g in grids)
-        return cell_meas, level_maps
+        tile_cells = tuple(tuple(np.diff(np.searchsorted(b, gb)) for gb, b in
+                                 zip(g.axis_breaks, breaks)) for g in grids)
+        return cell_meas, tile_cells
 
     key = (system.alpha, system.delta, system.c_star, tuple(g.right_extension for g in grids))
     return _CELL_MAPS.get(key, make)
 
 
-def _on_cells(vals: np.ndarray, maps) -> np.ndarray:
-    """Values on a box of a level, taken onto the cells: the box is padded with zeros
-    up to the largest of its per-axis tile indices ``maps`` (n_j for the cells past
-    the level's tiles, which read 0), then taken along each axis at them."""
-    vals = np.pad(vals, [(0, int(idx[-1]) + 1 - k) for idx, k in zip(maps, vals.shape)])
-    for ax, idx in enumerate(maps):
-        vals = np.take(vals, idx, axis=ax)
+def _on_cells(vals: np.ndarray, tile_cells) -> np.ndarray:
+    """Values on a box of a level, taken onto the leading block of cells that the
+    box's tiles cover: each tile's value repeated along each axis over its cells,
+    ``tile_cells[ax]`` per tile.  The cells past the box read 0 and are not formed."""
+    for ax, counts in enumerate(tile_cells):
+        vals = np.repeat(vals, counts[: vals.shape[ax]], axis=ax)
     return vals
 
 
@@ -285,10 +299,10 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     params.require_F()
     boxes = _system_levels(coeffs, system)
     shift = _coeff_shift(boxes)
-    cell_meas, level_maps = _arrangement(system)
+    cell_meas, tile_cells = _arrangement(system)
     total = _F_reduce(((j, _level_amplitudes(system, j, h, params.rho, shift))
                        for j, h in enumerate(boxes)), cell_meas, params,
-                      lambda j, g: _on_cells(g, level_maps[j]))
+                      lambda j, g: _on_cells(g, tile_cells[j]))
     return math.ldexp(total ** (1.0 / params.p), shift)
 
 
@@ -297,9 +311,8 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     l_q over levels."""
     boxes = _system_levels(coeffs, system)
     shift = _coeff_shift(boxes)
-    norm = _B_reduce(((j, _lp(np.pad(_level_amplitudes(system, j, h, params.rho, shift),
-                                     [(0, g.n_j - k) for k in h.shape]),
-                              g.axis_tile_measure, params.p))
+    norm = _B_reduce(((j, _lp(_level_amplitudes(system, j, h, params.rho, shift),
+                              [m[:k] for m, k in zip(g.axis_tile_measure, h.shape)], params.p))
                       for j, (h, g) in enumerate(zip(boxes, system.grids))), params)
     return math.ldexp(norm, shift)
 
@@ -358,6 +371,21 @@ def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level:
     return xis, tables, weights, exps
 
 
+_NORM_PLANS = _ArrayCache()
+
+
+def _band_rows_of(f: CoeffFn, cut) -> tuple:
+    """(j, r0, r1 + 1) for every level that meets f, until the filter's first degree
+    passes f's degree, each with the ``_band_rows`` r0..r1 of its filter."""
+    bands = []
+    for j in itertools.count():
+        if _filter_band(cut, _level_scale(j))[0] > f.max_degree:
+            return tuple(bands)
+        rows = _band_rows(f.d, cut, j, f.max_degree)
+        if rows is not None:
+            bands.append((j, rows.start, rows.stop))
+
+
 class _Bands:
     """The weighted band parts g_j = 2^(-shift) W(4^j; x)^(-rho/d) |f_j(x)| of f on
     the live nodes of ``_scaled_axes``, each formed on demand on a box of them, in the
@@ -378,40 +406,35 @@ class _Bands:
     keeps on each axis the nodes before the tail whose sum (max) is at most
     _BOX_TAIL of the axis's total.  A node outside the box is in some axis's tail,
     so what the box leaves out is at most C_j^p times ``outside(box)``, the sum
-    (max) over axes of that tail times the other axes' totals.  None of this but
-    C_j depends on f's coefficients.
+    (max) over axes of that tail times the other axes' totals.
+
+    The plan.  None of this but the blocks and C_j depends on f's coefficients, so
+    the rest is a plan, kept read-only in a bounded cache (``_NORM_PLANS``) keyed
+    by the integration grid's arguments, f's degree, p, rho and the levels' band
+    rows: the live axes' scaled tables, weights and exponents, each band's weight
+    factors, the tails and the box, and each band's flushed, scaled matrices on
+    the box.  A call forms only the filtered blocks, C_j, the folds and the
+    reductions; the matrices of any other box (every live node, when the box is
+    not certified) are formed per call and not kept.
     """
 
     def __init__(self, f: CoeffFn, params: NormParams, system: NeedletSystem,
                  integration_level: int):
-        self.xis, self.tables, self.weights, self.exps = _scaled_axes(
-            f, params.p, system, integration_level)
+        cut = system.pair.a_hat
+        self.bands = _band_rows_of(f, cut)
+        (self.tables, self.weights, self.exps, self.facs, self.tails, self.box,
+         self._box_mats) = _norm_plan(self.bands, f, params, system, integration_level)
         self.shift = _coeff_shift([f.coeffs])
-        cut, self.parts = system.pair.a_hat, []
-        for j in itertools.count():
-            if _filter_band(cut, _level_scale(j))[0] > f.max_degree:
-                break
-            rows = _band_rows(f.d, cut, j, f.max_degree)
-            if rows is None:
-                continue
-            block = _filter_degrees(f.coeffs[(rows,) * f.d], cut, _level_scale(j),
-                                    corner=f.d * rows.start)
+        self.js, self.blocks = [j for j, _, _ in self.bands], []
+        for j, r0, r1 in self.bands:
+            block = _filter_degrees(f.coeffs[(slice(r0, r1),) * f.d], cut, _level_scale(j),
+                                    corner=f.d * r0)
             flat = block.view(float)
             np.ldexp(flat, -self.shift, out=flat)
-            self.parts.append((j, rows, block,
-                               _axis_weight_powers(self.xis, system.alpha, j, params.rho)))
-        self.js = [j for j, *_ in self.parts]
-        self.C = np.array([np.sum(np.abs(block)) for _, _, block, _ in self.parts])
-        self.p_inf, self.tails = params.p_inf, []
-        for ax, (w, e) in enumerate(zip(self.weights, self.exps)):
-            U = np.max([facs[ax] for *_, facs in self.parts], axis=0)
-            if self.p_inf:
-                tail = np.maximum.accumulate(np.ldexp(U, e)[::-1])[::-1]
-            else:
-                tail = np.cumsum((w * U ** params.p)[::-1])[::-1]
-            self.tails.append(np.append(tail, 0.0))  # tail[k]: nodes k.. of the axis
-        self.live = tuple(len(xi) for xi in self.xis)
-        self.box = tuple(int(np.count_nonzero(t > _BOX_TAIL * t[0])) for t in self.tails)
+            self.blocks.append(block)
+        self.C = np.array([np.sum(np.abs(block)) for block in self.blocks])
+        self.p_inf = params.p_inf
+        self.live = tuple(t.shape[1] for t in self.tables)
 
     def outside(self, box) -> float:
         """The sum (max at p = inf) over axes of the tail past the box times the
@@ -422,14 +445,53 @@ class _Bands:
 
     def levels(self, box):
         """Yield (j, g_j on the box of the first box[ax] live nodes per axis)."""
-        for j, rows, block, facs in self.parts:
-            mats = [_flush_subnormal(t[rows, :k] * w[:k]) for t, w, k in zip(self.tables, facs, box)]
+        for (j, r0, r1), block, facs, mats in zip(self.bands, self.blocks, self.facs,
+                                                  self._box_mats):
+            if box != self.box:  # another box's matrices are formed per call, not kept
+                mats = _band_mats(self.tables, slice(r0, r1), facs, box)
             if block.size == 1:  # signed zeros may differ from the GEMM's; |.| drops them
                 vals = _outer([block.reshape(1) * mats[0][0]] + [m[0] for m in mats[1:]])
             else:
                 vals = _fold(block, mats)
             yield j, np.abs(vals) if np.iscomplexobj(vals) else np.abs(vals, out=vals)
             del vals  # the caller owns the level now; keep no second reference to it
+
+
+def _band_mats(tables, rows, facs, box) -> tuple:
+    """A band's per-axis matrices on a box: its rows of the scaled tables on the first
+    box[ax] nodes, times the axis's weight factor, flushed."""
+    return tuple(_flush_subnormal(t[rows, :k] * w[:k]) for t, w, k in zip(tables, facs, box))
+
+
+def _norm_plan(bands, f: CoeffFn, params: NormParams, system: NeedletSystem,
+               integration_level: int):
+    """The plan of ``_Bands`` for levels with the band rows ``bands``: per axis the
+    live scaled tables, weights (None at p = inf) and exponents; per band the axis
+    factors of W(4^j; x)^(-rho/d); per axis the tails; the box; per band the
+    matrices on the box."""
+
+    def make():
+        xis, tables, weights, exps = _scaled_axes(f, params.p, system, integration_level)
+        facs = tuple(tuple(_axis_weight_powers(xis, system.alpha, j, params.rho))
+                     for j, _, _ in bands)
+        tails = []
+        for ax, (w, e) in enumerate(zip(weights, exps)):
+            U = np.max([fac[ax] for fac in facs], axis=0)
+            if params.p_inf:
+                tail = np.maximum.accumulate(np.ldexp(U, e)[::-1])[::-1]
+            else:
+                tail = np.cumsum((w * U ** params.p)[::-1])[::-1]
+            tails.append(np.append(tail, 0.0))  # tail[k]: nodes k.. of the axis
+        box = tuple(int(np.count_nonzero(t > _BOX_TAIL * t[0])) for t in tails)
+        mats = tuple(_band_mats(tables, slice(r0, r1), fac, box)
+                     for (_, r0, r1), fac in zip(bands, facs))
+        return tuple(tables), tuple(weights), tuple(exps), facs, tuple(tails), box, mats
+
+    if integration_level <= system.J:  # the key holds the grid's arguments, not J
+        raise ValueError("integration level must exceed the system level J")
+    key = (integration_level, system.d, system.alpha, system.delta, system.c_star,
+           f.max_degree, params.p, params.rho, bands)
+    return _NORM_PLANS.get(key, make)
 
 
 def _scaled_max(g: np.ndarray, exps) -> float:
@@ -549,42 +611,46 @@ class PiecewiseCellFn:
         return PiecewiseCellFn(self.breaks, values, self.alpha)
 
 
-_TRIANGLES = _ArrayCache()
-_LATTICE_CHUNK = 1 << 20  # entries of the (a, b) grid that one recursive call may fill
-
-
 def _lattice_max(P_num: np.ndarray, P_mu: np.ndarray, t: float, d: int) -> np.ndarray:
     """out[i_1, .., i_d, ...] = the max over the lattice boxes B that contain cell
-    (i_1, .., i_d) of (num(B) / mu(B))^(1/t), from the padded prefix sums P of
-    num and mu over the first d axes, batched over the trailing axes.
+    (i_1, .., i_d) of (num(B) / mu(B))^(1/t), and 0, from the padded prefix sums P
+    of num and mu over the first d axes, batched over the trailing axes.
 
-    Every interval [a, b) of the first axis, read off the cached triangle a < b,
-    cuts the strip P[b] - P[a].  At d = 1 its value is the ratio; otherwise the
-    strips join the batch of one recursive call over the other axes (in
-    chunks, so that no call's (a, b) grid passes about _LATTICE_CHUNK entries),
-    which leaves per strip the max over its boxes that contain each cell.  On
-    the (a, b) grid, zero where a >= b, a running max over a, one np.maximum per
-    row, then the max over b > i of row i give the max over every interval
-    that contains cell i.
+    A sweep over the ends b of the first axis's intervals [a, b), from the last:
+    best[a] keeps the largest value of the intervals from a swept so far (0 at
+    first), so once the intervals that end at b have been taken into the rows
+    a < b of best, the max over those rows is the max over every interval that
+    contains cell b - 1, which is row b - 1 of the result.  At d = 1 the values of
+    the intervals that end at b are their ratios, formed from the prefix
+    differences P[b] - P[a] for every a < b at once.  A box's num is a sum of
+    nonnegative terms, but its difference of prefix sums can round below 0 where
+    the box holds only zeros (from d = 2 on); such a ratio counts as 0, as the
+    max with 0 takes it at t = 1, so that no power of it is NaN.  Otherwise the strips
+    P[b] - P[a] of every interval join the batch of one recursive call over the
+    other axes, which leaves per strip the max over its boxes that contain each
+    cell; the strips are ordered by end, so those that end at b are one block.
+    Every temporary has one axis's length times the batch (the strips of the
+    earlier axes included), and no (a, b) grid is formed.
     """
     n = len(P_num) - 1
-    upper = _TRIANGLES.get(n, lambda: np.triu(np.ones((n + 1, n + 1), dtype=bool), 1))
-    starts, ends = np.nonzero(upper)
-    inner, batch = P_num.shape[1:d], P_num.shape[d:]
-    grid = np.zeros((n + 1, n + 1) + tuple(m - 1 for m in inner) + batch)
-    step = max(1, _LATTICE_CHUNK // (math.prod(inner) ** 2 * math.prod(batch)))
-    for k in range(0, len(starts), step):
-        a, b = starts[k: k + step], ends[k: k + step]
-        num, mu = P_num[b] - P_num[a], P_mu[b] - P_mu[a]
+    if d > 1:
+        ends, starts = np.tril_indices(n + 1, -1)  # by end, then start
+        strips = [np.ascontiguousarray(np.moveaxis(P[ends] - P[starts], 0, d - 1))
+                  for P in (P_num, P_mu)]
+        vals = np.moveaxis(_lattice_max(*strips, t, d - 1), d - 1, 0)
+    best = np.zeros((n,) + tuple(m - 1 for m in P_num.shape[1:d]) + P_num.shape[d:])
+    out = np.empty_like(best)
+    for b in range(n, 0, -1):
         if d == 1:
-            grid[a, b] = num / mu if t == 1.0 else (num / mu) ** (1.0 / t)
+            v = (P_num[b] - P_num[:b]) / (P_mu[b] - P_mu[:b])
+            if t != 1.0:  # as 0 below 0, which only rounding gives, so no power is NaN
+                np.maximum(v, 0.0, out=v)
+                v **= 1.0 / t
         else:
-            num, mu = (np.ascontiguousarray(np.moveaxis(x, 0, d - 1)) for x in (num, mu))
-            grid[a, b] = np.moveaxis(_lattice_max(num, mu, t, d - 1), d - 1, 0)
-    for row, prev in zip(grid[1:n], grid[: n - 1]):
-        np.maximum(row, prev, out=row)
-    past_i = upper[:n].reshape((n, n + 1) + (1,) * (grid.ndim - 2))  # b > i in row i
-    return np.max(grid[:n], axis=1, initial=0.0, where=past_i)
+            v = vals[b * (b - 1) // 2: b * (b + 1) // 2]
+        np.maximum(best[:b], v, out=best[:b])
+        np.max(best[:b], axis=0, keepdims=True, out=out[b - 1:b])
+    return out
 
 
 def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
@@ -594,7 +660,7 @@ def maximal_fn(samples: PiecewiseCellFn, t: float) -> PiecewiseCellFn:
     breakpoint lattice and which contain the cell; by the doubling property
     of the weighted measure this differs from the full supremum by at most
     a fixed constant factor.  Any d: ``_lattice_max`` recurses over the axes,
-    with the intervals of each axis batched into one call (or a few chunks).
+    with the intervals of each axis batched into one call.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")

@@ -297,12 +297,14 @@ class _ArrayCache:
     read-only, so one value can be handed to every caller; a value larger
     than ``max_bytes`` is returned without being kept, so it is made again on
     every call.  Keys are values (numbers, tuples, ``AlphaVector``), never an
-    object whose lifetime the cache would extend.
+    object whose lifetime the cache would extend.  ``_hits`` and ``_misses``
+    count the calls that found their key and those that did not.
     """
 
     def __init__(self, max_bytes: int = 16 << 20, max_entries: int = 128):
         self.max_bytes, self.max_entries = max_bytes, max_entries
         self.nbytes = 0
+        self._hits = self._misses = 0
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -312,8 +314,10 @@ class _ArrayCache:
     def get(self, key, make):
         with self._lock:
             if key in self._entries:
+                self._hits += 1
                 self._entries.move_to_end(key)
                 return self._entries[key][0]
+            self._misses += 1
         value = make()
         size = _freeze(value)
         if size <= self.max_bytes:

@@ -2,9 +2,11 @@
 cubature sums over a flattened grid, the filtered kernel summed directly
 over one Laguerre-function family, a level's amplitudes laid out on the
 cells of the sequence F-norm by an open-mesh index, needlet levels from
-whole node tables, trimmed or not, and the continuous norms with every band
-part formed on all live integration nodes."""
+whole node tables, trimmed or not, the continuous norms with every band
+part formed on all live integration nodes, and the lattice maximal function
+box by box."""
 
+import itertools
 import math
 
 import numpy as np
@@ -132,3 +134,32 @@ def live_node_cont_norms(f, params, system, level):
     norms = [(j, _scaled_max(g, exps) if params.p_inf else _lp(g, weights, params.p))
              for j, g in levels()]
     return F, math.ldexp(_B_reduce(norms, params), shift)
+
+
+def padded_prefix(a: np.ndarray) -> np.ndarray:
+    """Prefix sums over every axis, from the first, with a leading 0 on each."""
+    for ax in range(a.ndim):
+        a = np.cumsum(a, axis=ax)
+    return np.pad(a, [(1, 0)] * a.ndim)
+
+
+def lattice_box_maximal(samples, t: float) -> np.ndarray:
+    """The lattice maximal function by brute force: for every lattice box, one at a
+    time, (num(B) / mu(B))^(1/t) with num and mu read off the padded prefix sums
+    by differences taken axis by axis from the first (the arithmetic of
+    ``spaces.maximal_fn``), a ratio below 0 taken as 0, and per cell the max over
+    the boxes that contain it, starting from 0; the oracle for ``maximal_fn``,
+    bit for bit."""
+    mu = samples.cell_measures()
+    P_num, P_mu = padded_prefix(np.abs(samples.values) ** t * mu), padded_prefix(mu)
+    out = np.zeros(mu.shape)
+    for box in itertools.product(*(itertools.combinations(range(n + 1), 2) for n in mu.shape)):
+        num, den = P_num, P_mu
+        for ax, (a, b) in enumerate(box):  # one-entry slices keep arrays, so ** meets
+            at = [(slice(None),) * ax + (slice(i, i + 1),) for i in (a, b)]  # numpy's array rule
+            num, den = num[at[1]] - num[at[0]], den[at[1]] - den[at[0]]
+        ratio = np.maximum(num / den, 0.0)  # below 0 only by rounding, which counts as 0
+        ratio = ratio if t == 1.0 else ratio ** (1.0 / t)
+        cells = tuple(slice(a, b) for a, b in box)
+        out[cells] = np.maximum(out[cells], ratio)
+    return out

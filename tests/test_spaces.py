@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagneed.cutoffs import frame_alt, frame_default, make_dual_pair
+from lagneed.cutoffs import frame_alt, frame_default, make_cutoff, make_dual_pair
 from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
 from lagneed.quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
 from lagneed import spaces
@@ -32,7 +32,7 @@ from lagneed.spaces import (
     _Bands,
     _scaled_axes,
 )
-from oracles import cells_by_open_mesh, live_node_cont_norms
+from oracles import cells_by_open_mesh, lattice_box_maximal, live_node_cont_norms, padded_prefix
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -565,8 +565,10 @@ class TestBox:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_uncertified_box_gives_the_oracle_bits(self, cache_systems, boxes, monkeypatch, d):
         # a box that leaves out 2^-4 of each axis's bound fails its certificate, so
-        # the norm runs again on every live node and returns the oracle's bits
+        # the norm runs again on every live node and returns the oracle's bits; the box
+        # is part of the cached plan, so the plans are made afresh
         monkeypatch.setattr(spaces, "_BOX_TAIL", 2.0 ** -4)
+        monkeypatch.setattr(spaces, "_NORM_PLANS", _ArrayCache())
         system = cache_systems[d]
         level = system.J + 1
         for complex_valued in (False, True):
@@ -669,13 +671,6 @@ def brute_maximal(samples, t):
     return out
 
 
-def padded_prefix(a):
-    """Prefix sums over every axis, with a leading 0 on each."""
-    for ax in range(a.ndim):
-        a = np.cumsum(a, axis=ax)
-    return np.pad(a, [(1, 0)] * a.ndim)
-
-
 def strip_interval_max(P_num, P_mu, t):
     n = len(P_num)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -715,6 +710,37 @@ class TestMaximal:
         breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, m)))) for m in shape]
         f = PiecewiseCellFn(breaks, rng.uniform(-1.0, 1.0, shape), rng.uniform(0.0, 1.5, d))
         assert maximal_fn(f, t).values == pytest.approx(brute_maximal(f, t), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(12,), (6, 5), (1, 7), (3, 4, 3)])
+    def test_matches_box_by_box_oracle_bit_for_bit(self, shape, t):
+        # cell values with zeros and ties (|0.5| = |-0.5|), so that many boxes share
+        # their average: every value, and every max, is the oracle's; a box of zeros
+        # whose prefix difference rounds below 0 reads 0, not NaN
+        rng = np.random.default_rng([len(shape), int(4 * t)])
+        breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, m)))) for m in shape]
+        values = rng.choice([0.0, 0.0, 0.5, -0.5, 1.0], shape)
+        f = PiecewiseCellFn(breaks, values, [0.0] + [0.5] * (len(shape) - 1))
+        got, want = maximal_fn(f, t).values, lattice_box_maximal(f, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isfinite(got).all()
+
+    def test_memory_holds_no_interval_grid(self):
+        # 20 x 20 cells: every temporary holds one axis's cells times the batch, at the
+        # last axis 20 x 210 strips floats (33.6 KB); the (a, b) grid of that axis
+        # alone would be 21 x 21 x 210 floats (741 KB)
+        rng = np.random.default_rng(20)
+        breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 0.5, 20)))) for _ in range(2)]
+        f = PiecewiseCellFn(breaks, rng.uniform(0.0, 1.0, (20, 20)), [0.5, 0.5])
+        want = maximal_fn(f, 1.0).values
+        tracemalloc.start()
+        try:
+            got = maximal_fn(f, 1.0).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 12 * 20 * 210 * 8, peak
 
     @pytest.mark.parametrize("shape", [(20, 20), (8, 8, 8)])
     def test_matches_strip_by_strip_recursion(self, shape):
@@ -904,14 +930,17 @@ def cache_systems():
             3: build_system(1, 3, [0.0, 0.5, 1.0], DUAL)}
 
 
+CACHES = ("_INTEGRATION_AXES", "_NORM_PLANS", "_CELL_MAPS")
+
+
 class TestNormCaches:
-    """The norm layer keeps read-only integration tables, cell maps and interval
-    triangles in bounded caches keyed by values; none of that changes a bit."""
+    """The norm layer keeps read-only integration tables, continuous-norm plans and
+    cell maps in bounded caches keyed by values; none of that changes a bit."""
 
     @pytest.fixture()
     def cold(self, monkeypatch):
         """Empty every cache of the norm layer, as in a fresh process."""
-        for name in ("_INTEGRATION_AXES", "_CELL_MAPS", "_TRIANGLES"):
+        for name in CACHES:
             monkeypatch.setattr(spaces, name, _ArrayCache())
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -931,13 +960,14 @@ class TestNormCaches:
                         continue
                     for q in (1.0, 2.0, math.inf):
                         params = NormParams(0.5, -0.5, p, q)
-                        # b_norm_seq reads no cache; the others keep one entry
-                        for norm, args, kept in ((cont, (g, params, system, level), 1),
+                        # b_norm_seq reads no cache, f_norm_seq keeps one entry and a
+                        # continuous norm two: its tables and its plan
+                        for norm, args, kept in ((cont, (g, params, system, level), 2),
                                                  (seq, (coeffs, params, system), int(space == "F"))):
-                            for name in ("_INTEGRATION_AXES", "_CELL_MAPS"):
+                            for name in CACHES:
                                 monkeypatch.setattr(spaces, name, _ArrayCache())
                             first = norm(*args)
-                            assert len(spaces._INTEGRATION_AXES) + len(spaces._CELL_MAPS) == kept
+                            assert sum(len(getattr(spaces, name)) for name in CACHES) == kept
                             second = norm(*args)
                             assert 0.0 < first < math.inf
                             assert bits(second) == bits(first), (norm.__name__, p, q, scale)
@@ -949,20 +979,63 @@ class TestNormCaches:
         fns = [CoeffFn.random(system.alpha, degree, seed=degree) for system, degree, _ in cases]
         want = []
         for (system, _, level), f in zip(cases, fns):
-            monkeypatch.setattr(spaces, "_INTEGRATION_AXES", _ArrayCache())
+            for name in ("_INTEGRATION_AXES", "_NORM_PLANS"):
+                monkeypatch.setattr(spaces, name, _ArrayCache())
             want.append(bits(F_norm_cont(f, params, system, level)))
-        monkeypatch.setattr(spaces, "_INTEGRATION_AXES", _ArrayCache())
+        for name in ("_INTEGRATION_AXES", "_NORM_PLANS"):
+            monkeypatch.setattr(spaces, name, _ArrayCache())
         for _ in range(2):
             got = [bits(F_norm_cont(f, params, system, level))
                    for (system, _, level), f in zip(cases, fns)]
             assert got == want
-        assert len(spaces._INTEGRATION_AXES) == len(cases)
+        assert len(spaces._INTEGRATION_AXES) == len(spaces._NORM_PLANS) == len(cases)
+
+    def test_plan_keys_separate_pair_delta_alpha_p_rho_and_degree(self, cache_systems,
+                                                                   monkeypatch):
+        # continuous norms interleaved over systems that differ only in the cut-off
+        # pair, delta or alpha, and over p, rho and f's degree: each equals, bit for
+        # bit, its value computed after emptying the caches.  The two raw cut-offs
+        # share their name, and so their describe(), but not their band rows: the
+        # second ends at 3.5, and its level-2 rows at degree 13 instead of 15.
+        def raw(a_hat):
+            return make_cutoff("raw", fn=a_hat, support=a_hat.support, nonneg=True)
+
+        short = make_cutoff("type_b", u=0.25, v=2.5, rise=1.0 / 12.0, fall=1.0)
+        pairs = (TIGHT, DUAL, make_dual_pair(frame_alt()), make_dual_pair(raw(frame_default())),
+                 make_dual_pair(raw(short)))
+        systems = [cache_systems[2]] + [build_system(2, 2, [0.0, 0.5], pair) for pair in pairs[1:]]
+        systems += [build_system(2, 2, [0.0, 0.5], TIGHT, delta=0.02),
+                    build_system(2, 2, [0.5, 0.0], TIGHT)]
+        calls = []
+        for degree in (3, 16):
+            for rho in (0.5, -0.5):
+                for p in (1.5, 3.0, math.inf):
+                    for system in systems:
+                        f = CoeffFn.random(system.alpha, degree, seed=degree)
+                        for norm in (F_norm_cont, B_norm_cont)[int(p == math.inf):]:
+                            calls.append((norm, f, NormParams(0.5, rho, p, 2.0), system))
+
+        def value(norm, f, params, system):
+            return bits(norm(f, params, system, system.J + 1))
+
+        want = []
+        for call in calls:
+            for name in CACHES:
+                monkeypatch.setattr(spaces, name, _ArrayCache())
+            want.append(value(*call))
+        for name in CACHES:
+            monkeypatch.setattr(spaces, name, _ArrayCache())
+        for _ in range(2):
+            assert [value(*call) for call in calls] == want
+        # every call but the first for each key found its plan
+        assert spaces._NORM_PLANS._hits == 2 * len(calls) - len(spaces._NORM_PLANS)
 
     def test_cached_arrays_are_read_only(self, cache_systems, cold):
         system = cache_systems[2]
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=0)
         for p in (2.0, math.inf):
             _scaled_axes(f, p, system, system.J + 1)
+        F_norm_cont(f, NormParams(0.0, 0.0, 2.0, 2.0), system, system.J + 1)
         f_norm_seq(analyze(system, f), NormParams(0.0, 0.0, 2.0, 2.0), system)
         maximal_fn(PiecewiseCellFn([np.arange(5.0), np.arange(4.0)], np.ones((4, 3)),
                                    [0.5, 0.5]), 1.0)
@@ -975,7 +1048,7 @@ class TestNormCaches:
                 for v in value:
                     arrays(v)
 
-        for cache in (spaces._INTEGRATION_AXES, spaces._CELL_MAPS, spaces._TRIANGLES):
+        for cache in (getattr(spaces, name) for name in CACHES):
             assert len(cache) >= 1
             arrays(tuple(v for v, _ in cache._entries.values()))
         assert held and not any(a.flags.writeable for a in held)
@@ -994,7 +1067,7 @@ class TestNormCaches:
         values = [f_norm_seq(coeffs, params, system), b_norm_seq(coeffs, params, system),
                   F_norm_cont(f, params, system, 3), B_norm_cont(f, params, system, 3)]
         assert all(v > 0.0 for v in values)
-        assert len(spaces._INTEGRATION_AXES) == 1 and len(spaces._CELL_MAPS) == 1
+        assert all(len(getattr(spaces, name)) == 1 for name in CACHES)
         ref = weakref.ref(system)
         del system
         gc.collect()
@@ -1005,36 +1078,37 @@ class TestNormCaches:
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=2)
         params = NormParams(0.0, 0.0, 2.0, 2.0)
         want = F_norm_cont(f, params, system, system.J + 1)
-        tiny = _ArrayCache(64)
-        monkeypatch.setattr(spaces, "_INTEGRATION_AXES", tiny)
+        tiny = {name: _ArrayCache(64) for name in ("_INTEGRATION_AXES", "_NORM_PLANS")}
+        for name, cache in tiny.items():
+            monkeypatch.setattr(spaces, name, cache)
         for _ in range(2):
             assert bits(F_norm_cont(f, params, system, system.J + 1)) == bits(want)
-            assert len(tiny) == 0 and tiny.nbytes == 0
+            assert all(len(cache) == 0 and cache.nbytes == 0 for cache in tiny.values())
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_take_expansion_matches_open_mesh(self, cache_systems, d):
+        # a box repeated over the cells of its tiles, on zeros, is the whole level's
+        # amplitudes (0 past the box) laid out on the cells by their tile indices
         system = cache_systems[d]
-        _, level_maps = _arrangement(system)
-        rng = np.random.default_rng(d)
-        for g, maps in zip(system.grids, level_maps):
-            amp = rng.uniform(0.0, 1.0, (g.n_j,) * d)
-            want = cells_by_open_mesh(amp, maps)
-            got = _on_cells(amp, maps)
-            assert got.shape == want.shape == tuple(len(m) for m in maps)
-            assert np.array_equal(got, want)
-            # cells past a level's last tile read its trailing 0
-            assert (np.concatenate(maps) <= g.n_j).all()
-            assert (got[maps[0] == g.n_j] == 0.0).all()
-        assert (level_maps[0][0] == system.grids[0].n_j).any()
+        _, tile_cells = _arrangement(system)
+        breaks = [np.unique(np.concatenate([g.axis_breaks[ax] for g in system.grids]))
+                  for ax in range(d)]
 
-    def test_lattice_chunks_change_no_bit(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        for shape in ((9,), (7, 6), (4, 3, 5)):
-            breaks = [np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, m)))) for m in shape]
-            f = PiecewiseCellFn(breaks, rng.uniform(-1.0, 1.0, shape), [0.5] * len(shape))
-            for t in (1.0, 1.5):
-                whole = maximal_fn(f, t).values
-                monkeypatch.setattr(spaces, "_LATTICE_CHUNK", 1)
-                chunked = maximal_fn(f, t).values
-                monkeypatch.undo()
-                assert np.array_equal(whole, chunked)
+        def tile_maps(g):  # per axis each cell's tile index, n_j past the last tile
+            return [np.searchsorted(gb, 0.5 * (b[:-1] + b[1:])) - 1
+                    for gb, b in zip(g.axis_breaks, breaks)]
+
+        rng = np.random.default_rng(d)
+        for g, counts in zip(system.grids, tile_cells):
+            maps = tile_maps(g)
+            assert [len(c) for c in counts] == [g.n_j] * d
+            for box in {(g.n_j,) * d, tuple(rng.integers(0, g.n_j + 1, d))}:
+                amp = rng.uniform(0.0, 1.0, box)
+                want = cells_by_open_mesh(np.pad(amp, [(0, g.n_j - k) for k in box]), maps)
+                got = np.zeros(want.shape)
+                block = _on_cells(amp, counts)
+                got[tuple(slice(0, k) for k in block.shape)] = block
+                assert np.array_equal(got, want)
+                # cells past a level's last tile read 0
+                assert (got[maps[0] == g.n_j] == 0.0).all()
+        assert (tile_maps(system.grids[0])[0] == system.grids[0].n_j).any()

@@ -602,6 +602,13 @@ class TestArrayCache:
         assert cache.get("big", lambda: (np.zeros(20), (np.ones(3),))) is not first
         assert len(cache) == 0 and cache.nbytes == 0
 
+    def test_counts_hits_and_misses(self):
+        # a value above the budget is not kept, so every call for it misses
+        cache = _ArrayCache(100)
+        for key in (0, 1, 0, "big", "big", 0):
+            cache.get(key, lambda: np.zeros(20 if key == "big" else 1))
+        assert (cache._hits, cache._misses) == (2, 4)
+
     def test_threads_share_one_cache(self):
         # more threads than cores, short switch interval: the byte count and the
         # entries stay consistent and every value matches its key
