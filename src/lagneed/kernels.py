@@ -80,9 +80,16 @@ def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,
     """block * a(|nu|/scale) for a coefficient block whose first entry has total degree
     ``corner``; ``degrees`` is the block's total-degree grid counted from that entry,
     built here when None."""
-    w = _cached_weights(a_hat, scale, corner + sum(block.shape) - block.ndim)
     grid = total_degree_grid(block.shape) if degrees is None else degrees
-    return block * w[corner:][grid]
+    return block * _degree_weights(a_hat, scale, grid, corner)
+
+
+def _degree_weights(a_hat: CutoffSpec, scale: float, degrees: np.ndarray,
+                    corner: int = 0) -> np.ndarray:
+    """a(|nu|/scale) as a new array on a block with the total-degree grid ``degrees``,
+    counted from its first entry, whose total degree is ``corner``."""
+    w = _cached_weights(a_hat, scale, corner + sum(degrees.shape) - degrees.ndim)
+    return w[corner:][degrees]
 
 
 def _point(x, d):

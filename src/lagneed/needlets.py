@@ -31,6 +31,21 @@ wrote.  The dense ``levels`` are built from the boxes on first access.
 first-axis degree, each cut to the total-degree simplex that the level filter
 and the degree cap 4^J leave.
 
+What a transform reads besides its input depends only on the system and on
+the input's degree (``analyze``) or its stored boxes' shapes (``synthesize``),
+so it is kept as a plan: per level the band rows and node counts, the filter
+gathered onto the block's total-degree grid and the tables' part of the
+subnormal bound, and for ``synthesize`` each block's rows, node counts, filter
+and 4^J clip mask (None where nothing is clipped).  Plans live read-only in a
+bounded cache (``special._ArrayCache``, 16 MiB and 128 entries), keyed by the
+system hash, the filter side with its cut-off (two raw cut-offs of one name
+share a hash) and that degree or those shapes.  A plan holds ints and arrays
+of its own, never a view of a node table, which each call slices, so no plan
+keeps a system or its tables alive.  Plans are built on first use; being
+read-only they are shared across threads, and two threads that miss together
+build equal plans.  A call does only the slicing, the filter product, the
+folds, the subnormal test and the sum.
+
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
 evaluation and the continuous norms keep that dtype, so for a real function
@@ -49,9 +64,9 @@ from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _TINY, _flush_subnormal, _fold)
+                      _ArrayCache, _TINY, _degree_grid, _flush_subnormal, _fold)
 from .quadrature import CubatureGrid, cubature_grid, level_node_count
-from .kernels import (cutoff_weights, _filter_band, _filter_degrees, _filtered_sum, _level_scale,
+from .kernels import (cutoff_weights, _degree_weights, _filter_band, _filtered_sum, _level_scale,
                       _top_degree)
 
 __all__ = [
@@ -409,17 +424,42 @@ def _live_box(system: NeedletSystem, j: int, cut, cap: int):
     return None if rows is None else (rows, tuple(int(r[rows.stop - 1]) for r in system._reach[j]))
 
 
-def _may_be_subnormal(block: np.ndarray, tabs) -> bool:
-    """False when no entry of ``_fold(block, rows of tabs)`` can be subnormal (see
-    ``analyze``): the block's least nonzero finite |component| beta and each table's
-    trim floor tau_l give 2^P, P = (e(beta) - 52) + sum_l (e(tau_l) - 52) with e the
-    binary exponent, of which every entry is a multiple, and P >= -1022."""
-    parts = np.abs(block.view(float) if np.iscomplexobj(block) else block)
-    beta = float(np.min(parts, where=parts > 0, initial=math.inf))
-    if not math.isfinite(beta):
-        return True
-    floors = (max(_TINY, _TABLE_TRIM / math.sqrt(tab.size)) for tab in tabs)
-    return sum(math.frexp(x)[1] - 53 for x in (beta, *floors)) < -1022
+def _low_exponent(arr: np.ndarray) -> float:
+    """fe(beta) - 53 for the least nonzero |component| beta of ``arr``, fe(x) the
+    exponent of ``math.frexp`` (e(x) + 1), or -inf when beta is not finite (see
+    ``analyze``)."""
+    parts = np.abs(arr.view(float) if arr.dtype.kind == "c" else arr)
+    beta = float(np.minimum.reduce(parts, axis=None, where=parts > 0, initial=math.inf))
+    return math.frexp(beta)[1] - 53 if math.isfinite(beta) else -math.inf
+
+
+_TRANSFORM_PLANS = _ArrayCache()
+
+
+def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
+    """Per level, what ``analyze`` of a function of degree ``cap`` reads besides the
+    function: None where the level is 0, else (r0, r1, K, w, floors, bound) with
+    r0..r1 - 1 and K the ``_live_box``, w the filter a(|nu|/4^(j-1)) on the block of
+    those rows, ``floors`` the sum over the tables of fe(tau_l) - 53 for their trim
+    floors tau_l, and ``bound`` = floors + 52 + the ``_low_exponent`` of w."""
+    cut = system.pair.a_hat
+
+    def make():
+        levels = []
+        for j, tabs in enumerate(system.tables):
+            box = _live_box(system, j, cut, cap)
+            if box is None:
+                levels.append(None)
+                continue
+            rows, K = box
+            degrees = _degree_grid((rows.stop - rows.start,) * system.d)
+            w = _degree_weights(cut, _level_scale(j), degrees, system.d * rows.start)
+            floors = sum(math.frexp(max(_TINY, _TABLE_TRIM / math.sqrt(tab.size)))[1] - 53
+                         for tab in tabs)
+            levels.append((rows.start, rows.stop, K, w, floors, floors + 52 + _low_exponent(w)))
+        return tuple(levels)
+
+    return _TRANSFORM_PLANS.get(("analyze", system.hash, cut, cap), make)
 
 
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
@@ -432,7 +472,7 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     C-contiguous read-only array of shape K.  Against the untrimmed tables T_l a
     level moves by at most d 2^-56 max|a| ||f|| times prod_l ||T_l||_2: each axis's
     trimmed part has Frobenius norm at most 2^-56, and the cubature's exactness
-    keeps each ||T_l||_2 <= 1 + 1e-10.
+    keeps each ||T_l||_2 <= 1 + 1e-10.  The boxes and filters come from a plan.
 
     A level is flushed of subnormals (``_flush_subnormal``) only when one can occur.
     Every nonzero double x is an integer multiple of 2^(e(x) - 52), e(x) = floor(log2
@@ -445,25 +485,26 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     each partial fold of one of 2^P or more.  When P >= -1022 every nonzero entry is
     normal and the flush is skipped.  The fold's sums start from +0, so it yields no
     -0.0 for the flush to turn into +0.0 either: the level is the same bit for bit.
-    A NaN or inf in the block makes every entry NaN or inf.
+    A NaN or inf in the block makes every entry NaN or inf.  The block's beta is
+    read only when one pass over f cannot settle it: a nonzero product f_nu a_nu of
+    normal size is at least 2^(e(phi) + e(omega)), phi and omega the least nonzero
+    |component| of f and of the block's filter, so e(beta) >= e(phi) + e(omega), and
+    putting that in place of e(beta) in P >= -1022 is enough to skip.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
     if f.max_degree > system.max_degree():
         raise ValueError(
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
-    boxes = []
-    for j in range(system.J + 1):
-        box = _live_box(system, j, system.pair.a_hat, f.max_degree)
-        if box is None:
+    boxes, low = [], _low_exponent(f.coeffs)
+    for tabs, level_plan in zip(system.tables, _analysis_plan(system, f.max_degree)):
+        if level_plan is None:
             level = np.zeros((0,) * f.d, dtype=f.coeffs.dtype)
         else:
-            rows, K = box
-            block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
-                                    _level_scale(j), corner=f.d * rows.start)
-            tabs = system.tables[j]
-            level = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
-            if _may_be_subnormal(block, tabs):
+            r0, r1, K, w, floors, bound = level_plan
+            block = f.coeffs[(slice(r0, r1),) * f.d] * w
+            level = _fold(block, [tab[r0:r1, :k] for tab, k in zip(tabs, K)])
+            if low + bound < -1022 and _low_exponent(block) + floors < -1022:
                 _flush_subnormal(level)
         level.flags.writeable = False
         boxes.append(level)
@@ -483,6 +524,46 @@ def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.nda
     return coeffs._boxes
 
 
+def _synthesis_plan(system: NeedletSystem, box_shapes: tuple) -> tuple:
+    """Per level, what ``synthesize`` reads besides coefficients whose stored boxes
+    have the shapes ``box_shapes``: None where the level adds nothing, else
+    (r0, r1, K, blocks), with r0..r1 - 1 the ``_live_box`` rows and K its nodes cut to
+    the stored box; per block of first-axis degrees a..b - 1, (a, b, end, nodes, w,
+    clip): the later axes' row stop and node counts, the filter b(|nu|/4^(j-1)) on
+    the block, and the mask of its degrees above 4^J, or None where 4^J cuts none."""
+    d, n_out, cut = system.d, system.max_degree(), system.pair.b_hat
+
+    def make():
+        levels = []
+        for j, shape in enumerate(box_shapes):
+            box = _live_box(system, j, cut, n_out)
+            if box is None or not math.prod(shape):
+                levels.append(None)
+                continue
+            rows, K = box
+            K = tuple(map(min, K, shape))
+            reach, r0, scale = system._reach[j], rows.start, _level_scale(j)
+            hi = _filter_band(cut, scale)[1]
+            top = min(hi, n_out)
+            step = -(-(rows.stop - r0) // (1 if d == 1 else _SYNTH_BLOCKS))
+            blocks = []
+            for a in range(r0, rows.stop, step):
+                b = min(a + step, rows.stop)
+                end = min(rows.stop, top - a - (d - 2) * r0 + 1)  # the later axes' row stop
+                if end <= r0:
+                    break
+                nodes = tuple(min(k, int(r[end - 1])) for k, r in zip(K[1:], reach[1:]))
+                corner = a + (d - 1) * r0
+                degrees = _degree_grid((b - a,) + (end - r0,) * (d - 1))
+                clipped = n_out < min(hi, corner + sum(degrees.shape) - d)  # 4^J cuts the band
+                blocks.append((a, b, end, nodes, _degree_weights(cut, scale, degrees, corner),
+                               degrees > n_out - corner if clipped else None))
+            levels.append((r0, rows.stop, K, tuple(blocks)))
+        return tuple(levels)
+
+    return _TRANSFORM_PLANS.get(("synthesize", system.hash, cut, box_shapes), make)
+
+
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     """Sum of h_xi psi_xi as a coefficient function of degree at most 4^J; each level
     enters only through its live box (see ``_live_box``), cut further to the level's
@@ -494,39 +575,28 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     becoming the rows r0..r1, and the others in blocks of that first degree: in the
     block from nu_0 = a, each later axis keeps only its rows up to
     top - a - (d-2) r0, and its nodes up to their reach there.  Only that region is
-    filtered and added.  In d = 1 there is one block, the whole box.
+    filtered and added.  In d = 1 there is one block, the whole box.  The boxes,
+    blocks and filters come from a plan.
 
     The trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
     below the GEMM rounding gamma_k |T| |h| that the product carries anyway."""
     boxes = _system_levels(coeffs, system)
-    d, n_out, cut = system.d, system.max_degree(), system.pair.b_hat
+    d, n_out = system.d, system.max_degree()
     out = np.zeros((n_out + 1,) * d, dtype=np.result_type(float, *boxes))
-    for j, level in enumerate(boxes):
-        box = _live_box(system, j, cut, n_out)
-        if box is None or not level.size:
+    plan = _synthesis_plan(system, tuple(box.shape for box in boxes))
+    for level, tabs, level_plan in zip(boxes, system.tables, plan):
+        if level_plan is None:
             continue
-        rows, K = box
-        K = tuple(map(min, K, level.shape))
-        tabs, reach, r0 = system.tables[j], system._reach[j], rows.start
-        scale = _level_scale(j)
-        hi = _filter_band(cut, scale)[1]
-        top = min(hi, n_out)
+        r0, r1, K, blocks = level_plan
         first = _fold(level[tuple(slice(0, k) for k in K)],
-                      [tabs[0][rows, :K[0]].T] + [None] * (d - 1))
-        step = -(-len(first) // (1 if d == 1 else _SYNTH_BLOCKS))
-        for a in range(r0, rows.stop, step):
-            b = min(a + step, rows.stop)
-            end = min(rows.stop, top - a - (d - 2) * r0 + 1)  # the later axes' row stop
-            if end <= r0:
-                break
-            nodes = [min(k, int(r[end - 1])) for k, r in zip(K[1:], reach[1:])]
-            part = _fold(first[(slice(a - r0, b - r0),) + tuple(slice(0, k) for k in nodes)],
-                         [None] + [tab[r0:end, :k].T for tab, k in zip(tabs[1:], nodes)])
-            corner = a + (d - 1) * r0
-            degrees = total_degree_grid(part.shape)
-            part = _filter_degrees(part, cut, scale, degrees, corner)
-            if n_out < min(hi, corner + sum(part.shape) - d):  # 4^J clips the band here
-                part[degrees > n_out - corner] = 0.0
+                      [tabs[0][r0:r1, :K[0]].T] + [None] * (d - 1))
+        for a, b, end, nodes, w, clip in blocks:
+            part = first[(slice(a - r0, b - r0),) + tuple(slice(0, k) for k in nodes)]
+            if nodes:  # d > 1: fold the later axes
+                part = _fold(part, [None] + [tab[r0:end, :k].T for tab, k in zip(tabs[1:], nodes)])
+            part *= w  # part is a fresh fold, or in d = 1 the fresh first fold
+            if clip is not None:
+                part[clip] = 0.0
             out[(slice(a, b),) + (slice(r0, end),) * (d - 1)] += part
     return CoeffFn._unchecked(system.alpha, n_out, out)
 

@@ -79,11 +79,10 @@ coefficients, scaled Laguerre tables and exponents of ``_scaled_axes``; per
 integration grid, degree of f, p, rho and the levels' band rows, the plan of
 a continuous norm (``_Bands``), which holds the live axes' tables, weights
 and exponents at that p, each band's weight factors, the tails and the box,
-and each band's flushed, scaled matrices on the box (0.29 to 0.47 MB for a
-degree-16 f on the J = 3, d = 2 level-4 grid, 1.2 to 2.0 MB on level 6,
-views of the cached tables counted); per set of level grids, the cell
-measures of ``f_norm_seq``'s cell arrangement and per level and axis the
-cells in each tile.  So a continuous norm forms only the filtered
+and each band's flushed, scaled matrices on the box (its views of the cached
+tables and exponents are not charged to it again); per set of level grids,
+the cell measures of ``f_norm_seq``'s cell arrangement and per level and
+axis the cells in each tile.  So a continuous norm forms only the filtered
 coefficient blocks, their sizes C_j, the folds and the reductions, and
 ``f_norm_seq`` repeats each raised level box over the cells of its tiles
 into the leading block of the sum that they cover.

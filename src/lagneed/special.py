@@ -296,9 +296,11 @@ class _ArrayCache:
     result: an array, a number, None, or tuples of these.  Its arrays are set
     read-only, so one value can be handed to every caller; a value larger
     than ``max_bytes`` is returned without being kept, so it is made again on
-    every call.  Keys are values (numbers, tuples, ``AlphaVector``), never an
-    object whose lifetime the cache would extend.  ``_hits`` and ``_misses``
-    count the calls that found their key and those that did not.
+    every call.  Keys are values (numbers, strings, tuples, ``AlphaVector``, a
+    ``CutoffSpec``), never an object that holds arrays, such as a system,
+    whose lifetime the cache would extend.  ``_hits`` and ``_misses`` count the
+    calls that found their key and those that did not.  ``nbytes`` counts what
+    the kept values hold alive (see ``_freeze``).
     """
 
     def __init__(self, max_bytes: int = 16 << 20, max_entries: int = 128):
@@ -332,15 +334,30 @@ class _ArrayCache:
 
 def _freeze(value) -> int:
     """Set every array in ``value`` (an array, a number, None, or tuples of these)
-    read-only; returns their total size in bytes."""
+    read-only; returns the bytes that keeping it holds alive.  An array costs the
+    bytes of the array that owns its memory, itself or the base it views, once per
+    owner, and nothing when that owner is already read-only: such memory is held
+    by another cache or by a system, and a view of it adds nothing."""
+    arrays = list(_arrays(value))
+    owners = {}
+    for arr in arrays:
+        owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+        if owner.flags.writeable:
+            owners[id(owner)] = owner.nbytes
+    for arr in arrays:
+        arr.flags.writeable = False
+    return sum(owners.values())
+
+
+def _arrays(value):
+    """The arrays in an array, a number, None, or tuples of these."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-        return value.nbytes
-    if isinstance(value, tuple):
-        return sum(_freeze(v) for v in value)
-    if value is None or isinstance(value, (int, float)):
-        return 0
-    raise TypeError(f"cannot cache a {type(value).__name__} read-only")
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays(v)
+    elif not (value is None or isinstance(value, (int, float))):
+        raise TypeError(f"cannot cache a {type(value).__name__} read-only")
 
 
 _DEGREE_GRIDS = _ArrayCache()
@@ -351,10 +368,14 @@ def total_degree_grid(shape) -> np.ndarray:
     broadcast sum of per-axis ranges, so no index array of the full shape is built;
     kept in a bounded cache keyed by the shape."""
     shape = tuple(int(n) for n in shape)
+    return _DEGREE_GRIDS.get(shape, lambda: _degree_grid(shape))
+
+
+def _degree_grid(shape: tuple) -> np.ndarray:
+    """``total_degree_grid`` as a new array, not kept."""
     d = len(shape)
-    return _DEGREE_GRIDS.get(shape, lambda: sum(
-        np.arange(n, dtype=np.int64).reshape((-1,) + (1,) * (d - 1 - ax))
-        for ax, n in enumerate(shape)))
+    return sum(np.arange(n, dtype=np.int64).reshape((-1,) + (1,) * (d - 1 - ax))
+               for ax, n in enumerate(shape))
 
 
 def _outer(vecs):

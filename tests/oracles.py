@@ -2,9 +2,10 @@
 cubature sums over a flattened grid, the filtered kernel summed directly
 over one Laguerre-function family, a level's amplitudes laid out on the
 cells of the sequence F-norm by an open-mesh index, needlet levels from
-whole node tables, trimmed or not, the continuous norms with every band
-part formed on all live integration nodes, and the lattice maximal function
-box by box."""
+whole node tables, trimmed or not, analysis and synthesis that work out
+every box, filter and block on each call, the continuous norms with every
+band part formed on all live integration nodes, and the lattice maximal
+function box by box."""
 
 import itertools
 import math
@@ -12,10 +13,11 @@ import math
 import numpy as np
 
 from lagneed.kernels import _filter_band, _filter_degrees, _kernel_weights, _level_scale, cutoff_weights
-from lagneed.needlets import _band_rows
+from lagneed import needlets
+from lagneed.needlets import CoeffFn, NeedletCoeffs, _band_rows, _live_box, _system_levels
 from lagneed.spaces import (_axis_weight_powers, _B_reduce, _coeff_shift, _F_reduce, _lp,
                             _scaled_axes, _scaled_max)
-from lagneed.special import (_convolve_degrees, _flush_subnormal, _fold, as_alpha,
+from lagneed.special import (_TINY, _convolve_degrees, _flush_subnormal, _fold, as_alpha,
                              laguerre_fn_batch, total_degree_grid)
 
 
@@ -105,6 +107,77 @@ def dense_levels(system, f, tables) -> list[np.ndarray]:
             level = np.einsum("m...,mk->...k", level, tab[: cap + 1], optimize=True)
         levels.append(level)
     return levels
+
+
+def may_be_subnormal(block, tabs) -> bool:
+    """The exponent bound of ``needlets._may_be_subnormal`` with the tables' part
+    worked out from ``tabs``: False when no entry of a fold of ``block`` into rows of
+    those tables can be subnormal."""
+    parts = np.abs(block.view(float) if np.iscomplexobj(block) else block)
+    beta = float(np.min(parts, where=parts > 0, initial=math.inf))
+    if not math.isfinite(beta):
+        return True
+    floors = (max(_TINY, needlets._TABLE_TRIM / math.sqrt(tab.size)) for tab in tabs)
+    return sum(math.frexp(x)[1] - 53 for x in (beta, *floors)) < -1022
+
+
+def per_call_analyze(system, f) -> NeedletCoeffs:
+    """``analyze`` with each level's box, filter and exponent bound worked out on the
+    call, as the library did before it kept them in plans; the same GEMMs on the same
+    operands, so the same bits."""
+    boxes = []
+    for j in range(system.J + 1):
+        box = _live_box(system, j, system.pair.a_hat, f.max_degree)
+        if box is None:
+            level = np.zeros((0,) * f.d, dtype=f.coeffs.dtype)
+        else:
+            rows, K = box
+            block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
+                                    _level_scale(j), corner=f.d * rows.start)
+            tabs = system.tables[j]
+            level = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
+            if may_be_subnormal(block, tabs):
+                _flush_subnormal(level)
+        level.flags.writeable = False
+        boxes.append(level)
+    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids))
+
+
+def per_call_synthesize(system, coeffs) -> CoeffFn:
+    """``synthesize`` with each level's box, blocks of ``needlets._SYNTH_BLOCKS``, filter
+    and 4^J clip worked out on the call, as the library did before it kept them in
+    plans; the same GEMMs on the same operands, so the same bits."""
+    boxes = _system_levels(coeffs, system)
+    d, n_out, cut = system.d, system.max_degree(), system.pair.b_hat
+    out = np.zeros((n_out + 1,) * d, dtype=np.result_type(float, *boxes))
+    for j, level in enumerate(boxes):
+        box = _live_box(system, j, cut, n_out)
+        if box is None or not level.size:
+            continue
+        rows, K = box
+        K = tuple(map(min, K, level.shape))
+        tabs, reach, r0 = system.tables[j], system._reach[j], rows.start
+        scale = _level_scale(j)
+        hi = _filter_band(cut, scale)[1]
+        top = min(hi, n_out)
+        first = _fold(level[tuple(slice(0, k) for k in K)],
+                      [tabs[0][rows, :K[0]].T] + [None] * (d - 1))
+        step = -(-len(first) // (1 if d == 1 else needlets._SYNTH_BLOCKS))
+        for a in range(r0, rows.stop, step):
+            b = min(a + step, rows.stop)
+            end = min(rows.stop, top - a - (d - 2) * r0 + 1)  # the later axes' row stop
+            if end <= r0:
+                break
+            nodes = [min(k, int(r[end - 1])) for k, r in zip(K[1:], reach[1:])]
+            part = _fold(first[(slice(a - r0, b - r0),) + tuple(slice(0, k) for k in nodes)],
+                         [None] + [tab[r0:end, :k].T for tab, k in zip(tabs[1:], nodes)])
+            corner = a + (d - 1) * r0
+            degrees = total_degree_grid(part.shape)
+            part = _filter_degrees(part, cut, scale, degrees, corner)
+            if n_out < min(hi, corner + sum(part.shape) - d):  # 4^J clips the band here
+                part[degrees > n_out - corner] = 0.0
+            out[(slice(a, b),) + (slice(r0, end),) * (d - 1)] += part
+    return CoeffFn._unchecked(system.alpha, n_out, out)
 
 
 def live_node_cont_norms(f, params, system, level):

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
+import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,8 +24,9 @@ from lagneed.needlets import (
 from lagneed.kernels import _filter_band, _filter_degrees, _level_scale, cutoff_weights
 from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
-from lagneed.special import _flush_subnormal, _fold
-from oracles import cubature_integrate_values, dense_levels, untrimmed_tables
+from lagneed.special import _ArrayCache, _arrays, _flush_subnormal, _fold
+from oracles import (cubature_integrate_values, dense_levels, may_be_subnormal, per_call_analyze,
+                     per_call_synthesize, untrimmed_tables)
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -513,6 +517,37 @@ class TestThreadSharing:
                        for lv, want in zip(levels, want_levels))
 
 
+    def test_threads_build_plans_from_an_empty_cache(self, monkeypatch):
+        # four threads start together on an empty plan cache, each running every round
+        # trip in its own order, so they race to build the same plans: the README's
+        # "shared freely, also across threads"
+        system = build_system(3, 2, [0.5, 0.5], DUAL)
+        fns = [CoeffFn.random(system.alpha, degree, seed=seed, complex_valued=seed % 2 == 1)
+               for seed, degree in enumerate((3, 16, 64, 16, 3, 64))]
+
+        def round_trip(f):
+            coeffs = analyze(system, f)
+            return coeffs._boxes, synthesize(system, coeffs).coeffs
+
+        serial = [round_trip(f) for f in fns]
+        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())
+        start = threading.Barrier(4)
+
+        def worker(shift):
+            start.wait(timeout=60)
+            order = [(k + shift) % len(fns) for k in range(len(fns))]
+            return {k: round_trip(fns[k]) for k in order}
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(worker, range(4)))
+        for result in results:
+            for k, (boxes, out) in result.items():
+                want_boxes, want_out = serial[k]
+                assert same_bits(out, want_out)
+                assert all(same_bits(a, b) for a, b in zip(boxes, want_boxes))
+        assert len(needlets._TRANSFORM_PLANS) == 6  # analysis and synthesis, three degrees
+
+
 def subnormal_count(arr):
     return int(np.count_nonzero((arr != 0) & (np.abs(arr) < np.finfo(float).tiny)))
 
@@ -567,7 +602,7 @@ class TestNormalOrZero:
                         block = _filter_degrees(f.coeffs[(rows,) * d], pair.a_hat,
                                                 _level_scale(j), corner=d * rows.start)
                         raw = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
-                        if needlets._may_be_subnormal(block, tabs):
+                        if may_be_subnormal(block, tabs):
                             assert scale < 1.0
                         else:
                             assert scale > 2.0 ** -1000
@@ -824,9 +859,136 @@ class TestSimplexSynthesis:
         coeffs = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 3) for g in system.grids),
                                system.hash)
         monkeypatch.setattr(needlets, "_SYNTH_BLOCKS", blocks)
+        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())  # plans keep blocks
         got = synthesize(system, coeffs).coeffs
         want = dense_synthesize(system, coeffs.levels)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert same_bits(got, per_call_synthesize(system, coeffs).coeffs)
+
+
+# the benchmark workloads' transform systems, as (J, alpha, pair), with their input degree
+BENCH_SYSTEMS = {"deep-1d": ((5, (0.5,), TIGHT), 256),
+                 "wide-3d": ((3, (0.0, 0.5, 1.0), DUAL), 16),
+                 "norms-2d": ((3, (0.5, 0.5), TIGHT), 16),
+                 "cli-report-1d": ((3, (0.5,), TIGHT), 16)}
+
+
+def same_coeffs(got, want):
+    """Two NeedletCoeffs with the same hash, level shapes and boxes, bit for bit."""
+    return (got.system_hash == want.system_hash and got._level_shapes() == want._level_shapes()
+            and all(same_bits(a, b) and not a.flags.writeable
+                    for a, b in zip(got._boxes, want._boxes)))
+
+
+class TestTransformPlans:
+    """analyze and synthesize read each level's boxes, filters, blocks and exponent
+    bounds from cached plans: the bits of the per-call oracles, cold or warm."""
+
+    @pytest.fixture()
+    def cold(self, monkeypatch):
+        """An empty plan cache, as in a fresh process."""
+        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())
+
+    @pytest.fixture(scope="class")
+    def bench_systems(self):
+        return {name: build_system(J, len(alpha), list(alpha), pair)
+                for name, ((J, alpha, pair), _) in BENCH_SYSTEMS.items()}
+
+    def round_trips_match(self, system, fns):
+        for f in fns:
+            want = per_call_analyze(system, f)
+            want_out = per_call_synthesize(system, want).coeffs
+            for _ in range(2):  # the first call builds the plans, the second reads them
+                got = analyze(system, f)
+                assert same_coeffs(got, want)
+                assert same_bits(synthesize(system, got).coeffs, want_out)
+
+    @pytest.mark.parametrize("name", list(BENCH_SYSTEMS))
+    def test_benchmark_systems_match_the_oracle(self, bench_systems, cold, name):
+        # seeded inputs as the workloads draw them, complex ones, and a degree-0 function
+        system, degree = bench_systems[name], BENCH_SYSTEMS[name][1]
+        fns = [CoeffFn.random(system.alpha, degree, seed=[7, k]) for k in range(3)]
+        fns += [CoeffFn.random(system.alpha, degree, seed=[8, k], complex_valued=True)
+                for k in range(2)]
+        fns += [CoeffFn.random(system.alpha, 0, seed=9), 2.0 ** -1000 * fns[0]]
+        self.round_trips_match(system, fns)
+        assert len(needlets._TRANSFORM_PLANS) == 4  # analysis and synthesis, two degrees
+        assert needlets._TRANSFORM_PLANS._misses == 4
+
+    @pytest.mark.parametrize("name", ["deep-1d", "norms-2d", "cli-report-1d", "d3"])
+    def test_hand_built_scaled_and_added_match_the_oracle(self, bench_systems, cold, name):
+        # dense levels without _shapes, odd boxes (one of them empty) with _shapes, and
+        # scale and add of those and of analysis output
+        system = bench_systems.get(name) or build_system(2, 3, [0.0, 0.5, 1.0], DUAL)
+        d, rng = system.d, np.random.default_rng(len(name))
+        shapes = tuple((g.n_j,) * d for g in system.grids)
+        hand = NeedletCoeffs(tuple(rng.standard_normal(shape) for shape in shapes), system.hash)
+        odd = NeedletCoeffs(tuple(
+            rng.standard_normal(tuple(0 if j == 1 else min(g.n_j, 3 + 7 * j + 2 * ax)
+                                      for ax in range(d)))
+            for j, g in enumerate(system.grids)), system.hash, shapes)
+        low = analyze(system, CoeffFn.random(system.alpha, system.exact_degree(), seed=1,
+                                             complex_valued=True))
+        for coeffs in (hand, odd, low, low.scale(-0.75), hand.scale(1.5 - 0.25j), low.add(odd),
+                       odd.add(hand)):
+            want = per_call_synthesize(system, coeffs).coeffs
+            for _ in range(2):
+                assert same_bits(synthesize(system, coeffs).coeffs, want)
+
+    def test_clipped_band_matches_the_oracle(self, cold):
+        # J = 4, d = 2: the level-4 b_hat band runs to degree 320, past 4^J = 256, so
+        # the plan keeps a clip mask for the blocks that cross 4^J
+        system = build_system(4, 2, [0.5, 0.5], CLIPPED)
+        rng = np.random.default_rng(4)
+        hand = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 2) for g in system.grids),
+                             system.hash)
+        fns = [CoeffFn.random(system.alpha, degree, seed=degree) for degree in (64, 256)]
+        self.round_trips_match(system, fns)
+        for coeffs in (hand, analyze(system, fns[1]).add(hand)):
+            assert same_bits(synthesize(system, coeffs).coeffs,
+                             per_call_synthesize(system, coeffs).coeffs)
+        plan = needlets._synthesis_plan(system, tuple((g.n_j,) * 2 for g in system.grids))
+        clips = [[clip is not None for *_, clip in level[3]] for level in plan]
+        assert not any(map(any, clips[:4])) and any(clips[4])
+
+    def test_plans_hold_no_table_view(self, bench_systems, cold):
+        # every array a plan holds is its own: the tables are sliced on each call, so a
+        # plan pins none of them, and the cache charges the plan only its own bytes
+        system = bench_systems["norms-2d"]
+        coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=0, complex_valued=True))
+        synthesize(system, coeffs)
+        held = [a for value, _ in needlets._TRANSFORM_PLANS._entries.values()
+                for a in _arrays(value)]
+        shared = [a for tabs in system.tables for a in tabs]
+        shared += [a for reach in system._reach for a in reach]
+        assert held and all(a.base is None and not a.flags.writeable for a in held)
+        assert not any(np.shares_memory(a, t) for a in held for t in shared)
+        assert needlets._TRANSFORM_PLANS.nbytes == sum(a.nbytes for a in held)
+
+    def test_keys_separate_cut_offs_of_one_hash(self, cold):
+        # two raw cut-offs of one name give systems of one hash, whose filters differ:
+        # each system gets its own plans, and its own oracle's bits
+        def raw(a_hat):
+            return make_cutoff("raw", fn=a_hat, support=a_hat.support, nonneg=True)
+
+        short = make_cutoff("type_b", u=0.25, v=2.5, rise=1.0 / 12.0, fall=1.0)
+        systems = [build_system(3, 1, [0.5], make_dual_pair(raw(cut)))
+                   for cut in (frame_default(), short)]
+        assert systems[0].hash == systems[1].hash
+        f = CoeffFn.random([0.5], 16, seed=3)
+        for _ in range(2):
+            for system in systems:
+                self.round_trips_match(system, [f])
+        assert len(needlets._TRANSFORM_PLANS) == 4
+
+    def test_system_is_not_kept_alive(self, cold):
+        system = build_system(2, 2, [0.5, 0.5], TIGHT)
+        synthesize(system, analyze(system, CoeffFn.random(system.alpha, 4, seed=1)))
+        assert len(needlets._TRANSFORM_PLANS) == 2
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
 
 class TestRealDtype:

@@ -1073,6 +1073,28 @@ class TestNormCaches:
         gc.collect()
         assert ref() is None
 
+    def test_plan_is_charged_its_own_arrays_only(self, cold, monkeypatch):
+        # a level-4 norms-2d plan views the cached tables and exponents of
+        # _INTEGRATION_AXES, which cost it nothing: it is charged its box matrices and
+        # its per-axis vectors (weights, with the arrays they are cut from, factors and
+        # tails), the matrices being most of it
+        system = build_system(3, 2, [0.5, 0.5], TIGHT)
+        f = CoeffFn.random(system.alpha, 16, seed=0)
+        for params in ((0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 3.0, math.inf), (0.5, 0.5, 1.5, 1.0)):
+            monkeypatch.setattr(spaces, "_NORM_PLANS", _ArrayCache())
+            norm = B_norm_cont if params[3] == math.inf else F_norm_cont
+            norm(f, NormParams(*params), system, 4)
+            (plan, charged), = spaces._NORM_PLANS._entries.values()
+            tables, weights, exps, facs, tails, _, mats = plan
+            mat_bytes = sum(m.nbytes for band in mats for m in band)
+            vector_bytes = sum(w.nbytes if w.base is None else w.base.nbytes
+                               for w in weights if w is not None)
+            vector_bytes += sum(v.nbytes for fac in facs for v in fac)
+            vector_bytes += sum(t.nbytes for t in tails)
+            assert all(not a.base.flags.writeable for a in (*tables, *exps))
+            assert charged == spaces._NORM_PLANS.nbytes == mat_bytes + vector_bytes
+            assert mat_bytes > 0.6 * charged
+
     def test_entry_above_budget_is_not_kept(self, cache_systems, monkeypatch):
         system = cache_systems[2]
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=2)

@@ -602,6 +602,22 @@ class TestArrayCache:
         assert cache.get("big", lambda: (np.zeros(20), (np.ones(3),))) is not first
         assert len(cache) == 0 and cache.nbytes == 0
 
+    def test_bytes_count_each_owner_once(self):
+        # an array costs the bytes of the array owning its memory, once per owner, and
+        # nothing when that owner is already read-only, as a cache or a system holds it
+        held = np.zeros(100)
+        held.flags.writeable = False
+        base = np.zeros(50)
+        cache = _ArrayCache(1 << 20)
+        cache.get("own", lambda: np.zeros(10))
+        assert cache.nbytes == 80
+        value = cache.get("views", lambda: (held, held[:10], base[:5], (base[5:], base),
+                                            np.ones(3)))
+        assert cache.nbytes == 80 + 400 + 24
+        assert not any(a.flags.writeable for a in (value[2], value[3][0], value[3][1]))
+        cache.get("view", lambda: held[::2])
+        assert cache.nbytes == 80 + 400 + 24 and len(cache) == 3
+
     def test_counts_hits_and_misses(self):
         # a value above the budget is not kept, so every call for it misses
         cache = _ArrayCache(100)
