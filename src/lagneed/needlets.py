@@ -11,7 +11,9 @@ complete at the top level.
 A frame element phi_xi = c_xi^(1/2) sum_nu a(|nu|/4^(j-1)) F_nu(xi) F_nu is a
 product over axes except for its filter, so each level keeps per-axis node
 tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
-synthesis are one filter and one real matrix product per axis.  The analysis
+synthesis are one filter and one real matrix product per axis.  Axes of one
+alpha have the same nodes, so they share one table, and a level's tables come
+from one recurrence pass over its distinct alphas.  The analysis
 coefficients store values below the normal range (2.2e-308) as 0: subnormal
 operands slow those products severalfold.  ``analyze`` clears a level of them
 only where an exponent bound from its input and the tables says one can occur.
@@ -38,8 +40,9 @@ gathered onto the block's total-degree grid and the tables' part of the
 subnormal bound, and for ``synthesize`` each block's rows, node counts, filter
 and 4^J clip mask (None where nothing is clipped).  Plans live read-only in a
 bounded cache (``special._ArrayCache``, 16 MiB and 128 entries), keyed by the
-system hash, the filter side with its cut-off (two raw cut-offs of one name
-share a hash) and that degree or those shapes.  A plan holds ints and arrays
+transform, the system hash and that degree or those shapes.  The hash covers
+the cut-offs: a raw one by its support and its filter weights at each level
+(``NeedletSystem._compute_hash``).  A plan holds ints and arrays
 of its own, never a view of a node table, which each call slices, so no plan
 keeps a system or its tables alive.  Plans are built on first use; being
 read-only they are shared across threads, and two threads that miss together
@@ -64,10 +67,10 @@ from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _ArrayCache, _TINY, _degree_grid, _flush_subnormal, _fold)
-from .quadrature import CubatureGrid, cubature_grid, level_node_count
-from .kernels import (cutoff_weights, _degree_weights, _filter_band, _filtered_sum, _level_scale,
-                      _top_degree)
+                      _ArrayCache, _F_tables, _TINY, _degree_grid, _flush_subnormal, _fold)
+from .quadrature import CubatureGrid, cubature_grid, level_node_count, _rules
+from .kernels import (cutoff_weights, _cached_weights, _degree_weights, _filter_band,
+                      _filtered_sum, _level_scale, _top_degree)
 
 __all__ = [
     "CoeffFn",
@@ -289,21 +292,23 @@ class NeedletSystem:
         self.c_star = float(c_star)
         self.grids = list(grids)
         self.hash = self._compute_hash()
-        _check_table_bytes(self.J, self.d, pair, self.delta, self.c_star)
+        _check_table_bytes(self.J, self.alpha, pair, self.delta, self.c_star)
         # per level, per axis: the atoms' factors c_k^(1/2) F_m(xi_k), degree m
-        # by node k, trimmed at the Frobenius floor _TABLE_TRIM / sqrt(size);
-        # read-only, shared by every analyze/synthesize call
+        # by node k, trimmed at the Frobenius floor _TABLE_TRIM / sqrt(size), and
+        # _reach(tab)[m] live nodes for the rows 0..m; read-only, shared by every
+        # analyze/synthesize call and by the axes of one alpha
         self.tables: list[tuple[np.ndarray, ...]] = []
+        self._reach: list[tuple[np.ndarray, ...]] = []
+        first = {a: self.alpha.alpha.index(a) for a in self.alpha}  # axis of each alpha
         for j, g in enumerate(self.grids):
-            tabs = tuple(laguerre_fn_batch(self.band_degree(j), a, xi, "F")
-                         for a, xi in zip(self.alpha, g.axis_xi))
-            for tab, c in zip(tabs, g.axis_c):
-                tab *= np.sqrt(c)
-                _flush_subnormal(tab, _TABLE_TRIM / math.sqrt(tab.size))
-                tab.flags.writeable = False
-            self.tables.append(tabs)
-        # per level, per axis: _reach(tab)[m] live nodes for the rows 0..m
-        self._reach = [tuple(_reach(tab) for tab in tabs) for tabs in self.tables]
+            tabs = _F_tables(self.band_degree(j), list(first),
+                             np.stack([g.axis_xi[ax] for ax in first.values()]))
+            tabs *= np.sqrt(np.stack([g.axis_c[ax] for ax in first.values()]))[:, None]
+            _flush_subnormal(tabs, _TABLE_TRIM / math.sqrt(tabs[0].size))
+            tabs.flags.writeable = False
+            shared = {a: (tab, _reach(tab)) for a, tab in zip(first, tabs)}
+            self.tables.append(tuple(shared[a][0] for a in self.alpha))
+            self._reach.append(tuple(shared[a][1] for a in self.alpha))
 
     def band_degree(self, j: int) -> int:
         """Largest total degree the level-j filters can touch."""
@@ -317,14 +322,25 @@ class NeedletSystem:
         return 4 ** self.J
 
     def _compute_hash(self) -> str:
+        """SHA-256 of the configuration.  A named cut-off is its description; a raw one
+        (kind "raw" or a companion of one) is known only by its name there, so its
+        support and the bytes of the filter weights each level reads are hashed too."""
         ext = [f"{g.right_extension:.17g}" for g in self.grids]
-        desc = "|".join([
+        parts = [
             f"J={self.J}", f"d={self.d}",
             "alpha=" + ",".join(f"{a:.17g}" for a in self.alpha),
             f"delta={self.delta:.17g}", f"cstar={self.c_star:.17g}",
             "pair=" + self.pair.describe(), "ext=" + ";".join(ext),
-        ])
-        return hashlib.sha256(desc.encode()).hexdigest()
+        ]
+        for side, cut in (("a", self.pair.a_hat), ("b", self.pair.b_hat)):
+            if cut.kind.endswith("raw"):
+                weights = hashlib.sha256()
+                for j in range(self.J + 1):
+                    scale = _level_scale(j)
+                    weights.update(_cached_weights(cut, scale, _top_degree(cut, scale)).tobytes())
+                parts.append(f"{side}=supp({cut.support[0]:.17g},{cut.support[1]:.17g}),"
+                             + weights.hexdigest())
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
     def node_point(self, j: int, gamma) -> np.ndarray:
         g = self.grids[j]
@@ -338,11 +354,12 @@ class NeedletSystem:
         return float(np.prod([g.axis_c[ax][v] for ax, v in enumerate(gamma)]))
 
 
-def _check_table_bytes(J: int, d: int, pair: CutoffPair, delta: float, c_star: float):
-    """Refuse, with ResourceWarning, a system whose node tables (per level, d tables
-    of n_j nodes by band degree + 1 doubles) would pass TABLE_BYTES_CAP; reads only
-    the node counts, so it runs before any rule is built."""
-    need = sum(d * level_node_count(j, delta, c_star)
+def _check_table_bytes(J: int, alpha: AlphaVector, pair: CutoffPair, delta: float,
+                       c_star: float):
+    """Refuse, with ResourceWarning, a system whose node tables (per level, one table
+    of n_j nodes by band degree + 1 doubles per distinct alpha) would pass
+    TABLE_BYTES_CAP; reads only the node counts, so it runs before any rule is built."""
+    need = sum(len(set(alpha)) * level_node_count(j, delta, c_star)
                * (_top_degree(pair.a_hat, _level_scale(j)) + 1) * 8 for j in range(J + 1))
     if need > TABLE_BYTES_CAP:
         raise ResourceWarning(f"node tables would need {need} bytes, above the cap")
@@ -372,7 +389,8 @@ def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
-    _check_table_bytes(J, d, pair, delta, c_star)
+    _check_table_bytes(J, av, pair, delta, c_star)
+    _rules([(level_node_count(j, delta, c_star), a) for j in range(J + 1) for a in av])
     grids = [cubature_grid(j, d, av, delta, c_star) for j in range(J + 1)]
     system = NeedletSystem(J, d, av, pair, delta, c_star, grids)
     _spot_check_exactness(system)
@@ -459,7 +477,7 @@ def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
             levels.append((rows.start, rows.stop, K, w, floors, floors + 52 + _low_exponent(w)))
         return tuple(levels)
 
-    return _TRANSFORM_PLANS.get(("analyze", system.hash, cut, cap), make)
+    return _TRANSFORM_PLANS.get(("analyze", system.hash, cap), make)
 
 
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
@@ -561,7 +579,7 @@ def _synthesis_plan(system: NeedletSystem, box_shapes: tuple) -> tuple:
             levels.append((r0, rows.stop, K, tuple(blocks)))
         return tuple(levels)
 
-    return _TRANSFORM_PLANS.get(("synthesize", system.hash, cut, box_shapes), make)
+    return _TRANSFORM_PLANS.get(("synthesize", system.hash, box_shapes), make)
 
 
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:

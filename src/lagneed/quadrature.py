@@ -11,8 +11,11 @@ L_n' to that node, where Christoffel-Darboux gives the cubature coefficient,
 so nothing overflows, underflows or needs a second pass.  If a step is not
 small, or leaves the bracket the Sturm counts give, every node takes a
 further pass, from its stepped place or else from its bracket's midpoint.
-Classical Gauss weights are kept in log form.  Rules and grids are kept in
-bounded caches; their arrays are read-only.
+Several rules are built together: one pass steps each rule not yet final as
+a group of its own (``special._damped_rows``), and each comes out bit for bit
+as if built alone.  Classical Gauss weights are kept in log form.  Rules and
+grids are kept in bounded caches, the rules' built in batches (``_rules``);
+their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import _LN2, AlphaVector, as_alpha, _damped_rows, _outer
+from .special import _LN2, AlphaVector, as_alpha, _ArrayCache, _damped_rows, _outer
 
 __all__ = [
     "QuadratureRule",
@@ -65,14 +68,16 @@ _AIRY_ZEROS = (-2.338107410459767, -4.08794944413097, -5.520559828095551,
                -10.040174341558085, -11.008524303733262, -11.936015563236262,
                -12.828776752865757)
 _TAYLOR_DEGREE = 8      # degree of the local Taylor model of L_n in a pass
+_POWERS = np.arange(_TAYLOR_DEGREE + 1)[:, None]
 _STEP_LIMIT = 5e-3      # largest final step, as a share of the local node gap
 _SLACK = 1e-6           # rounding allowance on brackets, as a share of the gap
 _MAX_PASSES = 64
 _SIGN_BLOCK = 128       # sign bits held before their changes are counted
 
 
-def _initial_nodes(n: int, alpha: float) -> np.ndarray:
-    """Asymptotic zeros of L_n^alpha, increasing, with nu = 4n + 2 alpha + 2.
+def _initial_nodes(keys) -> np.ndarray:
+    """Asymptotic zeros of L_n^alpha for each key (n, alpha), one key after another,
+    each key's increasing, with nu = 4n + 2 alpha + 2.
 
     About sqrt(n)/2 zeros at each end come from the Bessel-type (Gatteschi)
     form j_k^2 / nu (1 + (j_k^2 + 2 alpha^2 - 2) / (3 nu^2)), j_k the zeros of
@@ -81,102 +86,163 @@ def _initial_nodes(n: int, alpha: float) -> np.ndarray:
     Tricomi-type form nu s - (5/(4(1-s)^2) - 1/(1-s) - 1 + 3 alpha^2) / (3 nu),
     s = cos^2(tau/2), tau - sin tau = (4n - 4k + 3) pi / nu (Gatteschi,
     J. Comput. Appl. Math. 144, 2002; Gil-Segura-Temme, Stud. Appl. Math. 140,
-    2018).
+    2018).  The forms run on all keys' points at once, with each key's constants
+    repeated over its points; only the powers of the end forms' arrays are taken
+    key by key (see ``_powers``).
     """
-    nu = 4.0 * n + 2.0 * alpha + 2.0
-    c = np.arange(4.0 * n - 1.0, 0.0, -4.0) * (math.pi / nu)
+    ns = [n for n, _ in keys]
+    alphas = [alpha for _, alpha in keys]
+    nus = [4.0 * n + 2.0 * alpha + 2.0 for n, alpha in keys]
+    ms = [min(n, math.ceil(0.5 * math.sqrt(n))) for n in ns]
+    starts = np.cumsum([0] + ns[:-1])
+
+    def each(values, counts):
+        """Each key's constant repeated over its points."""
+        return np.repeat(np.array(values, dtype=float), counts)
+
+    k = np.arange(sum(ns)) - np.repeat(starts, ns)              # index within the key
+    c = (np.repeat(4 * np.array(ns) - 1, ns) - 4 * k) * each([math.pi / nu for nu in nus], ns)
     tau = np.cbrt(6.0 * c)
     for _ in range(3):
         tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
     r = 2.0 / (1.0 - np.cos(tau))            # 1 / (1 - s), s = cos^2(tau/2)
-    x = nu - nu / r - (r * (1.25 * r - 1.0) + (3.0 * alpha ** 2 - 1.0)) / (3.0 * nu)
+    nu_k = each(nus, ns)
+    x = nu_k - nu_k / r - (r * (1.25 * r - 1.0) + each([3.0 * a ** 2 - 1.0 for a in alphas], ns)) \
+        / each([3.0 * nu for nu in nus], ns)
 
-    m = min(n, math.ceil(0.5 * math.sqrt(n)))
-    beta = np.arange(0.5 * alpha + 0.75, m + 0.5 * alpha + 0.5) * math.pi
-    mu = 4.0 * alpha ** 2
-    w = (8.0 * beta) ** -2
-    j = beta - (mu - 1.0) / (8.0 * beta) * (
-        1.0 + w * (4.0 * (7.0 * mu - 31.0) / 3.0
-                   + w * (32.0 * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / 15.0
-                          + w * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu ** 2
-                                        + 1585743.0 * mu - 6277237.0) / 105.0)))
+    # the first m points of each key: Bessel-type; the last m: Airy-type
+    mus = [4.0 * a ** 2 for a in alphas]
+    beta = [np.arange(0.5 * a + 0.75, m + 0.5 * a + 0.5) * math.pi for a, m in zip(alphas, ms)]
+    w = np.concatenate([(8.0 * b) ** -2 for b in beta])
+    beta = np.concatenate(beta)
+    j = beta - each([mu - 1.0 for mu in mus], ms) / (8.0 * beta) * (
+        1.0 + w * (each([4.0 * (7.0 * mu - 31.0) / 3.0 for mu in mus], ms)
+                   + w * (each([32.0 * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / 15.0
+                                for mu in mus], ms)
+                          + w * 64.0 * each([6949.0 * mu ** 3 - 153855.0 * mu ** 2 + 1585743.0 * mu
+                                             - 6277237.0 for mu in mus], ms) / 105.0)))
     jj = j * j
-    x[:m] = jj / nu * (1.0 + (jj + 2.0 * alpha ** 2 - 2.0) / (3.0 * nu ** 2))
+    i = np.arange(sum(ms)) - np.repeat(np.cumsum([0] + ms[:-1]), ms)   # index within the end
+    x[np.repeat(starts, ms) + i] = jj / each(nus, ms) * (
+        1.0 + (jj + each([2.0 * a ** 2 for a in alphas], ms) - 2.0)
+        / each([3.0 * nu ** 2 for nu in nus], ms))
 
-    z = np.arange(2.25, 3.0 * m, 3.0) * (0.5 * math.pi)         # 3 pi (4k - 1) / 8
-    v = z ** -2
-    a = -np.cbrt(z * z) * (1.0 + v * (5.0 / 48.0 + v * (-5.0 / 36.0 + v * (
+    z = np.arange(2.25, 3.0 * max(ms), 3.0) * (0.5 * math.pi)    # 3 pi (4k - 1) / 8
+    v = np.concatenate([z[:m] ** -2 for m in ms])
+    z = np.concatenate([z[:m] for m in ms])
+    ai = -np.cbrt(z * z) * (1.0 + v * (5.0 / 48.0 + v * (-5.0 / 36.0 + v * (
         77125.0 / 82944.0 - v * 108056875.0 / 6967296.0))))
-    a[:len(_AIRY_ZEROS)] = _AIRY_ZEROS[:m]
-    nu3, two3 = nu ** (1.0 / 3.0), 2.0 ** (1.0 / 3.0)
-    x[n - m:] = (nu + (11.0 / 35.0 - alpha ** 2) / nu + a * (
-        two3 ** 2 * (nu3 + 16.0 / 1575.0 / nu3 ** 5) + a * (
-            0.2 * two3 ** 4 / nu3 - 1088.0 / 121275.0 * two3 / nu3 ** 7 + a * (
-                -12.0 / 175.0 / nu + a * (
-                    92.0 / 7875.0 * two3 ** 2 / nu3 ** 5
-                    - a * 15152.0 / 3031875.0 * two3 / nu3 ** 7)))))[::-1]
-    return np.sort(np.minimum(np.maximum(x, 0.0), nu))
+    known = i < len(_AIRY_ZEROS)
+    ai[known] = np.array(_AIRY_ZEROS)[i[known]]
+    nu3, two3 = [nu ** (1.0 / 3.0) for nu in nus], 2.0 ** (1.0 / 3.0)
+    x[np.repeat(starts + ns, ms) - 1 - i] = (
+        each([nu + (11.0 / 35.0 - a ** 2) / nu for nu, a in zip(nus, alphas)], ms) + ai * (
+            each([two3 ** 2 * (q + 16.0 / 1575.0 / q ** 5) for q in nu3], ms) + ai * (
+                each([0.2 * two3 ** 4 / q - 1088.0 / 121275.0 * two3 / q ** 7 for q in nu3], ms)
+                + ai * (each([-12.0 / 175.0 / nu for nu in nus], ms) + ai * (
+                    each([92.0 / 7875.0 * two3 ** 2 / q ** 5 for q in nu3], ms)
+                    - ai * 15152.0 / 3031875.0 * two3 / each([q ** 7 for q in nu3], ms))))))
+    x = np.minimum(np.maximum(x, 0.0), nu_k)
+    return x[np.lexsort((x, np.repeat(np.arange(len(ns)), ns)))]
 
 
-def _newton_polish(n: int, alpha: float, t: np.ndarray):
+def _newton_polish(n, alpha, t: np.ndarray, sizes=None):
     """One streaming pass of the damped recurrence at t, read as a local model of L_n.
 
     The pass counts the sign changes of q_0(t), ..., q_n(t): a Sturm sequence,
     so the count is the number of zeros of L_n below t.  The signs are read
     from the rescaled state, because converted rows of low degree underflow to
-    0 at large t.  From the last two rows, t L_n' = n L_n - b_n L_(n-1) (the
-    orthonormal, same-alpha identity, b_k = sqrt(k(k+a))) gives L_n', and the
-    Laguerre equation t y^(m+2) = (t - a - 1 - m) y^(m+1) - (n - m) y^(m) every
-    further derivative, so Newton's method on the degree-8 Taylor polynomial
-    of L_n at t (damped by e^(-h/2)) finds the step h to the nearest zero.
-    At a zero sum_{k<n} q_k^2 = t q_n'^2 (Christoffel-Darboux), and the Taylor
-    polynomial of L_n' carries q_n' from t to t + h, so the Christoffel
-    function at the stepped node needs no second pass.
+    0 at large t.  From the last two rows ``_taylor_step`` steps each point to
+    the nearest zero and gives the Christoffel function there.
     Returns (t + h, lambda_n(t + h) e^(t + h), its log, Sturm counts at t).
+
+    With ``sizes``, n and alpha are given per group of consecutive points of t,
+    n not increasing (see ``special._damped_rows``).  A group's counts and last
+    two rows are taken when it leaves the pass, and one Taylor step then serves
+    every group.
     """
+    if sizes is None:
+        n, alpha, sizes = (n,), (alpha,), (t.size,)
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
     count = np.zeros(t.size, dtype=np.int64)
     signs = np.zeros((_SIGN_BLOCK + 1, t.size), dtype=bool)
     bits = signs.view(np.uint8)
-    rows = _damped_rows(n, alpha, t)
+    last, g = [None] * len(n), len(n) - 1
+    rows = _damped_rows(n, alpha, t, sizes)
     state = next(rows)      # q_0 > 0: sign bit 0, already in signs[0]
     i = 0
-    for state in rows:
+    for step, state in enumerate(rows, 1):
         i += 1
-        np.signbit(state.v, out=signs[i])
+        w = len(state.v)
+        np.signbit(state.v, out=signs[i, :w])
         if i == _SIGN_BLOCK:
-            count += np.bitwise_xor(bits[1:], bits[:-1]).sum(axis=0, dtype=np.uint8)
-            signs[0] = signs[i]
+            count[:w] += np.bitwise_xor(bits[1:, :w], bits[:-1, :w]).sum(axis=0, dtype=np.uint8)
+            signs[0, :w] = signs[i, :w]
             i = 0
-    count += np.bitwise_xor(bits[1:i + 1], bits[:i]).sum(axis=0, dtype=np.uint8)
+        while g >= 0 and n[g] == step:  # group g leaves; no later step writes its rows
+            sl = spans[g]
+            count[sl] += np.bitwise_xor(bits[1:i + 1, sl], bits[:i, sl]).sum(axis=0, dtype=np.uint8)
+            last[g] = state.v[sl], state.v_prev[sl]
+            g -= 1
+    return (*_taylor_step(np.repeat(np.array(n, dtype=float), sizes),
+                          np.repeat(np.array(alpha, dtype=float), sizes), t,
+                          *(np.concatenate(rows) for rows in zip(*last)),
+                          state.frac, state.m0 + state.shift, spans), count)
 
+
+def _powers(h: np.ndarray, spans, top: int) -> np.ndarray:
+    """h^k, k = 0..top, shape (top+1, h.size), each group's on an array of its own.
+
+    np.power's vector and scalar loops round some powers differently, and which
+    points take which depends on where they sit in the array, so a group's
+    powers come out as in a pass of its own only from an array of the group alone.
+    """
+    return np.concatenate([h[sl] ** _POWERS[:top + 1] for sl in spans], axis=1)
+
+
+def _taylor_step(n, alpha, t, v, v_prev, frac, exponent, spans):
+    """Newton's step from t to the nearest zero of L_n, from the damped recurrence's
+    rows q_n = v frac 2^exponent and q_(n-1) = v_prev frac 2^exponent at t, with n and
+    alpha per point and the points in the groups ``spans``; returns (t + h,
+    lambda_n(t + h) e^(t + h), its log).  Every step but the powers of h (``_powers``)
+    is elementwise, so a group's results do not depend on the others.
+
+    From the last two rows, t L_n' = n L_n - b_n L_(n-1) (the orthonormal,
+    same-alpha identity, b_k = sqrt(k(k+a))) gives L_n', and the Laguerre
+    equation t y^(m+2) = (t - a - 1 - m) y^(m+1) - (n - m) y^(m) every further
+    derivative, so Newton's method on the degree-8 Taylor polynomial of L_n at t
+    (damped by e^(-h/2)) finds the step h to the nearest zero.  At a zero
+    sum_{k<n} q_k^2 = t q_n'^2 (Christoffel-Darboux), and the Taylor polynomial of
+    L_n' carries q_n' from t to t + h, so the Christoffel function at the stepped
+    node needs no second pass.
+    """
     # Taylor coefficients c_m = L_n^(m)(t) / (m! L_n'(t)): c_0 = L_n / L_n', c_1 = 1,
     # and by the Laguerre equation c_(m+2) = up_m c_(m+1) - down_m c_m.  A point
     # far from every zero may give a non-finite step, which the caller's
     # bracket test turns away.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        deriv = (n * state.v - math.sqrt(n * (n + alpha)) * state.v_prev) / t
+        deriv = (n * v - np.sqrt(n * (n + alpha)) * v_prev) / t
         m = np.arange(_TAYLOR_DEGREE - 1.0)[:, None]
         up = (t - (alpha + 1.0 + m)) / ((m + 2.0) * t)
         down = ((n - m) / ((m + 2.0) * (m + 1.0))) / t
         c = np.empty((_TAYLOR_DEGREE + 1, t.size))
-        c[0], c[1] = state.v / deriv, 1.0
+        c[0], c[1] = v / deriv, 1.0
         for k in range(_TAYLOR_DEGREE - 1):
             np.subtract(up[k] * c[k + 1], down[k] * c[k], out=c[k + 2])
-        powers = np.arange(_TAYLOR_DEGREE + 1)[:, None]
-        dc = powers[1:] * c[1:]
+        dc = _POWERS[1:] * c[1:]
         # Newton's method on the damped model e^(-h/2) L_n(t + h), which lacks
         # the undamped polynomial's e^(h/2) growth, from its first step; three
         # iterations, as a lone node's wide gap lets a far-off start pass the step test
         h = -c[0] / (1.0 - 0.5 * c[0])
         for _ in range(3):
-            hp = h ** powers
+            hp = _powers(h, spans, _TAYLOR_DEGREE)
             f = (c * hp).sum(axis=0)
             h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)
         root = t + h
-        # e^(-t/2) L_n'(t + h) = slope 2^(e + m0 + shift), slope in [1/2, 1)
-        slope, e = np.frexp(deriv * (dc * h ** powers[:-1]).sum(axis=0) * state.frac)
-        exponent = -2 * (e + state.m0 + state.shift)
-        return (root, *_scaled(np.exp(h) / (root * slope * slope), exponent), count)
+        # e^(-t/2) L_n'(t + h) = slope 2^(e + exponent), slope in [1/2, 1)
+        slope, e = np.frexp(deriv * (dc * _powers(h, spans, _TAYLOR_DEGREE - 1)).sum(axis=0) * frac)
+        return (root, *_scaled(np.exp(h) / (root * slope * slope), -2 * (e + exponent)))
 
 
 def _scaled(mantissa: np.ndarray, exponent: np.ndarray):
@@ -186,49 +252,95 @@ def _scaled(mantissa: np.ndarray, exponent: np.ndarray):
 
 
 def _local_gaps(t: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearer neighbour, 0 counting as the first's."""
+    """Distance from each point to its nearer neighbour, 0 counting as the first's,
+    along the last axis."""
     gap = np.empty_like(t)
-    gap[0], gap[1:] = t[0], t[1:] - t[:-1]
-    gap[:-1] = np.minimum(gap[:-1], gap[1:])
+    gap[..., 0], gap[..., 1:] = t[..., 0], t[..., 1:] - t[..., :-1]
+    gap[..., :-1] = np.minimum(gap[..., :-1], gap[..., 1:])
     return gap
 
 
-@lru_cache(maxsize=256)
-def _gauss_laguerre_cached(n: int, alpha: float) -> QuadratureRule:
-    # Every zero lies in (0, nu) (Gershgorin on the Jacobi matrix).  lo and hi
-    # bracket each zero by the Sturm counts seen so far.  A pass is final when
-    # every step is small against the local gap, so the Taylor model holds,
-    # and the stepped nodes are distinct and inside their brackets, so they
-    # are the n zeros in order.  Otherwise a node moves to its stepped place
-    # if that lies inside its bracket, else to the bracket's midpoint.
-    nu = 4.0 * n + 2.0 * alpha + 2.0
-    t = _initial_nodes(n, alpha)
-    lo, hi = np.zeros(n), np.full(n, nu)
-    for _ in range(_MAX_PASSES):
-        root, lam_exp, log_lam_exp, count = _newton_polish(n, alpha, t)
-        below, above = np.zeros(n + 1), np.full(n + 1, nu)
-        np.maximum.at(below, count, t)
-        np.minimum.at(above, count, t)
-        lo = np.maximum(lo, np.maximum.accumulate(below)[:-1])
-        hi = np.minimum(hi, np.minimum.accumulate(above[::-1])[-2::-1])
-        gap = _local_gaps(t)
-        slack = _SLACK * gap
-        if ((np.abs(root - t) <= _STEP_LIMIT * gap).all()
-                and (root >= lo - slack).all() and (root <= hi + slack).all()
-                and (root[1:] - root[:-1] > slack[1:]).all()):
-            break
-        t = np.sort(np.where((root > lo) & (root < hi), root, 0.5 * (lo + hi)))
-    else:  # pragma: no cover - defect path
-        raise ArithmeticError(f"no Gauss-Laguerre rule for n={n}, alpha={alpha} "
-                              f"after {_MAX_PASSES} passes")
-    nodes = np.minimum(np.maximum(root, lo), hi)
-    if not ((nodes[1:] > nodes[:-1]).all() and nodes[0] > 0.0 and nodes[-1] < nu):
-        raise ArithmeticError(f"invalid Gauss-Laguerre nodes for n={n}, alpha={alpha}")
+class _RuleCache(_ArrayCache):
+    """The bounded cache of rules, keyed by (n, alpha), which also counts in
+    ``_passes`` the grouped recurrence passes that built its rules."""
 
-    arrays = (nodes, log_lam_exp - nodes, 0.5 * lam_exp, np.sqrt(nodes))
-    for a in arrays:
-        a.flags.writeable = False
-    return QuadratureRule(n, float(alpha), *arrays)
+    def __init__(self):
+        super().__init__(max_bytes=64 << 20, max_entries=256)
+        self._passes = 0
+
+
+_RULES = _RuleCache()
+
+
+def _build_rules(keys) -> list:
+    """The rules for distinct keys (n, alpha), built together: each pass of the
+    damped recurrence steps every rule that is not final yet (``_newton_polish``
+    with one group per rule), and each rule comes out bit for bit as if built
+    alone.  Between passes each rule's points are a row of a padded array, +inf
+    past its n, so every test and update below runs on all rules at once.
+
+    Every zero lies in (0, nu) (Gershgorin on the Jacobi matrix).  lo and hi
+    bracket each zero by the Sturm counts seen so far.  A pass is final for a
+    rule when every step is small against the local gap, so the Taylor model
+    holds, and the stepped nodes are distinct and inside their brackets, so
+    they are the n zeros in order.  Otherwise a node moves to its stepped place
+    if that lies inside its bracket, else to the bracket's midpoint.
+    """
+    order = sorted(range(len(keys)), key=lambda g: -keys[g][0])  # n not increasing
+    ns = np.array([keys[g][0] for g in order])
+    alphas = [keys[g][1] for g in order]
+    nus = 4.0 * ns + 2.0 * np.array(alphas) + 2.0
+    live = np.arange(ns[0]) < ns[:, None]
+    t = np.full(live.shape, np.inf)
+    t[live] = _initial_nodes([keys[g] for g in order])
+    lo, hi = np.zeros(live.shape), np.repeat(nus[:, None], ns[0], axis=1)
+    rules, todo = [None] * len(keys), np.arange(len(keys))
+    for _ in range(_MAX_PASSES):
+        part = live[todo]
+        root, lam_exp, log_lam_exp = (np.full(part.shape, np.nan) for _ in range(3))
+        root[part], lam_exp[part], log_lam_exp[part], count = _newton_polish(
+            ns[todo].tolist(), [alphas[g] for g in todo], t[todo][part], ns[todo].tolist())
+        with _RULES._lock:
+            _RULES._passes += 1
+        where = (np.nonzero(part)[0], count)
+        below = np.zeros((len(todo), ns[0] + 1))
+        above = np.repeat(nus[todo, None], ns[0] + 1, axis=1)
+        np.maximum.at(below, where, t[todo][part])
+        np.minimum.at(above, where, t[todo][part])
+        lo[todo] = np.maximum(lo[todo], np.maximum.accumulate(below, axis=1)[:, :-1])
+        hi[todo] = np.minimum(hi[todo], np.minimum.accumulate(above[:, ::-1], axis=1)[:, -2::-1])
+        tt, low, high = t[todo], lo[todo], hi[todo]
+        with np.errstate(invalid="ignore"):  # inf - inf past each rule's n
+            gap = _local_gaps(tt)
+            slack = _SLACK * gap
+            steps_ok = ((np.abs(root - tt) <= _STEP_LIMIT * gap) & (root >= low - slack)
+                        & (root <= high + slack))
+            apart = root[:, 1:] - root[:, :-1] > slack[:, 1:]
+            final = (np.where(part, steps_ok, True).all(axis=1)
+                     & np.where(part[:, 1:], apart, True).all(axis=1))
+        nodes = np.minimum(np.maximum(root, low), high)
+        for row in np.flatnonzero(final):
+            g, n = order[todo[row]], ns[todo[row]]
+            rule = nodes[row, :n]
+            if not ((rule[1:] > rule[:-1]).all() and rule[0] > 0.0 and rule[-1] < nus[todo[row]]):
+                raise ArithmeticError(f"invalid Gauss-Laguerre nodes for n={n}, alpha={keys[g][1]}")
+            rules[g] = QuadratureRule(int(n), keys[g][1], rule.copy(), log_lam_exp[row, :n] - rule,
+                                      0.5 * lam_exp[row, :n], np.sqrt(rule))
+        tt = np.where((root > low) & (root < high), root, 0.5 * (low + high))
+        tt[~part] = np.inf
+        t[todo] = np.sort(tt, axis=1)
+        todo = todo[~final]
+        if not todo.size:
+            return rules
+    n, alpha = keys[order[todo[0]]]  # pragma: no cover - defect path
+    raise ArithmeticError(f"no Gauss-Laguerre rule for n={n}, alpha={alpha} "
+                          f"after {_MAX_PASSES} passes")
+
+
+def _rules(keys) -> list:
+    """The rules for the keys (n, alpha), checked by the caller, from the cache; the
+    missing ones are built together (``_build_rules``)."""
+    return _RULES.get_many([(int(n), float(alpha)) for n, alpha in keys], _build_rules)
 
 
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
@@ -237,7 +349,7 @@ def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
         raise ValueError("n must be at least 1")
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
-    return _gauss_laguerre_cached(int(n), float(alpha))
+    return _rules([(n, alpha)])[0]
 
 
 def christoffel(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:

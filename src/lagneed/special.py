@@ -17,10 +17,11 @@ they cannot overflow either.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -39,6 +40,7 @@ _RESCALE_SHIFT = 512
 _BOUND_LIMIT = 2.0 ** 1000
 _TINY = np.finfo(float).tiny
 _FLUSH_CHUNK = 1 << 15
+_GROWTH_WINDOW = 256  # steps of running bound worked out at once
 
 
 @dataclass(frozen=True)
@@ -161,55 +163,149 @@ class _Frame:
         self.scale = None
 
 
-def _damped_rows(N: int, alpha: float, u: np.ndarray):
+def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
     """Step through q_n(u) = (G(n+1)/G(n+a+1))^(1/2) exp(-u/2) L_n^a(u), n = 0..N.
 
-    ``u`` is flat.  Each step yields the same _Frame, whose state moves on with
-    the generator, so read it before asking for the next step; a consumer that
-    needs only some rows converts only those.  A running bound on the values
+    ``u`` is flat (2-D for several groups, below).  Each step yields the same
+    _Frame, whose state moves on with the generator, so read it before asking
+    for the next step; a consumer that needs only some rows converts only
+    those.  A running bound on the values
     (each step grows them by at most (max|2n+a+1-u| + b_n) / b_(n+1)) says when
     they could near the float range; only then are the large ones rescaled by
     2^-512, both rows alike, so no step can overflow and the rows do not depend
     on when the rescaling happened.  The start G(a+1)^(-1/2) of q_0 is below the
     normal range from about a = 316 on; there ``shift`` begins at its binary
     exponent e and the start is G(a+1)^(-1/2) 2^(-e), elsewhere at 0.
+
+    One pass also steps several groups of points, group g to degree N[g] with
+    parameter alpha[g], N not increasing from group to group: the rows of a 2-D
+    ``u``, or with ``sizes`` consecutive runs of a flat ``u`` of those lengths.
+    Step n moves the groups with N[g] >= n, a leading part of ``u``: from the
+    step after a group's last one, ``v`` and ``v_prev`` cover only the groups
+    still running, and the frame's other arrays keep their full extent.  A step
+    takes c_n = 2n + a + 1 and b_(n+1) as numbers while one alpha runs, else per
+    row, or gathered per point from per-alpha tables; the bound and its
+    rescales are kept per group.  So each group's rows are bit for bit those of
+    a pass of its own.
     """
+    if np.ndim(N) == 0:
+        N, alpha = (N,), (alpha,)
+    by_row = u.ndim == 2
+    if by_row:
+        sizes = (u.shape[1],) * len(N)
+    elif sizes is None:
+        sizes = (u.size,)
+    ends = list(itertools.accumulate(sizes))
+    spans = range(len(N)) if by_row else [slice(end - size, end) for end, size in zip(ends, sizes)]
+    kinds = sorted(set(alpha))
+    col = [kinds.index(a) for a in alpha]
+    starts = [_start(a) for a in kinds]
     s = _Frame()
     e0 = -u / (2.0 * _LN2)
     m0 = np.floor(e0)
     s.frac = np.exp2(e0 - m0)          # in [1, 2)
     s.m0 = m0.astype(np.int64)
     s.scale = None
-    s.v_prev = np.zeros(u.size)
-    log_start = -0.5 * math.lgamma(alpha + 1.0)
-    e = 0 if math.exp(log_start) >= _TINY else math.floor(log_start / _LN2)
-    start = math.exp(log_start - e * _LN2)
-    s.shift = np.full(u.size, e, dtype=np.int64)
-    s.v = np.full(u.size, start)
+    s.v_prev = np.zeros(u.shape)
+    s.shift = np.repeat(np.array([starts[c][0] for c in col]), sizes).reshape(u.shape)
+    s.v = np.repeat(np.array([starts[c][1] for c in col]), sizes).reshape(u.shape)
     yield s
-    lo, hi = (float(u.min()), float(u.max())) if u.size else (0.0, 0.0)
-    spare, term = np.empty(u.size), np.empty(u.size)
-    bound, b_cur = start, 0.0
-    for n in range(N):
-        c = 2.0 * n + alpha + 1.0
-        b_next = math.sqrt((n + 1.0) * (n + 1.0 + alpha))
-        growth = max(1.0, (max(c - lo, hi - c) + b_cur) / b_next)
-        if bound * growth > _BOUND_LIMIT:
-            size = np.maximum(np.abs(s.v), np.abs(s.v_prev))
-            big = size > _RESCALE_LIMIT
-            s.v[big] = np.ldexp(s.v[big], -_RESCALE_SHIFT)
-            s.v_prev[big] = np.ldexp(s.v_prev[big], -_RESCALE_SHIFT)
-            s.shift[big] += _RESCALE_SHIFT
-            s.scale = None
-            bound = float(np.max(np.where(big, np.ldexp(size, -_RESCALE_SHIFT), size),
-                                  initial=0.0))
-        bound *= growth
+    top = N[0]
+    if not top:
+        return
+    k = np.arange(top + 1.0)[:, None]
+    c_tab = 2.0 * k[:-1] + np.array(kinds) + 1.0        # c_n by alpha, n = 0..top-1
+    b_tab = np.sqrt(k * (k + np.array(kinds)))           # b_n by alpha, n = 0..top
+    # per step and group, the bound's growth (max|c_n - u| + b_n) / b_(n+1), at least 1
+    if not u.size:
+        lo = hi = np.zeros(1)
+    elif by_row:
+        lo, hi = u.min(axis=1), u.max(axis=1)
+    else:
+        lo, hi = (f.reduceat(u, [0] + ends[:-1]) for f in (np.minimum, np.maximum))
+    c_grp, b_grp = (c_tab, b_tab) if len(kinds) == 1 else (c_tab[:, col], b_tab[:, col])
+    growth = np.maximum(1.0, (np.maximum(c_grp - lo, hi - c_grp) + b_grp[:-1]) / b_grp[1:])
+    due = _due(growth, 0, [starts[c][1] for c in col])
+    which = None
+    if len(kinds) == 1:
+        c_by_n, b_by_n = c_tab[:, 0].tolist(), b_tab[:, 0].tolist()
+    elif by_row:
+        c_by_n, b_by_n = c_tab[:, col, None], b_tab[:, col, None]
+    else:
+        which = np.repeat(np.array(col, dtype=np.intp), sizes)
+        c_pt, b_spare = np.empty(u.size), np.empty(u.size)
+    b_cur = b_by_n[0] if which is None else np.zeros(u.size)    # b_0 = 0
+    spare, term = np.empty(u.shape), np.empty(u.shape)
+    live, event = len(N), 0
+    for n in range(top):
+        if n >= event:
+            if N[live - 1] <= n:  # the groups whose last step was n - 1 leave
+                while N[live - 1] <= n:
+                    live -= 1
+                w = live if by_row else ends[live - 1]
+                s.v, s.v_prev, spare, term, u = s.v[:w], s.v_prev[:w], spare[:w], term[:w], u[:w]
+                if which is not None:
+                    which, c_pt, b_cur, b_spare = which[:w], c_pt[:w], b_cur[:w], b_spare[:w]
+                elif by_row and len(kinds) > 1:
+                    c_by_n, b_by_n, b_cur = c_by_n[:, :w], b_by_n[:, :w], b_cur[:w]
+            for g in range(live):
+                while due[g][0] == n:
+                    step, bound = due[g]
+                    if bound is None:  # rescale, then go on from the next step
+                        bound = _rescale(s, spans[g]) * growth[n, g]
+                        step += 1
+                    due[g] = _due(growth[:, g:g + 1], step, [bound])[0]
+            event = min(min(step for step, _ in due[:live]), N[live - 1])
+        if which is None:
+            c, b_next = c_by_n[n], b_by_n[n + 1]
+        else:
+            c = c_tab[n].take(which, out=c_pt, mode="clip")
+            b_next = b_tab[n + 1].take(which, out=b_spare, mode="clip")
+            b_spare = b_cur
         v = np.subtract(c, u, out=spare)
         v *= s.v
         v -= np.multiply(b_cur, s.v_prev, out=term)
         v /= b_next
         spare, s.v_prev, s.v, b_cur = s.v_prev, s.v, v, b_next
         yield s
+
+
+def _start(alpha: float) -> tuple[int, float]:
+    """(e, G(a+1)^(-1/2) 2^(-e)): the start of q_0 and its exponent, see ``_damped_rows``."""
+    log_start = -0.5 * math.lgamma(alpha + 1.0)
+    e = 0 if math.exp(log_start) >= _TINY else math.floor(log_start / _LN2)
+    return e, math.exp(log_start - e * _LN2)
+
+
+def _due(growth: np.ndarray, n: int, bounds) -> list:
+    """Per column (group) of ``growth`` (steps by groups), whose running bound before
+    step n is ``bounds``: (m, None) for the first step m among the _GROWTH_WINDOW from n
+    at which the bound times the step's growth would pass _BOUND_LIMIT, so the group's
+    values are rescaled there; else (m, the bound before step m) for the window's end
+    m, where the search goes on."""
+    if n >= len(growth):
+        return [(n, b) for b in bounds]
+    with np.errstate(over="ignore"):  # inf is past the limit as well
+        ahead = np.cumprod(np.concatenate(([bounds], growth[n: n + _GROWTH_WINDOW])), axis=0)
+    over = ahead[1:] > _BOUND_LIMIT
+    end, last = n + len(over), ahead[-1].tolist()
+    if not over.any():
+        return [(end, b) for b in last]
+    first, hit = over.argmax(axis=0).tolist(), over.any(axis=0).tolist()
+    return [(n + i, None) if h else (end, b) for i, h, b in zip(first, hit, last)]
+
+
+def _rescale(s: _Frame, span: slice) -> float:
+    """Rescale the points of ``span`` whose rows are large by 2^-512; returns the new
+    bound, the largest |value| of the two rows there."""
+    v, v_prev, shift = s.v[span], s.v_prev[span], s.shift[span]
+    size = np.maximum(np.abs(v), np.abs(v_prev))
+    big = size > _RESCALE_LIMIT
+    v[big] = np.ldexp(v[big], -_RESCALE_SHIFT)
+    v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_SHIFT)
+    shift[big] += _RESCALE_SHIFT
+    s.scale = None
+    return float(np.max(np.where(big, np.ldexp(size, -_RESCALE_SHIFT), size), initial=0.0))
 
 
 def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
@@ -254,6 +350,17 @@ def laguerre_fn_batch(N: int, alpha: float, x, family: str = "F") -> np.ndarray:
     return vals
 
 
+def _F_tables(N: int, alphas, xs: np.ndarray) -> np.ndarray:
+    """Family-F values of degrees 0..N for several parameters in one pass: for
+    points xs of shape (G, k), an array of shape (G, N+1, k) whose [g] is
+    ``laguerre_fn_batch(N, alphas[g], xs[g])`` bit for bit."""
+    q = np.empty((len(xs), N + 1, xs.shape[1]))
+    for n, state in enumerate(_damped_rows((N,) * len(xs), tuple(alphas), np.square(xs))):
+        state.row(q[:, n])
+    q *= math.sqrt(2.0)
+    return q
+
+
 def laguerre_fn_F_deriv_batch(N: int, alpha: float, x) -> np.ndarray:
     """d/dx of family-F values for all degrees n = 0..N, shape (N+1,)+shape(x)."""
     x_arr = np.asarray(x, dtype=float)
@@ -293,14 +400,15 @@ class _ArrayCache:
     ``max_bytes`` of array data and ``max_entries`` entries.
 
     ``get(key, make)`` returns the value kept for ``key``, or ``make()``'s
-    result: an array, a number, None, or tuples of these.  Its arrays are set
-    read-only, so one value can be handed to every caller; a value larger
-    than ``max_bytes`` is returned without being kept, so it is made again on
-    every call.  Keys are values (numbers, strings, tuples, ``AlphaVector``, a
-    ``CutoffSpec``), never an object that holds arrays, such as a system,
-    whose lifetime the cache would extend.  ``_hits`` and ``_misses`` count the
-    calls that found their key and those that did not.  ``nbytes`` counts what
-    the kept values hold alive (see ``_freeze``).
+    result: an array, a number, None, or tuples or dataclasses of these.  Its
+    arrays are set read-only, so one value can be handed to every caller; a
+    value larger than ``max_bytes`` is returned without being kept, so it is
+    made again on every call.  ``get_many`` does the same for several keys, the
+    missing ones made in one batch.  Keys are values (numbers, strings, tuples,
+    ``AlphaVector``, a ``CutoffSpec``), never an object that holds arrays, such
+    as a system, whose lifetime the cache would extend.  ``_hits`` and
+    ``_misses`` count the keys asked for that were found and those that were
+    not.  ``nbytes`` counts what the kept values hold alive (see ``_freeze``).
     """
 
     def __init__(self, max_bytes: int = 16 << 20, max_entries: int = 128):
@@ -323,21 +431,45 @@ class _ArrayCache:
         value = make()
         size = _freeze(value)
         if size <= self.max_bytes:
-            with self._lock:
-                if key not in self._entries:
-                    self._entries[key] = value, size
-                    self.nbytes += size
-                    while self.nbytes > self.max_bytes or len(self._entries) > self.max_entries:
-                        self.nbytes -= self._entries.popitem(last=False)[1][1]
+            self._keep(key, value, size)
         return value
+
+    def get_many(self, keys, make) -> list:
+        """``get`` for several keys at once: the values of ``keys``, in their order, with
+        the keys not kept made together by one call ``make(missing)``, which returns
+        their values in the order of ``missing`` (each key once)."""
+        found, distinct = {}, list(dict.fromkeys(keys))
+        with self._lock:
+            for key in distinct:
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                    found[key] = self._entries[key][0]
+            missing = [key for key in distinct if key not in found]
+            self._hits += len(found)
+            self._misses += len(missing)
+        if missing:
+            for key, value in zip(missing, make(missing)):
+                found[key] = value
+                size = _freeze(value)
+                if size <= self.max_bytes:
+                    self._keep(key, value, size)
+        return [found[key] for key in keys]
+
+    def _keep(self, key, value, size: int) -> None:
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = value, size
+                self.nbytes += size
+                while self.nbytes > self.max_bytes or len(self._entries) > self.max_entries:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
 
 
 def _freeze(value) -> int:
-    """Set every array in ``value`` (an array, a number, None, or tuples of these)
-    read-only; returns the bytes that keeping it holds alive.  An array costs the
-    bytes of the array that owns its memory, itself or the base it views, once per
-    owner, and nothing when that owner is already read-only: such memory is held
-    by another cache or by a system, and a view of it adds nothing."""
+    """Set every array in ``value`` (see ``_arrays``) read-only; returns the bytes
+    that keeping it holds alive.  An array costs the bytes of the array that owns
+    its memory, itself or the base it views, once per owner, and nothing when that
+    owner is already read-only: such memory is held by another cache or by a
+    system, and a view of it adds nothing."""
     arrays = list(_arrays(value))
     owners = {}
     for arr in arrays:
@@ -350,12 +482,15 @@ def _freeze(value) -> int:
 
 
 def _arrays(value):
-    """The arrays in an array, a number, None, or tuples of these."""
+    """The arrays in an array, a number, None, or tuples or dataclasses of these."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, tuple):
         for v in value:
             yield from _arrays(v)
+    elif is_dataclass(value) and not isinstance(value, type):
+        for f in fields(value):
+            yield from _arrays(getattr(value, f.name))
     elif not (value is None or isinstance(value, (int, float))):
         raise TypeError(f"cannot cache a {type(value).__name__} read-only")
 

@@ -4,8 +4,8 @@ over one Laguerre-function family, a level's amplitudes laid out on the
 cells of the sequence F-norm by an open-mesh index, needlet levels from
 whole node tables, trimmed or not, analysis and synthesis that work out
 every box, filter and block on each call, the continuous norms with every
-band part formed on all live integration nodes, and the lattice maximal
-function box by box."""
+band part formed on all live integration nodes, the lattice maximal
+function box by box, and a Gauss-Laguerre rule built alone."""
 
 import itertools
 import math
@@ -17,7 +17,10 @@ from lagneed import needlets
 from lagneed.needlets import CoeffFn, NeedletCoeffs, _band_rows, _live_box, _system_levels
 from lagneed.spaces import (_axis_weight_powers, _B_reduce, _coeff_shift, _F_reduce, _lp,
                             _scaled_axes, _scaled_max)
-from lagneed.special import (_TINY, _convolve_degrees, _flush_subnormal, _fold, as_alpha,
+from lagneed.quadrature import (_AIRY_ZEROS, _MAX_PASSES, _SLACK, _STEP_LIMIT, _TAYLOR_DEGREE,
+                                _local_gaps)
+from lagneed.special import (_BOUND_LIMIT, _LN2, _RESCALE_LIMIT, _RESCALE_SHIFT, _TINY,
+                             _convolve_degrees, _flush_subnormal, _fold, as_alpha,
                              laguerre_fn_batch, total_degree_grid)
 
 
@@ -236,3 +239,124 @@ def lattice_box_maximal(samples, t: float) -> np.ndarray:
         cells = tuple(slice(a, b) for a, b in box)
         out[cells] = np.maximum(out[cells], ratio)
     return out
+
+
+def single_rule(n: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """(nodes, log weights, cubature coefficients, square roots of the nodes) of the
+    n-point Gauss-Laguerre rule, built alone: every pass steps this rule's points
+    only, through a recurrence whose coefficients are numbers and whose rescale
+    bound is tracked step by step, and takes the Newton step on arrays of this
+    rule alone.  The grouped passes of ``quadrature._build_rules`` must give the
+    same bits."""
+    nu = 4.0 * n + 2.0 * alpha + 2.0
+    t = single_start(n, alpha)
+    lo, hi = np.zeros(n), np.full(n, nu)
+    for _ in range(_MAX_PASSES):
+        root, lam_exp, log_lam_exp, count = _single_polish(n, alpha, t)
+        below, above = np.zeros(n + 1), np.full(n + 1, nu)
+        np.maximum.at(below, count, t)
+        np.minimum.at(above, count, t)
+        lo = np.maximum(lo, np.maximum.accumulate(below)[:-1])
+        hi = np.minimum(hi, np.minimum.accumulate(above[::-1])[-2::-1])
+        gap = _local_gaps(t)
+        slack = _SLACK * gap
+        if ((np.abs(root - t) <= _STEP_LIMIT * gap).all()
+                and (root >= lo - slack).all() and (root <= hi + slack).all()
+                and (root[1:] - root[:-1] > slack[1:]).all()):
+            break
+        t = np.sort(np.where((root > lo) & (root < hi), root, 0.5 * (lo + hi)))
+    else:
+        raise ArithmeticError(f"no rule for n={n}, alpha={alpha}")
+    nodes = np.minimum(np.maximum(root, lo), hi)
+    return nodes, log_lam_exp - nodes, 0.5 * lam_exp, np.sqrt(nodes)
+
+
+def single_start(n: int, alpha: float) -> np.ndarray:
+    """The asymptotic start of ``quadrature._initial_nodes`` for one rule, on arrays
+    of that rule alone."""
+    nu = 4.0 * n + 2.0 * alpha + 2.0
+    c = np.arange(4.0 * n - 1.0, 0.0, -4.0) * (math.pi / nu)
+    tau = np.cbrt(6.0 * c)
+    for _ in range(3):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    r = 2.0 / (1.0 - np.cos(tau))            # 1 / (1 - s), s = cos^2(tau/2)
+    x = nu - nu / r - (r * (1.25 * r - 1.0) + (3.0 * alpha ** 2 - 1.0)) / (3.0 * nu)
+
+    m = min(n, math.ceil(0.5 * math.sqrt(n)))
+    beta = np.arange(0.5 * alpha + 0.75, m + 0.5 * alpha + 0.5) * math.pi
+    mu = 4.0 * alpha ** 2
+    w = (8.0 * beta) ** -2
+    j = beta - (mu - 1.0) / (8.0 * beta) * (
+        1.0 + w * (4.0 * (7.0 * mu - 31.0) / 3.0
+                   + w * (32.0 * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / 15.0
+                          + w * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu ** 2
+                                        + 1585743.0 * mu - 6277237.0) / 105.0)))
+    jj = j * j
+    x[:m] = jj / nu * (1.0 + (jj + 2.0 * alpha ** 2 - 2.0) / (3.0 * nu ** 2))
+
+    z = np.arange(2.25, 3.0 * m, 3.0) * (0.5 * math.pi)         # 3 pi (4k - 1) / 8
+    v = z ** -2
+    a = -np.cbrt(z * z) * (1.0 + v * (5.0 / 48.0 + v * (-5.0 / 36.0 + v * (
+        77125.0 / 82944.0 - v * 108056875.0 / 6967296.0))))
+    a[:len(_AIRY_ZEROS)] = _AIRY_ZEROS[:m]
+    nu3, two3 = nu ** (1.0 / 3.0), 2.0 ** (1.0 / 3.0)
+    x[n - m:] = (nu + (11.0 / 35.0 - alpha ** 2) / nu + a * (
+        two3 ** 2 * (nu3 + 16.0 / 1575.0 / nu3 ** 5) + a * (
+            0.2 * two3 ** 4 / nu3 - 1088.0 / 121275.0 * two3 / nu3 ** 7 + a * (
+                -12.0 / 175.0 / nu + a * (
+                    92.0 / 7875.0 * two3 ** 2 / nu3 ** 5
+                    - a * 15152.0 / 3031875.0 * two3 / nu3 ** 7)))))[::-1]
+    return np.sort(np.minimum(np.maximum(x, 0.0), nu))
+
+
+def _single_polish(n: int, alpha: float, t: np.ndarray):
+    """One pass of the damped recurrence at t for one rule: the Sturm counts, and the
+    Newton step and Christoffel function from the last two rows (see
+    ``quadrature._taylor_step``)."""
+    e0 = -t / (2.0 * _LN2)
+    m0 = np.floor(e0)
+    frac, m0 = np.exp2(e0 - m0), m0.astype(np.int64)
+    log_start = -0.5 * math.lgamma(alpha + 1.0)
+    e = 0 if math.exp(log_start) >= _TINY else math.floor(log_start / _LN2)
+    start = math.exp(log_start - e * _LN2)
+    shift, v, v_prev = np.full(t.size, e, dtype=np.int64), np.full(t.size, start), np.zeros(t.size)
+    count = np.zeros(t.size, dtype=np.int64)
+    lo, hi = float(t.min()), float(t.max())
+    bound, b_cur = start, 0.0
+    for k in range(n):
+        c = 2.0 * k + alpha + 1.0
+        b_next = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
+        growth = max(1.0, (max(c - lo, hi - c) + b_cur) / b_next)
+        if bound * growth > _BOUND_LIMIT:
+            size = np.maximum(np.abs(v), np.abs(v_prev))
+            big = size > _RESCALE_LIMIT
+            v[big] = np.ldexp(v[big], -_RESCALE_SHIFT)
+            v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_SHIFT)
+            shift[big] += _RESCALE_SHIFT
+            bound = float(np.max(np.where(big, np.ldexp(size, -_RESCALE_SHIFT), size), initial=0.0))
+        bound *= growth
+        v, v_prev = ((c - t) * v - b_cur * v_prev) / b_next, v
+        count += np.signbit(v) != np.signbit(v_prev)
+        b_cur = b_next
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        deriv = (n * v - math.sqrt(n * (n + alpha)) * v_prev) / t
+        m = np.arange(_TAYLOR_DEGREE - 1.0)[:, None]
+        up = (t - (alpha + 1.0 + m)) / ((m + 2.0) * t)
+        down = ((n - m) / ((m + 2.0) * (m + 1.0))) / t
+        c = np.empty((_TAYLOR_DEGREE + 1, t.size))
+        c[0], c[1] = v / deriv, 1.0
+        for k in range(_TAYLOR_DEGREE - 1):
+            np.subtract(up[k] * c[k + 1], down[k] * c[k], out=c[k + 2])
+        powers = np.arange(_TAYLOR_DEGREE + 1)[:, None]
+        dc = powers[1:] * c[1:]
+        h = -c[0] / (1.0 - 0.5 * c[0])
+        for _ in range(3):
+            hp = h ** powers
+            f = (c * hp).sum(axis=0)
+            h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)
+        root = t + h
+        slope, e = np.frexp(deriv * (dc * h ** powers[:-1]).sum(axis=0) * frac)
+        exponent = -2 * (e + m0 + shift)
+        lam_exp = np.ldexp(np.exp(h) / (root * slope * slope), exponent)
+        log_lam_exp = np.log(np.exp(h) / (root * slope * slope)) + exponent * _LN2
+        return root, lam_exp, log_lam_exp, count

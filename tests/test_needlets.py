@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -26,7 +27,7 @@ from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
 from lagneed.special import _ArrayCache, _arrays, _flush_subnormal, _fold
 from oracles import (cubature_integrate_values, dense_levels, may_be_subnormal, per_call_analyze,
-                     per_call_synthesize, untrimmed_tables)
+                     per_call_synthesize, single_rule, untrimmed_tables)
 
 DUAL = make_dual_pair(frame_default())
 TIGHT = make_dual_pair(frame_default(), tight=True)
@@ -108,6 +109,14 @@ class TestBuildSystem:
         b = small_system(J=2, alpha=(0.0,))
         assert a.hash != b.hash
 
+    def test_named_cut_off_hashes_are_stable(self):
+        # a named cut-off is hashed by its description alone, as it always was, so the
+        # hashes stored in coefficient files stay valid
+        assert small_system(J=2).hash == (
+            "0ae06781b4d245941882698b0438dc72031fd6049e9490727baa144a5659c794")
+        assert small_system(J=3, d=2, alpha=(0.5, 0.5), pair=TIGHT).hash == (
+            "56d462dbb2cae723aa733cfb2af63e0e37258449952fd146a898603697939c53")
+
     def test_table_cap_refuses(self, monkeypatch):
         monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", 1000)
         with pytest.raises(ResourceWarning, match="above the cap"):
@@ -121,11 +130,29 @@ class TestBuildSystem:
         pair = make_dual_pair(frame_default(), tight=True)
         need = sum(level_node_count(j) * (math.floor(4.0 * _level_scale(j)) + 1) * 8
                    for j in range(10))
-        misses = quadrature._gauss_laguerre_cached.cache_info().misses
+        misses, passes = quadrature._RULES._misses, quadrature._RULES._passes
         with pytest.raises(ResourceWarning) as exc:
             build_system(9, 1, [0.5], pair)
         assert str(exc.value) == f"node tables would need {need} bytes, above the cap"
-        assert quadrature._gauss_laguerre_cached.cache_info().misses == misses
+        assert quadrature._RULES._misses == misses and quadrature._RULES._passes == passes
+
+    @pytest.mark.parametrize("alpha", [(0.5, 0.5), (0.5, 1.0)])
+    def test_table_cap_counts_one_table_per_alpha(self, monkeypatch, alpha):
+        # axes of one alpha share a level's table, so an isotropic d = 2 system needs
+        # half the bytes of two tables per level: it builds at exactly that cap and is
+        # refused one byte below it, before any rule
+        tables = len(set(alpha))
+        need = sum(tables * level_node_count(j) * (math.floor(4.0 * _level_scale(j)) + 1) * 8
+                   for j in range(3))
+        monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", need)
+        system = build_system(2, 2, list(alpha), DUAL)
+        distinct = {id(t): t for tabs in system.tables for t in tabs}
+        assert sum(t.nbytes for t in distinct.values()) == need
+        monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", need - 1)
+        misses = quadrature._RULES._misses
+        with pytest.raises(ResourceWarning, match=f"would need {need} bytes"):
+            build_system(2, 2, list(alpha), DUAL)
+        assert quadrature._RULES._misses == misses
 
     def test_alpha_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -150,6 +177,28 @@ class TestBuildSystem:
                     assert np.array_equal(t[kept], raw[kept]) and not t[~kept].any()
                     assert np.linalg.norm(t - raw) <= 2.0 ** -56
                     assert np.allclose(t @ t.T, np.eye(len(t)), rtol=0.0, atol=1e-10)
+
+
+    @pytest.mark.parametrize("J, alpha, pair", [
+        (5, (0.5,), TIGHT), (3, (0.0, 0.5, 1.0), DUAL), (3, (0.5, 0.5), TIGHT), (3, (0.5,), TIGHT),
+        (3, (1.0, 1.0, 1.0), DUAL), (2, (0.5, 2.0, 0.5), TIGHT), (4, (50.0, 80.0), DUAL)])
+    def test_tables_match_per_axis_passes(self, J, alpha, pair):
+        # each level's tables come from one pass over its distinct alphas: bit for bit
+        # the per-axis laguerre_fn_batch times c^(1/2), trimmed, with the _reach of a
+        # row-by-row scan; axes of one alpha share one read-only table and vector
+        system = build_system(J, len(alpha), list(alpha), pair)
+        for j in range(J + 1):
+            for ax, (tab, reach, raw) in enumerate(zip(system.tables[j], system._reach[j],
+                                                       untrimmed_tables(system, j))):
+                want = _flush_subnormal(raw, 2.0 ** -56 / math.sqrt(raw.size))
+                assert np.array_equal(tab.view(np.int64), want.view(np.int64))
+                last = [np.flatnonzero(want[m]) for m in range(len(want))]
+                want_reach = np.maximum.accumulate([k[-1] + 1 if k.size else 0 for k in last])
+                assert np.array_equal(reach, want_reach)
+                assert not tab.flags.writeable and not reach.flags.writeable
+                same = alpha.index(alpha[ax])
+                assert tab is system.tables[j][same] and reach is system._reach[j][same]
+            assert len({id(t) for t in system.tables[j]}) == len(set(alpha))
 
 
 class TestEvaluateNeedlet:
@@ -546,6 +595,38 @@ class TestThreadSharing:
                 assert same_bits(out, want_out)
                 assert all(same_bits(a, b) for a, b in zip(boxes, want_boxes))
         assert len(needlets._TRANSFORM_PLANS) == 6  # analysis and synthesis, three degrees
+
+    def test_threads_build_overlapping_systems(self, monkeypatch):
+        # four threads (more than cores) start together on an empty rule cache and build
+        # systems whose rules overlap (a delta of their own keeps the grids out of the
+        # grid cache): every rule a thread gets equals, bit for bit, the rule built
+        # alone and is read-only, and the cache keeps each rule once, bytes counted once
+        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
+        configs = (([0.5, 1.0], DUAL), ([1.0, 0.5, 2.0], TIGHT), ([0.5], TIGHT), ([2.0, 1.0], DUAL))
+        start = threading.Barrier(len(configs))
+
+        def worker(config):
+            alpha, pair = config
+            start.wait(timeout=60)
+            system = build_system(3, len(alpha), alpha, pair, delta=0.0291)
+            return {(g.n_j, a): rule for g in system.grids for a, rule in zip(alpha, g._rules)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(configs)) as pool:
+                results = list(pool.map(worker, configs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        keys = set().union(*results)
+        assert len(keys) == 12 and len(results[0].keys() & results[1].keys()) == 8
+        for rules in results:
+            for (n, alpha), rule in rules.items():
+                arrays = (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes)
+                assert all(same_bits(a, want) for a, want in zip(arrays, single_rule(n, alpha)))
+                assert not any(a.flags.writeable for a in arrays)
+        cache = quadrature._RULES
+        assert len(cache) == len(keys) and cache.nbytes == sum(4 * 8 * n for n, _ in keys)
 
 
 def subnormal_count(arr):
@@ -965,21 +1046,28 @@ class TestTransformPlans:
         assert not any(np.shares_memory(a, t) for a in held for t in shared)
         assert needlets._TRANSFORM_PLANS.nbytes == sum(a.nbytes for a in held)
 
-    def test_keys_separate_cut_offs_of_one_hash(self, cold):
-        # two raw cut-offs of one name give systems of one hash, whose filters differ:
-        # each system gets its own plans, and its own oracle's bits
+    def test_raw_cut_offs_hash_apart(self, cold):
+        # two raw cut-offs of one name describe alike but filter differently: the hash
+        # reads their supports and filter weights, so each system gets its own hash and
+        # plans, its own oracle's bits, and refuses the other's coefficients
         def raw(a_hat):
             return make_cutoff("raw", fn=a_hat, support=a_hat.support, nonneg=True)
 
         short = make_cutoff("type_b", u=0.25, v=2.5, rise=1.0 / 12.0, fall=1.0)
         systems = [build_system(3, 1, [0.5], make_dual_pair(raw(cut)))
                    for cut in (frame_default(), short)]
-        assert systems[0].hash == systems[1].hash
+        assert systems[0].pair.describe() == systems[1].pair.describe()
+        assert systems[0].hash != systems[1].hash
+        again = build_system(3, 1, [0.5], make_dual_pair(raw(frame_default())))
+        assert again.hash == systems[0].hash
         f = CoeffFn.random([0.5], 16, seed=3)
         for _ in range(2):
             for system in systems:
                 self.round_trips_match(system, [f])
         assert len(needlets._TRANSFORM_PLANS) == 4
+        for system, other in (systems, systems[::-1]):
+            with pytest.raises(ValueError, match="different system"):
+                synthesize(other, analyze(system, f))
 
     def test_system_is_not_kept_alive(self, cold):
         system = build_system(2, 2, [0.5, 0.5], TIGHT)

@@ -14,7 +14,8 @@ from lagneed import quadrature
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
     GRID_POINT_CAP,
-    _gauss_laguerre_cached,
+    _RULES,
+    _build_rules,
     _newton_polish,
     christoffel,
     cubature_grid,
@@ -24,7 +25,7 @@ from lagneed.quadrature import (
     tile_measure,
     weight_W,
 )
-from oracles import cubature_integrate, cubature_integrate_values
+from oracles import cubature_integrate, cubature_integrate_values, single_rule, single_start
 
 
 def _eigensolver_rule(n, alpha):
@@ -121,14 +122,14 @@ class TestGaussLaguerre:
 
     def test_memory_is_linear_in_n(self):
         # a cold degree-1024 rule streams the recurrence: no n x n table
-        misses = _gauss_laguerre_cached.cache_info().misses
+        misses = _RULES._misses
         tracemalloc.start()
         try:
             gauss_laguerre(1024, 0.3125)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _gauss_laguerre_cached.cache_info().misses == misses + 1
+        assert _RULES._misses == misses + 1
         assert peak < 2_000_000
 
     def test_cached_rule_is_read_only(self):
@@ -167,15 +168,15 @@ class TestGaussLaguerre:
         passes = []
         rows = quadrature._damped_rows
 
-        def counted(N, alpha, u):
-            passes.append(N)
-            return rows(N, alpha, u)
+        def counted(N, alpha, u, sizes=None):
+            passes.append(list(N))
+            return rows(N, alpha, u, sizes)
 
         monkeypatch.setattr(quadrature, "_damped_rows", counted)
-        misses = _gauss_laguerre_cached.cache_info().misses
+        misses, built = _RULES._misses, _RULES._passes
         gauss_laguerre(77, 0.8125)
-        assert _gauss_laguerre_cached.cache_info().misses == misses + 1
-        assert passes == [77]
+        assert _RULES._misses == misses + 1 and _RULES._passes == built + 1
+        assert passes == [[77]]
 
     @pytest.mark.parametrize("n", [209, 835])
     def test_benchmark_sized_cold_rules_make_one_pass(self, monkeypatch, n):
@@ -185,13 +186,13 @@ class TestGaussLaguerre:
         passes = []
         rows = quadrature._damped_rows
 
-        def counted(N, alpha, u):
-            passes.append((N, u.size))
-            return rows(N, alpha, u)
+        def counted(N, alpha, u, sizes=None):
+            passes.append((list(N), u.size))
+            return rows(N, alpha, u, sizes)
 
         monkeypatch.setattr(quadrature, "_damped_rows", counted)
-        rule = _gauss_laguerre_cached.__wrapped__(n, 0.5)
-        assert passes == [(n, n)]
+        rule = _build_rules([(n, 0.5)])[0]
+        assert passes == [([n], n)]
         assert np.max(moment_relative_errors(rule, 2 * n - 1)) < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
@@ -229,7 +230,7 @@ class TestGaussLaguerre:
         # outside the support, and the eigensolver's nodes and (finite)
         # coefficients; the log weights stay finite where the coefficients overflow
         for n in list(range(1, 41)) + [64, 255, 512, 1024]:
-            rule = _gauss_laguerre_cached.__wrapped__(n, alpha)
+            rule = _build_rules([(n, alpha)])[0]
             nodes, cub = _eigensolver_rule(n, alpha)
             assert np.all(np.diff(rule.nodes) > 0.0)
             assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 4 * n + 2 * alpha + 2
@@ -243,6 +244,50 @@ class TestGaussLaguerre:
             gauss_laguerre(0, 0.0)
         with pytest.raises(ValueError):
             gauss_laguerre(4, -1.0)
+
+
+class TestGroupedRules:
+    """A system's rules are built together, in grouped passes of the recurrence."""
+
+    NS = (1, 2, 4, 14, 53, 209, 835)
+    ALPHAS = (0.0, 0.5, 1.0, 50.0, 100.0, 400.0)
+
+    def test_grouped_passes_match_the_single_rule_pass(self, monkeypatch):
+        # every n with every alpha, some asked for twice, in one batch on an empty
+        # cache: each distinct rule is built once, in as many grouped passes as its
+        # slowest rule needs (alpha >= 50 needs several), bit for bit as built alone
+        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
+        keys = [(n, a) for n in self.NS for a in self.ALPHAS]
+        asked = keys[::-1] + keys[::5] + [(835, 0.5)]
+        rules = quadrature._rules(asked)
+        cache = quadrature._RULES
+        assert (cache._hits, cache._misses, len(cache)) == (0, len(keys), len(keys))
+        assert 1 < cache._passes <= quadrature._MAX_PASSES
+        by_key = {}
+        for key, rule in zip(asked, rules):
+            assert by_key.setdefault(key, rule) is rule
+            arrays = (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes)
+            assert (rule.n, rule.alpha) == key and not any(a.flags.writeable for a in arrays)
+        for (n, alpha), rule in by_key.items():
+            arrays = (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes)
+            for got, want in zip(arrays, single_rule(n, alpha)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, alpha)
+        passes = cache._passes
+        assert all(rule is by_key[key] for key, rule in zip(keys, quadrature._rules(keys[:3])))
+        assert (cache._hits, cache._misses, cache._passes) == (3, len(keys), passes)
+
+    def test_benchmark_rules_take_one_pass(self, monkeypatch):
+        # a system's rules, one per level and alpha, from the asymptotic starts in one
+        # grouped pass (wide-3d's twelve rules)
+        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
+        quadrature._rules([(level_node_count(j), a) for j in range(4) for a in (0.0, 0.5, 1.0)])
+        assert quadrature._RULES._passes == 1
+
+    def test_starts_match_per_rule_starts(self):
+        keys = [(n, a) for n in (1, 2, 3, 9, 64, 835) for a in (0.0, 0.3125, 7.5, 400.0)]
+        got = quadrature._initial_nodes(keys)
+        want = np.concatenate([single_start(n, a) for n, a in keys])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestChristoffel:

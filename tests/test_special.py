@@ -19,6 +19,7 @@ from lagneed.special import (
     multivariate_F,
     total_degree_grid,
     _ArrayCache,
+    _F_tables,
     _damped_rows,
     _flush_subnormal,
     _fold,
@@ -525,6 +526,49 @@ class TestRowConversion:
         state.row(got)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.any(want[ee == -2075]) and not np.any(want[ee == -2076])
+
+
+class TestGroupedPass:
+    """One pass of _damped_rows over several groups gives each group's rows of its own pass."""
+
+    def test_groups_leave_with_their_own_rows(self):
+        # groups of different degree, alpha and size, with points far enough out to
+        # rescale at their own steps; at each group's last step its two rows, shift
+        # and exponents are those of a pass over the group alone, and the pass then
+        # steps only the groups still running
+        rng = np.random.default_rng(2)
+        groups = [(700, 0.5, 40), (700, 80.0, 7), (300, 0.0, 31), (300, 400.0, 5), (9, 2.0, 12)]
+        N, alpha, sizes = zip(*groups)
+        us = [np.sort(rng.uniform(0.0, 4.0 * n + 500.0, k)) for n, _, k in groups]
+        u = np.concatenate(us)
+        ends = np.cumsum(sizes)
+        widths, rescaled = [], []
+        for n, state in enumerate(_damped_rows(N, alpha, u, sizes)):
+            widths.append(len(state.v))
+            for g in range(len(groups)):
+                if N[g] == n:
+                    sl = slice(ends[g] - sizes[g], ends[g])
+                    alone = _damped_rows(N[g], alpha[g], us[g])
+                    start = next(alone).shift.copy()
+                    *_, last = alone
+                    for name in ("v", "v_prev"):
+                        assert np.array_equal(getattr(state, name)[sl].view(np.int64),
+                                              getattr(last, name).view(np.int64))
+                    assert np.array_equal((state.m0 + state.shift)[sl], last.m0 + last.shift)
+                    rescaled.append(bool((last.shift != start).any()))
+        assert widths == [u.size] * 10 + [ends[3]] * 291 + [ends[1]] * 400
+        # in the order the groups leave: (9, 2), (300, 0), (300, 400), (700, 0.5), (700, 80)
+        assert rescaled == [False, True, False, True, True]
+
+    def test_tables_of_several_alphas_in_one_pass(self):
+        rng = np.random.default_rng(3)
+        alphas = (0.0, 50.0, 80.0, 400.0, 0.0)
+        xs = np.sqrt(np.sort(rng.uniform(0.0, 1.4e4, (len(alphas), 301)), axis=1))
+        xs[:, 0] = 0.0
+        for N in (0, 3, 600):
+            got = _F_tables(N, alphas, xs)
+            for tab, a, x in zip(got, alphas, xs):
+                assert np.array_equal(tab.view(np.int64), laguerre_fn_batch(N, a, x).view(np.int64))
 
 
 class TestLargeAlpha:
