@@ -29,8 +29,9 @@ import numpy as np
 from . import __version__
 from .cutoffs import CutoffPair, CutoffSpec, frame_alt, frame_default, make_cutoff, make_dual_pair
 from .kernels import kernel_decay_profile, lambda_kernel, lower_bound_check
-from .needlets import CoeffFn, NeedletCoeffs, _frame_operator, analyze, build_system, synthesize
-from .quadrature import cubature_grid, gauss_laguerre
+from .needlets import (CoeffFn, NeedletCoeffs, _frame_operator, _system_alpha, analyze,
+                       build_system, synthesize)
+from .quadrature import cubature_grid, gauss_laguerre, level_node_count
 from .spaces import (B_norm_cont, F_norm_cont, NormParams, b_norm_seq,
                      equivalence_report, f_norm_seq, make_test_corpus,
                      nikolskii_report)
@@ -469,6 +470,10 @@ def cmd_report(args) -> int:
     for name in only:
         if name not in SUITES:
             return _fail(f"unknown suite {name!r}; choose from {tuple(SUITES)}", 2)
+    # what a suite would refuse part-way, refused before the first one writes a file
+    _system_alpha(int(cfg["J"]), int(cfg["d"]), cfg["alpha"])
+    level_node_count(0, float(cfg["delta"]), float(cfg["c_star"]))
+    parse_cutoff(cfg["cutoff"])
     out_dir = args.out or os.path.join(
         os.environ.get("LAGNEED_CACHE_DIR", "."), "lagneed-report")
     os.makedirs(out_dir, exist_ok=True)

@@ -13,13 +13,12 @@ lower bound.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .cutoffs import CutoffSpec
-from .special import (as_alpha, laguerre_fn_batch, total_degree_grid, _fold, _kernel_table,
-                      _outer)
+from .special import (as_alpha, laguerre_fn_batch, total_degree_grid, _cached, _fold,
+                      _kernel_table, _outer)
 from .quadrature import _axis_W
 
 __all__ = [
@@ -60,19 +59,19 @@ def cutoff_weights(a_hat: CutoffSpec, scale: float, top: int | None = None) -> n
     return w
 
 
-@lru_cache(maxsize=256)
 def _cached_weights(a_hat: CutoffSpec, scale: float, top: int) -> np.ndarray:
-    """Read-only ``cutoff_weights``, so repeated transforms never re-evaluate a."""
-    w = cutoff_weights(a_hat, scale, top)
-    w.flags.writeable = False
-    return w
+    """Read-only ``cutoff_weights``, kept in the registry so a is evaluated once."""
+    return _cached(("filter-weights", a_hat, scale, top),
+                   lambda: cutoff_weights(a_hat, scale, top))
 
 
-@lru_cache(maxsize=256)
 def _filter_band(a_hat: CutoffSpec, scale: float) -> tuple[int, int]:
-    """First and last degree m with a(m/scale) != 0 in the cached weights, (1, 0) if none."""
-    live = np.flatnonzero(_cached_weights(a_hat, scale, _top_degree(a_hat, scale)))
-    return (int(live[0]), int(live[-1])) if live.size else (1, 0)
+    """First and last degree m with a(m/scale) != 0, (1, 0) if none; kept in the registry."""
+    def make():
+        live = np.flatnonzero(_cached_weights(a_hat, scale, _top_degree(a_hat, scale)))
+        return (int(live[0]), int(live[-1])) if live.size else (1, 0)
+
+    return _cached(("filter-band", a_hat, scale), make)
 
 
 def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,

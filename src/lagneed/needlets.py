@@ -38,9 +38,9 @@ the input's degree (``analyze``) or its stored boxes' shapes (``synthesize``),
 so it is kept as a plan: per level the band rows and node counts, the filter
 gathered onto the block's total-degree grid and the tables' part of the
 subnormal bound, and for ``synthesize`` each block's rows, node counts, filter
-and 4^J clip mask (None where nothing is clipped).  Plans live read-only in a
-bounded cache (``special._ArrayCache``, 16 MiB and 128 entries), keyed by the
-transform, the system hash and that degree or those shapes.  The hash covers
+and 4^J clip mask (None where nothing is clipped).  Plans live read-only in the
+package's cache registry (``special._cached``), keyed by the transform, the
+system hash and that degree or those shapes.  The hash covers
 the cut-offs: a raw one by its support and its filter weights at each level
 (``NeedletSystem._compute_hash``).  A plan holds ints and arrays
 of its own, never a view of a node table, which each call slices, so no plan
@@ -67,7 +67,7 @@ from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _ArrayCache, _F_tables, _TINY, _degree_grid, _flush_subnormal, _fold)
+                      _cached, _F_tables, _TINY, _degree_grid, _flush_subnormal, _fold)
 from .quadrature import CubatureGrid, cubature_grid, level_node_count, _rules
 from .kernels import (cutoff_weights, _cached_weights, _degree_weights, _filter_band,
                       _filtered_sum, _level_scale, _top_degree)
@@ -381,14 +381,20 @@ def _reach(tab: np.ndarray) -> np.ndarray:
     return reach
 
 
-def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
-                 c_star: float = 1.0) -> NeedletSystem:
-    """Construct a needlet system with grids for levels 0..J."""
+def _system_alpha(J: int, d: int, alpha) -> AlphaVector:
+    """alpha as the AlphaVector of a system of levels 0..J >= 0 in dimension d."""
     if J < 0:
         raise ValueError("J must be nonnegative")
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
+    return av
+
+
+def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
+                 c_star: float = 1.0) -> NeedletSystem:
+    """Construct a needlet system with grids for levels 0..J."""
+    av = _system_alpha(J, d, alpha)
     _check_table_bytes(J, av, pair, delta, c_star)
     _rules([(level_node_count(j, delta, c_star), a) for j in range(J + 1) for a in av])
     grids = [cubature_grid(j, d, av, delta, c_star) for j in range(J + 1)]
@@ -451,9 +457,6 @@ def _low_exponent(arr: np.ndarray) -> float:
     return math.frexp(beta)[1] - 53 if math.isfinite(beta) else -math.inf
 
 
-_TRANSFORM_PLANS = _ArrayCache()
-
-
 def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
     """Per level, what ``analyze`` of a function of degree ``cap`` reads besides the
     function: None where the level is 0, else (r0, r1, K, w, floors, bound) with
@@ -477,7 +480,7 @@ def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
             levels.append((rows.start, rows.stop, K, w, floors, floors + 52 + _low_exponent(w)))
         return tuple(levels)
 
-    return _TRANSFORM_PLANS.get(("analyze", system.hash, cap), make)
+    return _cached(("analysis-plan", system.hash, cap), make)
 
 
 def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
@@ -579,7 +582,7 @@ def _synthesis_plan(system: NeedletSystem, box_shapes: tuple) -> tuple:
             levels.append((r0, rows.stop, K, tuple(blocks)))
         return tuple(levels)
 
-    return _TRANSFORM_PLANS.get(("synthesize", system.hash, box_shapes), make)
+    return _cached(("synthesis-plan", system.hash, box_shapes), make)
 
 
 def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:

@@ -13,20 +13,20 @@ small, or leaves the bracket the Sturm counts give, every node takes a
 further pass, from its stepped place or else from its bracket's midpoint.
 Several rules are built together: one pass steps each rule not yet final as
 a group of its own (``special._damped_rows``), and each comes out bit for bit
-as if built alone.  Classical Gauss weights are kept in log form.  Rules and
-grids are kept in bounded caches, the rules' built in batches (``_rules``);
-their arrays are read-only.
+as if built alone.  Classical Gauss weights are kept in log form.  Rules are
+kept in the cache registry (``special._CACHE``), built in batches (``_rules``);
+their arrays are read-only.  Grids are made from them on each call, not kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .special import _LN2, AlphaVector, as_alpha, _ArrayCache, _damped_rows, _outer
+from . import special
+from .special import _LN2, AlphaVector, as_alpha, _damped_rows, _outer
 
 __all__ = [
     "QuadratureRule",
@@ -260,16 +260,7 @@ def _local_gaps(t: np.ndarray) -> np.ndarray:
     return gap
 
 
-class _RuleCache(_ArrayCache):
-    """The bounded cache of rules, keyed by (n, alpha), which also counts in
-    ``_passes`` the grouped recurrence passes that built its rules."""
-
-    def __init__(self):
-        super().__init__(max_bytes=64 << 20, max_entries=256)
-        self._passes = 0
-
-
-_RULES = _RuleCache()
+_passes = 0  # grouped recurrence passes run by _build_rules
 
 
 def _build_rules(keys) -> list:
@@ -286,6 +277,7 @@ def _build_rules(keys) -> list:
     they are the n zeros in order.  Otherwise a node moves to its stepped place
     if that lies inside its bracket, else to the bracket's midpoint.
     """
+    global _passes
     order = sorted(range(len(keys)), key=lambda g: -keys[g][0])  # n not increasing
     ns = np.array([keys[g][0] for g in order])
     alphas = [keys[g][1] for g in order]
@@ -300,8 +292,7 @@ def _build_rules(keys) -> list:
         root, lam_exp, log_lam_exp = (np.full(part.shape, np.nan) for _ in range(3))
         root[part], lam_exp[part], log_lam_exp[part], count = _newton_polish(
             ns[todo].tolist(), [alphas[g] for g in todo], t[todo][part], ns[todo].tolist())
-        with _RULES._lock:
-            _RULES._passes += 1
+        _passes += 1
         where = (np.nonzero(part)[0], count)
         below = np.zeros((len(todo), ns[0] + 1))
         above = np.repeat(nus[todo, None], ns[0] + 1, axis=1)
@@ -338,9 +329,10 @@ def _build_rules(keys) -> list:
 
 
 def _rules(keys) -> list:
-    """The rules for the keys (n, alpha), checked by the caller, from the cache; the
+    """The rules for the keys (n, alpha), checked by the caller, from the registry; the
     missing ones are built together (``_build_rules``)."""
-    return _RULES.get_many([(int(n), float(alpha)) for n, alpha in keys], _build_rules)
+    return special._CACHE.get_many([("rule", int(n), float(alpha)) for n, alpha in keys],
+                                   lambda missing: _build_rules([key[1:] for key in missing]))
 
 
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
@@ -481,22 +473,16 @@ class CubatureGrid:
         return _outer(self.axis_tile_measure).reshape(-1)
 
 
-@lru_cache(maxsize=64)
-def _cubature_grid_cached(j: int, alpha: AlphaVector, delta: float, c_star: float,
-                          ext: float) -> CubatureGrid:
-    rules = tuple(gauss_laguerre(level_node_count(j, delta, c_star), a) for a in alpha)
-    return CubatureGrid(j, alpha, delta, c_star, rules, ext)
-
-
 def cubature_grid(j: int, d: int, alpha, delta: float = 0.03, c_star: float = 1.0,
                   right_extension: float | None = None) -> CubatureGrid:
-    """Build (or fetch) the level-j cubature grid on R_+^d."""
+    """Build the level-j cubature grid on R_+^d from its cached rules."""
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha has dimension {av.d}, expected {d}")
     j = int(j)
     ext = 2.0 ** (j / 3.0) if right_extension is None else float(right_extension)
-    return _cubature_grid_cached(j, av, float(delta), float(c_star), ext)
+    rules = _rules([(level_node_count(j, delta, c_star), a) for a in av])
+    return CubatureGrid(j, av, delta, c_star, rules, ext)
 
 
 def _axis_W(n: float, a: float, x) -> np.ndarray:

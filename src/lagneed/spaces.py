@@ -71,8 +71,7 @@ function, whose values are folded as complex).  For a degree-16 f on the
 arrays, 0.25 to 0.71 for a complex f.
 
 A norm call does only the work that depends on its input.  What does not is
-kept read-only in bounded caches (``special._ArrayCache``, 16 MiB and 128
-entries each; a value above 16 MiB is made on every call and not kept), keyed
+kept read-only in the package's cache registry (``special._cached``), keyed
 by values and never by a ``NeedletSystem``, so no entry keeps a system alive:
 per integration grid and degree of f, the live abscissae, cubature
 coefficients, scaled Laguerre tables and exponents of ``_scaled_axes``; per
@@ -93,11 +92,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .special import (as_alpha, laguerre_fn_batch, _ArrayCache, _flush_subnormal, _fold, _fold_sum,
+from .special import (as_alpha, laguerre_fn_batch, _cached, _flush_subnormal, _fold, _fold_sum,
                       _outer, _TINY)
 from .quadrature import cubature_grid, gauss_laguerre, _axis_W, _interval_measures
 from .kernels import _filter_band, _filter_degrees, _level_scale
@@ -172,17 +170,19 @@ def _normal_pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-@lru_cache(maxsize=64)
 def _pow_floor(p: float) -> float:
     """The least float x with x ** p >= tiny under numpy's power, which
     _normal_pow uses; tiny ** (1/p) misses it by up to a few hundred ulps,
-    since 1/p is rounded."""
-    x = np.array([_TINY ** (1.0 / p)])
-    while np.power(x, p)[0] < _TINY:
-        x = np.nextafter(x, np.inf)
-    while (below := np.nextafter(x, 0.0)) > 0.0 and np.power(below, p)[0] >= _TINY:
-        x = below
-    return float(x[0])
+    since 1/p is rounded.  Kept in the registry: the search takes up to 0.5 ms."""
+    def make():
+        x = np.array([_TINY ** (1.0 / p)])
+        while np.power(x, p)[0] < _TINY:
+            x = np.nextafter(x, np.inf)
+        while (below := np.nextafter(x, 0.0)) > 0.0 and np.power(below, p)[0] >= _TINY:
+            x = below
+        return float(x[0])
+
+    return _cached(("pow-floor", p), make)
 
 
 def _lp(vals: np.ndarray, weights, p: float) -> float:
@@ -257,15 +257,12 @@ def _coeff_shift(arrays) -> int:
     return math.frexp(float(max(np.max(np.abs(a), initial=0.0) for a in arrays)))[1]
 
 
-_CELL_MAPS = _ArrayCache()
-
-
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
     level, per axis, the number of cells in each tile: every level's breaks are
     among the cells' breaks and start at 0, so tile k of a level is a run of
     consecutive cells, and the cells past its last tile are the last ones.  Kept
-    read-only in a bounded cache keyed by the grids' parameters."""
+    read-only in the registry keyed by the grids' parameters."""
     grids = system.grids
 
     def make():
@@ -279,8 +276,8 @@ def _arrangement(system: NeedletSystem):
                                  zip(g.axis_breaks, breaks)) for g in grids)
         return cell_meas, tile_cells
 
-    key = (system.alpha, system.delta, system.c_star, tuple(g.right_extension for g in grids))
-    return _CELL_MAPS.get(key, make)
+    return _cached(("cells", system.alpha, system.delta, system.c_star,
+                    tuple(g.right_extension for g in grids)), make)
 
 
 def _on_cells(vals: np.ndarray, tile_cells) -> np.ndarray:
@@ -316,7 +313,6 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     return math.ldexp(norm, shift)
 
 
-_INTEGRATION_AXES = _ArrayCache()
 _BOX_TAIL = 2.0 ** -88  # the share of each axis's bound (its sum, its max at p = inf) a box leaves out
 _BOX_CERT = 2.0 ** -56  # the most a box may leave out, relative to what it keeps
 
@@ -333,9 +329,9 @@ def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level:
     weight is ldexp(c_k 2^(p e_k - m), m) with m = floor(p e_k): neither
     factor over- or underflows, and for integer p e_k it is exact.  What does
     not depend on p, the abscissae, cubature coefficients, scaled tables and
-    exponents of the nodes with a nonzero column, is kept read-only in a
-    bounded cache keyed by the grid's parameters and f's degree; only the
-    weights are formed per call.
+    exponents of the nodes with a nonzero column, is kept read-only in the
+    registry keyed by the grid's parameters and f's degree; only the weights
+    are formed per call.
     """
     if integration_level <= system.J:
         raise ValueError("integration level must exceed the system level J")
@@ -353,7 +349,7 @@ def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level:
         return tuple(axes)
 
     xis, tables, weights, exps = [], [], [], []
-    for xi, c, table, e in _INTEGRATION_AXES.get(args + (f.max_degree,), make):
+    for xi, c, table, e in _cached(("norm-axes",) + args + (f.max_degree,), make):
         if math.isinf(p):
             weights.append(None)
         else:
@@ -368,9 +364,6 @@ def _scaled_axes(f: CoeffFn, p: float, system: NeedletSystem, integration_level:
         tables.append(table)
         exps.append(e)
     return xis, tables, weights, exps
-
-
-_NORM_PLANS = _ArrayCache()
 
 
 def _band_rows_of(f: CoeffFn, cut) -> tuple:
@@ -408,7 +401,7 @@ class _Bands:
     (max) over axes of that tail times the other axes' totals.
 
     The plan.  None of this but the blocks and C_j depends on f's coefficients, so
-    the rest is a plan, kept read-only in a bounded cache (``_NORM_PLANS``) keyed
+    the rest is a plan, kept read-only in the registry (``_norm_plan``) keyed
     by the integration grid's arguments, f's degree, p, rho and the levels' band
     rows: the live axes' scaled tables, weights and exponents, each band's weight
     factors, the tails and the box, and each band's flushed, scaled matrices on
@@ -488,9 +481,8 @@ def _norm_plan(bands, f: CoeffFn, params: NormParams, system: NeedletSystem,
 
     if integration_level <= system.J:  # the key holds the grid's arguments, not J
         raise ValueError("integration level must exceed the system level J")
-    key = (integration_level, system.d, system.alpha, system.delta, system.c_star,
-           f.max_degree, params.p, params.rho, bands)
-    return _NORM_PLANS.get(key, make)
+    return _cached(("norm-plan", integration_level, system.d, system.alpha, system.delta,
+                    system.c_star, f.max_degree, params.p, params.rho, bands), make)
 
 
 def _scaled_max(g: np.ndarray, exps) -> float:

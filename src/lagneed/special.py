@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -395,6 +395,9 @@ def multivariate_F(nu, alpha, x) -> float:
     return val
 
 
+_CACHE_BYTES, _CACHE_ENTRIES = 128 << 20, 1024  # the registry's byte budget and entry cap
+
+
 class _ArrayCache:
     """Thread-safe LRU cache of read-only arrays keyed by values, holding at most
     ``max_bytes`` of array data and ``max_entries`` entries.
@@ -404,17 +407,19 @@ class _ArrayCache:
     arrays are set read-only, so one value can be handed to every caller; a
     value larger than ``max_bytes`` is returned without being kept, so it is
     made again on every call.  ``get_many`` does the same for several keys, the
-    missing ones made in one batch.  Keys are values (numbers, strings, tuples,
-    ``AlphaVector``, a ``CutoffSpec``), never an object that holds arrays, such
-    as a system, whose lifetime the cache would extend.  ``_hits`` and
-    ``_misses`` count the keys asked for that were found and those that were
-    not.  ``nbytes`` counts what the kept values hold alive (see ``_freeze``).
+    missing ones made in one batch.  A key is a tuple whose first item names its
+    kind; the rest are values (numbers, strings, tuples, ``AlphaVector``, a
+    ``CutoffSpec``), never an object that holds arrays, such as a system, whose
+    lifetime the cache would extend.  ``info()`` gives per kind the keys asked
+    for that were found (hits) and those that were not (misses), the values too
+    large to keep (oversize), and the entries and bytes kept; ``nbytes`` counts
+    what all kept values hold alive (see ``_freeze``).
     """
 
-    def __init__(self, max_bytes: int = 16 << 20, max_entries: int = 128):
+    def __init__(self, max_bytes: int = _CACHE_BYTES, max_entries: int = _CACHE_ENTRIES):
         self.max_bytes, self.max_entries = max_bytes, max_entries
         self.nbytes = 0
-        self._hits = self._misses = 0
+        self._counts = defaultdict(lambda: [0, 0, 0])  # kind -> [hits, misses, oversize]
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
@@ -422,46 +427,58 @@ class _ArrayCache:
         return len(self._entries)
 
     def get(self, key, make):
-        with self._lock:
+        with self._lock:  # the hit path alone, as most calls take it
             if key in self._entries:
-                self._hits += 1
+                self._counts[key[0]][0] += 1
                 self._entries.move_to_end(key)
                 return self._entries[key][0]
-            self._misses += 1
-        value = make()
-        size = _freeze(value)
-        if size <= self.max_bytes:
-            self._keep(key, value, size)
-        return value
+        return self.get_many([key], lambda missing: [make()])[0]
 
     def get_many(self, keys, make) -> list:
         """``get`` for several keys at once: the values of ``keys``, in their order, with
         the keys not kept made together by one call ``make(missing)``, which returns
         their values in the order of ``missing`` (each key once)."""
-        found, distinct = {}, list(dict.fromkeys(keys))
+        found, missing = {}, []
         with self._lock:
-            for key in distinct:
+            for key in dict.fromkeys(keys):
                 if key in self._entries:
                     self._entries.move_to_end(key)
                     found[key] = self._entries[key][0]
-            missing = [key for key in distinct if key not in found]
-            self._hits += len(found)
-            self._misses += len(missing)
-        if missing:
-            for key, value in zip(missing, make(missing)):
-                found[key] = value
-                size = _freeze(value)
-                if size <= self.max_bytes:
-                    self._keep(key, value, size)
+                    self._counts[key[0]][0] += 1
+                else:
+                    missing.append(key)
+                    self._counts[key[0]][1] += 1
+        for key, value in zip(missing, make(missing) if missing else ()):
+            found[key] = value
+            size = _freeze(value)
+            with self._lock:
+                if size > self.max_bytes:
+                    self._counts[key[0]][2] += 1
+                elif key not in self._entries:
+                    self._entries[key] = value, size
+                    self.nbytes += size
+                    while self.nbytes > self.max_bytes or len(self._entries) > self.max_entries:
+                        self.nbytes -= self._entries.popitem(last=False)[1][1]
         return [found[key] for key in keys]
 
-    def _keep(self, key, value, size: int) -> None:
+    def info(self) -> dict:
+        """Per kind: hits, misses, oversize, and the entries and bytes kept."""
         with self._lock:
-            if key not in self._entries:
-                self._entries[key] = value, size
-                self.nbytes += size
-                while self.nbytes > self.max_bytes or len(self._entries) > self.max_entries:
-                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+            out = {kind: dict(zip(("hits", "misses", "oversize"), counts), entries=0, bytes=0)
+                   for kind, counts in self._counts.items()}
+            for (kind, *_), (_, size) in self._entries.items():
+                out[kind]["entries"] += 1
+                out[kind]["bytes"] += size
+        return out
+
+
+_CACHE = _ArrayCache()
+
+
+def _cached(key, make):
+    """The registry's value for ``key`` (a tuple starting with its kind), or ``make()``'s;
+    every cache of the package is this one registry, looked up at call time."""
+    return _CACHE.get(key, make)
 
 
 def _freeze(value) -> int:
@@ -495,15 +512,12 @@ def _arrays(value):
         raise TypeError(f"cannot cache a {type(value).__name__} read-only")
 
 
-_DEGREE_GRIDS = _ArrayCache()
-
-
 def total_degree_grid(shape) -> np.ndarray:
     """Read-only tensor of total degrees |nu| over a coefficient array shape, as a
     broadcast sum of per-axis ranges, so no index array of the full shape is built;
-    kept in a bounded cache keyed by the shape."""
+    kept in the registry keyed by the shape."""
     shape = tuple(int(n) for n in shape)
-    return _DEGREE_GRIDS.get(shape, lambda: _degree_grid(shape))
+    return _cached(("degree-grid", shape), lambda: _degree_grid(shape))
 
 
 def _degree_grid(shape: tuple) -> np.ndarray:

@@ -590,6 +590,24 @@ class TestReport:
                                                     "error": "trials must be at least 1"}
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line, error", [
+        ("alpha=0.5\nd=2\nJ=2", "alpha dimension 1 does not match d=2"),
+        ("alpha=0.5\nd=1\nJ=-1", "J must be nonnegative"),
+        ("alpha=0.5\nd=1\nJ=2\ncutoff=type_c:v=1", "unrecognized cutoff specification "
+                                                    "'type_c:v=1'"),
+        ("alpha=0.5\nd=1\nJ=2\ndelta=0.5", "delta must lie in (0, 1/26)")])
+    def test_invalid_config_writes_no_partial_bundle(self, capsys, tmp_path, line, error):
+        # refused before the first suite runs: the output directory stays empty
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out_dir = tmp_path / "bundle"
+        out_dir.mkdir()
+        code, out, err = run_main(["report", "--config", str(cfg), "--out", str(out_dir)],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {"code": 2, "error": error}
+        assert list(out_dir.iterdir()) == []
+
     def test_nikolskii_suite_is_seed_independent(self, capsys, tmp_path):
         # the sampled estimate this suite replaced failed its gate at config seeds 8 and 150
         texts = []

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lagneed import needlets, quadrature
+from lagneed import needlets, quadrature, special
 from lagneed.cutoffs import CutoffPair, frame_default, make_cutoff, make_dual_pair
 from lagneed.needlets import (
     CoeffFn,
@@ -122,7 +122,7 @@ class TestBuildSystem:
         with pytest.raises(ResourceWarning, match="above the cap"):
             small_system(J=2)
 
-    def test_table_cap_refuses_before_any_rule(self, monkeypatch):
+    def test_table_cap_refuses_before_any_rule(self, monkeypatch, registry):
         # J = 9: n_9 = 854019 nodes; refused from the node counts, no rule built
         # (a grid asked for fails at once rather than spend hours on the rules)
         monkeypatch.setattr(needlets, "cubature_grid",
@@ -130,14 +130,14 @@ class TestBuildSystem:
         pair = make_dual_pair(frame_default(), tight=True)
         need = sum(level_node_count(j) * (math.floor(4.0 * _level_scale(j)) + 1) * 8
                    for j in range(10))
-        misses, passes = quadrature._RULES._misses, quadrature._RULES._passes
+        passes = quadrature._passes
         with pytest.raises(ResourceWarning) as exc:
             build_system(9, 1, [0.5], pair)
         assert str(exc.value) == f"node tables would need {need} bytes, above the cap"
-        assert quadrature._RULES._misses == misses and quadrature._RULES._passes == passes
+        assert "rule" not in registry.info() and quadrature._passes == passes
 
     @pytest.mark.parametrize("alpha", [(0.5, 0.5), (0.5, 1.0)])
-    def test_table_cap_counts_one_table_per_alpha(self, monkeypatch, alpha):
+    def test_table_cap_counts_one_table_per_alpha(self, monkeypatch, registry, alpha):
         # axes of one alpha share a level's table, so an isotropic d = 2 system needs
         # half the bytes of two tables per level: it builds at exactly that cap and is
         # refused one byte below it, before any rule
@@ -149,10 +149,10 @@ class TestBuildSystem:
         distinct = {id(t): t for tabs in system.tables for t in tabs}
         assert sum(t.nbytes for t in distinct.values()) == need
         monkeypatch.setattr(needlets, "TABLE_BYTES_CAP", need - 1)
-        misses = quadrature._RULES._misses
+        misses = registry.info()["rule"]["misses"]
         with pytest.raises(ResourceWarning, match=f"would need {need} bytes"):
             build_system(2, 2, list(alpha), DUAL)
-        assert quadrature._RULES._misses == misses
+        assert registry.info()["rule"]["misses"] == misses
 
     def test_alpha_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -579,7 +579,8 @@ class TestThreadSharing:
             return coeffs._boxes, synthesize(system, coeffs).coeffs
 
         serial = [round_trip(f) for f in fns]
-        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())
+        registry = _ArrayCache()
+        monkeypatch.setattr(special, "_CACHE", registry)
         start = threading.Barrier(4)
 
         def worker(shift):
@@ -594,14 +595,14 @@ class TestThreadSharing:
                 want_boxes, want_out = serial[k]
                 assert same_bits(out, want_out)
                 assert all(same_bits(a, b) for a, b in zip(boxes, want_boxes))
-        assert len(needlets._TRANSFORM_PLANS) == 6  # analysis and synthesis, three degrees
+        info = registry.info()  # analysis and synthesis, three degrees
+        assert info["analysis-plan"]["entries"] == info["synthesis-plan"]["entries"] == 3
 
-    def test_threads_build_overlapping_systems(self, monkeypatch):
-        # four threads (more than cores) start together on an empty rule cache and build
-        # systems whose rules overlap (a delta of their own keeps the grids out of the
-        # grid cache): every rule a thread gets equals, bit for bit, the rule built
-        # alone and is read-only, and the cache keeps each rule once, bytes counted once
-        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
+    def test_threads_build_overlapping_systems(self, registry):
+        # four threads (more than cores) start together on an empty registry and build
+        # systems whose rules overlap: every rule a thread gets equals, bit for bit,
+        # the rule built alone and is read-only, and the registry keeps each rule once,
+        # bytes counted once
         configs = (([0.5, 1.0], DUAL), ([1.0, 0.5, 2.0], TIGHT), ([0.5], TIGHT), ([2.0, 1.0], DUAL))
         start = threading.Barrier(len(configs))
 
@@ -625,8 +626,8 @@ class TestThreadSharing:
                 arrays = (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes)
                 assert all(same_bits(a, want) for a, want in zip(arrays, single_rule(n, alpha)))
                 assert not any(a.flags.writeable for a in arrays)
-        cache = quadrature._RULES
-        assert len(cache) == len(keys) and cache.nbytes == sum(4 * 8 * n for n, _ in keys)
+        rules = registry.info()["rule"]
+        assert rules["entries"] == len(keys) and rules["bytes"] == sum(4 * 8 * n for n, _ in keys)
 
 
 def subnormal_count(arr):
@@ -940,7 +941,7 @@ class TestSimplexSynthesis:
         coeffs = NeedletCoeffs(tuple(rng.standard_normal((g.n_j,) * 3) for g in system.grids),
                                system.hash)
         monkeypatch.setattr(needlets, "_SYNTH_BLOCKS", blocks)
-        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())  # plans keep blocks
+        monkeypatch.setattr(special, "_CACHE", _ArrayCache())  # plans keep blocks
         got = synthesize(system, coeffs).coeffs
         want = dense_synthesize(system, coeffs.levels)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -954,6 +955,9 @@ BENCH_SYSTEMS = {"deep-1d": ((5, (0.5,), TIGHT), 256),
                  "cli-report-1d": ((3, (0.5,), TIGHT), 16)}
 
 
+PLANS = ("analysis-plan", "synthesis-plan")  # the registry kinds of transform plans
+
+
 def same_coeffs(got, want):
     """Two NeedletCoeffs with the same hash, level shapes and boxes, bit for bit."""
     return (got.system_hash == want.system_hash and got._level_shapes() == want._level_shapes()
@@ -964,11 +968,6 @@ def same_coeffs(got, want):
 class TestTransformPlans:
     """analyze and synthesize read each level's boxes, filters, blocks and exponent
     bounds from cached plans: the bits of the per-call oracles, cold or warm."""
-
-    @pytest.fixture()
-    def cold(self, monkeypatch):
-        """An empty plan cache, as in a fresh process."""
-        monkeypatch.setattr(needlets, "_TRANSFORM_PLANS", _ArrayCache())
 
     @pytest.fixture(scope="class")
     def bench_systems(self):
@@ -985,7 +984,7 @@ class TestTransformPlans:
                 assert same_bits(synthesize(system, got).coeffs, want_out)
 
     @pytest.mark.parametrize("name", list(BENCH_SYSTEMS))
-    def test_benchmark_systems_match_the_oracle(self, bench_systems, cold, name):
+    def test_benchmark_systems_match_the_oracle(self, bench_systems, registry, name):
         # seeded inputs as the workloads draw them, complex ones, and a degree-0 function
         system, degree = bench_systems[name], BENCH_SYSTEMS[name][1]
         fns = [CoeffFn.random(system.alpha, degree, seed=[7, k]) for k in range(3)]
@@ -993,11 +992,12 @@ class TestTransformPlans:
                 for k in range(2)]
         fns += [CoeffFn.random(system.alpha, 0, seed=9), 2.0 ** -1000 * fns[0]]
         self.round_trips_match(system, fns)
-        assert len(needlets._TRANSFORM_PLANS) == 4  # analysis and synthesis, two degrees
-        assert needlets._TRANSFORM_PLANS._misses == 4
+        info = registry.info()  # analysis and synthesis, two degrees
+        assert [info[kind]["entries"] for kind in PLANS] == [2, 2]
+        assert [info[kind]["misses"] for kind in PLANS] == [2, 2]
 
     @pytest.mark.parametrize("name", ["deep-1d", "norms-2d", "cli-report-1d", "d3"])
-    def test_hand_built_scaled_and_added_match_the_oracle(self, bench_systems, cold, name):
+    def test_hand_built_scaled_and_added_match_the_oracle(self, bench_systems, registry, name):
         # dense levels without _shapes, odd boxes (one of them empty) with _shapes, and
         # scale and add of those and of analysis output
         system = bench_systems.get(name) or build_system(2, 3, [0.0, 0.5, 1.0], DUAL)
@@ -1016,7 +1016,7 @@ class TestTransformPlans:
             for _ in range(2):
                 assert same_bits(synthesize(system, coeffs).coeffs, want)
 
-    def test_clipped_band_matches_the_oracle(self, cold):
+    def test_clipped_band_matches_the_oracle(self, registry):
         # J = 4, d = 2: the level-4 b_hat band runs to degree 320, past 4^J = 256, so
         # the plan keeps a clip mask for the blocks that cross 4^J
         system = build_system(4, 2, [0.5, 0.5], CLIPPED)
@@ -1032,21 +1032,22 @@ class TestTransformPlans:
         clips = [[clip is not None for *_, clip in level[3]] for level in plan]
         assert not any(map(any, clips[:4])) and any(clips[4])
 
-    def test_plans_hold_no_table_view(self, bench_systems, cold):
+    def test_plans_hold_no_table_view(self, bench_systems, registry):
         # every array a plan holds is its own: the tables are sliced on each call, so a
         # plan pins none of them, and the cache charges the plan only its own bytes
         system = bench_systems["norms-2d"]
         coeffs = analyze(system, CoeffFn.random(system.alpha, 16, seed=0, complex_valued=True))
         synthesize(system, coeffs)
-        held = [a for value, _ in needlets._TRANSFORM_PLANS._entries.values()
+        held = [a for key, (value, _) in registry._entries.items() if key[0] in PLANS
                 for a in _arrays(value)]
         shared = [a for tabs in system.tables for a in tabs]
         shared += [a for reach in system._reach for a in reach]
         assert held and all(a.base is None and not a.flags.writeable for a in held)
         assert not any(np.shares_memory(a, t) for a in held for t in shared)
-        assert needlets._TRANSFORM_PLANS.nbytes == sum(a.nbytes for a in held)
+        info = registry.info()
+        assert sum(info[kind]["bytes"] for kind in PLANS) == sum(a.nbytes for a in held)
 
-    def test_raw_cut_offs_hash_apart(self, cold):
+    def test_raw_cut_offs_hash_apart(self, registry):
         # two raw cut-offs of one name describe alike but filter differently: the hash
         # reads their supports and filter weights, so each system gets its own hash and
         # plans, its own oracle's bits, and refuses the other's coefficients
@@ -1064,17 +1065,31 @@ class TestTransformPlans:
         for _ in range(2):
             for system in systems:
                 self.round_trips_match(system, [f])
-        assert len(needlets._TRANSFORM_PLANS) == 4
+        assert [registry.info()[kind]["entries"] for kind in PLANS] == [2, 2]
         for system, other in (systems, systems[::-1]):
             with pytest.raises(ValueError, match="different system"):
                 synthesize(other, analyze(system, f))
 
-    def test_system_is_not_kept_alive(self, cold):
+    def test_system_is_not_kept_alive(self, registry):
         system = build_system(2, 2, [0.5, 0.5], TIGHT)
         synthesize(system, analyze(system, CoeffFn.random(system.alpha, 4, seed=1)))
-        assert len(needlets._TRANSFORM_PLANS) == 2
+        assert [registry.info()[kind]["entries"] for kind in PLANS] == [1, 1]
         ref = weakref.ref(system)
         del system
+        gc.collect()
+        assert ref() is None
+
+    def test_rules_are_not_pinned(self, monkeypatch):
+        # once the system is gone and the registry is dropped, nothing keeps a rule
+        # alive: no grid is kept beside the registry
+        monkeypatch.setattr(special, "_CACHE", _ArrayCache())
+        system = build_system(2, 2, [0.5, 0.5], TIGHT)
+        synthesize(system, analyze(system, CoeffFn.random(system.alpha, 4, seed=1)))
+        ref = weakref.ref(system.grids[-1]._rules[0].nodes)
+        del system
+        gc.collect()
+        assert ref() is not None  # the registry keeps the rule
+        special._CACHE = _ArrayCache()  # monkeypatch restores the package's registry after
         gc.collect()
         assert ref() is None
 

@@ -14,7 +14,6 @@ from lagneed import quadrature
 from lagneed.needlets import CoeffFn
 from lagneed.quadrature import (
     GRID_POINT_CAP,
-    _RULES,
     _build_rules,
     _newton_polish,
     christoffel,
@@ -120,16 +119,15 @@ class TestGaussLaguerre:
                 assert ratio.min() > 1.0
                 assert ratio.max() < 4.0 + 3.0 * alpha / nu[np.argmax(ratio)] + 3.0
 
-    def test_memory_is_linear_in_n(self):
+    def test_memory_is_linear_in_n(self, registry):
         # a cold degree-1024 rule streams the recurrence: no n x n table
-        misses = _RULES._misses
         tracemalloc.start()
         try:
             gauss_laguerre(1024, 0.3125)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _RULES._misses == misses + 1
+        assert registry.info()["rule"]["misses"] == 1
         assert peak < 2_000_000
 
     def test_cached_rule_is_read_only(self):
@@ -163,7 +161,7 @@ class TestGaussLaguerre:
         assert np.array_equal(_newton_polish(n, alpha, mids)[3],
                               np.searchsorted(zeros, mids))
 
-    def test_cold_rule_makes_one_recurrence_pass(self, monkeypatch):
+    def test_cold_rule_makes_one_recurrence_pass(self, monkeypatch, registry):
         # the Newton step and the weights read the same streaming pass
         passes = []
         rows = quadrature._damped_rows
@@ -173,9 +171,9 @@ class TestGaussLaguerre:
             return rows(N, alpha, u, sizes)
 
         monkeypatch.setattr(quadrature, "_damped_rows", counted)
-        misses, built = _RULES._misses, _RULES._passes
+        built = quadrature._passes
         gauss_laguerre(77, 0.8125)
-        assert _RULES._misses == misses + 1 and _RULES._passes == built + 1
+        assert registry.info()["rule"]["misses"] == 1 and quadrature._passes == built + 1
         assert passes == [[77]]
 
     @pytest.mark.parametrize("n", [209, 835])
@@ -252,17 +250,17 @@ class TestGroupedRules:
     NS = (1, 2, 4, 14, 53, 209, 835)
     ALPHAS = (0.0, 0.5, 1.0, 50.0, 100.0, 400.0)
 
-    def test_grouped_passes_match_the_single_rule_pass(self, monkeypatch):
+    def test_grouped_passes_match_the_single_rule_pass(self, registry):
         # every n with every alpha, some asked for twice, in one batch on an empty
         # cache: each distinct rule is built once, in as many grouped passes as its
         # slowest rule needs (alpha >= 50 needs several), bit for bit as built alone
-        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
         keys = [(n, a) for n in self.NS for a in self.ALPHAS]
         asked = keys[::-1] + keys[::5] + [(835, 0.5)]
+        start = quadrature._passes
         rules = quadrature._rules(asked)
-        cache = quadrature._RULES
-        assert (cache._hits, cache._misses, len(cache)) == (0, len(keys), len(keys))
-        assert 1 < cache._passes <= quadrature._MAX_PASSES
+        count = registry.info()["rule"]
+        assert (count["hits"], count["misses"], count["entries"]) == (0, len(keys), len(keys))
+        assert 1 < quadrature._passes - start <= quadrature._MAX_PASSES
         by_key = {}
         for key, rule in zip(asked, rules):
             assert by_key.setdefault(key, rule) is rule
@@ -272,16 +270,17 @@ class TestGroupedRules:
             arrays = (rule.nodes, rule.log_weights, rule.cub_coeffs, rule.sqrt_nodes)
             for got, want in zip(arrays, single_rule(n, alpha)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, alpha)
-        passes = cache._passes
+        passes = quadrature._passes
         assert all(rule is by_key[key] for key, rule in zip(keys, quadrature._rules(keys[:3])))
-        assert (cache._hits, cache._misses, cache._passes) == (3, len(keys), passes)
+        count = registry.info()["rule"]
+        assert (count["hits"], count["misses"], quadrature._passes) == (3, len(keys), passes)
 
-    def test_benchmark_rules_take_one_pass(self, monkeypatch):
+    def test_benchmark_rules_take_one_pass(self, registry):
         # a system's rules, one per level and alpha, from the asymptotic starts in one
         # grouped pass (wide-3d's twelve rules)
-        monkeypatch.setattr(quadrature, "_RULES", quadrature._RuleCache())
+        start = quadrature._passes
         quadrature._rules([(level_node_count(j), a) for j in range(4) for a in (0.0, 0.5, 1.0)])
-        assert quadrature._RULES._passes == 1
+        assert quadrature._passes - start == 1
 
     def test_starts_match_per_rule_starts(self):
         keys = [(n, a) for n in (1, 2, 3, 9, 64, 835) for a in (0.0, 0.3125, 7.5, 400.0)]
@@ -559,16 +558,20 @@ def test_rule_caching_returns_same_object():
     assert a is b
 
 
-def test_grid_caching_returns_same_object():
-    a = cubature_grid(1, 1, [0.25])
-    b = cubature_grid(1, 1, [0.25])
-    assert a is b
+def test_grids_share_cached_rules():
+    # a grid is not kept; each one is made from the rules the registry keeps
+    a = cubature_grid(1, 2, [0.25, 0.5])
+    b = cubature_grid(1, 2, [0.25, 0.5])
+    assert a is not b
+    assert all(r is s for r, s in zip(a._rules, b._rules))
+    assert all(x is y for x, y in zip(a.axis_xi + a.axis_c, b.axis_xi + b.axis_c))
 
 
-def test_grid_cache_keys_the_resolved_extension():
+def test_default_extension_is_resolved():
     a = cubature_grid(2, 1, [0.5])
     b = cubature_grid(2, 1, [0.5], right_extension=2 ** (2 / 3))
-    assert a is b
+    assert a.right_extension == b.right_extension
+    assert np.array_equal(a.axis_breaks[0], b.axis_breaks[0])
 
 
 def test_grid_arrays_are_read_only():

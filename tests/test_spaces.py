@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lagneed.cutoffs import frame_alt, frame_default, make_cutoff, make_dual_pair
 from lagneed.needlets import CoeffFn, NeedletCoeffs, analyze, build_system, total_degree_grid
 from lagneed.quadrature import CubatureGrid, cubature_grid, gauss_laguerre, weight_W
-from lagneed import spaces
+from lagneed import spaces, special
 from lagneed.special import laguerre_fn_batch, _ArrayCache
 from lagneed.spaces import (
     B_norm_cont,
@@ -563,12 +563,12 @@ class TestBox:
         assert False in boxes or (d, p) == (3, 0.5)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_uncertified_box_gives_the_oracle_bits(self, cache_systems, boxes, monkeypatch, d):
+    def test_uncertified_box_gives_the_oracle_bits(self, cache_systems, boxes, monkeypatch,
+                                                   registry, d):
         # a box that leaves out 2^-4 of each axis's bound fails its certificate, so
         # the norm runs again on every live node and returns the oracle's bits; the box
         # is part of the cached plan, so the plans are made afresh
         monkeypatch.setattr(spaces, "_BOX_TAIL", 2.0 ** -4)
-        monkeypatch.setattr(spaces, "_NORM_PLANS", _ArrayCache())
         system = cache_systems[d]
         level = system.J + 1
         for complex_valued in (False, True):
@@ -930,18 +930,17 @@ def cache_systems():
             3: build_system(1, 3, [0.0, 0.5, 1.0], DUAL)}
 
 
-CACHES = ("_INTEGRATION_AXES", "_NORM_PLANS", "_CELL_MAPS")
+KINDS = ("norm-axes", "norm-plan", "cells")  # the registry kinds of the norm layer
+
+
+def kept(registry, kind) -> int:
+    """The entries of one kind in the registry."""
+    return registry.info().get(kind, {}).get("entries", 0)
 
 
 class TestNormCaches:
     """The norm layer keeps read-only integration tables, continuous-norm plans and
-    cell maps in bounded caches keyed by values; none of that changes a bit."""
-
-    @pytest.fixture()
-    def cold(self, monkeypatch):
-        """Empty every cache of the norm layer, as in a fresh process."""
-        for name in CACHES:
-            monkeypatch.setattr(spaces, name, _ArrayCache())
+    cell maps in the registry keyed by values; none of that changes a bit."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("space", ["F", "B"])
@@ -962,12 +961,13 @@ class TestNormCaches:
                         params = NormParams(0.5, -0.5, p, q)
                         # b_norm_seq reads no cache, f_norm_seq keeps one entry and a
                         # continuous norm two: its tables and its plan
-                        for norm, args, kept in ((cont, (g, params, system, level), 2),
-                                                 (seq, (coeffs, params, system), int(space == "F"))):
-                            for name in CACHES:
-                                monkeypatch.setattr(spaces, name, _ArrayCache())
+                        for norm, args, entries in ((cont, (g, params, system, level), 2),
+                                                    (seq, (coeffs, params, system),
+                                                     int(space == "F"))):
+                            registry = _ArrayCache()
+                            monkeypatch.setattr(special, "_CACHE", registry)
                             first = norm(*args)
-                            assert sum(len(getattr(spaces, name)) for name in CACHES) == kept
+                            assert sum(kept(registry, kind) for kind in KINDS) == entries
                             second = norm(*args)
                             assert 0.0 < first < math.inf
                             assert bits(second) == bits(first), (norm.__name__, p, q, scale)
@@ -979,16 +979,15 @@ class TestNormCaches:
         fns = [CoeffFn.random(system.alpha, degree, seed=degree) for system, degree, _ in cases]
         want = []
         for (system, _, level), f in zip(cases, fns):
-            for name in ("_INTEGRATION_AXES", "_NORM_PLANS"):
-                monkeypatch.setattr(spaces, name, _ArrayCache())
+            monkeypatch.setattr(special, "_CACHE", _ArrayCache())
             want.append(bits(F_norm_cont(f, params, system, level)))
-        for name in ("_INTEGRATION_AXES", "_NORM_PLANS"):
-            monkeypatch.setattr(spaces, name, _ArrayCache())
+        registry = _ArrayCache()
+        monkeypatch.setattr(special, "_CACHE", registry)
         for _ in range(2):
             got = [bits(F_norm_cont(f, params, system, level))
                    for (system, _, level), f in zip(cases, fns)]
             assert got == want
-        assert len(spaces._INTEGRATION_AXES) == len(spaces._NORM_PLANS) == len(cases)
+        assert kept(registry, "norm-axes") == kept(registry, "norm-plan") == len(cases)
 
     def test_plan_keys_separate_pair_delta_alpha_p_rho_and_degree(self, cache_systems,
                                                                    monkeypatch):
@@ -1020,17 +1019,17 @@ class TestNormCaches:
 
         want = []
         for call in calls:
-            for name in CACHES:
-                monkeypatch.setattr(spaces, name, _ArrayCache())
+            monkeypatch.setattr(special, "_CACHE", _ArrayCache())
             want.append(value(*call))
-        for name in CACHES:
-            monkeypatch.setattr(spaces, name, _ArrayCache())
+        registry = _ArrayCache()
+        monkeypatch.setattr(special, "_CACHE", registry)
         for _ in range(2):
             assert [value(*call) for call in calls] == want
         # every call but the first for each key found its plan
-        assert spaces._NORM_PLANS._hits == 2 * len(calls) - len(spaces._NORM_PLANS)
+        plans = registry.info()["norm-plan"]
+        assert plans["hits"] == 2 * len(calls) - plans["entries"]
 
-    def test_cached_arrays_are_read_only(self, cache_systems, cold):
+    def test_cached_arrays_are_read_only(self, cache_systems, registry):
         system = cache_systems[2]
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=0)
         for p in (2.0, math.inf):
@@ -1048,9 +1047,8 @@ class TestNormCaches:
                 for v in value:
                     arrays(v)
 
-        for cache in (getattr(spaces, name) for name in CACHES):
-            assert len(cache) >= 1
-            arrays(tuple(v for v, _ in cache._entries.values()))
+        assert all(kept(registry, kind) >= 1 for kind in KINDS)
+        arrays(tuple(v for v, _ in registry._entries.values()))
         assert held and not any(a.flags.writeable for a in held)
         # the per-p part is formed per call; the cached tables come back as they are
         xis, tables, weights, exps = _scaled_axes(f, math.inf, system, system.J + 1)
@@ -1059,7 +1057,7 @@ class TestNormCaches:
         with pytest.raises(ValueError):
             tables[0][0, 0] = 1.0
 
-    def test_system_is_not_kept_alive(self, cold):
+    def test_system_is_not_kept_alive(self, registry):
         system = build_system(2, 2, [0.5, 0.5], TIGHT)
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=1)
         coeffs = analyze(system, f)
@@ -1067,24 +1065,25 @@ class TestNormCaches:
         values = [f_norm_seq(coeffs, params, system), b_norm_seq(coeffs, params, system),
                   F_norm_cont(f, params, system, 3), B_norm_cont(f, params, system, 3)]
         assert all(v > 0.0 for v in values)
-        assert all(len(getattr(spaces, name)) == 1 for name in CACHES)
+        assert all(kept(registry, kind) == 1 for kind in KINDS)
         ref = weakref.ref(system)
         del system
         gc.collect()
         assert ref() is None
 
-    def test_plan_is_charged_its_own_arrays_only(self, cold, monkeypatch):
-        # a level-4 norms-2d plan views the cached tables and exponents of
-        # _INTEGRATION_AXES, which cost it nothing: it is charged its box matrices and
+    def test_plan_is_charged_its_own_arrays_only(self, monkeypatch):
+        # a level-4 norms-2d plan views the cached tables and exponents of its
+        # "norm-axes" entry, which cost it nothing: it is charged its box matrices and
         # its per-axis vectors (weights, with the arrays they are cut from, factors and
         # tails), the matrices being most of it
         system = build_system(3, 2, [0.5, 0.5], TIGHT)
         f = CoeffFn.random(system.alpha, 16, seed=0)
         for params in ((0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 3.0, math.inf), (0.5, 0.5, 1.5, 1.0)):
-            monkeypatch.setattr(spaces, "_NORM_PLANS", _ArrayCache())
+            registry = _ArrayCache()
+            monkeypatch.setattr(special, "_CACHE", registry)
             norm = B_norm_cont if params[3] == math.inf else F_norm_cont
             norm(f, NormParams(*params), system, 4)
-            (plan, charged), = spaces._NORM_PLANS._entries.values()
+            (plan, charged), = [v for k, v in registry._entries.items() if k[0] == "norm-plan"]
             tables, weights, exps, facs, tails, _, mats = plan
             mat_bytes = sum(m.nbytes for band in mats for m in band)
             vector_bytes = sum(w.nbytes if w.base is None else w.base.nbytes
@@ -1092,7 +1091,7 @@ class TestNormCaches:
             vector_bytes += sum(v.nbytes for fac in facs for v in fac)
             vector_bytes += sum(t.nbytes for t in tails)
             assert all(not a.base.flags.writeable for a in (*tables, *exps))
-            assert charged == spaces._NORM_PLANS.nbytes == mat_bytes + vector_bytes
+            assert charged == registry.info()["norm-plan"]["bytes"] == mat_bytes + vector_bytes
             assert mat_bytes > 0.6 * charged
 
     def test_entry_above_budget_is_not_kept(self, cache_systems, monkeypatch):
@@ -1100,12 +1099,13 @@ class TestNormCaches:
         f = CoeffFn.random(system.alpha, system.exact_degree(), seed=2)
         params = NormParams(0.0, 0.0, 2.0, 2.0)
         want = F_norm_cont(f, params, system, system.J + 1)
-        tiny = {name: _ArrayCache(64) for name in ("_INTEGRATION_AXES", "_NORM_PLANS")}
-        for name, cache in tiny.items():
-            monkeypatch.setattr(spaces, name, cache)
-        for _ in range(2):
+        tiny = _ArrayCache(64)
+        monkeypatch.setattr(special, "_CACHE", tiny)
+        for calls in (1, 2):
             assert bits(F_norm_cont(f, params, system, system.J + 1)) == bits(want)
-            assert all(len(cache) == 0 and cache.nbytes == 0 for cache in tiny.values())
+            info = tiny.info()
+            assert all((info[kind]["entries"], info[kind]["bytes"], info[kind]["oversize"])
+                       == (0, 0, calls) for kind in ("norm-axes", "norm-plan"))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_take_expansion_matches_open_mesh(self, cache_systems, d):

@@ -608,12 +608,14 @@ class TestTotalDegreeGrid:
             got[0, 0, 0] = 1
 
     def test_shape_above_budget_is_made_each_call(self, monkeypatch):
-        monkeypatch.setattr(special, "_DEGREE_GRIDS", _ArrayCache(1 << 10))
+        registry = _ArrayCache(1 << 10)
+        monkeypatch.setattr(special, "_CACHE", registry)
         small, big = total_degree_grid((4, 4)), total_degree_grid((20, 20))
         assert total_degree_grid((4, 4)) is small
         again = total_degree_grid((20, 20))
         assert again is not big and np.array_equal(again, big) and not again.flags.writeable
-        assert len(special._DEGREE_GRIDS) == 1
+        count = registry.info()["degree-grid"]
+        assert (count["entries"], count["oversize"]) == (1, 2)
 
 
 class TestArrayCache:
@@ -626,24 +628,24 @@ class TestArrayCache:
             return np.full(100, float(k)), None
 
         for k in (0, 1, 2, 0, 3):  # 0 is used again, so 1 is the least recent
-            value = cache.get(k, lambda: make(k))
+            value = cache.get(("lru", k), lambda: make(k))
             assert value[0][0] == k and value[1] is None
         assert made == [0, 1, 2, 3] and len(cache) == 3 and cache.nbytes == 2400
-        cache.get(1, lambda: make(1))
-        assert made[-1] == 1 and cache.get(0, lambda: make(0))[0][0] == 0.0
+        cache.get(("lru", 1), lambda: make(1))
+        assert made[-1] == 1 and cache.get(("lru", 0), lambda: make(0))[0][0] == 0.0
         assert made == [0, 1, 2, 3, 1]  # 2 went to make room for 1, 0 stayed
 
     def test_entry_bound(self):
         cache = _ArrayCache(1 << 20, max_entries=2)
         for k in range(5):
-            cache.get(k, lambda: np.zeros(1))
+            cache.get(("k", k), lambda: np.zeros(1))
         assert len(cache) == 2 and cache.nbytes == 16
 
     def test_value_above_budget_is_returned_not_kept(self):
         cache = _ArrayCache(100)
-        first = cache.get("big", lambda: (np.zeros(20), (np.ones(3),)))
+        first = cache.get(("big",), lambda: (np.zeros(20), (np.ones(3),)))
         assert not first[0].flags.writeable and not first[1][0].flags.writeable
-        assert cache.get("big", lambda: (np.zeros(20), (np.ones(3),))) is not first
+        assert cache.get(("big",), lambda: (np.zeros(20), (np.ones(3),))) is not first
         assert len(cache) == 0 and cache.nbytes == 0
 
     def test_bytes_count_each_owner_once(self):
@@ -653,21 +655,37 @@ class TestArrayCache:
         held.flags.writeable = False
         base = np.zeros(50)
         cache = _ArrayCache(1 << 20)
-        cache.get("own", lambda: np.zeros(10))
+        cache.get(("own",), lambda: np.zeros(10))
         assert cache.nbytes == 80
-        value = cache.get("views", lambda: (held, held[:10], base[:5], (base[5:], base),
+        value = cache.get(("views",), lambda: (held, held[:10], base[:5], (base[5:], base),
                                             np.ones(3)))
         assert cache.nbytes == 80 + 400 + 24
         assert not any(a.flags.writeable for a in (value[2], value[3][0], value[3][1]))
-        cache.get("view", lambda: held[::2])
+        cache.get(("view",), lambda: held[::2])
         assert cache.nbytes == 80 + 400 + 24 and len(cache) == 3
 
     def test_counts_hits_and_misses(self):
         # a value above the budget is not kept, so every call for it misses
         cache = _ArrayCache(100)
-        for key in (0, 1, 0, "big", "big", 0):
-            cache.get(key, lambda: np.zeros(20 if key == "big" else 1))
-        assert (cache._hits, cache._misses) == (2, 4)
+        for key in (("small", 0), ("small", 1), ("small", 0), ("big",), ("big",), ("small", 0)):
+            cache.get(key, lambda: np.zeros(20 if key == ("big",) else 1))
+        info = cache.info()
+        assert [(info[kind]["hits"], info[kind]["misses"]) for kind in ("small", "big")] == [
+            (2, 2), (0, 2)]
+
+    def test_oversize_is_counted_per_kind(self):
+        # a value above the whole budget is returned, not kept, and counted as oversize
+        # under its kind, from get and get_many alike; the other kinds are untouched
+        cache = _ArrayCache(100)
+        big = cache.get(("big", 0), lambda: np.zeros(20))
+        got = cache.get_many([("small", 0), ("big", 1), ("small", 0)], lambda missing: [
+            np.zeros(20 if key[0] == "big" else 1) for key in missing])
+        assert big.shape == got[1].shape == (20,) and not got[1].flags.writeable
+        assert got[0] is got[2] and cache.get(("small", 0), lambda: None) is got[0]
+        assert cache.info() == {
+            "big": {"hits": 0, "misses": 2, "oversize": 2, "entries": 0, "bytes": 0},
+            "small": {"hits": 1, "misses": 1, "oversize": 0, "entries": 1, "bytes": 8}}
+        assert len(cache) == 1 and cache.nbytes == 8
 
     def test_threads_share_one_cache(self):
         # more threads than cores, short switch interval: the byte count and the
@@ -679,7 +697,7 @@ class TestArrayCache:
             rng = np.random.default_rng(seed)
             try:
                 for k in rng.integers(0, 60, 400):
-                    got = cache.get(int(k), lambda: np.full(8, float(k)))
+                    got = cache.get(("k", int(k)), lambda: np.full(8, float(k)))
                     if got[0] != k:
                         errors.append((k, got[0]))
             except Exception as exc:  # pragma: no cover - reported below
@@ -698,6 +716,9 @@ class TestArrayCache:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(cache) <= 40 and cache.nbytes == 64 * len(cache)
+        count = cache.info()["k"]
+        assert count["hits"] + count["misses"] == 8 * 400
+        assert (count["entries"], count["bytes"]) == (len(cache), cache.nbytes)
 
 
 class TestTypes:
