@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__
 from .cutoffs import CutoffPair, CutoffSpec, frame_alt, frame_default, make_cutoff, make_dual_pair
 from .kernels import kernel_decay_profile, lambda_kernel, lower_bound_check
-from .needlets import (CoeffFn, NeedletCoeffs, _frame_operator, _system_alpha, analyze,
-                       build_system, synthesize)
-from .quadrature import cubature_grid, gauss_laguerre, level_node_count
+from .needlets import (CoeffFn, NeedletCoeffs, _frame_operator, analyze, build_system,
+                       synthesize)
+from .quadrature import cubature_grid, gauss_laguerre
 from .spaces import (B_norm_cont, F_norm_cont, NormParams, b_norm_seq,
                      equivalence_report, f_norm_seq, make_test_corpus,
                      nikolskii_report)
@@ -320,7 +320,7 @@ def cmd_norms(args) -> int:
         for j in range(coeffs.level_count):  # level j's box alone, every other level 0
             only = NeedletCoeffs(tuple(box if k == j else empty
                                        for k, box in enumerate(coeffs._boxes)),
-                                 coeffs.system_hash, coeffs._level_shapes())
+                                 coeffs.system_hash, coeffs._level_shapes(), coeffs._exp)
             per_level.append(seq_for(only))
     elif args.space == "F-cont":
         value = F_norm_cont(f, params, system, system.J + 1)
@@ -470,22 +470,20 @@ def cmd_report(args) -> int:
     for name in only:
         if name not in SUITES:
             return _fail(f"unknown suite {name!r}; choose from {tuple(SUITES)}", 2)
-    # what a suite would refuse part-way, refused before the first one writes a file
-    _system_alpha(int(cfg["J"]), int(cfg["d"]), cfg["alpha"])
-    level_node_count(0, float(cfg["delta"]), float(cfg["c_star"]))
-    parse_cutoff(cfg["cutoff"])
+    # every suite runs before the first file is written, so a refusal leaves no partial bundle
+    summary, files = {}, []
+    for name, suite in SUITES.items():
+        if name in only:
+            ok, fields, file = suite(cfg)
+            summary[name] = {"pass": ok, **fields}
+            files.append(file)
+    failed = [name for name, fields in summary.items() if not fields["pass"]]
+
     out_dir = args.out or os.path.join(
         os.environ.get("LAGNEED_CACHE_DIR", "."), "lagneed-report")
     os.makedirs(out_dir, exist_ok=True)
-
-    summary = {}
-    for name, suite in SUITES.items():
-        if name in only:
-            ok, fields, (file_name, text) = suite(cfg)
-            _write(os.path.join(out_dir, file_name), text)
-            summary[name] = {"pass": ok, **fields}
-    failed = [name for name, fields in summary.items() if not fields["pass"]]
-
+    for file_name, text in files:
+        _write(os.path.join(out_dir, file_name), text)
     _write(os.path.join(out_dir, "config.resolved"), render_config_text(cfg))
     _write(os.path.join(out_dir, "summary.json"),
            canonical_json({"suites": summary, "exit_status": int(bool(failed))}))

@@ -59,16 +59,16 @@ def cutoff_weights(a_hat: CutoffSpec, scale: float, top: int | None = None) -> n
     return w
 
 
-def _cached_weights(a_hat: CutoffSpec, scale: float, top: int) -> np.ndarray:
-    """Read-only ``cutoff_weights``, kept in the registry so a is evaluated once."""
-    return _cached(("filter-weights", a_hat, scale, top),
-                   lambda: cutoff_weights(a_hat, scale, top))
+def _cached_weights(a_hat: CutoffSpec, scale: float) -> np.ndarray:
+    """Read-only ``cutoff_weights`` up to the filter's top degree, kept in the registry
+    so a is evaluated once per scale."""
+    return _cached(("filter-weights", a_hat, scale), lambda: cutoff_weights(a_hat, scale))
 
 
 def _filter_band(a_hat: CutoffSpec, scale: float) -> tuple[int, int]:
     """First and last degree m with a(m/scale) != 0, (1, 0) if none; kept in the registry."""
     def make():
-        live = np.flatnonzero(_cached_weights(a_hat, scale, _top_degree(a_hat, scale)))
+        live = np.flatnonzero(_cached_weights(a_hat, scale))
         return (int(live[0]), int(live[-1])) if live.size else (1, 0)
 
     return _cached(("filter-band", a_hat, scale), make)
@@ -86,9 +86,11 @@ def _filter_degrees(block: np.ndarray, a_hat: CutoffSpec, scale: float,
 def _degree_weights(a_hat: CutoffSpec, scale: float, degrees: np.ndarray,
                     corner: int = 0) -> np.ndarray:
     """a(|nu|/scale) as a new array on a block with the total-degree grid ``degrees``,
-    counted from its first entry, whose total degree is ``corner``."""
-    w = _cached_weights(a_hat, scale, corner + sum(degrees.shape) - degrees.ndim)
-    return w[corner:][degrees]
+    counted from its first entry, whose total degree is ``corner``; the degrees past
+    the filter's top read 0."""
+    w = _cached_weights(a_hat, scale)
+    past = corner + sum(degrees.shape) - degrees.ndim + 1 - len(w)  # degrees past the top
+    return np.concatenate((w, np.zeros(max(0, past))))[corner:][degrees]
 
 
 def _point(x, d):

@@ -13,12 +13,11 @@ product over axes except for its filter, so each level keeps per-axis node
 tables of c^(1/2)-weighted values c_k^(1/2) F_m(xi_k), and analysis and
 synthesis are one filter and one real matrix product per axis.  Axes of one
 alpha have the same nodes, so they share one table, and a level's tables come
-from one recurrence pass over its distinct alphas.  The analysis
-coefficients store values below the normal range (2.2e-308) as 0: subnormal
-operands slow those products severalfold.  ``analyze`` clears a level of them
-only where an exponent bound from its input and the tables says one can occur.
-The tables are trimmed at a Frobenius floor: each zeroes its entries below
-2^-56 / sqrt(its size), which moves it by at most 2^-56 in the Frobenius norm.
+from one recurrence pass over its distinct alphas.  ``analyze`` folds f at
+unit scale and the coefficients carry the power of two, so the products meet
+no subnormal operand, which would slow them severalfold.  The tables are
+trimmed at a Frobenius floor: each zeroes its entries below 2^-56 / sqrt(its
+size), which moves it by at most 2^-56 in the Frobenius norm.
 
 Each level's products run on its live box only (``_live_box``): the table rows
 of the degrees where the level filter is nonzero, and per axis the first K
@@ -35,10 +34,10 @@ and the degree cap 4^J leave.
 
 What a transform reads besides its input depends only on the system and on
 the input's degree (``analyze``) or its stored boxes' shapes (``synthesize``),
-so it is kept as a plan: per level the band rows and node counts, the filter
-gathered onto the block's total-degree grid and the tables' part of the
-subnormal bound, and for ``synthesize`` each block's rows, node counts, filter
-and 4^J clip mask (None where nothing is clipped).  Plans live read-only in the
+so it is kept as a plan: per level the band rows and node counts and the
+filter gathered onto the block's total-degree grid, and for ``synthesize``
+each block's rows, node counts, filter and 4^J clip mask (None where nothing is
+clipped).  Plans live read-only in the
 package's cache registry (``special._cached``), keyed by the transform, the
 system hash and that degree or those shapes.  The hash covers
 the cut-offs: a raw one by its support and its filter weights at each level
@@ -46,8 +45,8 @@ the cut-offs: a raw one by its support and its filter weights at each level
 of its own, never a view of a node table, which each call slices, so no plan
 keeps a system or its tables alive.  Plans are built on first use; being
 read-only they are shared across threads, and two threads that miss together
-build equal plans.  A call does only the slicing, the filter product, the
-folds, the subnormal test and the sum.
+build equal plans.  A call does only the slicing, the scaling, the filter
+product, the folds and the sum.
 
 The frame elements are real, so the coefficient dtype follows the data:
 float64 unless the data is complex, then complex128.  Analysis, synthesis,
@@ -67,7 +66,8 @@ from numpy.random import default_rng
 
 from .cutoffs import CutoffPair
 from .special import (AlphaVector, MultiIndex, as_alpha, laguerre_fn_batch, total_degree_grid,
-                      _cached, _F_tables, _TINY, _degree_grid, _flush_subnormal, _fold)
+                      _cached, _coeff_shift, _F_tables, _degree_grid, _flush_subnormal, _fold,
+                      _ldexp)
 from .quadrature import CubatureGrid, cubature_grid, level_node_count, _rules
 from .kernels import (cutoff_weights, _cached_weights, _degree_weights, _filter_band,
                       _filtered_sum, _level_scale, _top_degree)
@@ -227,22 +227,26 @@ class NeedletCoeffs:
     """Per-level needlet coefficient tensors, tagged with the system hash.
 
     Each level is stored as its box: a leading block of the level, which is 0
-    beyond it, kept with the level shape (n_j,)^d.  ``NeedletCoeffs(levels,
-    system_hash)`` keeps each of the caller's arrays as given, as the box of a
-    level of its own shape.  ``analyze`` stores each level as the fresh,
-    C-contiguous, read-only box it folded (an empty (0,)^d array where the
-    level is 0), which ``synthesize`` reads as the end of its own box.
+    beyond it, kept with the level shape (n_j,)^d.  The level is 2^_exp times
+    its box.  ``NeedletCoeffs(levels, system_hash)`` keeps each of the caller's
+    arrays as given, as the box of a level of its own shape, with _exp 0.
+    ``analyze`` stores each level of 2^-e f as the fresh, C-contiguous,
+    read-only box it folded (an empty (0,)^d array where the level is 0), which
+    ``synthesize`` reads as the end of its own box, and e as _exp.
     """
 
     _boxes: tuple[np.ndarray, ...]
     system_hash: str
     _shapes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    _exp: int = field(default=0, repr=False)
 
     @cached_property
     def levels(self) -> tuple[np.ndarray, ...]:
         """The dense level tensors, built on first access and kept: each box that
-        is smaller than its level zero-padded into a new read-only array."""
-        return tuple(_padded(box, shape) for box, shape in zip(self._boxes, self._level_shapes()))
+        is smaller than its level zero-padded into a new read-only array, after,
+        at _exp != 0, a scaling into a new array flushed of subnormals."""
+        return tuple(_padded(_scaled(box, self._exp, flush=True), shape)
+                     for box, shape in zip(self._boxes, self._level_shapes()))
 
     def _level_shapes(self) -> tuple[tuple[int, ...], ...]:
         return self._shapes or tuple(np.shape(box) for box in self._boxes)
@@ -252,21 +256,33 @@ class NeedletCoeffs:
         return len(self._boxes)
 
     def total_energy(self) -> float:
-        return float(sum(np.vdot(box, box).real for box in self._boxes))
+        energy = float(sum(np.vdot(box, box).real for box in self._boxes))
+        return math.ldexp(energy, 2 * self._exp)
 
     def scale(self, factor) -> "NeedletCoeffs":
         return NeedletCoeffs(tuple(box * factor for box in self._boxes), self.system_hash,
-                             self._shapes)
+                             self._shapes, self._exp)
 
     def add(self, other: "NeedletCoeffs") -> "NeedletCoeffs":
         if (other.system_hash != self.system_hash or other.level_count != self.level_count
                 or other._level_shapes() != self._level_shapes()):
             raise ValueError("coefficient sets belong to different systems")
-        boxes = []
-        for a, b in zip(self._boxes, other._boxes):  # on the elementwise larger box
+        boxes, e = [], max(self._exp, other._exp)
+        for a, b in zip(self._boxes, other._boxes):  # on the elementwise larger box, at 2^e
             shape = tuple(map(max, a.shape, b.shape))
-            boxes.append(_padded(a, shape) + _padded(b, shape))
-        return NeedletCoeffs(tuple(boxes), self.system_hash, self._shapes or other._shapes)
+            boxes.append(_padded(_scaled(a, self._exp - e), shape)
+                         + _padded(_scaled(b, other._exp - e), shape))
+        return NeedletCoeffs(tuple(boxes), self.system_hash, self._shapes or other._shapes, e)
+
+
+def _scaled(box: np.ndarray, e: int, flush: bool = False) -> np.ndarray:
+    """2^e box: ``box`` itself at e = 0, else a new read-only array, flushed of
+    subnormals if ``flush``."""
+    if not e:
+        return box
+    out = _flush_subnormal(_ldexp(box, e)) if flush else _ldexp(box, e)
+    out.flags.writeable = False
+    return out
 
 
 def _padded(box: np.ndarray, shape) -> np.ndarray:
@@ -336,8 +352,7 @@ class NeedletSystem:
             if cut.kind.endswith("raw"):
                 weights = hashlib.sha256()
                 for j in range(self.J + 1):
-                    scale = _level_scale(j)
-                    weights.update(_cached_weights(cut, scale, _top_degree(cut, scale)).tobytes())
+                    weights.update(_cached_weights(cut, _level_scale(j)).tobytes())
                 parts.append(f"{side}=supp({cut.support[0]:.17g},{cut.support[1]:.17g}),"
                              + weights.hexdigest())
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
@@ -381,20 +396,14 @@ def _reach(tab: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _system_alpha(J: int, d: int, alpha) -> AlphaVector:
-    """alpha as the AlphaVector of a system of levels 0..J >= 0 in dimension d."""
+def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
+                 c_star: float = 1.0) -> NeedletSystem:
+    """Construct a needlet system with grids for levels 0..J."""
     if J < 0:
         raise ValueError("J must be nonnegative")
     av = as_alpha(alpha)
     if av.d != d:
         raise ValueError(f"alpha dimension {av.d} does not match d={d}")
-    return av
-
-
-def build_system(J: int, d: int, alpha, pair: CutoffPair, delta: float = 0.03,
-                 c_star: float = 1.0) -> NeedletSystem:
-    """Construct a needlet system with grids for levels 0..J."""
-    av = _system_alpha(J, d, alpha)
     _check_table_bytes(J, av, pair, delta, c_star)
     _rules([(level_node_count(j, delta, c_star), a) for j in range(J + 1) for a in av])
     grids = [cubature_grid(j, d, av, delta, c_star) for j in range(J + 1)]
@@ -448,21 +457,10 @@ def _live_box(system: NeedletSystem, j: int, cut, cap: int):
     return None if rows is None else (rows, tuple(int(r[rows.stop - 1]) for r in system._reach[j]))
 
 
-def _low_exponent(arr: np.ndarray) -> float:
-    """fe(beta) - 53 for the least nonzero |component| beta of ``arr``, fe(x) the
-    exponent of ``math.frexp`` (e(x) + 1), or -inf when beta is not finite (see
-    ``analyze``)."""
-    parts = np.abs(arr.view(float) if arr.dtype.kind == "c" else arr)
-    beta = float(np.minimum.reduce(parts, axis=None, where=parts > 0, initial=math.inf))
-    return math.frexp(beta)[1] - 53 if math.isfinite(beta) else -math.inf
-
-
 def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
     """Per level, what ``analyze`` of a function of degree ``cap`` reads besides the
-    function: None where the level is 0, else (r0, r1, K, w, floors, bound) with
-    r0..r1 - 1 and K the ``_live_box``, w the filter a(|nu|/4^(j-1)) on the block of
-    those rows, ``floors`` the sum over the tables of fe(tau_l) - 53 for their trim
-    floors tau_l, and ``bound`` = floors + 52 + the ``_low_exponent`` of w."""
+    function: None where the level is 0, else (r0, r1, K, w) with r0..r1 - 1 and K
+    the ``_live_box`` and w the filter a(|nu|/4^(j-1)) on the block of those rows."""
     cut = system.pair.a_hat
 
     def make():
@@ -474,10 +472,8 @@ def _analysis_plan(system: NeedletSystem, cap: int) -> tuple:
                 continue
             rows, K = box
             degrees = _degree_grid((rows.stop - rows.start,) * system.d)
-            w = _degree_weights(cut, _level_scale(j), degrees, system.d * rows.start)
-            floors = sum(math.frexp(max(_TINY, _TABLE_TRIM / math.sqrt(tab.size)))[1] - 53
-                         for tab in tabs)
-            levels.append((rows.start, rows.stop, K, w, floors, floors + 52 + _low_exponent(w)))
+            levels.append((rows.start, rows.stop, K,
+                           _degree_weights(cut, _level_scale(j), degrees, system.d * rows.start)))
         return tuple(levels)
 
     return _cached(("analysis-plan", system.hash, cap), make)
@@ -495,41 +491,30 @@ def analyze(system: NeedletSystem, f: CoeffFn) -> NeedletCoeffs:
     trimmed part has Frobenius norm at most 2^-56, and the cubature's exactness
     keeps each ||T_l||_2 <= 1 + 1e-10.  The boxes and filters come from a plan.
 
-    A level is flushed of subnormals (``_flush_subnormal``) only when one can occur.
-    Every nonzero double x is an integer multiple of 2^(e(x) - 52), e(x) = floor(log2
-    |x|), and so of 2^(e(beta) - 52) for the filtered block's least nonzero |component|
-    beta, and of 2^(e(tau_l) - 52) for axis l's table, whose nonzero entries are at
-    least its trim floor tau_l = max(tiny, 2^-56 / sqrt(size)).  Products and sums of
-    multiples of powers of two are multiples of their product or of the smaller one,
-    and rounding to a double keeps that while the power is at least 2^-1074.  So every
-    level entry is a multiple of 2^P, P = (e(beta) - 52) + sum_l (e(tau_l) - 52), and
-    each partial fold of one of 2^P or more.  When P >= -1022 every nonzero entry is
-    normal and the flush is skipped.  The fold's sums start from +0, so it yields no
-    -0.0 for the flush to turn into +0.0 either: the level is the same bit for bit.
-    A NaN or inf in the block makes every entry NaN or inf.  The block's beta is
-    read only when one pass over f cannot settle it: a nonzero product f_nu a_nu of
-    normal size is at least 2^(e(phi) + e(omega)), phi and omega the least nonzero
-    |component| of f and of the block's filter, so e(beta) >= e(phi) + e(omega), and
-    putting that in place of e(beta) in P >= -1022 is enough to skip.
+    The boxes are those of 2^-e f, e the binary exponent of f's largest |coefficient|,
+    kept as _exp.  A power of two scales exactly away from under- and overflow, so
+    2^k f has the boxes of f bit for bit and _exp larger by k.  No level is flushed:
+    a subnormal entry needs f's nonzero coefficients to span more than about 2^600
+    (an exponent bound from the filter and the trim floors; for frame_default: 2^623
+    at J = 3, d = 3, 2^690 to 2^852 at J <= 5, d <= 2), and then only slows the folds.
     """
     if f.alpha.alpha != system.alpha.alpha:
         raise ValueError("function and system have different alpha")
     if f.max_degree > system.max_degree():
         raise ValueError(
             f"degree {f.max_degree} exceeds the system band 4^J = {system.max_degree()}")
-    boxes, low = [], _low_exponent(f.coeffs)
+    e = _coeff_shift([f.coeffs])
+    boxes, unit = [], _ldexp(f.coeffs, -e)
     for tabs, level_plan in zip(system.tables, _analysis_plan(system, f.max_degree)):
         if level_plan is None:
             level = np.zeros((0,) * f.d, dtype=f.coeffs.dtype)
         else:
-            r0, r1, K, w, floors, bound = level_plan
-            block = f.coeffs[(slice(r0, r1),) * f.d] * w
+            r0, r1, K, w = level_plan
+            block = unit[(slice(r0, r1),) * f.d] * w
             level = _fold(block, [tab[r0:r1, :k] for tab, k in zip(tabs, K)])
-            if low + bound < -1022 and _low_exponent(block) + floors < -1022:
-                _flush_subnormal(level)
         level.flags.writeable = False
         boxes.append(level)
-    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids))
+    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids), e)
 
 
 def _system_levels(coeffs: NeedletCoeffs, system: NeedletSystem) -> tuple[np.ndarray, ...]:
@@ -599,7 +584,8 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
     filtered and added.  In d = 1 there is one block, the whole box.  The boxes,
     blocks and filters come from a plan.
 
-    The trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
+    The boxes are folded as stored and the sum is scaled by 2^_exp in place.  The
+    trimmed tables move each axis's product by at most 2^-56 ||h_j|| (Frobenius),
     below the GEMM rounding gamma_k |T| |h| that the product carries anyway."""
     boxes = _system_levels(coeffs, system)
     d, n_out = system.d, system.max_degree()
@@ -619,7 +605,7 @@ def synthesize(system: NeedletSystem, coeffs: NeedletCoeffs) -> CoeffFn:
             if clip is not None:
                 part[clip] = 0.0
             out[(slice(a, b),) + (slice(r0, end),) * (d - 1)] += part
-    return CoeffFn._unchecked(system.alpha, n_out, out)
+    return CoeffFn._unchecked(system.alpha, n_out, _ldexp(out, coeffs._exp, out=out))
 
 
 def _frame_operator(system: NeedletSystem, cut) -> np.ndarray:

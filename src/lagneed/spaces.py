@@ -29,9 +29,11 @@ binary exponent of its largest coefficient, on a factor of its own and
 multiplies the result back by 2^shift: the sequence norms on the first
 axis's amplitude factor, the continuous norms on each band's filtered
 coefficient block, a fresh copy, so that no table entry is scaled, or
-flushed, by f's size.  No copy of the input is made, and its scale does not
-decide which values underflow: 2^e f has exactly 2^e times the continuous
-norms of f even at e = +-1000.  Powers of two commute with rounding, so away
+flushed, by f's size.  The sequence norms also multiply back by the power of
+two the coefficients carry (``NeedletCoeffs._exp``).  No copy of the input
+is made, and its scale does not decide which values underflow: 2^e f has
+exactly 2^e times the norms of f, sequence norms of its ``analyze`` output
+included, even at e = +-1000.  Powers of two commute with rounding, so away
 from under- and overflow this equals dividing the input by 2^shift.
 
 The continuous norms work in a scaled domain.  A band part decays like
@@ -95,8 +97,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (as_alpha, laguerre_fn_batch, _cached, _flush_subnormal, _fold, _fold_sum,
-                      _outer, _TINY)
+from .special import (as_alpha, laguerre_fn_batch, _cached, _coeff_shift, _flush_subnormal,
+                      _fold, _fold_sum, _ldexp, _outer, _TINY)
 from .quadrature import cubature_grid, gauss_laguerre, _axis_W, _interval_measures
 from .kernels import _filter_band, _filter_degrees, _level_scale
 from .needlets import (CoeffFn, NeedletCoeffs, NeedletSystem, analyze, total_degree_grid,
@@ -250,13 +252,6 @@ def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float,
     return np.abs(h) * _outer(factors)
 
 
-def _coeff_shift(arrays) -> int:
-    """The binary exponent e of the largest |entry| over ``arrays`` (peak = m 2^e,
-    0.5 <= m < 1; 0 when all are 0): every norm puts 2^(-e) on its first axis's
-    factor and multiplies the norm back by 2^e."""
-    return math.frexp(float(max(np.max(np.abs(a), initial=0.0) for a in arrays)))[1]
-
-
 def _arrangement(system: NeedletSystem):
     """Per-axis measures of the cells cut out by all level breakpoints, and per
     level, per axis, the number of cells in each tile: every level's breaks are
@@ -299,7 +294,7 @@ def f_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     total = _F_reduce(((j, _level_amplitudes(system, j, h, params.rho, shift))
                        for j, h in enumerate(boxes)), cell_meas, params,
                       lambda j, g: _on_cells(g, tile_cells[j]))
-    return math.ldexp(total ** (1.0 / params.p), shift)
+    return math.ldexp(total ** (1.0 / params.p), shift + coeffs._exp)
 
 
 def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem) -> float:
@@ -310,7 +305,7 @@ def b_norm_seq(coeffs: NeedletCoeffs, params: NormParams, system: NeedletSystem)
     norm = _B_reduce(((j, _lp(_level_amplitudes(system, j, h, params.rho, shift),
                               [m[:k] for m, k in zip(g.axis_tile_measure, h.shape)], params.p))
                       for j, (h, g) in enumerate(zip(boxes, system.grids))), params)
-    return math.ldexp(norm, shift)
+    return math.ldexp(norm, shift + coeffs._exp)
 
 
 _BOX_TAIL = 2.0 ** -88  # the share of each axis's bound (its sum, its max at p = inf) a box leaves out
@@ -385,10 +380,9 @@ class _Bands:
 
     The levels run until the filter's first degree passes f's degree.  Band part f_j
     is formed exactly in coefficient space, as its block on the ``_band_rows`` times
-    2^(-shift) (a fresh copy; a complex block is scaled as its float view), and its
-    values come from folding that block into the same rows of the per-axis scaled
-    tables, each scaled by its axis's factor of the weight, so no table and no weight
-    is built at the n^d points.  A one-entry block (the degree-0 band) is an outer
+    2^(-shift) (a fresh copy, scaled in place), and its values come from folding that
+    block into the same rows of the per-axis scaled tables, each scaled by its axis's
+    factor of the weight, so no table and no weight is built at the n^d points.  A one-entry block (the degree-0 band) is an outer
     product, formed without a GEMM.
 
     The box.  A scaled table entry is below 1, so |g_j| <= C_j prod_ax U_ax[k_ax],
@@ -421,9 +415,7 @@ class _Bands:
         for j, r0, r1 in self.bands:
             block = _filter_degrees(f.coeffs[(slice(r0, r1),) * f.d], cut, _level_scale(j),
                                     corner=f.d * r0)
-            flat = block.view(float)
-            np.ldexp(flat, -self.shift, out=flat)
-            self.blocks.append(block)
+            self.blocks.append(_ldexp(block, -self.shift, out=block))
         self.C = np.array([np.sum(np.abs(block)) for block in self.blocks])
         self.p_inf = params.p_inf
         self.live = tuple(t.shape[1] for t in self.tables)

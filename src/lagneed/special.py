@@ -575,8 +575,8 @@ def _flush_subnormal(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:
     as it could only be flushed as a copy.
 
     Dense products slow down severalfold on subnormal operands, and damped
-    Laguerre values and needlet coefficients hold many of them, so a needlet
-    GEMM should see only normal numbers and zeros; results change only by
+    Laguerre values hold many of them, so a needlet GEMM should see only
+    normal numbers and zeros; results change only by
     terms under tiny.  A floor above tiny trims the array: zeroing n entries
     below it moves the array by at most floor * sqrt(n) in the Frobenius norm.
     The pass runs over the array's memory as one flat float view (a complex
@@ -596,6 +596,22 @@ def _flush_subnormal(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:
         np.logical_and(np.less(part, floor, out=lo), np.greater(part, -floor, out=hi), out=lo)
         np.copyto(part, 0.0, where=lo)
     return arr
+
+
+def _coeff_shift(arrays) -> int:
+    """The binary exponent e of the largest |entry| over ``arrays`` (peak = m 2^e,
+    0.5 <= m < 1; 0 when all are 0 or the peak is not finite)."""
+    return math.frexp(float(max(np.max(np.abs(a), initial=0.0) for a in arrays)))[1]
+
+
+def _ldexp(arr: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+    """2^e arr into ``out`` (which may be ``arr``) or a new C-contiguous array, a complex
+    one part by part: exact unless an entry leaves the normal range."""
+    out = np.empty(arr.shape, arr.dtype) if out is None else out
+    np.ldexp(arr.real, e, out=out.real)  # the whole of a real array
+    if np.iscomplexobj(arr):
+        np.ldexp(arr.imag, e, out=out.imag)
+    return out
 
 
 def _fold_sum(tensor, vecs) -> float:

@@ -15,12 +15,12 @@ import numpy as np
 from lagneed.kernels import _filter_band, _filter_degrees, _kernel_weights, _level_scale, cutoff_weights
 from lagneed import needlets
 from lagneed.needlets import CoeffFn, NeedletCoeffs, _band_rows, _live_box, _system_levels
-from lagneed.spaces import (_axis_weight_powers, _B_reduce, _coeff_shift, _F_reduce, _lp,
-                            _scaled_axes, _scaled_max)
+from lagneed.spaces import (_axis_weight_powers, _B_reduce, _F_reduce, _lp, _scaled_axes,
+                            _scaled_max)
 from lagneed.quadrature import (_AIRY_ZEROS, _MAX_PASSES, _SLACK, _STEP_LIMIT, _TAYLOR_DEGREE,
                                 _local_gaps)
 from lagneed.special import (_BOUND_LIMIT, _LN2, _RESCALE_LIMIT, _RESCALE_SHIFT, _TINY,
-                             _convolve_degrees, _flush_subnormal, _fold, as_alpha,
+                             _coeff_shift, _convolve_degrees, _flush_subnormal, _fold, as_alpha,
                              laguerre_fn_batch, total_degree_grid)
 
 
@@ -112,22 +112,19 @@ def dense_levels(system, f, tables) -> list[np.ndarray]:
     return levels
 
 
-def may_be_subnormal(block, tabs) -> bool:
-    """The exponent bound of ``needlets._may_be_subnormal`` with the tables' part
-    worked out from ``tabs``: False when no entry of a fold of ``block`` into rows of
-    those tables can be subnormal."""
-    parts = np.abs(block.view(float) if np.iscomplexobj(block) else block)
-    beta = float(np.min(parts, where=parts > 0, initial=math.inf))
-    if not math.isfinite(beta):
-        return True
-    floors = (max(_TINY, needlets._TABLE_TRIM / math.sqrt(tab.size)) for tab in tabs)
-    return sum(math.frexp(x)[1] - 53 for x in (beta, *floors)) < -1022
+def ldexp_view(arr: np.ndarray, e: int) -> np.ndarray:
+    """2^e arr as a new array, a complex one scaled as its float view."""
+    arr = np.ascontiguousarray(arr)
+    return np.ldexp(arr.view(float), e).view(arr.dtype)
 
 
 def per_call_analyze(system, f) -> NeedletCoeffs:
-    """``analyze`` with each level's box, filter and exponent bound worked out on the
-    call, as the library did before it kept them in plans; the same GEMMs on the same
-    operands, so the same bits."""
+    """``analyze`` with each level's box and filter worked out on the call, as the
+    library did before it kept them in plans: the levels of 2^-e f, e the binary
+    exponent of f's largest |coefficient|, unflushed, with e kept; the same GEMMs on
+    the same operands, so the same bits."""
+    e = math.frexp(float(np.max(np.abs(f.coeffs))))[1]
+    unit = ldexp_view(f.coeffs, -e)
     boxes = []
     for j in range(system.J + 1):
         box = _live_box(system, j, system.pair.a_hat, f.max_degree)
@@ -135,21 +132,19 @@ def per_call_analyze(system, f) -> NeedletCoeffs:
             level = np.zeros((0,) * f.d, dtype=f.coeffs.dtype)
         else:
             rows, K = box
-            block = _filter_degrees(f.coeffs[(rows,) * f.d], system.pair.a_hat,
+            block = _filter_degrees(unit[(rows,) * f.d], system.pair.a_hat,
                                     _level_scale(j), corner=f.d * rows.start)
-            tabs = system.tables[j]
-            level = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
-            if may_be_subnormal(block, tabs):
-                _flush_subnormal(level)
+            level = _fold(block, [tab[rows, :k] for tab, k in zip(system.tables[j], K)])
         level.flags.writeable = False
         boxes.append(level)
-    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids))
+    return NeedletCoeffs(tuple(boxes), system.hash, tuple((g.n_j,) * f.d for g in system.grids), e)
 
 
 def per_call_synthesize(system, coeffs) -> CoeffFn:
     """``synthesize`` with each level's box, blocks of ``needlets._SYNTH_BLOCKS``, filter
     and 4^J clip worked out on the call, as the library did before it kept them in
-    plans; the same GEMMs on the same operands, so the same bits."""
+    plans, the sum scaled by 2^_exp; the same GEMMs on the same operands, so the same
+    bits."""
     boxes = _system_levels(coeffs, system)
     d, n_out, cut = system.d, system.max_degree(), system.pair.b_hat
     out = np.zeros((n_out + 1,) * d, dtype=np.result_type(float, *boxes))
@@ -180,7 +175,7 @@ def per_call_synthesize(system, coeffs) -> CoeffFn:
             if n_out < min(hi, corner + sum(part.shape) - d):  # 4^J clips the band here
                 part[degrees > n_out - corner] = 0.0
             out[(slice(a, b),) + (slice(r0, end),) * (d - 1)] += part
-    return CoeffFn._unchecked(system.alpha, n_out, out)
+    return CoeffFn._unchecked(system.alpha, n_out, ldexp_view(out, coeffs._exp))
 
 
 def live_node_cont_norms(f, params, system, level):

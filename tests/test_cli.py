@@ -495,6 +495,27 @@ class TestNorms:
                 "params": {"s": 0.5, "rho": 0.5, "p": 1.5, "q": 3.0}}
         assert out == canonical_json(want) + "\n"
 
+    @pytest.mark.parametrize("space", ["f-seq", "b-seq"])
+    def test_per_level_norms_far_below_unit_scale(self, capsys, tmp_path, space):
+        # each level's coefficients carry the input's power of two: at 2^-1000 f the
+        # norm and every per-level norm are exactly 2^-1000 times those of f
+        cfg = tmp_path / "system.cfg"
+        cfg.write_text("alpha=0.5,0.5\nd=2\nJ=3\ntight=true\n")
+        f = CoeffFn.random([0.5, 0.5], 16, seed=4)
+        payloads = []
+        for scale in (1.0, 2.0 ** -1000):
+            coeff_file = tmp_path / "f.json"
+            coeff_file.write_text(json.dumps((f * scale).to_json_dict()))
+            code, out, _ = run_main(["norms", "--space", space, "--s", "0.5", "--rho", "0.5",
+                                     "--p", "0.5", "--q", "0.5", "--system", str(cfg),
+                                     "--input", str(coeff_file)], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        plain, tiny = payloads
+        assert len(plain["per_level"]) == 4 and all(v > 0 for v in plain["per_level"])
+        assert tiny["norm"] == math.ldexp(plain["norm"], -1000)
+        assert tiny["per_level"] == [math.ldexp(v, -1000) for v in plain["per_level"]]
+
     @pytest.mark.parametrize("space,norm", [("F-cont", F_norm_cont), ("B-cont", B_norm_cont)])
     def test_continuous_norms_at_level_J_plus_1(self, capsys, tmp_path, system_config,
                                                 space, norm):
@@ -595,9 +616,11 @@ class TestReport:
         ("alpha=0.5\nd=1\nJ=-1", "J must be nonnegative"),
         ("alpha=0.5\nd=1\nJ=2\ncutoff=type_c:v=1", "unrecognized cutoff specification "
                                                     "'type_c:v=1'"),
-        ("alpha=0.5\nd=1\nJ=2\ndelta=0.5", "delta must lie in (0, 1/26)")])
+        ("alpha=0.5\nd=1\nJ=2\ndelta=0.5", "delta must lie in (0, 1/26)"),
+        # the kernel suites accept this cut-off, make_dual_pair refuses it
+        ("alpha=0.5\nd=1\nJ=2\ncutoff=type_a:v=1", "support (0.0, 2.0) not inside [1/4, 4]")])
     def test_invalid_config_writes_no_partial_bundle(self, capsys, tmp_path, line, error):
-        # refused before the first suite runs: the output directory stays empty
+        # every suite runs before the first file is written: the output directory stays empty
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         out_dir = tmp_path / "bundle"

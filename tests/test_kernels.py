@@ -14,10 +14,11 @@ from lagneed.kernels import (
     lambda_tilde,
     lower_bound_check,
     _cached_weights,
+    _degree_weights,
 )
 from lagneed.needlets import CoeffFn, analyze, build_system, evaluate_needlet, synthesize
 from lagneed.quadrature import cubature_grid
-from lagneed.special import laguerre_fn_batch, multivariate_F, _kernel_table
+from lagneed.special import laguerre_fn_batch, multivariate_F, total_degree_grid, _kernel_table
 from oracles import cubature_integrate_values, lambda_direct
 
 
@@ -239,6 +240,8 @@ class TestBandKernels:
 class TestFilterCache:
     @pytest.mark.parametrize("tight", [False, True], ids=["dual", "tight"])
     def test_repeated_transform_evaluates_no_filter(self, tight):
+        # the registry keeps one weight vector per (cut-off, scale), and the system's
+        # hash reads every level's raw filter weights, so no transform evaluates a again
         base = frame_default()
         calls = []
 
@@ -248,21 +251,40 @@ class TestFilterCache:
 
         raw = make_cutoff("raw", fn=counted, support=base.support, nonneg=True)
         system = build_system(2, 1, [0.5], make_dual_pair(raw, tight=tight))
+        assert calls
         f = CoeffFn.random([0.5], 4, seed=0)
         calls.clear()
-        synthesize(system, analyze(system, f))
-        assert calls
-        calls.clear()
-        synthesize(system, analyze(system, f))
-        assert calls == []
+        for _ in range(2):
+            synthesize(system, analyze(system, f))
+            assert calls == []
 
     def test_cached_weights_are_read_only(self):
         a_hat = frame_default()
-        w = _cached_weights(a_hat, 16, 40)
-        assert _cached_weights(a_hat, 16, 40) is w
-        assert np.array_equal(w, cutoff_weights(a_hat, 16, 40))
+        w = _cached_weights(a_hat, 16)
+        assert _cached_weights(a_hat, 16) is w
+        assert np.array_equal(w, cutoff_weights(a_hat, 16)) and len(w) == 65
         with pytest.raises(ValueError):
             w[20] = 0.0
+
+    def test_one_weight_vector_per_band(self, registry):
+        # J = 3, d = 3 round trips: one weight vector per (cut-off, scale), as many as
+        # filter bands (two cut-offs, four levels), not one per block's last degree
+        system = build_system(3, 3, [0.0, 0.5, 1.0], make_dual_pair(frame_default()))
+        for seed in range(4):
+            synthesize(system, analyze(system, CoeffFn.random(system.alpha, 16, seed=seed)))
+        info = registry.info()
+        assert info["filter-weights"]["entries"] == info["filter-band"]["entries"] == 8
+
+    @pytest.mark.parametrize("corner", [0, 5, 60, 70])
+    def test_degree_weights_read_zero_past_the_top(self, corner):
+        # a block's weights equal, bit for bit, the filter evaluated up to the block's
+        # last degree, whose entries past the top degree (64 at scale 16) are 0
+        a_hat = frame_default()
+        for shape in [(9,), (9, 7), (4, 3, 5)]:
+            degrees = total_degree_grid(shape)
+            want = cutoff_weights(a_hat, 16, corner + sum(shape) - len(shape))[corner:][degrees]
+            got = _degree_weights(a_hat, 16, degrees, corner)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDiagnostics:

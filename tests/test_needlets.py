@@ -26,7 +26,7 @@ from lagneed.kernels import _filter_band, _filter_degrees, _level_scale, cutoff_
 from lagneed.quadrature import cubature_grid, level_node_count
 from lagneed.spaces import NormParams, b_norm_seq, f_norm_seq
 from lagneed.special import _ArrayCache, _arrays, _flush_subnormal, _fold
-from oracles import (cubature_integrate_values, dense_levels, may_be_subnormal, per_call_analyze,
+from oracles import (cubature_integrate_values, dense_levels, ldexp_view, per_call_analyze,
                      per_call_synthesize, single_rule, untrimmed_tables)
 
 DUAL = make_dual_pair(frame_default())
@@ -506,7 +506,11 @@ class TestBoxArithmetic:
             "high": analyze(system, CoeffFn.random(system.alpha, 16, seed=2)),
             "complex": analyze(system, CoeffFn.random(system.alpha, 4, seed=3,
                                                       complex_valued=True)),
-            "hand": hand}
+            "hand": hand,
+            # far from unit scale, so each carries its own power of two
+            "up": analyze(system, CoeffFn.random(system.alpha, 16, seed=5) * 2.0 ** 40),
+            "down": analyze(system, CoeffFn.random(system.alpha, 8, seed=6,
+                                                   complex_valued=True) * 2.0 ** -30)}
 
     def test_operands_have_different_boxes(self, operands):
         _, ops = operands
@@ -514,6 +518,8 @@ class TestBoxArithmetic:
         assert shapes["low"][2:] == [(44, 44), (0, 0)]
         assert shapes["high"][2:] == [(52, 52), (123, 123)]
         assert shapes["hand"][2:] == [(53, 53), (209, 209)]
+        exps = {name: c._exp for name, c in ops.items()}
+        assert exps["hand"] == 0 and exps["up"] > 30 and exps["down"] < -30
 
     @pytest.mark.parametrize("factor", [2.0, 0.3, 1.5 + 0.25j, -0.75])
     def test_scale(self, operands, factor):
@@ -521,15 +527,20 @@ class TestBoxArithmetic:
         # negative factor has -0.0: those compare as equal values
         _, ops = operands
         for c in ops.values():
+            assert c.scale(factor)._exp == c._exp
             for got, lv in zip(c.scale(factor).levels, c.levels):
                 assert same_bits(got, lv * factor, signed_zeros=factor.real > 0)
 
     @pytest.mark.parametrize("pair", [("low", "high"), ("high", "low"), ("low", "hand"),
-                                      ("hand", "high"), ("complex", "high"), ("hand", "hand")])
+                                      ("hand", "high"), ("complex", "high"), ("hand", "hand"),
+                                      ("up", "high"), ("down", "up"), ("hand", "down"),
+                                      ("down", "complex")])
     def test_add(self, operands, pair):
+        # operands of different exponents are added at the larger one
         _, ops = operands
         a, b = (ops[name] for name in pair)
         total = a.add(b)
+        assert total._exp == max(a._exp, b._exp)
         for j, (got, x, y) in enumerate(zip(total.levels, a.levels, b.levels)):
             assert same_bits(got, x + y)
             want = tuple(map(max, a._boxes[j].shape, b._boxes[j].shape))
@@ -664,9 +675,9 @@ class TestNormalOrZero:
                                                 (3, 2, (0.5, 0.5), TIGHT), (3, 1, (0.5,), TIGHT)],
                              ids=["deep-1d", "wide-3d", "norms-2d", "cli-report-1d"])
     def test_skipped_flush_changes_nothing(self, J, d, alpha, pair):
-        # analyze skips the flush where its exponent bound rules subnormals out; there
-        # the unflushed level equals its flushed copy bit for bit, and analyze's level
-        # is that fold.  The bound holds for unit-norm f and fails for f 2^-1000.
+        # analyze flushes no level: each box is the unflushed fold of 2^-e f, e the
+        # binary exponent of f's largest |coefficient|, bit for bit, and at that unit
+        # scale the fold equals its flushed copy, whatever the scale of f.
         # wide-3d runs at its workload degree only: at 4^J its level 3 is 209^3 nodes
         system = build_system(J, d, list(alpha), pair)
         degrees = (system.exact_degree(),) + ((system.max_degree(),) if d < 3 else ())
@@ -675,21 +686,19 @@ class TestNormalOrZero:
                 for scale in (1.0, 2.0 ** -600, 2.0 ** -1000):
                     f = CoeffFn.random(list(alpha), degree, seed=degree,
                                        complex_valued=complex_valued) * scale
-                    levels = analyze(system, f)._boxes
+                    e = math.frexp(float(np.max(np.abs(f.coeffs))))[1]
+                    unit, coeffs = ldexp_view(f.coeffs, -e), analyze(system, f)
+                    assert coeffs._exp == e
                     for j, tabs in enumerate(system.tables):
                         box = needlets._live_box(system, j, pair.a_hat, degree)
                         if box is None:
                             continue
                         rows, K = box
-                        block = _filter_degrees(f.coeffs[(rows,) * d], pair.a_hat,
+                        block = _filter_degrees(unit[(rows,) * d], pair.a_hat,
                                                 _level_scale(j), corner=d * rows.start)
                         raw = _fold(block, [tab[rows, :k] for tab, k in zip(tabs, K)])
-                        if may_be_subnormal(block, tabs):
-                            assert scale < 1.0
-                        else:
-                            assert scale > 2.0 ** -1000
-                            assert same_bits(raw, _flush_subnormal(raw.copy()))
-                            assert same_bits(levels[j], raw)
+                        assert same_bits(raw, _flush_subnormal(raw.copy()))
+                        assert same_bits(coeffs._boxes[j], raw)
 
 
 def dense_analyze(system, f):
@@ -812,7 +821,7 @@ class TestLiveBox:
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_wide_3d_box_contract(self, complex_valued):
         # every analysis level is stored as a fresh C-contiguous read-only box, and
-        # the dense levels are those boxes zero-padded, bit for bit
+        # the dense levels are those boxes zero-padded and scaled by 2^_exp, bit for bit
         system = build_system(3, 3, [0.0, 0.5, 1.0], DUAL)
         f = CoeffFn.random(system.alpha, 16, seed=1, complex_valued=complex_valued)
         coeffs = analyze(system, f)
@@ -822,7 +831,8 @@ class TestLiveBox:
             assert level.shape == (g.n_j,) * 3 and level.dtype == box.dtype == f.coeffs.dtype
             padded = np.zeros(level.shape, dtype=level.dtype)
             padded[box_slices(box.shape)] = box
-            assert np.array_equal(level.view(np.int64), padded.view(np.int64))
+            want = ldexp_view(padded, coeffs._exp)
+            assert np.array_equal(level.view(np.int64), want.view(np.int64))
         assert coeffs.levels is coeffs.levels  # built once, on first access
 
     @pytest.mark.parametrize("J,alpha,pair", [(5, (0.5,), TIGHT), (3, (0.0, 0.5, 1.0), DUAL),
@@ -959,9 +969,9 @@ PLANS = ("analysis-plan", "synthesis-plan")  # the registry kinds of transform p
 
 
 def same_coeffs(got, want):
-    """Two NeedletCoeffs with the same hash, level shapes and boxes, bit for bit."""
+    """Two NeedletCoeffs with the same hash, level shapes, exponent and boxes, bit for bit."""
     return (got.system_hash == want.system_hash and got._level_shapes() == want._level_shapes()
-            and all(same_bits(a, b) and not a.flags.writeable
+            and got._exp == want._exp and all(same_bits(a, b) and not a.flags.writeable
                     for a, b in zip(got._boxes, want._boxes)))
 
 

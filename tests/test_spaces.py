@@ -479,6 +479,29 @@ class TestUnderflow:
                 plain = norm(f, params, system_2d, level)
                 assert math.ldexp(norm(cf, params, system_2d, level), -e) == plain
 
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_analysis_and_all_norms_scale_exactly_by_powers_of_two(self, system_2d, k):
+        # analyze folds 2^-e f and carries e: 2^k f has the boxes of f bit for bit and
+        # an exponent larger by k, and all four norms exactly 2^k times those of f
+        level = system_2d.J + 1
+        for complex_valued in (False, True):
+            f = CoeffFn.random(system_2d.alpha, 4, seed=4, complex_valued=complex_valued)
+            cf = CoeffFn(f.alpha, f.max_degree, f.coeffs * 2.0 ** k)
+            assert np.array_equal(cf.coeffs * 2.0 ** -k, f.coeffs)  # 2^k f is exact
+            coeffs, c_coeffs = analyze(system_2d, f), analyze(system_2d, cf)
+            assert c_coeffs._exp == coeffs._exp + k
+            for box, c_box in zip(coeffs._boxes, c_coeffs._boxes):
+                assert box.dtype == c_box.dtype and box.shape == c_box.shape
+                assert np.array_equal(box.view(np.int64), c_box.view(np.int64))
+            for params in (NormParams(0.5, 0.5, 0.5, 0.5), NormParams(0.5, 0.5, 1.5, 1.0),
+                           NormParams(0.0, 0.0, 2.0, 2.0)):
+                for norm, x, cx in [(f_norm_seq, coeffs, c_coeffs), (b_norm_seq, coeffs, c_coeffs),
+                                    (F_norm_cont, f, cf), (B_norm_cont, f, cf)]:
+                    args = (params, system_2d) + ((level,) if isinstance(x, CoeffFn) else ())
+                    plain = norm(x, *args)
+                    assert 0.0 < plain < math.inf
+                    assert norm(cx, *args) == math.ldexp(plain, k)
+
     @staticmethod
     def traced_peak(norm, f, params, system, level):
         want = norm(f, params, system, level)  # warm every cache first
