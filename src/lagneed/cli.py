@@ -32,6 +32,7 @@ from .kernels import kernel_decay_profile, lambda_kernel, lower_bound_check
 from .needlets import (CoeffFn, NeedletCoeffs, _frame_operator, analyze, build_system,
                        synthesize)
 from .quadrature import cubature_grid, gauss_laguerre
+from .special import _coeff_shift, _ldexp
 from .spaces import (B_norm_cont, F_norm_cont, NormParams, b_norm_seq,
                      equivalence_report, f_norm_seq, make_test_corpus,
                      nikolskii_report)
@@ -260,8 +261,9 @@ def _needlet_coeffs_from_payload(data: dict) -> NeedletCoeffs:
             re, im = (_level_part(item, key, len(levels)) for key in ("re", "im"))
             levels.append((re + 1j * im).reshape(shape))
         if not any(lv.imag.any() for lv in levels):  # real data stays float64
-            levels = [lv.real.copy() for lv in levels]
-        return NeedletCoeffs(tuple(levels), data["system_hash"])
+            levels = [lv.real for lv in levels]
+        e = _coeff_shift(levels)  # at unit scale, as analyze keeps its boxes
+        return NeedletCoeffs(tuple(_ldexp(lv, -e) for lv in levels), data["system_hash"], _exp=e)
     except KeyError as exc:
         raise ValueError(f"needlet coefficient data lacks the key {exc}") from None
     except TypeError as exc:  # a value of the wrong JSON type, such as "levels": 5

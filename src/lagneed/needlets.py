@@ -260,8 +260,13 @@ class NeedletCoeffs:
         return math.ldexp(energy, 2 * self._exp)
 
     def scale(self, factor) -> "NeedletCoeffs":
-        return NeedletCoeffs(tuple(box * factor for box in self._boxes), self.system_hash,
-                             self._shapes, self._exp)
+        """``factor`` times the coefficients, |factor| = m 2^e with 1 <= m < 2 (else e = 0):
+        the boxes times factor 2^-e at _exp + e, so a power of two keeps the boxes."""
+        e = math.frexp(abs(factor))[1] - 1 if 0.0 < abs(factor) < math.inf else 0
+        unit = (complex(math.ldexp(factor.real, -e), math.ldexp(factor.imag, -e))
+                if np.iscomplexobj(factor) else math.ldexp(factor, -e))
+        return NeedletCoeffs(tuple(box * unit for box in self._boxes), self.system_hash,
+                             self._shapes, self._exp + e)
 
     def add(self, other: "NeedletCoeffs") -> "NeedletCoeffs":
         if (other.system_hash != self.system_hash or other.level_count != self.level_count

@@ -68,7 +68,6 @@ _AIRY_ZEROS = (-2.338107410459767, -4.08794944413097, -5.520559828095551,
                -10.040174341558085, -11.008524303733262, -11.936015563236262,
                -12.828776752865757)
 _TAYLOR_DEGREE = 8      # degree of the local Taylor model of L_n in a pass
-_POWERS = np.arange(_TAYLOR_DEGREE + 1)[:, None]
 _STEP_LIMIT = 5e-3      # largest final step, as a share of the local node gap
 _SLACK = 1e-6           # rounding allowance on brackets, as a share of the gap
 _MAX_PASSES = 64
@@ -87,8 +86,8 @@ def _initial_nodes(keys) -> np.ndarray:
     s = cos^2(tau/2), tau - sin tau = (4n - 4k + 3) pi / nu (Gatteschi,
     J. Comput. Appl. Math. 144, 2002; Gil-Segura-Temme, Stud. Appl. Math. 140,
     2018).  The forms run on all keys' points at once, with each key's constants
-    repeated over its points; only the powers of the end forms' arrays are taken
-    key by key (see ``_powers``).
+    repeated over its points; every operation on the points is elementwise, so a
+    key's start does not depend on the keys beside it.
     """
     ns = [n for n, _ in keys]
     alphas = [alpha for _, alpha in keys]
@@ -113,8 +112,8 @@ def _initial_nodes(keys) -> np.ndarray:
     # the first m points of each key: Bessel-type; the last m: Airy-type
     mus = [4.0 * a ** 2 for a in alphas]
     beta = [np.arange(0.5 * a + 0.75, m + 0.5 * a + 0.5) * math.pi for a, m in zip(alphas, ms)]
-    w = np.concatenate([(8.0 * b) ** -2 for b in beta])
     beta = np.concatenate(beta)
+    w = 1.0 / ((8.0 * beta) * (8.0 * beta))
     j = beta - each([mu - 1.0 for mu in mus], ms) / (8.0 * beta) * (
         1.0 + w * (each([4.0 * (7.0 * mu - 31.0) / 3.0 for mu in mus], ms)
                    + w * (each([32.0 * (83.0 * mu ** 2 - 982.0 * mu + 3779.0) / 15.0
@@ -128,8 +127,8 @@ def _initial_nodes(keys) -> np.ndarray:
         / each([3.0 * nu ** 2 for nu in nus], ms))
 
     z = np.arange(2.25, 3.0 * max(ms), 3.0) * (0.5 * math.pi)    # 3 pi (4k - 1) / 8
-    v = np.concatenate([z[:m] ** -2 for m in ms])
     z = np.concatenate([z[:m] for m in ms])
+    v = 1.0 / (z * z)
     ai = -np.cbrt(z * z) * (1.0 + v * (5.0 / 48.0 + v * (-5.0 / 36.0 + v * (
         77125.0 / 82944.0 - v * 108056875.0 / 6967296.0))))
     known = i < len(_AIRY_ZEROS)
@@ -164,7 +163,6 @@ def _newton_polish(n, alpha, t: np.ndarray, sizes=None):
     if sizes is None:
         n, alpha, sizes = (n,), (alpha,), (t.size,)
     ends = np.cumsum(sizes, dtype=np.int64).tolist()
-    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
     count = np.zeros(t.size, dtype=np.int64)
     signs = np.zeros((_SIGN_BLOCK + 1, t.size), dtype=bool)
     bits = signs.view(np.uint8)
@@ -181,38 +179,29 @@ def _newton_polish(n, alpha, t: np.ndarray, sizes=None):
             signs[0, :w] = signs[i, :w]
             i = 0
         while g >= 0 and n[g] == step:  # group g leaves; no later step writes its rows
-            sl = spans[g]
+            sl = slice(ends[g] - sizes[g], ends[g])
             count[sl] += np.bitwise_xor(bits[1:i + 1, sl], bits[:i, sl]).sum(axis=0, dtype=np.uint8)
             last[g] = state.v[sl], state.v_prev[sl]
             g -= 1
     return (*_taylor_step(np.repeat(np.array(n, dtype=float), sizes),
                           np.repeat(np.array(alpha, dtype=float), sizes), t,
                           *(np.concatenate(rows) for rows in zip(*last)),
-                          state.frac, state.m0 + state.shift, spans), count)
+                          state.frac, state.m0 + state.shift), count)
 
 
-def _powers(h: np.ndarray, spans, top: int) -> np.ndarray:
-    """h^k, k = 0..top, shape (top+1, h.size), each group's on an array of its own.
-
-    np.power's vector and scalar loops round some powers differently, and which
-    points take which depends on where they sit in the array, so a group's
-    powers come out as in a pass of its own only from an array of the group alone.
-    """
-    return np.concatenate([h[sl] ** _POWERS[:top + 1] for sl in spans], axis=1)
-
-
-def _taylor_step(n, alpha, t, v, v_prev, frac, exponent, spans):
+def _taylor_step(n, alpha, t, v, v_prev, frac, exponent):
     """Newton's step from t to the nearest zero of L_n, from the damped recurrence's
     rows q_n = v frac 2^exponent and q_(n-1) = v_prev frac 2^exponent at t, with n and
-    alpha per point and the points in the groups ``spans``; returns (t + h,
-    lambda_n(t + h) e^(t + h), its log).  Every step but the powers of h (``_powers``)
-    is elementwise, so a group's results do not depend on the others.
+    alpha per point; returns (t + h, lambda_n(t + h) e^(t + h), its log).  Every step
+    is elementwise, the polynomials by Horner's rule (``_horner``) included, so the
+    results at a point do not depend on the other points.
 
     From the last two rows, t L_n' = n L_n - b_n L_(n-1) (the orthonormal,
     same-alpha identity, b_k = sqrt(k(k+a))) gives L_n', and the Laguerre
     equation t y^(m+2) = (t - a - 1 - m) y^(m+1) - (n - m) y^(m) every further
     derivative, so Newton's method on the degree-8 Taylor polynomial of L_n at t
-    (damped by e^(-h/2)) finds the step h to the nearest zero.  At a zero
+    (damped by e^(-h/2)) finds the step h to the nearest zero (the local model of
+    Glaser-Liu-Rokhlin, SIAM J. Sci. Comput. 29, 2007).  At a zero
     sum_{k<n} q_k^2 = t q_n'^2 (Christoffel-Darboux), and the Taylor polynomial of
     L_n' carries q_n' from t to t + h, so the Christoffel function at the stepped
     node needs no second pass.
@@ -230,19 +219,28 @@ def _taylor_step(n, alpha, t, v, v_prev, frac, exponent, spans):
         c[0], c[1] = v / deriv, 1.0
         for k in range(_TAYLOR_DEGREE - 1):
             np.subtract(up[k] * c[k + 1], down[k] * c[k], out=c[k + 2])
-        dc = _POWERS[1:] * c[1:]
+        dc = np.arange(1.0, _TAYLOR_DEGREE + 1.0)[:, None] * c[1:]  # the model's derivative
         # Newton's method on the damped model e^(-h/2) L_n(t + h), which lacks
         # the undamped polynomial's e^(h/2) growth, from its first step; three
         # iterations, as a lone node's wide gap lets a far-off start pass the step test
         h = -c[0] / (1.0 - 0.5 * c[0])
         for _ in range(3):
-            hp = _powers(h, spans, _TAYLOR_DEGREE)
-            f = (c * hp).sum(axis=0)
-            h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)
+            f = _horner(c, h)
+            h = h - f / (_horner(dc, h) - 0.5 * f)
         root = t + h
         # e^(-t/2) L_n'(t + h) = slope 2^(e + exponent), slope in [1/2, 1)
-        slope, e = np.frexp(deriv * (dc * _powers(h, spans, _TAYLOR_DEGREE - 1)).sum(axis=0) * frac)
+        slope, e = np.frexp(deriv * _horner(dc, h) * frac)
         return (root, *_scaled(np.exp(h) / (root * slope * slope), -2 * (e + exponent)))
+
+
+def _horner(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] h^k at every point by Horner's rule, one coefficient row per
+    degree: elementwise, so a point's value does not depend on where it sits."""
+    acc = coeffs[-1] * h + coeffs[-2]
+    for row in coeffs[-3::-1]:
+        acc *= h
+        acc += row
+    return acc
 
 
 def _scaled(mantissa: np.ndarray, exponent: np.ndarray):

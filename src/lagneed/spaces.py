@@ -235,7 +235,7 @@ def _B_reduce(levels, params: NormParams) -> float:
     return _lp(terms, [np.ones(len(terms))], params.q)
 
 
-def _axis_weight_powers(axis_xi, alpha, j: int, rho: float):
+def _axis_weight_factors(axis_xi, alpha, j: int, rho: float):
     """Per-axis factors of W(4^j; xi)^(-rho/d) over per-axis abscissae."""
     return [_axis_W(4.0 ** j, a, xi) ** (-rho / len(axis_xi)) for xi, a in zip(axis_xi, alpha)]
 
@@ -247,7 +247,7 @@ def _level_amplitudes(system: NeedletSystem, j: int, h: np.ndarray, rho: float,
     factor."""
     g = system.grids[j]
     factors = [(w * m ** -0.5)[:k] for w, m, k in
-               zip(_axis_weight_powers(g.axis_xi, g.alpha, j, rho), g.axis_tile_measure, h.shape)]
+               zip(_axis_weight_factors(g.axis_xi, g.alpha, j, rho), g.axis_tile_measure, h.shape)]
     factors[0] = np.ldexp(factors[0], -shift)
     return np.abs(h) * _outer(factors)
 
@@ -456,7 +456,7 @@ def _norm_plan(bands, f: CoeffFn, params: NormParams, system: NeedletSystem,
 
     def make():
         xis, tables, weights, exps = _scaled_axes(f, params.p, system, integration_level)
-        facs = tuple(tuple(_axis_weight_powers(xis, system.alpha, j, params.rho))
+        facs = tuple(tuple(_axis_weight_factors(xis, system.alpha, j, params.rho))
                      for j, _, _ in bands)
         tails = []
         for ax, (w, e) in enumerate(zip(weights, exps)):

@@ -172,10 +172,11 @@ def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
     those.  A running bound on the values
     (each step grows them by at most (max|2n+a+1-u| + b_n) / b_(n+1)) says when
     they could near the float range; only then are the large ones rescaled by
-    2^-512, both rows alike, so no step can overflow and the rows do not depend
-    on when the rescaling happened.  The start G(a+1)^(-1/2) of q_0 is below the
-    normal range from about a = 316 on; there ``shift`` begins at its binary
-    exponent e and the start is G(a+1)^(-1/2) 2^(-e), elsewhere at 0.
+    2^-512, both rows alike, so no step can overflow.  A power of two scales
+    exactly, so the rows do not depend on when the rescaling happened.  The
+    start G(a+1)^(-1/2) of q_0 is below the normal range from about a = 316 on;
+    there ``shift`` begins at its binary exponent e and the start is
+    G(a+1)^(-1/2) 2^(-e), elsewhere at 0.
 
     One pass also steps several groups of points, group g to degree N[g] with
     parameter alpha[g], N not increasing from group to group: the rows of a 2-D
@@ -184,9 +185,10 @@ def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
     step after a group's last one, ``v`` and ``v_prev`` cover only the groups
     still running, and the frame's other arrays keep their full extent.  A step
     takes c_n = 2n + a + 1 and b_(n+1) as numbers while one alpha runs, else per
-    row, or gathered per point from per-alpha tables; the bound and its
-    rescales are kept per group.  So each group's rows are bit for bit those of
-    a pass of its own.
+    row, or gathered per point from per-alpha tables.  One bound, over all
+    points and the largest growth of any alpha, and one rescale schedule serve
+    the whole pass.  Each step is elementwise and each rescale exact, so each
+    group's rows are bit for bit those of a pass of its own.
     """
     if np.ndim(N) == 0:
         N, alpha = (N,), (alpha,)
@@ -196,7 +198,6 @@ def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
     elif sizes is None:
         sizes = (u.size,)
     ends = list(itertools.accumulate(sizes))
-    spans = range(len(N)) if by_row else [slice(end - size, end) for end, size in zip(ends, sizes)]
     kinds = sorted(set(alpha))
     col = [kinds.index(a) for a in alpha]
     starts = [_start(a) for a in kinds]
@@ -216,16 +217,11 @@ def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
     k = np.arange(top + 1.0)[:, None]
     c_tab = 2.0 * k[:-1] + np.array(kinds) + 1.0        # c_n by alpha, n = 0..top-1
     b_tab = np.sqrt(k * (k + np.array(kinds)))           # b_n by alpha, n = 0..top
-    # per step and group, the bound's growth (max|c_n - u| + b_n) / b_(n+1), at least 1
-    if not u.size:
-        lo = hi = np.zeros(1)
-    elif by_row:
-        lo, hi = u.min(axis=1), u.max(axis=1)
-    else:
-        lo, hi = (f.reduceat(u, [0] + ends[:-1]) for f in (np.minimum, np.maximum))
-    c_grp, b_grp = (c_tab, b_tab) if len(kinds) == 1 else (c_tab[:, col], b_tab[:, col])
-    growth = np.maximum(1.0, (np.maximum(c_grp - lo, hi - c_grp) + b_grp[:-1]) / b_grp[1:])
-    due = _due(growth, 0, [starts[c][1] for c in col])
+    # per step, the bound's growth max over alpha of (max|c_n - u| + b_n) / b_(n+1), at least 1
+    lo, hi = (u.min(), u.max()) if u.size else (0.0, 0.0)
+    growth = np.maximum(1.0, ((np.maximum(c_tab - lo, hi - c_tab) + b_tab[:-1]) / b_tab[1:])
+                        .max(axis=1))
+    due = _due(growth, 0, max(start for _, start in starts))
     which = None
     if len(kinds) == 1:
         c_by_n, b_by_n = c_tab[:, 0].tolist(), b_tab[:, 0].tolist()
@@ -236,26 +232,23 @@ def _damped_rows(N, alpha, u: np.ndarray, sizes=None):
         c_pt, b_spare = np.empty(u.size), np.empty(u.size)
     b_cur = b_by_n[0] if which is None else np.zeros(u.size)    # b_0 = 0
     spare, term = np.empty(u.shape), np.empty(u.shape)
-    live, event = len(N), 0
+    live = len(N)
     for n in range(top):
-        if n >= event:
-            if N[live - 1] <= n:  # the groups whose last step was n - 1 leave
-                while N[live - 1] <= n:
-                    live -= 1
-                w = live if by_row else ends[live - 1]
-                s.v, s.v_prev, spare, term, u = s.v[:w], s.v_prev[:w], spare[:w], term[:w], u[:w]
-                if which is not None:
-                    which, c_pt, b_cur, b_spare = which[:w], c_pt[:w], b_cur[:w], b_spare[:w]
-                elif by_row and len(kinds) > 1:
-                    c_by_n, b_by_n, b_cur = c_by_n[:, :w], b_by_n[:, :w], b_cur[:w]
-            for g in range(live):
-                while due[g][0] == n:
-                    step, bound = due[g]
-                    if bound is None:  # rescale, then go on from the next step
-                        bound = _rescale(s, spans[g]) * growth[n, g]
-                        step += 1
-                    due[g] = _due(growth[:, g:g + 1], step, [bound])[0]
-            event = min(min(step for step, _ in due[:live]), N[live - 1])
+        if N[live - 1] <= n:  # the groups whose last step was n - 1 leave
+            while N[live - 1] <= n:
+                live -= 1
+            w = live if by_row else ends[live - 1]
+            s.v, s.v_prev, spare, term, u = s.v[:w], s.v_prev[:w], spare[:w], term[:w], u[:w]
+            if which is not None:
+                which, c_pt, b_cur, b_spare = which[:w], c_pt[:w], b_cur[:w], b_spare[:w]
+            elif by_row and len(kinds) > 1:
+                c_by_n, b_by_n, b_cur = c_by_n[:, :w], b_by_n[:, :w], b_cur[:w]
+        while due[0] == n:
+            step, bound = due
+            if bound is None:  # rescale, then go on from the next step
+                bound = _rescale(s) * growth[n]
+                step += 1
+            due = _due(growth, step, bound)
         if which is None:
             c, b_next = c_by_n[n], b_by_n[n + 1]
         else:
@@ -277,28 +270,26 @@ def _start(alpha: float) -> tuple[int, float]:
     return e, math.exp(log_start - e * _LN2)
 
 
-def _due(growth: np.ndarray, n: int, bounds) -> list:
-    """Per column (group) of ``growth`` (steps by groups), whose running bound before
-    step n is ``bounds``: (m, None) for the first step m among the _GROWTH_WINDOW from n
-    at which the bound times the step's growth would pass _BOUND_LIMIT, so the group's
-    values are rescaled there; else (m, the bound before step m) for the window's end
-    m, where the search goes on."""
+def _due(growth: np.ndarray, n: int, bound: float) -> tuple:
+    """For the running bound ``bound`` before step n and the steps' ``growth``: (m, None)
+    for the first step m among the _GROWTH_WINDOW from n at which the bound times the
+    step's growth would pass _BOUND_LIMIT, so the values are rescaled there; else (m,
+    the bound before step m) for the window's end m, where the search goes on."""
     if n >= len(growth):
-        return [(n, b) for b in bounds]
+        return n, bound
     with np.errstate(over="ignore"):  # inf is past the limit as well
-        ahead = np.cumprod(np.concatenate(([bounds], growth[n: n + _GROWTH_WINDOW])), axis=0)
+        ahead = np.cumprod(np.concatenate(([bound], growth[n: n + _GROWTH_WINDOW])))
     over = ahead[1:] > _BOUND_LIMIT
-    end, last = n + len(over), ahead[-1].tolist()
-    if not over.any():
-        return [(end, b) for b in last]
-    first, hit = over.argmax(axis=0).tolist(), over.any(axis=0).tolist()
-    return [(n + i, None) if h else (end, b) for i, h, b in zip(first, hit, last)]
+    if over.any():
+        return n + int(over.argmax()), None
+    return n + len(over), float(ahead[-1])
 
 
-def _rescale(s: _Frame, span: slice) -> float:
-    """Rescale the points of ``span`` whose rows are large by 2^-512; returns the new
-    bound, the largest |value| of the two rows there."""
-    v, v_prev, shift = s.v[span], s.v_prev[span], s.shift[span]
+def _rescale(s: _Frame) -> float:
+    """Rescale the points whose rows are large by 2^-512; returns the new bound, the
+    largest |value| of the two rows.  A power of two scales exactly, so which step
+    this happens at does not change the rows (see ``_damped_rows``)."""
+    v, v_prev, shift = s.v, s.v_prev, s.shift[:len(s.v)]
     size = np.maximum(np.abs(v), np.abs(v_prev))
     big = size > _RESCALE_LIMIT
     v[big] = np.ldexp(v[big], -_RESCALE_SHIFT)
@@ -600,8 +591,8 @@ def _flush_subnormal(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 def _coeff_shift(arrays) -> int:
     """The binary exponent e of the largest |entry| over ``arrays`` (peak = m 2^e,
-    0.5 <= m < 1; 0 when all are 0 or the peak is not finite)."""
-    return math.frexp(float(max(np.max(np.abs(a), initial=0.0) for a in arrays)))[1]
+    0.5 <= m < 1; 0 when there are none, all are 0 or the peak is not finite)."""
+    return math.frexp(float(max((np.max(np.abs(a), initial=0.0) for a in arrays), default=0.0)))[1]
 
 
 def _ldexp(arr: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:

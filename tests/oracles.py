@@ -15,7 +15,7 @@ import numpy as np
 from lagneed.kernels import _filter_band, _filter_degrees, _kernel_weights, _level_scale, cutoff_weights
 from lagneed import needlets
 from lagneed.needlets import CoeffFn, NeedletCoeffs, _band_rows, _live_box, _system_levels
-from lagneed.spaces import (_axis_weight_powers, _B_reduce, _F_reduce, _lp, _scaled_axes,
+from lagneed.spaces import (_axis_weight_factors, _B_reduce, _F_reduce, _lp, _scaled_axes,
                             _scaled_max)
 from lagneed.quadrature import (_AIRY_ZEROS, _MAX_PASSES, _SLACK, _STEP_LIMIT, _TAYLOR_DEGREE,
                                 _local_gaps)
@@ -196,7 +196,7 @@ def live_node_cont_norms(f, params, system, level):
                 block = np.ldexp(block.real, -shift) + (1j * np.ldexp(block.imag, -shift)
                                                         if np.iscomplexobj(block) else 0.0)
                 mats = [_flush_subnormal(t[rows] * w) for t, w in
-                        zip(tables, _axis_weight_powers(xis, system.alpha, j, params.rho))]
+                        zip(tables, _axis_weight_factors(xis, system.alpha, j, params.rho))]
                 yield j, np.abs(_fold(block, mats))
             j += 1
 
@@ -307,7 +307,9 @@ def single_start(n: int, alpha: float) -> np.ndarray:
 def _single_polish(n: int, alpha: float, t: np.ndarray):
     """One pass of the damped recurrence at t for one rule: the Sturm counts, and the
     Newton step and Christoffel function from the last two rows (see
-    ``quadrature._taylor_step``)."""
+    ``quadrature._taylor_step``).  The rescale bound is this rule's own, tracked step
+    by step, so a grouped pass that matches it shows that its shared rescale
+    schedule does not change the rows."""
     e0 = -t / (2.0 * _LN2)
     m0 = np.floor(e0)
     frac, m0 = np.exp2(e0 - m0), m0.astype(np.int64)
@@ -342,15 +344,20 @@ def _single_polish(n: int, alpha: float, t: np.ndarray):
         c[0], c[1] = v / deriv, 1.0
         for k in range(_TAYLOR_DEGREE - 1):
             np.subtract(up[k] * c[k + 1], down[k] * c[k], out=c[k + 2])
-        powers = np.arange(_TAYLOR_DEGREE + 1)[:, None]
-        dc = powers[1:] * c[1:]
+        dc = np.arange(1.0, _TAYLOR_DEGREE + 1.0)[:, None] * c[1:]
+
+        def model(coeffs, h):  # sum_k coeffs[k] h^k by Horner's rule
+            acc = coeffs[-1]
+            for row in coeffs[-2::-1]:
+                acc = acc * h + row
+            return acc
+
         h = -c[0] / (1.0 - 0.5 * c[0])
         for _ in range(3):
-            hp = h ** powers
-            f = (c * hp).sum(axis=0)
-            h = h - f / ((dc * hp[:-1]).sum(axis=0) - 0.5 * f)
+            f = model(c, h)
+            h = h - f / (model(dc, h) - 0.5 * f)
         root = t + h
-        slope, e = np.frexp(deriv * (dc * h ** powers[:-1]).sum(axis=0) * frac)
+        slope, e = np.frexp(deriv * model(dc, h) * frac)
         exponent = -2 * (e + m0 + shift)
         lam_exp = np.ldexp(np.exp(h) / (root * slope * slope), exponent)
         log_lam_exp = np.log(np.exp(h) / (root * slope * slope)) + exponent * _LN2

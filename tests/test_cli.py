@@ -321,6 +321,45 @@ class TestTransform:
         assert g.coeffs.dtype == np.float64
         assert np.max(np.abs(g.coeffs[:5] - f.coeffs)) < 1e-9
 
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_payloads_are_read_at_unit_scale(self, tmp_path, system_config, complex_valued):
+        # a payload's levels are kept times 2^-e, e the exponent of their largest entry:
+        # at 2^3 the file synthesizes byte for byte as its dense levels do, and at
+        # 2^-1000 the boxes are those at 2^3 up to the entries that 2^-1000 rounded
+        # below the normal range, so its synthesis is 2^-1003 times theirs
+        f = CoeffFn.random([0.5], 16, seed=5, complex_valued=complex_valued)
+        coeff_file, needlet_file = tmp_path / "f.json", tmp_path / "needlet.json"
+        coeff_file.write_text(json.dumps(f.to_json_dict()))
+        assert main(["transform", "analyze", "--system", system_config,
+                     "--input", str(coeff_file), "--out", str(needlet_file)]) == 0
+        payload = json.loads(needlet_file.read_text())
+        system = system_from_config(load_config(system_config))
+
+        def scaled(k):
+            return {**payload, "levels": [
+                {**lv, **{key: [math.ldexp(v, k) for v in lv[key]] for key in ("re", "im")}}
+                for lv in payload["levels"]]}
+
+        up, tiny = scaled(3), scaled(-1000)
+        dense = tuple(np.reshape(np.array(lv["re"]) + 1j * np.array(lv["im"]), lv["shape"])
+                      for lv in up["levels"])
+        dense = dense if complex_valued else tuple(lv.real.copy() for lv in dense)
+        up_file, out_file = tmp_path / "up.json", tmp_path / "out.json"
+        up_file.write_text(json.dumps(up))
+        assert main(["transform", "synthesize", "--system", system_config,
+                     "--input", str(up_file), "--out", str(out_file)]) == 0
+        want = synthesize(system, NeedletCoeffs(dense, payload["system_hash"]))
+        assert out_file.read_text() == canonical_json(want.to_json_dict())
+
+        a, b = _needlet_coeffs_from_payload(up), _needlet_coeffs_from_payload(tiny)
+        assert b._exp == a._exp - 1003
+        for x, y in zip(a._boxes, b._boxes):
+            assert float(np.max(np.abs(x))) < 1.0 and float(np.max(np.abs(x - y))) <= 2.0 ** -50
+        got = synthesize(system, b).coeffs
+        assert got.dtype == want.coeffs.dtype
+        err = np.max(np.abs(got * 2.0 ** 1003 - want.coeffs))
+        assert err <= 2.0 ** -45 * np.max(np.abs(want.coeffs))
+
     def test_analyze_csv_export(self, capsys, tmp_path, system_config):
         f = CoeffFn.random([0.5], 4, seed=5)
         coeff_file = tmp_path / "f.json"

@@ -527,9 +527,23 @@ class TestBoxArithmetic:
         # negative factor has -0.0: those compare as equal values
         _, ops = operands
         for c in ops.values():
-            assert c.scale(factor)._exp == c._exp
+            # |factor| = m 2^e, 1 <= m < 2, moves the exponent by e
+            assert c.scale(factor)._exp == c._exp + math.frexp(abs(factor))[1] - 1
             for got, lv in zip(c.scale(factor).levels, c.levels):
                 assert same_bits(got, lv * factor, signed_zeros=factor.real > 0)
+
+    def test_scale_by_a_power_of_two_keeps_the_boxes(self, operands):
+        # the boxes stay at unit scale, so the synthesis folds no subnormal value
+        system, ops = operands
+        for c in ops.values():
+            tiny = c.scale(2.0 ** -1000)
+            assert tiny._exp == c._exp - 1000
+            assert all(same_bits(a, b) for a, b in zip(tiny._boxes, c._boxes))
+            want = synthesize(system, c).coeffs.copy()
+            want.real = np.ldexp(want.real, -1000)
+            if np.iscomplexobj(want):
+                want.imag = np.ldexp(want.imag, -1000)
+            assert same_bits(synthesize(system, tiny).coeffs, want)
 
     @pytest.mark.parametrize("pair", [("low", "high"), ("high", "low"), ("low", "hand"),
                                       ("hand", "high"), ("complex", "high"), ("hand", "hand"),

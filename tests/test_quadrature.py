@@ -282,6 +282,29 @@ class TestGroupedRules:
         quadrature._rules([(level_node_count(j), a) for j in range(4) for a in (0.0, 0.5, 1.0)])
         assert quadrature._passes - start == 1
 
+    def test_taylor_step_of_joined_groups_is_each_groups_own(self):
+        # points near the zeros of three rules, moved off them both ways, so the steps
+        # h take both signs; the step on the groups joined is bit for bit the step on
+        # each group alone, wherever a point sits in the array
+        rng = np.random.default_rng(4)
+        keys = [(209, 0.5), (53, 2.0), (14, 80.0)]
+        parts = []
+        for n, alpha in keys:
+            t = single_start(n, alpha) * (1.0 + 1e-3 * rng.standard_normal(n))
+            *_, last = _damped_rows(n, alpha, t)
+            parts.append((np.full(n, float(n)), np.full(n, alpha), t, last.v.copy(),
+                          last.v_prev.copy(), last.frac.copy(), last.m0 + last.shift))
+        joined = quadrature._taylor_step(*(np.concatenate(arrs) for arrs in zip(*parts)))
+        start = 0
+        for part in parts:
+            alone = quadrature._taylor_step(*part)
+            stop = start + part[2].size
+            h = alone[0] - part[2]
+            assert (h < 0.0).any() and (h > 0.0).any()
+            for got, want in zip(joined, alone):
+                assert np.array_equal(got[start:stop].view(np.int64), want.view(np.int64))
+            start = stop
+
     def test_starts_match_per_rule_starts(self):
         keys = [(n, a) for n in (1, 2, 3, 9, 64, 835) for a in (0.0, 0.3125, 7.5, 400.0)]
         got = quadrature._initial_nodes(keys)

@@ -560,6 +560,43 @@ class TestGroupedPass:
         # in the order the groups leave: (9, 2), (300, 0), (300, 400), (700, 0.5), (700, 80)
         assert rescaled == [False, True, False, True, True]
 
+    @pytest.mark.parametrize("layout", ["runs", "rows"])
+    def test_one_rescale_schedule_serves_groups_of_different_growth(self, layout):
+        # the pass rescales at the steps its fastest-growing group needs, and then
+        # every large value of every group; a slower group alone rescales elsewhere,
+        # and two groups never do (points near 0, and eight steps at alpha = 400).
+        # Every row of every group is bit for bit that of a pass of its own.
+        rng = np.random.default_rng(5)
+        groups = [(4096, 0.0, 1.6e4), (1024, 2.0, 2.5e3), (64, 0.5, 1e-3), (8, 400.0, 900.0)]
+        N, alpha, top = zip(*groups)
+        us = [np.sort(rng.uniform(0.0, t, 24)) for t in top]
+        u, sizes = (np.stack(us), None) if layout == "rows" else (np.concatenate(us), (24,) * 4)
+
+        def rows_and_rescales(pass_, count):
+            # q_n = ldexp(v frac, m0 + shift) per group, and the steps that move a shift
+            rows, steps, shift = [[] for _ in range(count)], [set() for _ in range(count)], None
+            for n, state in enumerate(pass_):
+                w = len(state.v)
+                vals = np.ldexp(state.v * state.frac[:w], (state.m0 + state.shift)[:w])
+                now = state.shift.reshape(count, -1)
+                for g, row in enumerate(vals.reshape(-1, 24)):
+                    rows[g].append(row)
+                    if shift is not None and (now[g] != shift[g]).any():
+                        steps[g].add(n)
+                shift = now.copy()
+            return [np.array(r) for r in rows], steps
+
+        got, steps = rows_and_rescales(_damped_rows(N, alpha, u, sizes), len(groups))
+        own = []
+        for g, (n, a, pts) in enumerate(zip(N, alpha, us)):
+            (want,), (mine,) = rows_and_rescales(_damped_rows(n, a, pts), 1)
+            own.append(mine)
+            assert got[g].shape == (n + 1, 24)
+            assert np.array_equal(got[g].view(np.int64), want.view(np.int64)), (n, a)
+        assert min(steps[0]) == min(own[0]) < 150
+        assert min(steps[1]) == min(steps[0]) and min(own[1]) > 200
+        assert not (steps[2] or steps[3] or own[2] or own[3])
+
     def test_tables_of_several_alphas_in_one_pass(self):
         rng = np.random.default_rng(3)
         alphas = (0.0, 50.0, 80.0, 400.0, 0.0)
